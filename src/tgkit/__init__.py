@@ -1,16 +1,28 @@
 """Toolkit for clip-level temporal grounding: labels, losses, decoding, metrics."""
 import os as _os
 
+
+def _thread_count():
+    """TGKIT_THREADS as a positive integer, None when unset; ValueError otherwise."""
+    raw = _os.environ.get("TGKIT_THREADS")
+    if raw is not None and not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise ValueError(f"TGKIT_THREADS must be a positive integer, got {raw!r}")
+    return None if raw is None else int(raw)
+
+
 # Honour TGKIT_THREADS before numpy spins up its BLAS thread pools.
-_threads = _os.environ.get("TGKIT_THREADS")
-if _threads is not None and _threads.isdigit() and int(_threads) >= 1:
+try:
+    _threads = _thread_count()
+except ValueError:  # importing ignores a bad value; the CLI reports it
+    _threads = None
+if _threads is not None:
     for _var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",
         "MKL_NUM_THREADS",
         "NUMEXPR_NUM_THREADS",
     ):
-        _os.environ.setdefault(_var, _threads)
+        _os.environ.setdefault(_var, str(_threads))
 
 from .config import RunConfig
 from .core import (

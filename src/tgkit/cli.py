@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
+from . import _thread_count
 from .config import RunConfig
 from .core import GroundTruthRecord, Interval, ScoredInterval
 from .decode import (
@@ -51,14 +51,6 @@ from .metrics import (
 from .teacher import SimilarityMatrix, pseudo_labels
 
 TASKS = ("moments", "highlights", "summary")
-
-
-def _check_thread_env() -> None:
-    raw = os.environ.get("TGKIT_THREADS")
-    if raw is None:
-        return
-    if not raw.isdigit() or int(raw) < 1:
-        raise ValueError(f"TGKIT_THREADS must be a positive integer, got {raw!r}")
 
 
 def _load_config(args) -> RunConfig:
@@ -540,7 +532,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_env()
+        _thread_count()
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

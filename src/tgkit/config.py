@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .losses import LossWeights
-
-DEFAULT_MAP_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
-DEFAULT_RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
+from .metrics import DEFAULT_MAP_THRESHOLDS, DEFAULT_RECALL_THRESHOLDS
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import GroundTruthRecord, PredictionSet, _frozen, _set
-from .losses import LossWeights, _total_loss_arrays, _cosine_with_grads, sample_positive
+from .losses import (
+    LossWeights,
+    _cosine_with_grads,
+    _LossBatch,
+    _total_loss_arrays,
+    sample_positive,
+)
 
 _MIN_STEP = 1e-18
 
@@ -73,11 +79,10 @@ def overfit(
     clip_emb = rng.normal(0.0, 0.5, (b, n, embed_dim))
     sent_emb = rng.normal(size=(b, embed_dim))
     sent_emb /= np.linalg.norm(sent_emb, axis=-1, keepdims=True)
+    batch = _LossBatch(labels, timelines, weights, positives, aggregation)
 
     def evaluate(lg, off, emb):
-        return _total_loss_arrays(
-            lg, off, emb, sent_emb, labels, timelines, weights, positives, aggregation
-        )
+        return _total_loss_arrays(lg, off, emb, sent_emb, batch)
 
     value, grads, _ = evaluate(logits, offsets, clip_emb)
     if not np.isfinite(value):

@@ -334,29 +334,37 @@ def write_matrices_binary(records: Sequence[MatrixRecord], path) -> None:
 
 def _parse_binary_matrices(raw: bytes) -> list[MatrixRecord]:
     view = memoryview(raw)
-    if bytes(view[:4]) != MATRIX_MAGIC:
+    pos = 0
+
+    def take(size: int, what: str) -> memoryview:
+        # every read is bounds-checked so a cut container fails closed
+        nonlocal pos
+        if size > len(raw) - pos:
+            raise ValueError(
+                f"truncated matrix container: {what} at byte offset {pos} needs "
+                f"{size} byte(s), {len(raw) - pos} left"
+            )
+        pos += size
+        return view[pos - size:pos]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    if bytes(take(4, "magic bytes")) != MATRIX_MAGIC:
         raise ValueError(f"bad magic bytes; expected {MATRIX_MAGIC!r}")
-    version, count = struct.unpack_from("<II", view, 4)
+    version, count = unpack("<II", "container header")
     if version != 1:
         raise ValueError(f"unsupported matrix container version {version}")
-    pos = 12
     records = []
     for _ in range(count):
-        (id_len,) = struct.unpack_from("<I", view, pos)
-        pos += 4
-        video_id = bytes(view[pos:pos + id_len]).decode("utf-8")
-        pos += id_len
-        clip_len, rows, cols = struct.unpack_from("<dII", view, pos)
-        pos += 16
+        (id_len,) = unpack("<I", "video id length")
+        video_id = bytes(take(id_len, "video id")).decode("utf-8")
+        clip_len, rows, cols = unpack("<dII", "matrix header")
         names = []
         for _ in range(cols):
-            (name_len,) = struct.unpack_from("<I", view, pos)
-            pos += 4
-            names.append(bytes(view[pos:pos + name_len]).decode("utf-8"))
-            pos += name_len
-        n_bytes = rows * cols * 4
-        values = np.frombuffer(view, dtype="<f4", count=rows * cols, offset=pos)
-        pos += n_bytes
+            (name_len,) = unpack("<I", "column name length")
+            names.append(bytes(take(name_len, "column name")).decode("utf-8"))
+        values = np.frombuffer(take(rows * cols * 4, "matrix values"), dtype="<f4")
         records.append(
             _validate_matrix_record(
                 MatrixRecord(video_id, clip_len, tuple(names),

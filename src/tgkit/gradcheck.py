@@ -21,6 +21,7 @@ import numpy as np
 from .core import ClipTimeline, Interval, UnifiedLabel
 from .losses import (
     LossWeights,
+    _LossBatch,
     _total_loss_arrays,
     boundary_loss,
     foreground_loss,
@@ -203,6 +204,7 @@ def _make_total(rng):
         tau=float(rng.uniform(0.07, 0.2)),
     )
     aggregation = "per_video" if rng.random() < 0.5 else "per_clip"
+    batch = _LossBatch(labels, timelines, w, positives, aggregation)
 
     def unit_rows(shape):
         m = rng.normal(size=shape)
@@ -222,11 +224,7 @@ def _make_total(rng):
             ins["offsets"],
             ins["clip_embeddings"],
             ins["sentence_embeddings"],
-            labels,
-            timelines,
-            w,
-            positives,
-            aggregation,
+            batch,
         )
         return value, grads
 

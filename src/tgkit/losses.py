@@ -5,6 +5,17 @@ boundary regression mixing smooth-L1 and 1-D generalised IoU, and two
 temperature-scaled contrastive saliency terms (within one video and across
 a batch).  Everything is plain numpy with hand-derived gradients; a central
 finite-difference checker validates them at random non-kink points.
+
+Each term has one implementation, a helper over a (B, L) batch of B videos
+of L clips.  The weighted total evaluates all four in one masked pass
+(``_total_loss_arrays``): the foreground mask selects the boundary terms, a
+per-row pool mask selects each positive's contrastive negatives, and the
+cross-video term is a row-wise log-sum-exp.  What stays fixed while the
+predictions move (labels, positives, masks, aggregation scales) is
+validated and stacked once per batch in a ``_LossBatch``, which also warns
+once per degenerate video when it is built.  The public
+``foreground_loss``, ``boundary_loss`` and ``saliency_intra_loss`` are B=1
+calls into the same helpers.
 """
 from __future__ import annotations
 
@@ -27,11 +38,6 @@ from .core import (
 
 DEFAULT_TAU = 0.07
 DEFAULT_NEG_WEIGHT = 0.1
-
-# Points closer than this to a non-differentiable set are resampled or
-# flagged as skipped by the gradient checker.
-_KINK_MARGIN = 1e-3
-_REL_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,9 +137,12 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _logsumexp(z):
-    m = z.max()
-    return m + np.log(np.sum(np.exp(z - m)))
+def _foreground_term(x, f, w: LossWeights):
+    """Row means of the weighted BCE, shape (B,), and its gradient w.r.t. ``x``."""
+    n = x.shape[-1]
+    per_clip = w.lambda_f * (f * _softplus(-x) + w.neg_weight * (1.0 - f) * _softplus(x))
+    grad = w.lambda_f * (-f * sigmoid(-x) + w.neg_weight * (1.0 - f) * sigmoid(x)) / n
+    return per_clip.mean(axis=-1), grad
 
 
 def foreground_loss(logits, targets, weights: LossWeights = LossWeights()) -> LossReport:
@@ -153,11 +162,8 @@ def foreground_loss(logits, targets, weights: LossWeights = LossWeights()) -> Lo
         raise ValueError("targets must be 0 or 1")
     if not np.isfinite(x).all():
         raise ValueError("logits must be finite")
-    n = x.shape[0]
-    w = weights
-    per_clip = w.lambda_f * (f * _softplus(-x) + w.neg_weight * (1.0 - f) * _softplus(x))
-    grad = w.lambda_f * (-f * sigmoid(-x) + w.neg_weight * (1.0 - f) * sigmoid(x)) / n
-    return LossReport(float(per_clip.mean()), {"logits": grad})
+    value, grad = _foreground_term(x[None], f[None], weights)
+    return LossReport(float(value[0]), {"logits": grad[0]})
 
 
 def smooth_l1(x, beta: float = 1.0):
@@ -184,53 +190,30 @@ def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
     derivatives at ties; callers that need verified gradients must stay off
     the tie set.
     """
-    a_lo, a_hi, b_lo, b_hi = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (a_lo, a_hi, b_lo, b_hi))
-    )
+    a_lo, a_hi, b_lo, b_hi = (np.asarray(v, dtype=np.float64) for v in (a_lo, a_hi, b_lo, b_hi))
     inter_raw = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
-    inter = np.maximum(0.0, inter_raw)
+    live = inter_raw > 0
+    inter = np.where(live, inter_raw, 0.0)
     union = (a_hi - a_lo) + (b_hi - b_lo) - inter
     hull = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
 
-    live = inter_raw > 0
-    # d min(x, y)/dx = [x < y]; d max(x, y)/dx = [x >= y] (right-hand rules)
-    di_ahi = np.where(live & (a_hi < b_hi), 1.0, 0.0)
-    di_bhi = np.where(live & (b_hi < a_hi), 1.0, 0.0)
-    di_alo = np.where(live & (a_lo >= b_lo), -1.0, 0.0)
-    di_blo = np.where(live & (b_lo >= a_lo), -1.0, 0.0)
-
-    du_alo = -1.0 - di_alo
-    du_ahi = 1.0 - di_ahi
-    du_blo = -1.0 - di_blo
-    du_bhi = 1.0 - di_bhi
-
-    dh_ahi = np.where(a_hi >= b_hi, 1.0, 0.0)
-    dh_bhi = np.where(b_hi >= a_hi, 1.0, 0.0)
-    dh_alo = np.where(a_lo < b_lo, -1.0, 0.0)
-    dh_blo = np.where(b_lo < a_lo, -1.0, 0.0)
-
-    value = np.empty_like(hull)
-    grads = [np.zeros_like(hull) for _ in range(4)]
-
     degenerate = hull <= 0  # both intervals collapse to the same point
-    apart = (~degenerate) & (union <= 0)  # two distinct degenerate points
-    regular = (~degenerate) & (~apart)
+    regular = ~degenerate & (union > 0)  # the rest: two distinct degenerate points
+    u = np.where(regular, union, 1.0)
+    h = np.where(regular, hull, 1.0)
+    value = np.where(regular, inter / u - (h - u) / h, np.where(degenerate, 1.0, -1.0))
 
-    value[degenerate] = 1.0
-    value[apart] = -1.0
-
-    if regular.any():
-        i_, u_, h_ = inter[regular], union[regular], hull[regular]
-        value[regular] = i_ / u_ - (h_ - u_) / h_
-        for g, di, du, dh in zip(
-            grads,
-            (di_alo, di_ahi, di_blo, di_bhi),
-            (du_alo, du_ahi, du_blo, du_bhi),
-            (dh_alo, dh_ahi, dh_blo, dh_bhi),
-        ):
-            di_, du_, dh_ = di[regular], du[regular], dh[regular]
-            g[regular] = (di_ * u_ - i_ * du_) / u_**2 + (du_ * h_ - u_ * dh_) / h_**2
-    return value, grads[0], grads[1], grads[2], grads[3]
+    # On the regular set an endpoint's partial is di/u + du*(1/h - i/u^2) - dh*u/h^2,
+    # from the partials di, du, dh of inter, union and hull, with du = +-1 - di.
+    # d min(x, y)/dx = [x < y]; d max(x, y)/dx = [x >= y] (right-hand rules)
+    k_u = np.where(regular, 1.0 / h - inter / u**2, 0.0)
+    k_iu = np.where(regular, 1.0 / u, 0.0) - k_u
+    k_h = np.where(regular, u / h**2, 0.0)
+    d_alo = k_h * (a_lo < b_lo) - k_u - k_iu * (live & (a_lo >= b_lo))
+    d_ahi = k_u + k_iu * (live & (a_hi < b_hi)) - k_h * (a_hi >= b_hi)
+    d_blo = k_h * (b_lo < a_lo) - k_u - k_iu * (live & (b_lo >= a_lo))
+    d_bhi = k_u + k_iu * (live & (b_hi < a_hi)) - k_h * (b_hi >= a_hi)
+    return value, d_alo, d_ahi, d_blo, d_bhi
 
 
 def giou_1d(a: Interval, b: Interval) -> LossReport:
@@ -244,6 +227,33 @@ def giou_1d(a: Interval, b: Interval) -> LossReport:
         float(value),
         {"a": np.array([d_alo, d_ahi]), "b": np.array([d_blo, d_bhi])},
     )
+
+
+def _boundary_term(d_hat, times, gt, fg, fg_count, w: LossWeights):
+    """Boundary loss per row, shape (B,), and its gradient w.r.t. ``d_hat``.
+
+    ``d_hat`` and ``gt`` are (B, L, 2) offsets, ``times`` the (B, L) clip
+    centres, ``fg`` the (B, L) foreground mask and ``fg_count`` its row sums
+    floored at 1.  Every clip is scored; the mask keeps the foreground ones
+    and each row is averaged over its own foreground count.
+    """
+    l1_val, l1_der = smooth_l1(d_hat - gt, w.smooth_l1_beta)
+
+    pr_s = times - d_hat[..., 0]
+    pr_e = times + d_hat[..., 1]
+    lo = np.minimum(pr_s, pr_e)
+    hi = np.maximum(pr_s, pr_e)
+    g_val, dg_lo, dg_hi, _, _ = _giou_endpoints(lo, hi, times - gt[..., 0], times + gt[..., 1])
+
+    # chain through the ordering: lo/hi pick one of (pr_s, pr_e) each
+    dg_d0 = -np.where(pr_s < pr_e, dg_lo, dg_hi)  # pr_s = t - d0
+    dg_d1 = np.where(pr_e < pr_s, dg_lo, dg_hi)  # pr_e = t + d1
+
+    per_clip = w.lambda_l1 * l1_val.sum(axis=-1) + w.lambda_iou * (1.0 - g_val)
+    value = np.where(fg, per_clip, 0.0).sum(axis=-1) / fg_count
+    per_offset = w.lambda_l1 * l1_der - w.lambda_iou * np.stack((dg_d0, dg_d1), axis=-1)
+    grad = np.where(fg[..., None], per_offset / fg_count[:, None, None], 0.0)
+    return value, grad
 
 
 def boundary_loss(
@@ -268,43 +278,23 @@ def boundary_loss(
         raise ValueError(f"label covers {len(label)} clips but timeline has {n}")
     if not np.isfinite(d_hat).all():
         raise ValueError("predicted offsets must be finite")
-    w = weights
-    grad = np.zeros((n, 2), dtype=np.float64)
-    fg = np.flatnonzero(label.foreground == 1)
-    if fg.size == 0:
+    fg = label.foreground == 1
+    count = int(fg.sum())
+    if count == 0:
         warnings.warn("no foreground clips; boundary loss is vacuously 0", GroundingWarning)
-        return LossReport(0.0, {"offsets": grad}, {"foreground_count": 0})
-
-    t = timeline.timestamps()[fg]
-    gt = label.offsets[fg]
-    residual = d_hat[fg] - gt
-    l1_val, l1_der = smooth_l1(residual, w.smooth_l1_beta)
-
-    pr_s = t - d_hat[fg, 0]
-    pr_e = t + d_hat[fg, 1]
-    lo = np.minimum(pr_s, pr_e)
-    hi = np.maximum(pr_s, pr_e)
-    g_val, dg_lo, dg_hi, _, _ = _giou_endpoints(lo, hi, t - gt[:, 0], t + gt[:, 1])
-
-    # chain through the ordering: lo/hi pick one of (pr_s, pr_e) each
-    dlo_s = np.where(pr_s < pr_e, 1.0, 0.0)
-    dlo_e = np.where(pr_e < pr_s, 1.0, 0.0)
-    dhi_s = np.where(pr_s >= pr_e, 1.0, 0.0)
-    dhi_e = np.where(pr_e >= pr_s, 1.0, 0.0)
-    dg_d0 = (dg_lo * dlo_s + dg_hi * dhi_s) * -1.0  # pr_s = t - d0
-    dg_d1 = dg_lo * dlo_e + dg_hi * dhi_e  # pr_e = t + d1
-
-    per_clip = w.lambda_l1 * l1_val.sum(axis=1) + w.lambda_iou * (1.0 - g_val)
-    value = float(per_clip.mean())
-    grad[fg, 0] = (w.lambda_l1 * l1_der[:, 0] - w.lambda_iou * dg_d0) / fg.size
-    grad[fg, 1] = (w.lambda_l1 * l1_der[:, 1] - w.lambda_iou * dg_d1) / fg.size
-    return LossReport(value, {"offsets": grad}, {"foreground_count": int(fg.size)})
+    value, grad = _boundary_term(
+        d_hat[None], timeline.timestamps()[None], label.offsets[None], fg[None],
+        np.array([max(1.0, count)]), weights,
+    )
+    return LossReport(float(value[0]), {"offsets": grad[0]}, {"foreground_count": count})
 
 
 def _cosine_with_grads(v, s):
     """cos(v, s) over the last axis plus partials w.r.t. both vectors."""
     nv = np.linalg.norm(v, axis=-1, keepdims=True)
     ns = np.linalg.norm(s, axis=-1, keepdims=True)
+    if not (nv.all() and ns.all()):
+        raise ValueError("zero-norm embeddings have no cosine")
     c = np.sum(v * s, axis=-1, keepdims=True) / (nv * ns)
     dv = s / (nv * ns) - c * v / nv**2
     ds = v / (nv * ns) - c * s / ns**2
@@ -342,6 +332,39 @@ def sample_positive(label: UnifiedLabel, rng: np.random.Generator) -> int:
     return int(rng.choice(eligible))
 
 
+def _infonce_rows(scores, targets, tau: float):
+    """Softmax cross-entropy of column ``targets[b]`` in each row of ``scores``.
+
+    ``scores`` is (B, K) at temperature ``tau``; an entry of -inf is left out
+    of its row's softmax.  Returns the per-row losses (B,) and their
+    gradient.  A row whose only finite entry is its target scores exactly 0
+    with zero gradient.
+    """
+    rows = np.arange(scores.shape[0])
+    z = scores / tau
+    peak = z.max(axis=1, keepdims=True)
+    lse = peak + np.log(np.exp(z - peak).sum(axis=1, keepdims=True))
+    grad = np.exp(z - lse) / tau
+    grad[rows, targets] -= 1.0 / tau
+    return lse[:, 0] - z[rows, targets], grad
+
+
+def _intra_term(cosines, pool, positives, tau: float):
+    """Within-video InfoNCE per row, shape (B,), and its gradient.
+
+    Row b scores its positive clip against the clips of ``pool[b]``: the
+    positive itself and every clip of strictly lower saliency.
+    """
+    return _infonce_rows(np.where(pool, cosines, -np.inf), positives, tau)
+
+
+def _inter_term(pair_cosines, tau: float):
+    """Cross-batch InfoNCE on the (B, B) pairing matrix: row mean and its gradient."""
+    b = pair_cosines.shape[0]
+    losses, grad = _infonce_rows(pair_cosines, np.arange(b), tau)
+    return float(losses.sum()) / b, grad / b
+
+
 def saliency_intra_loss(
     cosines,
     label: UnifiedLabel,
@@ -365,22 +388,18 @@ def saliency_intra_loss(
         positive = sample_positive(label, np.random.default_rng(rng_seed))
     elif not (label.foreground[positive] == 1 and label.saliency[positive] > 0):
         raise ValueError(f"clip {positive} is not an eligible positive")
-    grad = np.zeros_like(c)
-    omega = np.flatnonzero(label.saliency < label.saliency[positive])
-    if omega.size == 0:
+    pool = label.saliency < label.saliency[positive]
+    num_negatives = int(pool.sum())
+    if num_negatives == 0:
         warnings.warn(
             "no clip has strictly lower saliency than the positive; intra loss is 0",
             GroundingWarning,
         )
-        return LossReport(0.0, {"cosines": grad}, {"positive": positive, "num_negatives": 0})
-    pool = np.concatenate(([positive], omega))
-    z = c[pool] / weights.tau
-    value = float(_logsumexp(z) - z[0])
-    q = np.exp(z - _logsumexp(z))
-    grad[pool] = q / weights.tau
-    grad[positive] -= 1.0 / weights.tau
+    pool[positive] = True
+    value, grad = _intra_term(c[None], pool[None], np.array([positive]), weights.tau)
     return LossReport(
-        value, {"cosines": grad}, {"positive": positive, "num_negatives": int(omega.size)}
+        float(value[0]), {"cosines": grad[0]},
+        {"positive": positive, "num_negatives": num_negatives},
     )
 
 
@@ -396,17 +415,88 @@ def saliency_inter_loss(pair_cosines, weights: LossWeights = LossWeights()) -> L
         raise ValueError(f"pairing matrix must be square and non-empty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("pairing cosines must be finite")
-    b = m.shape[0]
-    z = m / weights.tau
-    value = 0.0
-    grad = np.zeros_like(m)
-    for row in range(b):
-        lse = _logsumexp(z[row])
-        value += lse - z[row, row]
-        q = np.exp(z[row] - lse)
-        grad[row] = q / weights.tau
-        grad[row, row] -= 1.0 / weights.tau
-    return LossReport(value / b, {"pair_cosines": grad / b})
+    value, grad = _inter_term(m, weights.tau)
+    return LossReport(value, {"pair_cosines": grad})
+
+
+class _LossBatch:
+    """The parts of a loss batch that stay fixed while the predictions move.
+
+    Built once per batch of labelled videos whose labels and timelines the
+    caller has already matched up: checks that every contrastive positive is
+    eligible, stacks targets, clip centres and target offsets into (B, L)
+    arrays, builds the foreground and contrastive pool masks, and fixes the
+    aggregation scales.  A video whose positive has no negative raises its
+    ``GroundingWarning`` here, once, not on every evaluation.  Every positive
+    is a foreground clip, so no video's boundary term is vacuous.
+    """
+
+    def __init__(
+        self,
+        labels: Sequence[UnifiedLabel],
+        timelines: Sequence[ClipTimeline],
+        weights: LossWeights,
+        positives,
+        aggregation: str,
+    ):
+        b, l = len(labels), len(labels[0])
+        positives = np.asarray(positives, dtype=np.int64)
+        rows = np.arange(b)
+        fg = np.stack([lab.foreground for lab in labels]) == 1
+        saliency = np.stack([lab.saliency for lab in labels])
+        eligible = fg[rows, positives] & (saliency[rows, positives] > 0)
+        if not eligible.all():
+            v = int(np.flatnonzero(~eligible)[0])
+            raise ValueError(f"clip {positives[v]} of video {v} is not an eligible positive")
+        pool = saliency < saliency[rows, positives][:, None]
+        for v in np.flatnonzero(~pool.any(axis=1)):
+            warnings.warn(
+                f"video {v}: no clip has strictly lower saliency than the positive; "
+                "intra loss is 0",
+                GroundingWarning,
+            )
+        pool[rows, positives] = True
+        fg_count = fg.sum(axis=1).astype(np.float64)
+
+        if aggregation == "per_video":
+            scale_f = scale_b = scale_c = np.full(b, 1.0 / b)
+            scale_inter = weights.lambda_inter
+        elif aggregation == "per_clip":
+            # weight each video's mean terms back into per-clip sums over the batch
+            video_weight = 1.0 / float(b * l)
+            scale_f = np.full(b, video_weight * float(l))
+            scale_b = video_weight * fg_count
+            scale_c = np.full(b, video_weight)
+            scale_inter = weights.lambda_inter * b / (b * l)
+        else:
+            raise ValueError(f"unknown aggregation {aggregation!r}")
+
+        self.shape = (b, l)
+        self.weights = weights
+        self.positives = positives
+        self.targets = fg.astype(np.float64)
+        self.fg = fg
+        self.fg_count = fg_count
+        self.times = np.stack([tl.timestamps() for tl in timelines])
+        self.gt_offsets = np.stack([lab.offsets for lab in labels])
+        self.pool = pool
+        self.scale_f = scale_f
+        self.scale_b = scale_b
+        self.scale_intra = weights.lambda_intra * scale_c
+        self.scale_inter = scale_inter
+
+    def check(self, logits, offsets, clip_emb, sent_emb) -> None:
+        """Reject per-call arrays of the wrong shape or with non-finite entries."""
+        b, l = self.shape
+        d = clip_emb.shape[-1]
+        for name, arr, shape in (("logits", logits, (b, l)),
+                                 ("predicted offsets", offsets, (b, l, 2)),
+                                 ("clip embeddings", clip_emb, (b, l, d)),
+                                 ("sentence embeddings", sent_emb, (b, d))):
+            if arr.shape != shape:
+                raise ValueError(f"{name} shape {arr.shape} does not match {shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
 
 
 def _total_loss_arrays(
@@ -414,74 +504,46 @@ def _total_loss_arrays(
     offsets: np.ndarray,
     clip_emb: np.ndarray,
     sent_emb: np.ndarray,
-    labels: Sequence[UnifiedLabel],
-    timelines: Sequence[ClipTimeline],
-    weights: LossWeights,
-    positives: np.ndarray,
-    aggregation: str,
+    batch: _LossBatch,
 ):
-    """Combined objective on raw arrays; returns (value, grads, components)."""
-    b, l = logits.shape
-    emb = EmbeddingBatch(clip_emb, sent_emb)
-    w = weights
+    """Combined objective on raw arrays; returns (value, grads, components).
 
-    g_logits = np.zeros_like(logits)
-    g_offsets = np.zeros_like(offsets)
-    g_clip = np.zeros_like(clip_emb)
-    g_sent = np.zeros_like(sent_emb)
+    One masked pass over the (B, L) batch; ``batch`` holds everything that
+    does not change between calls.
+    """
+    batch.check(logits, offsets, clip_emb, sent_emb)
+    w = batch.weights
+    positives = batch.positives
+    rows = np.arange(len(positives))
 
-    if aggregation == "per_video":
-        video_weight = np.full(b, 1.0 / b)
-        clip_scale = np.ones(b)
-        fg_scale = np.ones(b)
-    elif aggregation == "per_clip":
-        # weight each video's mean terms back into per-clip sums over the batch
-        total_clips = float(b * l)
-        video_weight = np.full(b, 1.0 / total_clips)
-        clip_scale = np.full(b, float(l))
-        fg_scale = np.array([float(max(1, lab.foreground.sum())) for lab in labels])
-    else:
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-
-    parts = {"foreground": 0.0, "boundary": 0.0, "intra": 0.0, "inter": 0.0}
-    value = 0.0
-
-    cos_all, dcos_v, dcos_s = _cosine_with_grads(clip_emb, sent_emb[:, None, :])
-    for v in range(b):
-        lf = foreground_loss(logits[v], labels[v].foreground, w)
-        lb = boundary_loss(offsets[v], labels[v], timelines[v], w)
-        li = saliency_intra_loss(cos_all[v], labels[v], weights=w, positive=int(positives[v]))
-        scale_f = video_weight[v] * clip_scale[v]
-        scale_b = video_weight[v] * fg_scale[v]
-        scale_c = video_weight[v] if aggregation == "per_video" else 1.0 / (b * l)
-        value += scale_f * lf.value + scale_b * lb.value + w.lambda_intra * scale_c * li.value
-        parts["foreground"] += scale_f * lf.value
-        parts["boundary"] += scale_b * lb.value
-        parts["intra"] += w.lambda_intra * scale_c * li.value
-        g_logits[v] = scale_f * lf.grad("logits")
-        g_offsets[v] = scale_b * lb.grad("offsets")
-        gc = w.lambda_intra * scale_c * li.grad("cosines")  # (L,)
-        g_clip[v] += gc[:, None] * dcos_v[v]
-        g_sent[v] += (gc[:, None] * dcos_s[v]).sum(axis=0)
-
-    pos_emb = clip_emb[np.arange(b), positives]  # (B, D)
+    l_fg, g_logits = _foreground_term(logits, batch.targets, w)
+    l_bd, g_offsets = _boundary_term(
+        offsets, batch.times, batch.gt_offsets, batch.fg, batch.fg_count, w
+    )
+    cos, dcos_v, dcos_s = _cosine_with_grads(clip_emb, sent_emb[:, None, :])
+    l_intra, g_cos = _intra_term(cos, batch.pool, positives, w.tau)
+    pos_emb = clip_emb[rows, positives]  # (B, D)
     pair, dpair_v, dpair_s = _cosine_with_grads(pos_emb[:, None, :], sent_emb[None, :, :])
-    inter = saliency_inter_loss(pair, w)
-    scale_inter = w.lambda_inter if aggregation == "per_video" else w.lambda_inter * b / (b * l)
-    value += scale_inter * inter.value
-    parts["inter"] = scale_inter * inter.value
-    gp = scale_inter * inter.grad("pair_cosines")  # (B, B)
-    for v in range(b):
-        g_clip[v, positives[v]] += (gp[v][:, None] * dpair_v[v]).sum(axis=0)
-    g_sent += (gp[:, :, None] * dpair_s).sum(axis=0)
+    l_inter, g_pair = _inter_term(pair, w.tau)
 
+    parts = {
+        "foreground": float(np.sum(batch.scale_f * l_fg)),
+        "boundary": float(np.sum(batch.scale_b * l_bd)),
+        "intra": float(np.sum(batch.scale_intra * l_intra)),
+        "inter": batch.scale_inter * l_inter,
+    }
+    gc = batch.scale_intra[:, None] * g_cos  # (B, L)
+    gp = batch.scale_inter * g_pair  # (B, B)
+    g_clip = gc[..., None] * dcos_v
+    g_clip[rows, positives] += (gp[:, :, None] * dpair_v).sum(axis=1)
+    g_sent = (gc[..., None] * dcos_s).sum(axis=1) + (gp[:, :, None] * dpair_s).sum(axis=0)
     grads = {
-        "foreground_logits": g_logits,
-        "offsets": g_offsets,
+        "foreground_logits": batch.scale_f[:, None] * g_logits,
+        "offsets": batch.scale_b[:, None, None] * g_offsets,
         "clip_embeddings": g_clip,
         "sentence_embeddings": g_sent,
     }
-    return value, grads, parts
+    return sum(parts.values()), grads, parts
 
 
 def total_loss(
@@ -512,18 +574,13 @@ def total_loss(
             raise ValueError("all records must share the embedding clip count")
     rng = np.random.default_rng(rng_seed)
     positives = np.array([sample_positive(lab, rng) for lab in labels], dtype=np.int64)
-    logits = np.stack([p.foreground_logits for p in preds])
-    offsets = np.stack([p.offsets for p in preds])
+    batch = _LossBatch(labels, timelines, weights, positives, aggregation)
     value, grads, parts = _total_loss_arrays(
-        logits,
-        offsets,
-        np.asarray(emb.clip_embeddings, dtype=np.float64),
-        np.asarray(emb.sentence_embeddings, dtype=np.float64),
-        labels,
-        timelines,
-        weights,
-        positives,
-        aggregation,
+        np.stack([p.foreground_logits for p in preds]),
+        np.stack([p.offsets for p in preds]),
+        emb.clip_embeddings,
+        emb.sentence_embeddings,
+        batch,
     )
     return LossReport(
         value,

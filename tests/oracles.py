@@ -300,3 +300,81 @@ def infonce_oracle(scores, positive_index, tau):
     top = max(z)
     lse = top + math.log(sum(math.exp(v - top) for v in z))
     return lse - z[positive_index]
+
+
+def _softplus(x):
+    # log(1 + e^x), stable for large |x|
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def _cosine(u, v):
+    dot = sum(a * b for a, b in zip(u, v))
+    return dot / (math.sqrt(sum(a * a for a in u)) * math.sqrt(sum(b * b for b in v)))
+
+
+def _smooth_l1(x, beta):
+    return 0.5 * x * x / beta if abs(x) < beta else abs(x) - 0.5 * beta
+
+
+def _giou(lo, hi, g_lo, g_hi):
+    inter = max(0.0, min(hi, g_hi) - max(lo, g_lo))
+    union = (hi - lo) + (g_hi - g_lo) - inter
+    hull = max(hi, g_hi) - min(lo, g_lo)
+    if hull <= 0:
+        return 1.0
+    if union <= 0:
+        return -1.0
+    return inter / union - (hull - union) / hull
+
+
+def total_loss_oracle(logits, offsets, clip_emb, sent_emb, foreground, gt_offsets, saliency,
+                      clip_lens, positives, aggregation, w):
+    """Weighted total loss and its four components, one video and one clip at a time.
+
+    Per video: mean weighted BCE over its clips; smooth-L1 on both offsets
+    plus (1 - gIoU) of the predicted and target intervals, averaged over its
+    foreground clips; InfoNCE of its positive clip against every clip of
+    strictly lower saliency (0 without one).  Across the batch: InfoNCE of
+    each positive clip against all sentences.  "per_video" averages each
+    term over videos; "per_clip" sums it over the batch and divides by the
+    batch's clip count.  ``w`` holds the loss weights by name.
+    """
+    b, n = len(logits), len(logits[0])
+    sums = {"foreground": 0.0, "boundary": 0.0, "intra": 0.0, "inter": 0.0}
+    for v in range(b):
+        bce = 0.0
+        for x, f in zip(logits[v], foreground[v]):
+            bce += w["lambda_f"] * (f * _softplus(-x) + w["neg_weight"] * (1 - f) * _softplus(x))
+
+        bd, num_fg = 0.0, 0
+        for i in range(n):
+            if not foreground[v][i]:
+                continue
+            num_fg += 1
+            t = (i + 0.5) * clip_lens[v]
+            d0, d1 = offsets[v][i]
+            g0, g1 = gt_offsets[v][i]
+            l1 = _smooth_l1(d0 - g0, w["smooth_l1_beta"]) + _smooth_l1(d1 - g1, w["smooth_l1_beta"])
+            start, end = t - d0, t + d1
+            giou = _giou(min(start, end), max(start, end), t - g0, t + g1)
+            bd += w["lambda_l1"] * l1 + w["lambda_iou"] * (1.0 - giou)
+
+        p = positives[v]
+        pool = [p] + [j for j in range(n) if saliency[v][j] < saliency[v][p]]
+        scores = [_cosine(clip_emb[v][j], sent_emb[v]) for j in pool]
+        intra = infonce_oracle(scores, 0, w["tau"]) if len(pool) > 1 else 0.0
+
+        pair = [_cosine(clip_emb[v][p], sent_emb[k]) for k in range(b)]
+        inter = infonce_oracle(pair, v, w["tau"])
+
+        if aggregation == "per_video":
+            sums["foreground"] += bce / n
+            sums["boundary"] += bd / num_fg if num_fg else 0.0
+        else:
+            sums["foreground"] += bce
+            sums["boundary"] += bd
+        sums["intra"] += w["lambda_intra"] * intra
+        sums["inter"] += w["lambda_inter"] * inter
+    count = b if aggregation == "per_video" else b * n
+    parts = {k: s / count for k, s in sums.items()}
+    return sum(parts.values()), parts

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,18 @@ from tgkit.synth import toy_corpus, toy_similarity
 
 def strip_labels(records):
     return [dataclasses.replace(r, label=None) for r in records]
+
+
+def run_child(args, **env):
+    """Run ``python -m tgkit <args>`` in a child process with extra env vars."""
+    return subprocess.run([sys.executable, "-m", "tgkit", *args], capture_output=True,
+                          text=True, env={**os.environ, **env})
+
+
+def assert_one_line_error(proc, start):
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {start}"), proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +158,15 @@ class TestTeacher:
                      "--output", str(out)]) == 0
         records, _ = read_dataset(out)
         assert len(records) == 3
+
+    def test_truncated_binary_fails_closed(self, tmp_path):
+        sim = toy_similarity(num_videos=2, num_clips=12, num_concepts=6, seed=3)
+        matrices = tmp_path / "sim.tgmx"
+        write_matrices_binary(sim, matrices)
+        matrices.write_bytes(matrices.read_bytes()[:30])
+        proc = run_child(["teacher", "--input", str(matrices),
+                          "--output", str(tmp_path / "labeled.jsonl")])
+        assert_one_line_error(proc, "truncated matrix container")
 
 
 class TestLosscheck:
@@ -318,6 +342,23 @@ class TestThreadEnv:
     def test_zero_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TGKIT_THREADS", "0")
         assert self.run_small(tmp_path) == 1
+
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_value_is_one_line_error(self, tmp_path, value):
+        proc = run_child(["losscheck", "--losses", "smooth_l1", "--points", "2",
+                          "--output", str(tmp_path / "r.json")], TGKIT_THREADS=value)
+        assert_one_line_error(proc, "TGKIT_THREADS must be a positive integer")
+
+    @pytest.mark.parametrize("value, pinned", [("3", "3"), ("0", None), ("abc", None)])
+    def test_import_pins_valid_and_ignores_bad_value(self, value, pinned):
+        env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+        env["TGKIT_THREADS"] = value
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, tgkit; print(os.environ.get('OMP_NUM_THREADS'))"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(pinned)
 
 
 class TestUsageErrors:

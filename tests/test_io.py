@@ -286,6 +286,15 @@ class TestMatrixContainers:
         with pytest.raises(ValueError, match="trailing"):
             read_matrices(path)
 
+    def test_every_truncation_rejected(self, tmp_path):
+        full, cut = tmp_path / "m.tgmx", tmp_path / "cut.tgmx"
+        write_matrices_binary(matrix_records(), full)
+        raw = full.read_bytes()
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(ValueError):
+                read_matrices(cut)
+
     def test_unicode_ids_and_names(self, tmp_path):
         path = tmp_path / "m.tgmx"
         rec = MatrixRecord("vidéo", 2.0, ("café",), np.array([[0.5]]))

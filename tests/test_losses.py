@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -23,7 +24,7 @@ from tgkit.losses import (
     total_loss,
 )
 
-from oracles import bce_oracle, fd_gradient, infonce_oracle
+from oracles import bce_oracle, fd_gradient, infonce_oracle, total_loss_oracle
 
 SETTINGS = dict(max_examples=100, deadline=None)
 
@@ -380,6 +381,53 @@ class TestTotalLoss:
         assert pv.extras["aggregation"] == "per_video"
         with pytest.raises(ValueError):
             total_loss(preds, emb, labels, timelines, aggregation="per_frame")
+
+    @pytest.mark.parametrize("aggregation", ["per_video", "per_clip"])
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    def test_matches_plain_loop_oracle(self, b, aggregation):
+        rng = np.random.default_rng(100 + b)
+        n, dim = 7, 4
+        labels = []
+        for _ in range(b - 1):
+            f = (rng.random(n) < 0.5).astype(int)
+            f[rng.integers(n)] = 1
+            d = np.where(f[:, None] == 1, rng.uniform(0.1, 3.0, (n, 2)), 0.0)
+            s = np.where(f == 1, rng.choice([0.3, 0.6, 1.0], n), 0.0)
+            labels.append(UnifiedLabel(f, d, s))
+        # every clip foreground at one saliency: the positive has no negatives
+        labels.append(label_of(np.ones(n, int), rng.uniform(0.1, 3.0, (n, 2)), np.full(n, 0.6)))
+        timelines = [ClipTimeline(n, float(rng.choice([0.5, 1.0, 2.0]))) for _ in range(b)]
+        preds = [
+            PredictionSet(rng.uniform(-4, 4, n), rng.uniform(-0.5, 3.5, (n, 2)), np.zeros(n))
+            for _ in range(b)
+        ]
+        emb = EmbeddingBatch(rng.normal(size=(b, n, dim)), rng.normal(size=(b, dim)))
+        w = LossWeights(lambda_f=1.3, lambda_l1=0.7, lambda_iou=1.1, lambda_inter=0.9,
+                        lambda_intra=1.2, tau=0.1, neg_weight=0.2, smooth_l1_beta=0.8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = total_loss(preds, emb, labels, timelines, w, rng_seed=b,
+                             aggregation=aggregation)
+        assert [str(c.message) for c in caught if c.category is GroundingWarning] == [
+            f"video {b - 1}: no clip has strictly lower saliency than the positive; "
+            "intra loss is 0"
+        ]
+        value, parts = total_loss_oracle(
+            [p.foreground_logits.tolist() for p in preds],
+            [p.offsets.tolist() for p in preds],
+            emb.clip_embeddings.tolist(),
+            emb.sentence_embeddings.tolist(),
+            [lab.foreground.tolist() for lab in labels],
+            [lab.offsets.tolist() for lab in labels],
+            [lab.saliency.tolist() for lab in labels],
+            [tl.clip_len for tl in timelines],
+            rep.extras["positives"].tolist(),
+            aggregation,
+            dataclasses.asdict(w),
+        )
+        assert abs(rep.value - value) <= 1e-12
+        for name, part in parts.items():
+            assert abs(rep.extras["components"][name] - part) <= 1e-12, name
 
     def test_full_gradient_matches_finite_differences(self):
         preds, emb, labels, timelines = self._batch(seed=9)

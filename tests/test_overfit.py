@@ -1,7 +1,10 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from tgkit.core import GroundTruthRecord, Query
+from tgkit.core import GroundingWarning, GroundTruthRecord, Query, UnifiedLabel
 from tgkit.fit import overfit
 from tgkit.losses import LossWeights
 from tgkit.synth import toy_corpus
@@ -99,3 +102,15 @@ class TestWeights:
         heavy = overfit(records(), steps=40, weights=LossWeights(lambda_f=10.0))
         light = overfit(records(), steps=40, weights=LossWeights(lambda_f=0.1))
         assert heavy.trajectory[0] > light.trajectory[0]
+
+
+class TestWarnings:
+    def test_video_without_negatives_warns_once_per_run(self):
+        recs = records()
+        n = recs[0].timeline.num_clips
+        flat = UnifiedLabel(np.ones(n, int), np.ones((n, 2)), np.full(n, 0.5))
+        recs[0] = dataclasses.replace(recs[0], label=flat)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            overfit(recs, steps=20, rng_seed=0)
+        assert sum(c.category is GroundingWarning for c in caught) == 1

@@ -9,6 +9,7 @@ thread count before numpy is loaded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -18,6 +19,8 @@ from . import _thread_count
 from .config import RunConfig
 from .core import GroundTruthRecord, Interval, ScoredInterval
 from .decode import (
+    HIGHLIGHT_MODES,
+    SEGMENT_AGGREGATES,
     decode_highlights,
     decode_moments,
     decode_summary,
@@ -36,6 +39,7 @@ from .formats import (
 )
 from .gradcheck import REGISTERED_LOSSES, grad_check
 from .fit import overfit
+from .losses import AGGREGATIONS
 from .labels import PointAnnotation, from_curve, from_intervals, from_points, intervals_of
 from .metrics import (
     HighlightEvalItem,
@@ -51,25 +55,30 @@ from .metrics import (
 from .teacher import SimilarityMatrix, pseudo_labels
 
 TASKS = ("moments", "highlights", "summary")
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_TOP_K_FIELDS = {"moments": "moment_top_k", "highlights": "highlight_top_k"}
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        return RunConfig.load(args.config)
-    return RunConfig()
+    """The --config file (or the defaults) with each given flag's field replaced.
 
-
-def _pick(value, fallback):
-    return fallback if value is None else value
+    A tunable flag's ``dest`` is its field; ``decode --top-k`` picks its field
+    by ``--task``, and summary decoding ignores it.
+    """
+    config = RunConfig.load(args.config) if args.config else RunConfig()
+    flags = dict(vars(args))
+    if "top_k" in flags:
+        flags[_TOP_K_FIELDS.get(args.task)] = flags.pop("top_k")
+    return dataclasses.replace(
+        config, **{k: v for k, v in flags.items() if k in _FIELDS and v is not None}
+    )
 
 
 def _tkey(t: float) -> str:
     return f"{float(t):g}"
 
 
-def _cmd_convert(args) -> int:
-    config = _load_config(args)
-    bin_width = _pick(args.bin_width, config.curve_bin_width)
+def _cmd_convert(args, config: RunConfig) -> int:
     records, errors = read_dataset(args.input, on_error=args.on_error)
     if errors:
         for line_no, message in errors:
@@ -88,7 +97,7 @@ def _cmd_convert(args) -> int:
             rec.label = from_intervals(timeline, rec.annotation)
             out.append(rec)
         elif rec.source_kind == "curve":
-            rec.label = from_curve(timeline, rec.annotation, bin_width)
+            rec.label = from_curve(timeline, rec.annotation, config.curve_bin_width)
             out.append(rec)
         else:
             labels = from_points(timeline, rec.annotation)
@@ -111,18 +120,13 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _cmd_teacher(args) -> int:
-    config = _load_config(args)
-    k = _pick(args.top_k, config.teacher_top_k)
-    bin_width = _pick(args.bin_width, config.curve_bin_width)
-    if k < 1:
-        raise ValueError(f"top-k must be >= 1, got {k}")
+def _cmd_teacher(args, config: RunConfig) -> int:
     out = []
     for matrix in read_matrices(args.input):
         sim = SimilarityMatrix(matrix.values, matrix.column_names)
         timeline = matrix.timeline()
-        k_eff = min(k, sim.num_concepts)
-        for rank, sample in enumerate(pseudo_labels(timeline, sim, k_eff, bin_width)):
+        k = min(config.teacher_top_k, sim.num_concepts)
+        for rank, sample in enumerate(pseudo_labels(timeline, sim, k, config.curve_bin_width)):
             out.append(
                 DatasetRecord(
                     video_id=matrix.video_id,
@@ -140,12 +144,7 @@ def _cmd_teacher(args) -> int:
     return 0
 
 
-def _cmd_losscheck(args) -> int:
-    config = _load_config(args)
-    epsilon = _pick(args.epsilon, config.gradcheck_epsilon)
-    tolerance = _pick(args.tolerance, config.gradcheck_tolerance)
-    points = _pick(args.points, config.gradcheck_points)
-    seed = _pick(args.seed, config.seed)
+def _cmd_losscheck(args, config: RunConfig) -> int:
     if args.losses is None:
         names = list(REGISTERED_LOSSES)
     else:
@@ -153,16 +152,15 @@ def _cmd_losscheck(args) -> int:
         unknown = [n for n in names if n not in REGISTERED_LOSSES]
         if unknown:
             raise ValueError(f"unknown losses {unknown}; registered: {list(REGISTERED_LOSSES)}")
-    results = {}
-    for name in names:
-        results[name] = grad_check(
-            name, epsilon=epsilon, tolerance=tolerance, seed=seed, num_points=points
-        )
+    settings = {
+        "epsilon": config.gradcheck_epsilon,
+        "tolerance": config.gradcheck_tolerance,
+        "seed": config.seed,
+        "num_points": config.gradcheck_points,
+    }
+    results = {name: grad_check(name, **settings) for name in names}
     report = {
-        "epsilon": epsilon,
-        "tolerance": tolerance,
-        "seed": seed,
-        "num_points": points,
+        **settings,
         "losses": {name: res.to_dict() for name, res in results.items()},
         "all_passed": all(res.passed for res in results.values()),
     }
@@ -177,13 +175,7 @@ def _cmd_losscheck(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    config = _load_config(args)
-    steps = _pick(args.steps, config.fit_steps)
-    learning_rate = _pick(args.learning_rate, config.fit_learning_rate)
-    embed_dim = _pick(args.embed_dim, config.fit_embed_dim)
-    seed = _pick(args.seed, config.seed)
-    aggregation = _pick(args.aggregation, config.loss_aggregation)
+def _cmd_fit(args, config: RunConfig) -> int:
     records, _ = read_dataset(args.input)
     if not records:
         raise ValueError(f"no records in {args.input}")
@@ -207,11 +199,11 @@ def _cmd_fit(args) -> int:
         result = overfit(
             gt,
             weights=config.weights(),
-            steps=steps,
-            learning_rate=learning_rate,
-            rng_seed=seed,
-            embed_dim=embed_dim,
-            aggregation=aggregation,
+            steps=config.fit_steps,
+            learning_rate=config.fit_learning_rate,
+            rng_seed=config.seed,
+            embed_dim=config.fit_embed_dim,
+            aggregation=config.loss_aggregation,
         )
         for rec, pred in zip(members, result.predictions):
             predictions.append(
@@ -229,7 +221,9 @@ def _cmd_fit(args) -> int:
         )
     write_predictions(predictions, args.output)
     if args.trajectory:
-        write_json_report({"seed": seed, "steps": steps, "groups": trace}, args.trajectory)
+        write_json_report(
+            {"seed": config.seed, "steps": config.fit_steps, "groups": trace}, args.trajectory
+        )
     for group in trace:
         print(
             f"fit {len(group['items'])} record(s) at {group['num_clips']} clips: "
@@ -238,13 +232,9 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _decode_moments_result(rec: PredictionRecord, config: RunConfig, args) -> dict:
-    iou = _pick(args.iou_threshold, config.nms_iou_threshold)
-    top_k = _pick(args.top_k, config.moment_top_k)
-    use_sal = config.moment_use_saliency if args.use_saliency is None else args.use_saliency
-    moments = decode_moments(
-        rec.prediction, rec.timeline(), iou_threshold=iou, top_k=top_k, use_saliency=use_sal
-    )
+def _decode_moments_result(rec: PredictionRecord, config: RunConfig) -> dict:
+    moments = decode_moments(rec.prediction, rec.timeline(), config.nms_iou_threshold,
+                             config.moment_top_k, config.moment_use_saliency)
     return {
         "moments": [
             {"start": m.interval.start, "end": m.interval.end, "score": m.score}
@@ -253,18 +243,15 @@ def _decode_moments_result(rec: PredictionRecord, config: RunConfig, args) -> di
     }
 
 
-def _decode_highlights_result(rec: PredictionRecord, config: RunConfig, args) -> dict:
-    mode = _pick(args.mode, config.highlight_mode)
-    k = _pick(args.top_k, config.highlight_top_k)
-    top = decode_highlights(rec.prediction, mode=mode, k=k)
+def _decode_highlights_result(rec: PredictionRecord, config: RunConfig) -> dict:
+    top = decode_highlights(rec.prediction, config.highlight_mode, config.highlight_top_k)
     return {
         "top_clips": [int(i) for i in top],
-        "clip_scores": highlight_scores(rec.prediction, mode).tolist(),
+        "clip_scores": highlight_scores(rec.prediction, config.highlight_mode).tolist(),
     }
 
 
-def _cmd_decode(args) -> int:
-    config = _load_config(args)
+def _cmd_decode(args, config: RunConfig) -> int:
     records, _ = read_predictions(args.input)
     if not records:
         raise ValueError(f"no prediction records in {args.input}")
@@ -280,9 +267,9 @@ def _cmd_decode(args) -> int:
     for rec in records:
         entry = {"video_id": rec.video_id, "query_id": rec.query_id}
         if args.task == "moments":
-            entry.update(_decode_moments_result(rec, config, args))
+            entry.update(_decode_moments_result(rec, config))
         elif args.task == "highlights":
-            entry.update(_decode_highlights_result(rec, config, args))
+            entry.update(_decode_highlights_result(rec, config))
         else:
             if rec.video_id not in features:
                 raise ValueError(f"--kts-input has no features for video {rec.video_id!r}")
@@ -294,17 +281,15 @@ def _cmd_decode(args) -> int:
                 )
             segments = kts_segment(
                 features=matrix.values,
-                max_segments=_pick(args.max_segments, config.kts_max_segments),
-                max_clips=_pick(args.max_clips, config.kts_max_clips),
-                penalty=_pick(args.kts_penalty, config.kts_penalty),
+                max_segments=config.kts_max_segments,
+                max_clips=config.kts_max_clips,
+                penalty=config.kts_penalty,
             )
             selection = decode_summary(
                 rec.prediction,
                 segments,
-                budget_fraction=_pick(args.budget_fraction, config.summary_budget_fraction),
-                segment_aggregate=_pick(
-                    args.segment_aggregate, config.summary_segment_aggregate
-                ),
+                budget_fraction=config.summary_budget_fraction,
+                segment_aggregate=config.summary_segment_aggregate,
             )
             entry.update(
                 {
@@ -335,8 +320,7 @@ def _match_results(results: list, truth: dict) -> list:
     return [(r, truth[(r["video_id"], r["query_id"])]) for r in results]
 
 
-def _eval_moments(pairs, config: RunConfig, args) -> dict:
-    k = _pick(args.recall_k, config.recall_k)
+def _eval_moments(pairs, config: RunConfig) -> dict:
     items = []
     for result, rec in pairs:
         timeline = rec.timeline()
@@ -346,11 +330,11 @@ def _eval_moments(pairs, config: RunConfig, args) -> dict:
         )
         gts = tuple(intervals_of(timeline, rec.label))
         items.append(MomentEvalItem(f"{rec.video_id}/{rec.query_id}", preds, gts))
-    recall = recall_at_k(items, k=k, thresholds=config.recall_iou_thresholds)
+    recall = recall_at_k(items, k=config.recall_k, thresholds=config.recall_iou_thresholds)
     detail = moment_map(items, thresholds=config.map_iou_thresholds)
     return {
         "num_items": len(items),
-        "recall_k": k,
+        "recall_k": config.recall_k,
         "recall": {_tkey(t): v for t, v in recall.recall.items()},
         "miou": recall.miou,
         "map_per_threshold": {_tkey(t): v for t, v in detail["map_per_threshold"].items()},
@@ -358,7 +342,7 @@ def _eval_moments(pairs, config: RunConfig, args) -> dict:
     }
 
 
-def _eval_highlights(pairs, config: RunConfig, args) -> dict:
+def _eval_highlights(pairs) -> dict:
     items = []
     for result, rec in pairs:
         items.append(
@@ -380,7 +364,7 @@ def _eval_highlights(pairs, config: RunConfig, args) -> dict:
     }
 
 
-def _eval_summary(pairs, config: RunConfig, args) -> dict:
+def _eval_summary(pairs) -> dict:
     per_item = []
     for result, rec in pairs:
         if rec.clip_concepts is None:
@@ -413,8 +397,7 @@ def _eval_summary(pairs, config: RunConfig, args) -> dict:
     }
 
 
-def _cmd_eval(args) -> int:
-    config = _load_config(args)
+def _cmd_eval(args, config: RunConfig) -> int:
     with open(args.predictions, "r", encoding="utf-8") as handle:
         decoded = json.load(handle)
     if decoded.get("task") != args.task:
@@ -432,11 +415,11 @@ def _cmd_eval(args) -> int:
     pairs = _match_results(results, truth)
 
     if args.task == "moments":
-        body = _eval_moments(pairs, config, args)
+        body = _eval_moments(pairs, config)
     elif args.task == "highlights":
-        body = _eval_highlights(pairs, config, args)
+        body = _eval_highlights(pairs)
     else:
-        body = _eval_summary(pairs, config, args)
+        body = _eval_summary(pairs)
     report = {"task": args.task, **body}
     write_json_report(report, args.output)
     headline = {
@@ -463,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("convert", help="attach unified labels to raw annotations")
     _add_common(p)
     p.add_argument("--input", required=True, help="dataset JSONL with raw annotations")
-    p.add_argument("--bin-width", type=float, default=None, help="curve quantisation bin")
+    p.add_argument("--bin-width", dest="curve_bin_width", type=float,
+                   help="curve quantisation bin")
     p.add_argument(
         "--on-error", choices=("raise", "skip"), default="raise",
         help="skip malformed lines instead of failing",
@@ -473,48 +457,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("teacher", help="pseudo-labels from concept similarity matrices")
     _add_common(p)
     p.add_argument("--input", required=True, help="matrix container (text or binary)")
-    p.add_argument("--top-k", type=int, default=None, help="concepts per video")
-    p.add_argument("--bin-width", type=float, default=None, help="curve quantisation bin")
+    p.add_argument("--top-k", dest="teacher_top_k", type=int, help="concepts per video")
+    p.add_argument("--bin-width", dest="curve_bin_width", type=float,
+                   help="curve quantisation bin")
     p.set_defaults(func=_cmd_teacher)
 
     p = commands.add_parser("losscheck", help="finite-difference audit of loss gradients")
     _add_common(p)
     p.add_argument("--losses", default=None, help="comma-separated loss names (default: all)")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--points", type=int, default=None, help="random points per loss")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--epsilon", dest="gradcheck_epsilon", type=float)
+    p.add_argument("--tolerance", dest="gradcheck_tolerance", type=float)
+    p.add_argument("--points", dest="gradcheck_points", type=int, help="random points per loss")
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_losscheck)
 
     p = commands.add_parser("fit", help="overfit free parameters to labeled records")
     _add_common(p)
     p.add_argument("--input", required=True, help="labeled dataset JSONL")
     p.add_argument("--trajectory", default=None, help="also write the loss trajectory here")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--embed-dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--aggregation", choices=("per_video", "per_clip"), default=None)
+    p.add_argument("--steps", dest="fit_steps", type=int)
+    p.add_argument("--learning-rate", dest="fit_learning_rate", type=float)
+    p.add_argument("--embed-dim", dest="fit_embed_dim", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--aggregation", dest="loss_aggregation", choices=AGGREGATIONS)
     p.set_defaults(func=_cmd_fit)
 
     p = commands.add_parser("decode", help="turn predictions into task outputs")
     _add_common(p)
     p.add_argument("--input", required=True, help="predictions JSONL")
     p.add_argument("--task", required=True, choices=TASKS)
-    p.add_argument("--iou-threshold", type=float, default=None, help="NMS threshold (moments)")
-    p.add_argument("--top-k", type=int, default=None, help="ranked outputs to keep")
+    p.add_argument("--iou-threshold", dest="nms_iou_threshold", type=float,
+                   help="NMS threshold (moments)")
+    p.add_argument("--top-k", type=int,
+                   help="ranked outputs to keep (moment_top_k or highlight_top_k)")
     p.add_argument(
-        "--use-saliency", action="store_true", default=None,
+        "--use-saliency", dest="moment_use_saliency", action="store_true", default=None,
         help="add saliency to moment scores",
     )
-    p.add_argument("--mode", choices=("f_plus_s", "f_only"), default=None,
+    p.add_argument("--mode", dest="highlight_mode", choices=HIGHLIGHT_MODES,
                    help="highlight score mode")
-    p.add_argument("--kts-input", default=None, help="per-clip feature matrices (summary)")
-    p.add_argument("--kts-penalty", type=float, default=None)
-    p.add_argument("--max-segments", type=int, default=None)
-    p.add_argument("--max-clips", type=int, default=None)
-    p.add_argument("--budget-fraction", type=float, default=None)
-    p.add_argument("--segment-aggregate", choices=("mean", "max"), default=None)
+    p.add_argument("--kts-input", help="per-clip feature matrices (summary)")
+    p.add_argument("--kts-penalty", type=float)
+    p.add_argument("--max-segments", dest="kts_max_segments", type=int)
+    p.add_argument("--max-clips", dest="kts_max_clips", type=int)
+    p.add_argument("--budget-fraction", dest="summary_budget_fraction", type=float)
+    p.add_argument("--segment-aggregate", dest="summary_segment_aggregate",
+                   choices=SEGMENT_AGGREGATES)
     p.set_defaults(func=_cmd_decode)
 
     p = commands.add_parser("eval", help="score decoded outputs against labeled truth")
@@ -522,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True, help="decode output JSON")
     p.add_argument("--truth", required=True, help="labeled dataset JSONL")
     p.add_argument("--task", required=True, choices=TASKS)
-    p.add_argument("--recall-k", type=int, default=None, help="k for Recall@k (moments)")
+    p.add_argument("--recall-k", type=int, help="k for Recall@k (moments)")
     p.set_defaults(func=_cmd_eval)
 
     return parser
@@ -533,7 +521,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _thread_count()
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,9 +22,13 @@ DEFAULT_NMS_THRESHOLD = 0.7
 DEFAULT_MAX_SEGMENTS = 20
 DEFAULT_MAX_SEGMENT_CLIPS = 200
 DEFAULT_BUDGET_FRACTION = 0.02
+DEFAULT_KTS_PENALTY = 1.0
+DEFAULT_HIGHLIGHT_TOP_K = 1
 
 HIGHLIGHT_MODES = ("f_plus_s", "f_only")
+DEFAULT_HIGHLIGHT_MODE = "f_plus_s"
 SEGMENT_AGGREGATES = ("mean", "max")
+DEFAULT_SEGMENT_AGGREGATE = "mean"
 
 
 def nms_1d(
@@ -90,7 +94,7 @@ def decode_moments(
     return kept[:top_k] if top_k is not None else kept
 
 
-def highlight_scores(pred: PredictionSet, mode: str = "f_plus_s") -> np.ndarray:
+def highlight_scores(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE) -> np.ndarray:
     """Per-clip highlight score under the given ranking mode."""
     if mode not in HIGHLIGHT_MODES:
         raise ValueError(f"unknown highlight mode {mode!r}; expected one of {HIGHLIGHT_MODES}")
@@ -100,7 +104,8 @@ def highlight_scores(pred: PredictionSet, mode: str = "f_plus_s") -> np.ndarray:
     return scores
 
 
-def decode_highlights(pred: PredictionSet, mode: str = "f_plus_s", k: int = 1) -> np.ndarray:
+def decode_highlights(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE,
+                      k: int = DEFAULT_HIGHLIGHT_TOP_K) -> np.ndarray:
     """Indices of the top-k clips by highlight score, ties to earlier clips."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -168,7 +173,7 @@ def kts_segment(
     gram=None,
     max_segments: int = DEFAULT_MAX_SEGMENTS,
     max_clips: int = DEFAULT_MAX_SEGMENT_CLIPS,
-    penalty: float = 1.0,
+    penalty: float = DEFAULT_KTS_PENALTY,
     num_segments: int | None = None,
 ) -> SegmentList:
     """Kernel change-point segmentation of a clip sequence.
@@ -269,7 +274,7 @@ def decode_summary(
     pred: PredictionSet,
     segments: SegmentList,
     budget_fraction: float = DEFAULT_BUDGET_FRACTION,
-    segment_aggregate: str = "mean",
+    segment_aggregate: str = DEFAULT_SEGMENT_AGGREGATE,
 ) -> SummarySelection:
     """Top clips by foreground probability under a proportional budget.
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import GroundTruthRecord, PredictionSet, _frozen, _set
 from .losses import (
+    DEFAULT_AGGREGATION,
     LossWeights,
     _cosine_with_grads,
     _LossBatch,
@@ -23,6 +24,8 @@ from .losses import (
 )
 
 _MIN_STEP = 1e-18
+DEFAULT_LEARNING_RATE = 0.5
+DEFAULT_EMBED_DIM = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +46,10 @@ def overfit(
     records: Sequence[GroundTruthRecord],
     weights: LossWeights = LossWeights(),
     steps: int = 500,
-    learning_rate: float = 0.5,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
     rng_seed: int = 0,
-    embed_dim: int = 8,
-    aggregation: str = "per_video",
+    embed_dim: int = DEFAULT_EMBED_DIM,
+    aggregation: str = DEFAULT_AGGREGATION,
 ) -> OverfitResult:
     """Fit free per-record parameters to the records' own labels.
 

@@ -34,6 +34,9 @@ from .losses import (
 
 _KINK_MARGIN = 1e-3
 _MAX_RESAMPLES = 200
+DEFAULT_EPSILON = 1e-5
+DEFAULT_TOLERANCE = 1e-5
+DEFAULT_POINTS = 100
 
 
 @dataclass(frozen=True)
@@ -280,22 +283,24 @@ def _relative_error(analytic, numeric, noise_floor):
 def grad_check(
     loss_name: str,
     inputs: dict | None = None,
-    epsilon: float = 1e-5,
-    tolerance: float = 1e-5,
+    epsilon: float = DEFAULT_EPSILON,
+    tolerance: float = DEFAULT_TOLERANCE,
     seed: int = 0,
-    num_points: int = 100,
+    num_points: int = DEFAULT_POINTS,
 ) -> GradCheckResult:
     """Compare analytic gradients against central differences.
 
-    Without explicit ``inputs``, ``num_points`` random well-posed points are
-    drawn from the loss's sampler (resampling away from kinks).  With
-    explicit inputs a single point is checked; if it sits within the kink
-    margin it is recorded as skipped instead of judged.
+    Without explicit ``inputs``, ``num_points`` (at least 1) random
+    well-posed points are drawn from the loss's sampler (resampling away
+    from kinks).  With explicit inputs a single point is checked; if it sits
+    within the kink margin it is recorded as skipped instead of judged.
     """
     if loss_name not in _REGISTRY:
         raise ValueError(f"unknown loss {loss_name!r}; registered: {REGISTERED_LOSSES}")
     if epsilon <= 0 or tolerance <= 0:
         raise ValueError("epsilon and tolerance must be positive")
+    if inputs is None and num_points < 1:
+        raise ValueError(f"num_points must be >= 1, got {num_points}")
     rng = np.random.default_rng(seed)
     factory = _REGISTRY[loss_name]
 

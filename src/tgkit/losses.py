@@ -38,6 +38,8 @@ from .core import (
 
 DEFAULT_TAU = 0.07
 DEFAULT_NEG_WEIGHT = 0.1
+AGGREGATIONS = ("per_video", "per_clip")
+DEFAULT_AGGREGATION = "per_video"
 
 
 @dataclass(frozen=True)
@@ -458,18 +460,18 @@ class _LossBatch:
         pool[rows, positives] = True
         fg_count = fg.sum(axis=1).astype(np.float64)
 
+        if aggregation not in AGGREGATIONS:
+            raise ValueError(f"unknown aggregation {aggregation!r}; expected one of {AGGREGATIONS}")
         if aggregation == "per_video":
             scale_f = scale_b = scale_c = np.full(b, 1.0 / b)
             scale_inter = weights.lambda_inter
-        elif aggregation == "per_clip":
+        else:
             # weight each video's mean terms back into per-clip sums over the batch
             video_weight = 1.0 / float(b * l)
             scale_f = np.full(b, video_weight * float(l))
             scale_b = video_weight * fg_count
             scale_c = np.full(b, video_weight)
             scale_inter = weights.lambda_inter * b / (b * l)
-        else:
-            raise ValueError(f"unknown aggregation {aggregation!r}")
 
         self.shape = (b, l)
         self.weights = weights
@@ -553,7 +555,7 @@ def total_loss(
     timelines: Sequence[ClipTimeline],
     weights: LossWeights = LossWeights(),
     rng_seed: int = 0,
-    aggregation: str = "per_video",
+    aggregation: str = DEFAULT_AGGREGATION,
 ) -> LossReport:
     """Full objective over a batch of (video, query) records.
 

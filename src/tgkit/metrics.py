@@ -17,6 +17,7 @@ from .core import GroundingWarning, Interval, ScoredInterval, _set
 
 DEFAULT_MAP_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 DEFAULT_RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
+DEFAULT_RECALL_K = 1
 
 
 def temporal_iou(a: Interval, b: Interval) -> float:
@@ -125,7 +126,7 @@ def _rank_order(scores: np.ndarray) -> np.ndarray:
 
 def recall_at_k(
     items: Sequence[MomentEvalItem],
-    k: int = 1,
+    k: int = DEFAULT_RECALL_K,
     thresholds: Sequence[float] = DEFAULT_RECALL_THRESHOLDS,
 ) -> RecallResult:
     """Recall@k over IoU thresholds, plus mean top-1 IoU.

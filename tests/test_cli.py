@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from tgkit.cli import main
+from tgkit.cli import build_parser, main
+from tgkit.config import RunConfig
 from tgkit.formats import (
     dataset_record_to_obj,
     read_dataset,
@@ -324,6 +325,93 @@ class TestEval:
                      "--truth", str(pipeline["labeled"]),
                      "--task", "summary",
                      "--output", str(tmp_path / "e.json")]) == 1
+
+
+class TestConfigFile:
+    """How a --config file and the flags combine: the flag wins where both are given."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "moment_top_k": 1, "highlight_top_k": 2, "recall_k": 2, "seed": 4,
+            "gradcheck_points": 2, "gradcheck_tolerance": 1e-3, "fit_steps": 3,
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("task, flags, expected", [
+        ("moments", [], 1),
+        ("moments", ["--top-k", "3"], 3),
+        ("highlights", [], 2),
+        ("highlights", ["--top-k", "3"], 3),
+    ])
+    def test_decode_top_k_follows_task(self, pipeline, config, tmp_path, task, flags, expected):
+        out = tmp_path / "decoded.json"
+        assert main(["decode", "--input", str(pipeline["preds"]), "--task", task,
+                     "--config", config, *flags, "--output", str(out)]) == 0
+        key = "moments" if task == "moments" else "top_clips"
+        for result in json.loads(out.read_text())["results"]:
+            assert len(result[key]) == expected
+
+    @pytest.mark.parametrize("flags, expected", [([], 2), (["--recall-k", "1"], 1)])
+    def test_eval_recall_k(self, pipeline, config, tmp_path, flags, expected):
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--predictions", str(pipeline["moments"]),
+                     "--truth", str(pipeline["labeled"]), "--task", "moments",
+                     "--config", config, *flags, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["recall_k"] == expected
+
+    def test_losscheck_mixes_config_and_flags(self, config, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["losscheck", "--losses", "smooth_l1", "--config", config,
+                     "--points", "1", "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["num_points"], report["tolerance"], report["seed"]) == (1, 1e-3, 4)
+        assert report["epsilon"] == 1e-5
+
+    def test_fit_mixes_config_and_flags(self, pipeline, config, tmp_path):
+        traj = tmp_path / "traj.json"
+        assert main(["fit", "--input", str(pipeline["labeled"]), "--config", config,
+                     "--seed", "1", "--trajectory", str(traj),
+                     "--output", str(tmp_path / "p.jsonl")]) == 0
+        report = json.loads(traj.read_text())
+        assert (report["steps"], report["seed"]) == (3, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["convert", "--input", "x"],
+        ["teacher", "--input", "x"],
+        ["losscheck"],
+        ["fit", "--input", "x"],
+        ["decode", "--input", "x", "--task", "moments"],
+        ["eval", "--predictions", "x", "--truth", "y", "--task", "moments"],
+    ])
+    def test_every_tunable_flag_is_a_field(self, argv):
+        # a flag whose dest is neither plumbing nor a field would be dropped silently
+        plumbing = {"command", "func", "config", "output", "input", "on_error", "losses",
+                    "trajectory", "task", "kts_input", "predictions", "truth", "top_k"}
+        args = build_parser().parse_args([*argv, "--output", "o"])
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(vars(args)) - plumbing <= fields
+
+    def test_malformed_config_is_one_line_error(self, pipeline, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"fit_steps": "10"}))
+        proc = run_child(["fit", "--input", str(pipeline["labeled"]), "--config", str(bad),
+                          "--output", str(tmp_path / "p.jsonl")])
+        assert_one_line_error(proc, "fit_steps must be an integer")
+
+    def test_flags_get_the_config_checks(self, tmp_path):
+        proc = run_child(["losscheck", "--losses", "smooth_l1", "--points", "0",
+                          "--output", str(tmp_path / "r.json")])
+        assert_one_line_error(proc, "gradcheck_points must be >= 1")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_bin_width_checked_on_interval_only_data(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        write_dataset(strip_labels(toy_corpus(1, 10, seed=0)), raw)
+        proc = run_child(["convert", "--input", str(raw), "--bin-width", "0",
+                          "--output", str(tmp_path / "out.jsonl")])
+        assert_one_line_error(proc, "curve_bin_width must lie in (0, 1]")
 
 
 class TestThreadEnv:

@@ -78,6 +78,11 @@ class TestParameters:
         with pytest.raises(ValueError):
             grad_check("foreground", tolerance=-1.0)
 
+    def test_zero_points_rejected(self):
+        # checking nothing must not report a pass
+        with pytest.raises(ValueError, match="num_points"):
+            grad_check("foreground", num_points=0)
+
     def test_report_round_trips(self):
         result = grad_check("foreground", num_points=2, seed=1)
         d = result.to_dict()

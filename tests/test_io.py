@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgkit.config import RunConfig
 from tgkit.core import ClipTimeline, Interval, PredictionSet, Query
@@ -324,6 +327,14 @@ class TestJsonReport:
         assert text.index("alpha") < text.index("zeta")
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
 class TestRunConfig:
     def test_defaults_round_trip(self):
         cfg = RunConfig()
@@ -352,6 +363,41 @@ class TestRunConfig:
             RunConfig(fit_embed_dim=1)
         with pytest.raises(ValueError):
             RunConfig(recall_iou_thresholds=(0.5, 1.5))
+        for data in (
+            {"fit_steps": "10"},
+            {"recall_iou_thresholds": 5},
+            {"tau": None},
+            {"seed": "x"},
+            {"moment_top_k": 2.5},
+            {"moment_use_saliency": "no"},
+            [1, 2],
+            {"fit_steps": True},
+            {"tau": True},
+            {"highlight_mode": 1},
+            {"map_iou_thresholds": [0.5, True]},
+            {"map_iou_thresholds": []},
+            {"gradcheck_tolerance": float("inf")},
+            {"lambda_f": 10**400},
+        ):
+            with pytest.raises(ValueError):
+                RunConfig.from_dict(data)
+
+    def test_numbers_kept_as_given(self):
+        cfg = RunConfig.from_dict({"kts_penalty": 2, "recall_iou_thresholds": [1]})
+        assert cfg.kts_penalty == 2 and type(cfg.kts_penalty) is int
+        assert cfg.recall_iou_thresholds == (1.0,)
+
+    @given(data=st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]) | st.text(max_size=8),
+        JSON_VALUES, max_size=6,
+    ) | JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_reader_fuzz_yields_config_or_value_error(self, data):
+        try:
+            cfg = RunConfig.from_dict(data)
+        except ValueError:
+            return
+        assert isinstance(cfg, RunConfig)
 
     def test_weights_mirror_config(self):
         cfg = RunConfig(tau=0.09, neg_weight=0.2, smooth_l1_beta=0.5)

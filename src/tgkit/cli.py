@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
 from . import _thread_count
-from .config import RunConfig
-from .core import GroundTruthRecord, Interval, ScoredInterval
+from .config import RunConfig, _is_real
+from .core import GroundTruthRecord, Interval, ScoredInterval, _check_clips
 from .decode import (
     HIGHLIGHT_MODES,
     SEGMENT_AGGREGATES,
@@ -30,6 +29,7 @@ from .decode import (
 from .formats import (
     DatasetRecord,
     PredictionRecord,
+    parse_json,
     read_dataset,
     read_matrices,
     read_predictions,
@@ -55,6 +55,16 @@ from .metrics import (
 from .teacher import SimilarityMatrix, pseudo_labels
 
 TASKS = ("moments", "highlights", "summary")
+# what eval reads from a decoded result, by task: (key, check on each entry, what it must be)
+_RESULT_ENTRIES = {
+    "moments": ("moments",
+                lambda m: isinstance(m, dict) and all(_is_real(m.get(k))
+                                                      for k in ("start", "end", "score")),
+                "an object with numeric start, end and score"),
+    "highlights": ("clip_scores", _is_real, "a finite number"),
+    "summary": ("selected_clips", lambda c: isinstance(c, int) and not isinstance(c, bool),
+                "an integer clip index"),
+}
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 _TOP_K_FIELDS = {"moments": "moment_top_k", "highlights": "highlight_top_k"}
 
@@ -102,19 +112,8 @@ def _cmd_convert(args, config: RunConfig) -> int:
         else:
             labels = from_points(timeline, rec.annotation)
             for i, (stamp, label) in enumerate(zip(rec.annotation.timestamps, labels)):
-                out.append(
-                    DatasetRecord(
-                        video_id=rec.video_id,
-                        query_id=f"{rec.query_id}#p{i}",
-                        duration=rec.duration,
-                        clip_len=rec.clip_len,
-                        query=rec.query,
-                        source_kind="point",
-                        annotation=PointAnnotation((stamp,)),
-                        label=label,
-                        clip_concepts=rec.clip_concepts,
-                    )
-                )
+                out.append(dataclasses.replace(rec, query_id=f"{rec.query_id}#p{i}",
+                                               annotation=PointAnnotation((stamp,)), label=label))
     write_dataset(out, args.output)
     print(f"wrote {len(out)} labeled record(s) to {args.output}")
     return 0
@@ -274,11 +273,7 @@ def _cmd_decode(args, config: RunConfig) -> int:
             if rec.video_id not in features:
                 raise ValueError(f"--kts-input has no features for video {rec.video_id!r}")
             matrix = features[rec.video_id]
-            if matrix.values.shape[0] != rec.timeline().num_clips:
-                raise ValueError(
-                    f"features for {rec.video_id!r} cover {matrix.values.shape[0]} clips "
-                    f"but the prediction has {rec.timeline().num_clips}"
-                )
+            _check_clips(rec.timeline(), f"features for {rec.video_id!r}", matrix.values.shape[0])
             segments = kts_segment(
                 features=matrix.values,
                 max_segments=config.kts_max_segments,
@@ -304,9 +299,33 @@ def _cmd_decode(args, config: RunConfig) -> int:
     return 0
 
 
+def _read_report(path, task: str) -> list:
+    """The results of a decode report, after checking the shape eval reads."""
+    with open(path, "r", encoding="utf-8") as handle:
+        report = parse_json(handle.read())
+    if not isinstance(report, dict) or not isinstance(report.get("results"), list):
+        raise ValueError(f"{path}: a decode report is an object holding a 'results' list")
+    if report.get("task") != task:
+        raise ValueError(f"predictions were decoded for task {report.get('task')!r}, not {task!r}")
+    key, accepts, kind = _RESULT_ENTRIES[task]
+    for i, result in enumerate(report["results"]):
+        where = f"{path}: results[{i}]"
+        if not (isinstance(result, dict) and isinstance(result.get("video_id"), str)
+                and isinstance(result.get("query_id"), str)):
+            raise ValueError(f"{where} must be an object with string video_id and query_id")
+        if not isinstance(result.get(key), list):
+            raise ValueError(f"{where} needs a list {key!r}")
+        for j, entry in enumerate(result[key]):
+            if not accepts(entry):
+                raise ValueError(f"{where}.{key}[{j}] must be {kind}")
+    return report["results"]
+
+
 def _match_results(results: list, truth: dict) -> list:
     """Pair each decoded result with its truth record; mismatches are errors."""
     got = {(r["video_id"], r["query_id"]) for r in results}
+    if len(got) != len(results):
+        raise ValueError("duplicate (video_id, query_id) pairs in the decode report")
     want = set(truth)
     if got != want:
         missing = sorted(want - got)
@@ -398,12 +417,7 @@ def _eval_summary(pairs) -> dict:
 
 
 def _cmd_eval(args, config: RunConfig) -> int:
-    with open(args.predictions, "r", encoding="utf-8") as handle:
-        decoded = json.load(handle)
-    if decoded.get("task") != args.task:
-        raise ValueError(
-            f"predictions were decoded for task {decoded.get('task')!r}, not {args.task!r}"
-        )
+    results = _read_report(args.predictions, args.task)
     truth_records, _ = read_dataset(args.truth)
     unlabeled = [f"{r.video_id}/{r.query_id}" for r in truth_records if r.label is None]
     if unlabeled:
@@ -411,7 +425,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
     truth = {(r.video_id, r.query_id): r for r in truth_records}
     if len(truth) != len(truth_records):
         raise ValueError("duplicate (video_id, query_id) pairs in the truth file")
-    results = sorted(decoded["results"], key=lambda r: (r["video_id"], r["query_id"]))
+    results = sorted(results, key=lambda r: (r["video_id"], r["query_id"]))
     pairs = _match_results(results, truth)
 
     if args.task == "moments":
@@ -491,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int,
                    help="ranked outputs to keep (moment_top_k or highlight_top_k)")
     p.add_argument(
-        "--use-saliency", dest="moment_use_saliency", action="store_true", default=None,
+        "--use-saliency", dest="moment_use_saliency", action=argparse.BooleanOptionalAction,
         help="add saliency to moment scores",
     )
     p.add_argument("--mode", dest="highlight_mode", choices=HIGHLIGHT_MODES,

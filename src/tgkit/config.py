@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import decode, fit, gradcheck, labels, losses, metrics, teacher
+from .formats import parse_json
 from .losses import LossWeights
 
 
@@ -142,4 +143,4 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(parse_json(Path(path).read_text()))

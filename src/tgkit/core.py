@@ -30,6 +30,23 @@ def _set(obj, name: str, value) -> None:
     object.__setattr__(obj, name, value)
 
 
+def _rank_order(scores) -> np.ndarray:
+    """Indices sorted by descending score; the earlier index wins ties."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+
+
+def _spans(times, offsets):
+    """Intervals that per-clip offsets span around the clip centres ``times``.
+
+    ``offsets[..., 0]`` reaches back from each centre and ``offsets[..., 1]``
+    forward.  Returns (start, end, lo, hi): start = t - d0, end = t + d1, and
+    the same pair re-ordered so that lo <= hi.
+    """
+    start = times - offsets[..., 0]
+    end = times + offsets[..., 1]
+    return start, end, np.minimum(start, end), np.maximum(start, end)
+
+
 @dataclass(frozen=True)
 class ClipTimeline:
     """Uniform clip grid over one video."""
@@ -54,6 +71,8 @@ class ClipTimeline:
             raise ValueError(f"duration must be positive and finite, got {duration!r}")
         if not math.isfinite(clip_len) or clip_len <= 0:
             raise ValueError(f"clip_len must be positive and finite, got {clip_len!r}")
+        if not math.isfinite(duration / clip_len):
+            raise ValueError(f"duration {duration!r} over clip_len {clip_len!r} is not a clip count")
         return cls(max(1, int(duration / clip_len)), clip_len)
 
     @property
@@ -69,6 +88,12 @@ class ClipTimeline:
     def timestamps(self) -> np.ndarray:
         """Centre times of all clips, shape (num_clips,)."""
         return _frozen((np.arange(self.num_clips) + 0.5) * self.clip_len)
+
+
+def _check_clips(timeline: ClipTimeline, what: str, count: int) -> None:
+    """Reject per-clip data (a label, prediction, curve, ...) without one entry per clip."""
+    if count != timeline.num_clips:
+        raise ValueError(f"{what} covers {count} clips but the timeline has {timeline.num_clips}")
 
 
 @dataclass(frozen=True, order=True)
@@ -108,6 +133,17 @@ class ScoredInterval:
             raise ValueError(f"score must be finite, got {self.score!r}")
 
 
+def _check_layout(name: str, first: np.ndarray, offsets: np.ndarray, saliency: np.ndarray):
+    """The per-clip layout of labels and predictions: (L,), (L, 2) and (L,) arrays."""
+    if first.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {first.shape}")
+    n = first.shape[0]
+    if offsets.shape != (n, 2):
+        raise ValueError(f"offsets shape {offsets.shape} does not match ({n}, 2)")
+    if saliency.shape != (n,):
+        raise ValueError(f"saliency shape {saliency.shape} does not match ({n},)")
+
+
 @dataclass(frozen=True, eq=False)
 class UnifiedLabel:
     """Per-clip grounding target.
@@ -128,13 +164,7 @@ class UnifiedLabel:
         f = np.array(self.foreground)
         d = np.array(self.offsets, dtype=np.float64)
         s = np.array(self.saliency, dtype=np.float64)
-        if f.ndim != 1:
-            raise ValueError(f"foreground must be 1-D, got shape {f.shape}")
-        n = f.shape[0]
-        if d.shape != (n, 2):
-            raise ValueError(f"offsets shape {d.shape} does not match ({n}, 2)")
-        if s.shape != (n,):
-            raise ValueError(f"saliency shape {s.shape} does not match ({n},)")
+        _check_layout("foreground", f, d, s)
         if not np.isin(f, (0, 1)).all():
             raise ValueError("foreground entries must be 0 or 1")
         f = f.astype(np.int8)
@@ -179,15 +209,13 @@ def boundary_of(timeline: ClipTimeline, label: UnifiedLabel, index: int) -> Inte
 
     Only defined on foreground clips; the result is clamped to the video.
     """
-    if len(label) != timeline.num_clips:
-        raise ValueError(f"label length {len(label)} does not match timeline {timeline.num_clips}")
+    _check_clips(timeline, "label", len(label))
     if not 0 <= index < timeline.num_clips:
         raise IndexError(f"clip index {index} out of range [0, {timeline.num_clips})")
     if label.foreground[index] != 1:
         raise ValueError(f"clip {index} is background; its offsets carry no boundary")
-    t = timeline.timestamp(index)
-    d_start, d_end = label.offsets[index]
-    return Interval(max(0.0, t - d_start), min(timeline.duration, t + d_end))
+    start, end, _, _ = _spans(timeline.timestamp(index), label.offsets[index])
+    return Interval(max(0.0, start), min(timeline.duration, end))
 
 
 @dataclass(frozen=True)
@@ -221,13 +249,7 @@ class PredictionSet:
         x = np.array(self.foreground_logits, dtype=np.float64)
         d = np.array(self.offsets, dtype=np.float64)
         s = np.array(self.saliency, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError(f"foreground_logits must be 1-D, got shape {x.shape}")
-        n = x.shape[0]
-        if d.shape != (n, 2):
-            raise ValueError(f"offsets shape {d.shape} does not match ({n}, 2)")
-        if s.shape != (n,):
-            raise ValueError(f"saliency shape {s.shape} does not match ({n},)")
+        _check_layout("foreground_logits", x, d, s)
         if not (np.isfinite(x).all() and np.isfinite(d).all() and np.isfinite(s).all()):
             raise ValueError("predictions must be finite")
         if (s < -1).any() or (s > 1).any():
@@ -257,7 +279,4 @@ class GroundTruthRecord:
             raise ValueError(
                 f"unknown source kind {self.source_kind!r}; expected one of {SOURCE_KINDS}"
             )
-        if len(self.label) != self.timeline.num_clips:
-            raise ValueError(
-                f"label covers {len(self.label)} clips but timeline has {self.timeline.num_clips}"
-            )
+        _check_clips(self.timeline, "label", len(self.label))

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClipTimeline, GroundingWarning, Interval, PredictionSet, ScoredInterval, _set
+from .core import (ClipTimeline, GroundingWarning, Interval, PredictionSet, ScoredInterval,
+                   _check_clips, _rank_order, _set, _spans)
 from .losses import sigmoid
 from .metrics import temporal_iou
 
@@ -72,20 +73,13 @@ def decode_moments(
     ``use_saliency`` adds the saliency prediction to the score.  NMS then
     de-duplicates, and ``top_k`` truncates the ranked result.
     """
-    if len(pred) != timeline.num_clips:
-        raise ValueError(
-            f"prediction covers {len(pred)} clips but timeline has {timeline.num_clips}"
-        )
+    _check_clips(timeline, "prediction", len(pred))
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    t = timeline.timestamps()
-    start = t - pred.offsets[:, 0]
-    end = t + pred.offsets[:, 1]
-    lo = np.clip(np.minimum(start, end), 0.0, timeline.duration)
-    hi = np.clip(np.maximum(start, end), 0.0, timeline.duration)
-    scores = sigmoid(pred.foreground_logits)
-    if use_saliency:
-        scores = scores + pred.saliency
+    _, _, lo, hi = _spans(timeline.timestamps(), pred.offsets)
+    lo = np.clip(lo, 0.0, timeline.duration)
+    hi = np.clip(hi, 0.0, timeline.duration)
+    scores = highlight_scores(pred, "f_plus_s" if use_saliency else "f_only")
     candidates = [
         ScoredInterval(Interval(lo[i], hi[i]), float(scores[i]))
         for i in range(timeline.num_clips)
@@ -95,7 +89,11 @@ def decode_moments(
 
 
 def highlight_scores(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE) -> np.ndarray:
-    """Per-clip highlight score under the given ranking mode."""
+    """Per-clip score: foreground probability, plus saliency in mode ``f_plus_s``.
+
+    The one place clip scores are computed; moment and summary decoding call
+    it too.
+    """
     if mode not in HIGHLIGHT_MODES:
         raise ValueError(f"unknown highlight mode {mode!r}; expected one of {HIGHLIGHT_MODES}")
     scores = sigmoid(pred.foreground_logits)
@@ -114,7 +112,7 @@ def decode_highlights(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE,
     if k > n:
         warnings.warn(f"k={k} exceeds {n} clips; returning all ranked clips", GroundingWarning)
         k = n
-    return np.argsort(-scores, kind="stable")[:k]
+    return _rank_order(scores)[:k]
 
 
 @dataclass(frozen=True)
@@ -291,9 +289,9 @@ def decode_summary(
     n = len(pred)
     if segments.num_clips != n:
         raise ValueError(f"segments cover {segments.num_clips} clips but prediction has {n}")
-    scores = sigmoid(pred.foreground_logits)
+    scores = highlight_scores(pred, "f_only")
     budget = max(1, int(math.floor(budget_fraction * n)))
-    ranked = np.argsort(-scores, kind="stable")[:budget]
+    ranked = _rank_order(scores)[:budget]
     reduce = np.mean if segment_aggregate == "mean" else np.max
     seg_scores = tuple(float(reduce(scores[a:b])) for a, b in segments.segments())
     return SummarySelection(tuple(int(i) for i in ranked), seg_scores)

@@ -13,11 +13,12 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ClipTimeline, Interval, PredictionSet, Query, UnifiedLabel
+from .core import (SOURCE_KINDS, ClipTimeline, Interval, PredictionSet, Query, UnifiedLabel,
+                   _check_clips)
 from .labels import CurveAnnotation, PointAnnotation
 
 SCHEMA_VERSION = 1
@@ -25,42 +26,48 @@ MATRIX_MAGIC = b"TGMX"
 MATRIX_TEXT_HEADER = "# tgkit-matrix v1"
 
 
+# source_kind -> (its annotation key, JSON value -> annotation, annotation -> JSON value)
+_ANNOTATIONS = {
+    "point": ("points", lambda v: PointAnnotation(tuple(v)), lambda a: list(a.timestamps)),
+    "interval": ("intervals", lambda v: [Interval(s, e) for s, e in v],
+                 lambda a: [[iv.start, iv.end] for iv in a]),
+    "curve": ("curve", lambda v: CurveAnnotation(np.asarray(v, dtype=np.float64)),
+              lambda a: a.values.tolist()),
+}
+
+
 @dataclass
-class DatasetRecord:
-    """One (video, query) line of a dataset file."""
+class _Record:
+    """The (video, query) fields every JSONL record line starts with."""
 
     video_id: str
     query_id: str
     duration: float
     clip_len: float
+
+    def timeline(self) -> ClipTimeline:
+        return ClipTimeline.from_duration(self.duration, self.clip_len)
+
+    def sort_key(self) -> tuple:
+        return (self.video_id, self.query_id)
+
+
+@dataclass
+class DatasetRecord(_Record):
+    """One (video, query) line of a dataset file."""
+
     query: Query
     source_kind: str
     annotation: object = None  # list[Interval] | PointAnnotation | CurveAnnotation
     label: UnifiedLabel | None = None
     clip_concepts: tuple | None = None  # per-clip concept sets, summaries only
 
-    def timeline(self) -> ClipTimeline:
-        return ClipTimeline.from_duration(self.duration, self.clip_len)
-
-    def sort_key(self) -> tuple:
-        return (self.video_id, self.query_id)
-
 
 @dataclass
-class PredictionRecord:
+class PredictionRecord(_Record):
     """One (video, query) line of a predictions file."""
 
-    video_id: str
-    query_id: str
-    duration: float
-    clip_len: float
     prediction: PredictionSet
-
-    def timeline(self) -> ClipTimeline:
-        return ClipTimeline.from_duration(self.duration, self.clip_len)
-
-    def sort_key(self) -> tuple:
-        return (self.video_id, self.query_id)
 
 
 @dataclass
@@ -76,26 +83,45 @@ class MatrixRecord:
         return ClipTimeline(self.values.shape[0], self.clip_len)
 
 
-def _annotation_to_obj(annotation) -> dict | None:
+def _head_from_obj(obj, required: tuple) -> dict:
+    """The four common fields of a record line, once the line is checked.
+
+    The line must be a JSON object of this schema version that holds the
+    common fields and the ``required`` ones.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
+    if obj.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported schema_version {obj.get('schema_version')!r}; expected {SCHEMA_VERSION}"
+        )
+    missing = [key for key in ("video_id", "query_id", "duration", "clip_len", *required)
+               if key not in obj]
+    if missing:
+        raise ValueError(f"record is missing fields {missing}")
+    return {"video_id": str(obj["video_id"]), "query_id": str(obj["query_id"]),
+            "duration": float(obj["duration"]), "clip_len": float(obj["clip_len"])}
+
+
+def _annotation_to_obj(annotation, source_kind: str) -> dict | None:
     if annotation is None:
         return None
-    if isinstance(annotation, PointAnnotation):
-        return {"points": list(annotation.timestamps)}
-    if isinstance(annotation, CurveAnnotation):
-        return {"curve": annotation.values.tolist()}
-    return {"intervals": [[iv.start, iv.end] for iv in annotation]}
+    key, _, dump = _ANNOTATIONS[source_kind]
+    return {key: dump(annotation)}
 
 
 def _annotation_from_obj(obj, source_kind: str):
+    """Parse an annotation, which holds exactly one key: the one its kind names."""
     if obj is None:
         return None
-    if "points" in obj:
-        return PointAnnotation(tuple(obj["points"]))
-    if "curve" in obj:
-        return CurveAnnotation(np.asarray(obj["curve"], dtype=np.float64))
-    if "intervals" in obj:
-        return [Interval(s, e) for s, e in obj["intervals"]]
-    raise ValueError(f"annotation for {source_kind!r} record has none of points/curve/intervals")
+    key, parse, _ = _ANNOTATIONS[source_kind]
+    if not isinstance(obj, dict) or list(obj) != [key]:
+        got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise ValueError(
+            f"annotation of source_kind {source_kind!r} must hold exactly the key {key!r}, "
+            f"got {got}"
+        )
+    return parse(obj[key])
 
 
 def dataset_record_to_obj(record: DatasetRecord) -> dict:
@@ -107,7 +133,7 @@ def dataset_record_to_obj(record: DatasetRecord) -> dict:
         "clip_len": record.clip_len,
         "query": {"text": record.query.text, "kind": record.query.kind},
         "source_kind": record.source_kind,
-        "annotation": _annotation_to_obj(record.annotation),
+        "annotation": _annotation_to_obj(record.annotation, record.source_kind),
         "label": None,
         "clip_concepts": None,
     }
@@ -123,15 +149,10 @@ def dataset_record_to_obj(record: DatasetRecord) -> dict:
 
 
 def dataset_record_from_obj(obj: dict) -> DatasetRecord:
-    if not isinstance(obj, dict):
-        raise ValueError("record must be a JSON object")
-    version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
-    required = ("video_id", "query_id", "duration", "clip_len", "query", "source_kind")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise ValueError(f"record is missing fields {missing}")
+    head = _head_from_obj(obj, ("query", "source_kind"))
+    source_kind = obj["source_kind"]
+    if source_kind not in SOURCE_KINDS:
+        raise ValueError(f"unknown source_kind {source_kind!r}; expected one of {SOURCE_KINDS}")
     query = Query(obj["query"]["text"], obj["query"]["kind"])
     label = None
     if obj.get("label") is not None:
@@ -145,24 +166,30 @@ def dataset_record_from_obj(obj: dict) -> DatasetRecord:
     if obj.get("clip_concepts") is not None:
         concepts = tuple(frozenset(str(c) for c in cs) for cs in obj["clip_concepts"])
     record = DatasetRecord(
-        video_id=str(obj["video_id"]),
-        query_id=str(obj["query_id"]),
-        duration=float(obj["duration"]),
-        clip_len=float(obj["clip_len"]),
+        **head,
         query=query,
-        source_kind=str(obj["source_kind"]),
-        annotation=_annotation_from_obj(obj.get("annotation"), obj["source_kind"]),
+        source_kind=source_kind,
+        annotation=_annotation_from_obj(obj.get("annotation"), source_kind),
         label=label,
         clip_concepts=concepts,
     )
-    if record.source_kind not in ("point", "interval", "curve"):
-        raise ValueError(f"unknown source_kind {record.source_kind!r}")
-    timeline = record.timeline()
-    if record.label is not None and len(record.label) != timeline.num_clips:
-        raise ValueError(
-            f"label covers {len(record.label)} clips but the timeline has {timeline.num_clips}"
-        )
+    timeline = record.timeline()  # a bad duration or clip_len fails here, labelled or not
+    if label is not None:
+        _check_clips(timeline, "label", len(label))
     return record
+
+
+def parse_json(text):
+    """Parse one JSON document.
+
+    Malformed JSON raises ``json.JSONDecodeError``, a ``ValueError``; so does
+    nesting too deep for the parser, which would otherwise escape as a
+    ``RecursionError``.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
 
 
 def _read_jsonl(path, parse, on_error: str):
@@ -175,18 +202,20 @@ def _read_jsonl(path, parse, on_error: str):
             if not line.strip():
                 continue
             try:
-                records.append(parse(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
+                records.append(parse(parse_json(line)))
+            # OverflowError: a JSON integer too large for a float
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 if on_error == "raise":
                     raise ValueError(f"{path}:{line_no}: {exc}") from exc
                 errors.append((line_no, str(exc)))
     return records, errors
 
 
-def _write_jsonl(path, objs: Iterable[dict]) -> None:
+def _write_jsonl(path, records: Sequence[_Record], to_obj) -> None:
+    """One compact, sorted-key line per record, in canonical (video_id, query_id) order."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for obj in objs:
-            handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        for record in sorted(records, key=_Record.sort_key):
+            handle.write(json.dumps(to_obj(record), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_dataset(path, on_error: str = "raise"):
@@ -195,8 +224,7 @@ def read_dataset(path, on_error: str = "raise"):
 
 
 def write_dataset(records: Sequence[DatasetRecord], path) -> None:
-    ordered = sorted(records, key=DatasetRecord.sort_key)
-    _write_jsonl(path, (dataset_record_to_obj(r) for r in ordered))
+    _write_jsonl(path, records, dataset_record_to_obj)
 
 
 def prediction_record_to_obj(record: PredictionRecord) -> dict:
@@ -213,34 +241,14 @@ def prediction_record_to_obj(record: PredictionRecord) -> dict:
 
 
 def prediction_record_from_obj(obj: dict) -> PredictionRecord:
-    if not isinstance(obj, dict):
-        raise ValueError("record must be a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {obj.get('schema_version')!r}; expected {SCHEMA_VERSION}"
-        )
-    required = ("video_id", "query_id", "duration", "clip_len",
-                "foreground_logits", "offsets", "saliency")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise ValueError(f"record is missing fields {missing}")
+    head = _head_from_obj(obj, ("foreground_logits", "offsets", "saliency"))
     pred = PredictionSet(
         np.asarray(obj["foreground_logits"], dtype=np.float64),
         np.asarray(obj["offsets"], dtype=np.float64),
         np.asarray(obj["saliency"], dtype=np.float64),
     )
-    record = PredictionRecord(
-        video_id=str(obj["video_id"]),
-        query_id=str(obj["query_id"]),
-        duration=float(obj["duration"]),
-        clip_len=float(obj["clip_len"]),
-        prediction=pred,
-    )
-    if len(pred) != record.timeline().num_clips:
-        raise ValueError(
-            f"prediction covers {len(pred)} clips but the timeline has "
-            f"{record.timeline().num_clips}"
-        )
+    record = PredictionRecord(**head, prediction=pred)
+    _check_clips(record.timeline(), "prediction", len(pred))
     return record
 
 
@@ -250,8 +258,7 @@ def read_predictions(path, on_error: str = "raise"):
 
 
 def write_predictions(records: Sequence[PredictionRecord], path) -> None:
-    ordered = sorted(records, key=PredictionRecord.sort_key)
-    _write_jsonl(path, (prediction_record_to_obj(r) for r in ordered))
+    _write_jsonl(path, records, prediction_record_to_obj)
 
 
 def _validate_matrix_record(record: MatrixRecord) -> MatrixRecord:

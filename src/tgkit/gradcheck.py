@@ -13,12 +13,12 @@ terms and are compared against the floor instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import ClipTimeline, Interval, UnifiedLabel
+from .core import ClipTimeline, Interval, UnifiedLabel, _spans
 from .losses import (
     LossWeights,
     _LossBatch,
@@ -51,16 +51,7 @@ class GradCheckResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "loss_name": self.loss_name,
-            "points_checked": self.points_checked,
-            "points_skipped": self.points_skipped,
-            "max_rel_error": self.max_rel_error,
-            "per_input": dict(self.per_input),
-            "epsilon": self.epsilon,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _random_label(rng: np.random.Generator, n: int) -> UnifiedLabel:
@@ -84,28 +75,23 @@ def _make_foreground(rng):
 
     def evaluate(ins):
         rep = foreground_loss(ins["logits"], targets, w)
-        return rep.value, {"logits": rep.grad("logits")}
+        return rep.value, rep.gradients
 
     return inputs, evaluate, lambda ins: math.inf
 
 
 def _boundary_kink_distance(ins, label, timeline, w):
     """Distance to the nearest smooth-L1 seam or interval ordering/tie set."""
-    d_hat = ins["offsets"]
     fg = np.flatnonzero(label.foreground == 1)
     t = timeline.timestamps()[fg]
+    d_hat = ins["offsets"][fg]
     gt = label.offsets[fg]
     dist = math.inf
-    residual = d_hat[fg] - gt
     if w.lambda_l1 > 0:
-        dist = min(dist, float(np.min(np.abs(np.abs(residual) - w.smooth_l1_beta))))
+        dist = min(dist, float(np.min(np.abs(np.abs(d_hat - gt) - w.smooth_l1_beta))))
     if w.lambda_iou > 0:
-        pr_s = t - d_hat[fg, 0]
-        pr_e = t + d_hat[fg, 1]
-        lo = np.minimum(pr_s, pr_e)
-        hi = np.maximum(pr_s, pr_e)
-        gt_lo = t - gt[:, 0]
-        gt_hi = t + gt[:, 1]
+        pr_s, pr_e, lo, hi = _spans(t, d_hat)
+        gt_lo, gt_hi, _, _ = _spans(t, gt)
         inter_raw = np.minimum(hi, gt_hi) - np.maximum(lo, gt_lo)
         for gap in (pr_s - pr_e, lo - gt_lo, hi - gt_hi, inter_raw):
             dist = min(dist, float(np.min(np.abs(gap))))
@@ -126,7 +112,7 @@ def _make_boundary(l1: bool):
 
         def evaluate(ins):
             rep = boundary_loss(ins["offsets"], label, timeline, w)
-            return rep.value, {"offsets": rep.grad("offsets")}
+            return rep.value, rep.gradients
 
         return inputs, evaluate, lambda ins: _boundary_kink_distance(ins, label, timeline, w)
 
@@ -142,7 +128,7 @@ def _make_intra(rng):
 
     def evaluate(ins):
         rep = saliency_intra_loss(ins["cosines"], label, weights=w, positive=positive)
-        return rep.value, {"cosines": rep.grad("cosines")}
+        return rep.value, rep.gradients
 
     return inputs, evaluate, lambda ins: math.inf
 
@@ -154,7 +140,7 @@ def _make_inter(rng):
 
     def evaluate(ins):
         rep = saliency_inter_loss(ins["pair_cosines"], w)
-        return rep.value, {"pair_cosines": rep.grad("pair_cosines")}
+        return rep.value, rep.gradients
 
     return inputs, evaluate, lambda ins: math.inf
 
@@ -168,7 +154,7 @@ def _make_giou(rng):
 
     def evaluate(ins):
         rep = giou_1d(Interval(*ins["a"]), Interval(*ins["b"]))
-        return rep.value, {"a": rep.grad("a"), "b": rep.grad("b")}
+        return rep.value, rep.gradients
 
     def kink(ins):
         (a_lo, a_hi), (b_lo, b_hi) = ins["a"], ins["b"]

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClipTimeline, GroundingWarning, Interval, UnifiedLabel, _frozen, _set
+from .core import (ClipTimeline, GroundingWarning, Interval, UnifiedLabel, _check_clips, _frozen,
+                   _set)
 
 DEFAULT_BIN_WIDTH = 0.05
 
@@ -65,19 +66,15 @@ class CurveAnnotation:
         return self.values.shape[0]
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True as inclusive (first, last) index pairs."""
-    runs = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    return runs
+def _runs(mask: np.ndarray, clip_len: float) -> list[tuple[int, int, Interval]]:
+    """Maximal runs of True clips as (first, stop, interval).
+
+    ``stop`` is exclusive; the interval is the run's clip-aligned span
+    [first * clip_len, stop * clip_len].
+    """
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return [(int(a), int(b), Interval(a * clip_len, b * clip_len))
+            for a, b in zip(edges[::2], edges[1::2])]
 
 
 def from_intervals(timeline: ClipTimeline, intervals: Sequence[Interval]) -> UnifiedLabel:
@@ -136,27 +133,19 @@ def from_curve(timeline: ClipTimeline, curve, bin_width: float = DEFAULT_BIN_WID
     """
     if not isinstance(curve, CurveAnnotation):
         curve = CurveAnnotation(np.asarray(curve, dtype=np.float64))
-    if len(curve) != timeline.num_clips:
-        raise ValueError(
-            f"curve covers {len(curve)} clips but timeline has {timeline.num_clips}"
-        )
+    _check_clips(timeline, "curve", len(curve))
     values = curve.values
     bins = bin_index(values, bin_width)
     fg = bins == bins.max()
     n = timeline.num_clips
-    f = np.zeros(n, dtype=np.int8)
     d = np.zeros((n, 2), dtype=np.float64)
     s = np.zeros(n, dtype=np.float64)
-    length = timeline.clip_len
-    for first, last in _runs(fg):
-        start = first * length
-        end = (last + 1) * length
-        for i in range(first, last + 1):
-            t = timeline.timestamp(i)
-            f[i] = 1
-            d[i] = (t - start, end - t)
+    t = timeline.timestamps()
+    for first, stop, run in _runs(fg, timeline.clip_len):
+        d[first:stop, 0] = t[first:stop] - run.start
+        d[first:stop, 1] = run.end - t[first:stop]
     s[fg] = np.maximum(values[fg], _MIN_FOREGROUND_SALIENCY)
-    return UnifiedLabel(f, d, s)
+    return UnifiedLabel(fg, d, s)
 
 
 def from_points(timeline: ClipTimeline, points) -> list[UnifiedLabel]:
@@ -186,12 +175,5 @@ def from_points(timeline: ClipTimeline, points) -> list[UnifiedLabel]:
 
 def intervals_of(timeline: ClipTimeline, label: UnifiedLabel) -> list[Interval]:
     """Maximal foreground runs read back as clip-aligned intervals."""
-    if len(label) != timeline.num_clips:
-        raise ValueError(
-            f"label covers {len(label)} clips but timeline has {timeline.num_clips}"
-        )
-    length = timeline.clip_len
-    return [
-        Interval(first * length, (last + 1) * length)
-        for first, last in _runs(label.foreground == 1)
-    ]
+    _check_clips(timeline, "label", len(label))
+    return [run for _, _, run in _runs(label.foreground == 1, timeline.clip_len)]

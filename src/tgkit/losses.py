@@ -32,8 +32,10 @@ from .core import (
     Interval,
     PredictionSet,
     UnifiedLabel,
+    _check_clips,
     _frozen,
     _set,
+    _spans,
 )
 
 DEFAULT_TAU = 0.07
@@ -241,11 +243,9 @@ def _boundary_term(d_hat, times, gt, fg, fg_count, w: LossWeights):
     """
     l1_val, l1_der = smooth_l1(d_hat - gt, w.smooth_l1_beta)
 
-    pr_s = times - d_hat[..., 0]
-    pr_e = times + d_hat[..., 1]
-    lo = np.minimum(pr_s, pr_e)
-    hi = np.maximum(pr_s, pr_e)
-    g_val, dg_lo, dg_hi, _, _ = _giou_endpoints(lo, hi, times - gt[..., 0], times + gt[..., 1])
+    pr_s, pr_e, lo, hi = _spans(times, d_hat)
+    gt_s, gt_e, _, _ = _spans(times, gt)
+    g_val, dg_lo, dg_hi, _, _ = _giou_endpoints(lo, hi, gt_s, gt_e)
 
     # chain through the ordering: lo/hi pick one of (pr_s, pr_e) each
     dg_d0 = -np.where(pr_s < pr_e, dg_lo, dg_hi)  # pr_s = t - d0
@@ -276,8 +276,7 @@ def boundary_loss(
     n = timeline.num_clips
     if d_hat.shape != (n, 2):
         raise ValueError(f"predicted offsets shape {d_hat.shape} does not match ({n}, 2)")
-    if len(label) != n:
-        raise ValueError(f"label covers {len(label)} clips but timeline has {n}")
+    _check_clips(timeline, "label", len(label))
     if not np.isfinite(d_hat).all():
         raise ValueError("predicted offsets must be finite")
     fg = label.foreground == 1

@@ -13,7 +13,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GroundingWarning, Interval, ScoredInterval, _set
+from .core import GroundingWarning, Interval, ScoredInterval, _rank_order, _set
 
 DEFAULT_MAP_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 DEFAULT_RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
@@ -48,8 +48,8 @@ class MomentEvalItem:
             raise ValueError("predictions must be ScoredInterval instances")
         if any(not isinstance(g, Interval) for g in gts):
             raise ValueError("ground truths must be Interval instances")
-        # normalise to rank order; stable, so caller order breaks score ties
-        order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
+        # normalise to rank order; caller order breaks score ties
+        order = _rank_order([p.score for p in preds])
         _set(self, "predictions", tuple(preds[i] for i in order))
         _set(self, "ground_truths", gts)
 
@@ -119,9 +119,17 @@ class QfvsScore(NamedTuple):
     f1: float
 
 
-def _rank_order(scores: np.ndarray) -> np.ndarray:
-    """Indices sorted by descending score; earlier index wins ties."""
-    return np.argsort(-scores, kind="stable")
+def _checked_thresholds(items: Sequence[MomentEvalItem], thresholds, what: str) -> tuple:
+    """``thresholds`` as floats, once they lie in (0, 1] and every item has a ground truth."""
+    thresholds = tuple(float(t) for t in thresholds)
+    if any(not 0 < t <= 1 for t in thresholds):
+        raise ValueError(f"thresholds must lie in (0, 1], got {thresholds}")
+    if not items:
+        raise ValueError(f"{what} over zero items is undefined")
+    for item in items:
+        if not item.ground_truths:
+            raise ValueError(f"item {item.query_id!r} has no ground truths")
+    return thresholds
 
 
 def recall_at_k(
@@ -138,30 +146,17 @@ def recall_at_k(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    thresholds = tuple(float(t) for t in thresholds)
-    if any(not 0 < t <= 1 for t in thresholds):
-        raise ValueError(f"thresholds must lie in (0, 1], got {thresholds}")
-    if not items:
-        raise ValueError("recall over zero items is undefined")
+    thresholds = _checked_thresholds(items, thresholds, "recall")
     hits = {t: 0 for t in thresholds}
     iou_sum = 0.0
     for item in items:
-        if not item.ground_truths:
-            raise ValueError(f"item {item.query_id!r} has no ground truths")
-        top = item.predictions[:k]
-        best = {t: False for t in thresholds}
-        for pred in top:
-            for gt in item.ground_truths:
-                iou = temporal_iou(pred.interval, gt)
-                for t in thresholds:
-                    if iou >= t:
-                        best[t] = True
+        # best IoU of each of the first k predictions, in rank order
+        best = [max(temporal_iou(pred.interval, gt) for gt in item.ground_truths)
+                for pred in item.predictions[:k]]
         for t in thresholds:
-            hits[t] += best[t]
-        if item.predictions:
-            iou_sum += max(
-                temporal_iou(item.predictions[0].interval, gt) for gt in item.ground_truths
-            )
+            hits[t] += any(iou >= t for iou in best)
+        if best:
+            iou_sum += best[0]
     n = len(items)
     return RecallResult({t: hits[t] / n for t in thresholds}, iou_sum / n)
 
@@ -191,17 +186,11 @@ def moment_map(
     precision-recall staircase; mAP averages over items, and the headline
     number averages mAP over thresholds.
     """
-    thresholds = tuple(float(t) for t in thresholds)
-    if any(not 0 < t <= 1 for t in thresholds):
-        raise ValueError(f"thresholds must lie in (0, 1], got {thresholds}")
-    if not items:
-        raise ValueError("mAP over zero items is undefined")
+    thresholds = _checked_thresholds(items, thresholds, "mAP")
     per_threshold = {}
     for t in thresholds:
         aps = []
         for item in items:
-            if not item.ground_truths:
-                raise ValueError(f"item {item.query_id!r} has no ground truths")
             matched = [False] * len(item.ground_truths)
             flags = []
             for pred in item.predictions:
@@ -243,23 +232,30 @@ def hit_at_1(items: Sequence[HighlightEvalItem]) -> float:
         raise ValueError("hit_at_1 is undefined: no item has a positive clip")
     hits = 0
     for item in eligible:
-        top = int(np.argmax(item.clip_scores))  # argmax takes the earliest tie
-        hits += bool(item.gt_positive[top])
+        hits += bool(item.gt_positive[_rank_order(item.clip_scores)[0]])
     return hits / len(eligible)
 
 
-def highlight_map(items: Sequence[HighlightEvalItem]) -> float:
-    """Mean average precision of the per-clip ranking against binary relevance."""
+def _ranking_map(items: Sequence[HighlightEvalItem], what: str, depth: int | None = None) -> float:
+    """Mean AP of each item's clip ranking, scored down to ``depth`` ranks.
+
+    With a ``depth`` the recall denominator is min(depth, number of positives).
+    """
     if not items:
-        raise ValueError("highlight mAP over zero items is undefined")
+        raise ValueError(f"{what} over zero items is undefined")
     aps = []
     for item in items:
         if item.num_positives == 0:
             raise ValueError(f"item {item.query_id!r} has no positive clips")
-        order = _rank_order(item.clip_scores)
-        flags = item.gt_positive[order]
-        aps.append(_average_precision(flags.tolist(), item.num_positives))
+        flags = item.gt_positive[_rank_order(item.clip_scores)[:depth]]
+        positives = item.num_positives if depth is None else min(depth, item.num_positives)
+        aps.append(_average_precision(flags.tolist(), positives))
     return float(np.mean(aps))
+
+
+def highlight_map(items: Sequence[HighlightEvalItem]) -> float:
+    """Mean average precision of the per-clip ranking against binary relevance."""
+    return _ranking_map(items, "highlight mAP")
 
 
 def top5_map(items: Sequence[HighlightEvalItem]) -> dict:
@@ -269,16 +265,7 @@ def top5_map(items: Sequence[HighlightEvalItem]) -> dict:
     is min(5, number of positives).  The exact historical protocol for this
     number is underdocumented, so the report carries a provenance flag.
     """
-    if not items:
-        raise ValueError("top-5 mAP over zero items is undefined")
-    aps = []
-    for item in items:
-        if item.num_positives == 0:
-            raise ValueError(f"item {item.query_id!r} has no positive clips")
-        order = _rank_order(item.clip_scores)[:5]
-        flags = item.gt_positive[order]
-        aps.append(_average_precision(flags.tolist(), min(5, item.num_positives)))
-    return {"top5_map": float(np.mean(aps)), "protocol": "reconstructed"}
+    return {"top5_map": _ranking_map(items, "top-5 mAP", depth=5), "protocol": "reconstructed"}
 
 
 def concept_iou(a: frozenset, b: frozenset) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClipTimeline, Query, UnifiedLabel, _frozen, _set
+from .core import ClipTimeline, Query, UnifiedLabel, _check_clips, _frozen, _rank_order, _set
 from .labels import DEFAULT_BIN_WIDTH, CurveAnnotation, from_curve
 
 DEFAULT_TOP_K = 5
@@ -61,9 +61,7 @@ def top_concepts(matrix: SimilarityMatrix, k: int = DEFAULT_TOP_K) -> np.ndarray
     c = matrix.num_concepts
     if not 1 <= k <= c:
         raise ValueError(f"k must lie in [1, {c}], got {k}")
-    means = matrix.values.mean(axis=0)
-    order = np.lexsort((np.arange(c), -means))
-    return order[:k]
+    return _rank_order(matrix.values.mean(axis=0))[:k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +85,7 @@ def pseudo_labels(
     (constant columns become all ones) and converted through the curve
     pathway; the concept name becomes the query text.
     """
-    if matrix.num_clips != timeline.num_clips:
-        raise ValueError(
-            f"matrix covers {matrix.num_clips} clips but timeline has {timeline.num_clips}"
-        )
+    _check_clips(timeline, "matrix", matrix.num_clips)
     samples = []
     for idx in top_concepts(matrix, k):
         column = matrix.values[:, idx]

@@ -37,6 +37,13 @@ def assert_one_line_error(proc, start):
     assert len(lines) == 1 and lines[0].startswith(f"error: {start}"), proc.stderr
 
 
+def assert_fails_closed(argv, capsys, fragment):
+    """``main(argv)`` exits 1 with one ``error:`` line that contains ``fragment``."""
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0], lines
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One convert -> fit -> decode chain shared by the read-only tests."""
@@ -134,6 +141,25 @@ class TestConvert:
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["convert", "--input", str(tmp_path / "nope.jsonl"),
                      "--output", str(tmp_path / "out.jsonl")]) == 2
+
+    ANNOTATIONS = {"points": [3.0, 11.0], "intervals": [[2.0, 6.0]], "curve": [0.1] * 9 + [0.9]}
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key)
+        for kind in ("point", "interval", "curve")
+        for key in ("points", "intervals", "curve")
+    ])
+    def test_annotation_key_must_match_source_kind(self, tmp_path, capsys, kind, key):
+        obj = dataset_record_to_obj(toy_corpus(1, 10, seed=0)[0])
+        obj.update(source_kind=kind, annotation={key: self.ANNOTATIONS[key]}, label=None)
+        raw, out = tmp_path / "raw.jsonl", tmp_path / "out.jsonl"
+        raw.write_text(json.dumps(obj) + "\n")
+        argv = ["convert", "--input", str(raw), "--output", str(out)]
+        if (kind, key) in {("point", "points"), ("interval", "intervals"), ("curve", "curve")}:
+            assert main(argv) == 0
+            assert all(r.label is not None for r in read_dataset(out)[0])
+        else:
+            assert_fails_closed(argv, capsys, f"raw.jsonl:1: annotation of source_kind {kind!r}")
 
 
 class TestTeacher:
@@ -320,6 +346,28 @@ class TestEval:
                      "--truth", str(truth),
                      "--task", "moments", "--output", str(tmp_path / "e.json")]) == 1
 
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda report: [report], "a decode report is an object holding a 'results' list"),
+        (lambda report: {"task": "moments"}, "an object holding a 'results' list"),
+        (lambda report: {**report, "results": {}}, "an object holding a 'results' list"),
+        (lambda report: {**report, "results": [{"video_id": "video00", "query_id": "q0"}]},
+         "results[0] needs a list 'moments'"),
+        (lambda report: {**report, "results": [
+            {**report["results"][0],
+             "moments": [{"start": 0.0, "score": 0.5}, *report["results"][0]["moments"]]},
+            *report["results"][1:]]},
+         "results[0].moments[0] must be an object with numeric start, end and score"),
+        (lambda report: {**report, "results": report["results"] * 2},
+         "duplicate (video_id, query_id) pairs in the decode report"),
+    ], ids=["list", "no_results", "results_not_list", "no_moments", "moment_without_end",
+            "duplicate_result"])
+    def test_malformed_report_fails_closed(self, pipeline, tmp_path, capsys, edit, fragment):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(pipeline["moments"].read_text()))))
+        assert_fails_closed(["eval", "--predictions", str(bad), "--truth", str(pipeline["labeled"]),
+                             "--task", "moments", "--output", str(tmp_path / "e.json")],
+                            capsys, fragment)
+
     def test_summary_truth_needs_concepts(self, pipeline, tmp_path):
         assert main(["eval", "--predictions", str(pipeline["summary"]),
                      "--truth", str(pipeline["labeled"]),
@@ -406,12 +454,43 @@ class TestConfigFile:
         assert_one_line_error(proc, "gradcheck_points must be >= 1")
         assert not (tmp_path / "r.json").exists()
 
+    def test_no_use_saliency_overrides_config(self, pipeline, tmp_path):
+        config = tmp_path / "saliency.json"
+        config.write_text(json.dumps({"moment_use_saliency": True}))
+        boosted, plain = tmp_path / "boosted.json", tmp_path / "plain.json"
+        argv = ["decode", "--input", str(pipeline["preds"]), "--task", "moments",
+                "--config", str(config)]
+        assert main([*argv, "--output", str(boosted)]) == 0
+        assert main([*argv, "--no-use-saliency", "--output", str(plain)]) == 0
+        assert plain.read_bytes() == pipeline["moments"].read_bytes()
+        assert boosted.read_bytes() != plain.read_bytes()
+
     def test_bin_width_checked_on_interval_only_data(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
         write_dataset(strip_labels(toy_corpus(1, 10, seed=0)), raw)
         proc = run_child(["convert", "--input", str(raw), "--bin-width", "0",
                           "--output", str(tmp_path / "out.jsonl")])
         assert_one_line_error(proc, "curve_bin_width must lie in (0, 1]")
+
+
+class TestNestedJson:
+    """A line of 100 000 nested brackets is one error line, not a RecursionError."""
+
+    @pytest.mark.parametrize("command", ["convert", "eval", "config"])
+    def test_deep_nesting_fails_closed(self, pipeline, tmp_path, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "convert": ["convert", "--input", str(deep), "--output", out],
+            "eval": ["eval", "--predictions", str(deep), "--truth", str(pipeline["labeled"]),
+                     "--task", "moments", "--output", out],
+            "config": ["decode", "--input", str(pipeline["preds"]), "--task", "moments",
+                       "--config", str(deep), "--output", out],
+        }[command]
+        proc = run_child(argv)
+        assert_one_line_error(proc, "")
+        assert "nested too deeply" in proc.stderr
 
 
 class TestThreadEnv:

@@ -45,6 +45,8 @@ class TestClipTimeline:
             ClipTimeline(0, 2.0)
         with pytest.raises(ValueError):
             ClipTimeline(3, 0.0)
+        with pytest.raises(ValueError, match="not a clip count"):
+            ClipTimeline.from_duration(1e300, 1e-300)  # the ratio overflows to inf
 
     @given(
         num_clips=st.integers(1, 500),

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +335,113 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=8,
 )
+
+
+def _valid_inputs() -> dict:
+    """One valid file per reader: dataset, predictions, text and binary matrices."""
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        write_dataset([interval_record(), point_record(), curve_record()], root / "d")
+        rng = np.random.default_rng(0)
+        pred = PredictionSet(rng.normal(size=4), rng.normal(size=(4, 2)), rng.uniform(-1, 1, 4))
+        write_predictions([PredictionRecord("v1", "q1", 8.0, 2.0, pred)], root / "p")
+        write_matrices_text(matrix_records(), root / "t")
+        write_matrices_binary(matrix_records(), root / "b")
+        return {name: (root / name).read_bytes() for name in "dptb"}
+
+
+VALID_INPUTS = _valid_inputs()
+
+
+def _paths(value, prefix=()):
+    """Every (key or index) path into a parsed JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, inner in items:
+        yield from _paths(inner, prefix + (key,))
+
+
+@st.composite
+def byte_mutants(draw):
+    """A valid input with a few bytes set, inserted, deleted or cut off."""
+    raw = bytearray(VALID_INPUTS[draw(st.sampled_from(sorted(VALID_INPUTS)))])
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(raw)))
+        op = draw(st.sampled_from(("set", "insert", "delete", "cut")))
+        if op == "insert" or (op == "set" and pos == len(raw)):
+            raw[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+        elif op == "set":
+            raw[pos] = draw(st.integers(0, 255))
+        elif op == "delete":
+            del raw[pos:pos + draw(st.integers(1, 8))]
+        else:
+            del raw[pos:]
+    return bytes(raw)
+
+
+@st.composite
+def json_mutants(draw):
+    """A valid dataset or predictions file with one value of one line replaced."""
+    lines = VALID_INPUTS[draw(st.sampled_from("dp"))].decode().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    obj = json.loads(lines[i])
+    path = draw(st.sampled_from(list(_paths(obj))))
+    value = draw(JSON_VALUES | st.integers(-10**400, 10**400)
+                 | st.floats(min_value=-1e308, max_value=1e308))
+    if path:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        obj = value
+    lines[i] = json.dumps(obj)
+    return "\n".join(lines).encode()
+
+
+def read_all(raw: bytes) -> None:
+    """Feed ``raw`` to every reader; each must return records or raise ValueError/OSError."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input"
+        path.write_bytes(raw)
+        for read in (read_dataset, read_predictions, read_matrices,
+                     lambda p: read_dataset(p, on_error="skip"),
+                     lambda p: read_predictions(p, on_error="skip")):
+            try:
+                read(path)
+            except (ValueError, OSError):
+                pass
+
+
+class TestReaderFuzz:
+    """Malformed input of any kind fails closed: records or ValueError/OSError, nothing else."""
+
+    @given(raw=st.binary(max_size=200) | st.binary(max_size=200).map(MATRIX_MAGIC.__add__))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, raw):
+        read_all(raw)
+
+    @given(raw=byte_mutants())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_bytes(self, raw):
+        read_all(raw)
+
+    @given(raw=json_mutants())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_values(self, raw):
+        read_all(raw)
+
+    def test_deep_nesting(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100_000 + "\n")
+        for read in (read_dataset, read_predictions):
+            with pytest.raises(ValueError, match="nested too deeply"):
+                read(path)
 
 
 class TestRunConfig:

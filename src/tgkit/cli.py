@@ -243,11 +243,10 @@ def _decode_moments_result(rec: PredictionRecord, config: RunConfig) -> dict:
 
 
 def _decode_highlights_result(rec: PredictionRecord, config: RunConfig) -> dict:
-    top = decode_highlights(rec.prediction, config.highlight_mode, config.highlight_top_k)
-    return {
-        "top_clips": [int(i) for i in top],
-        "clip_scores": highlight_scores(rec.prediction, config.highlight_mode).tolist(),
-    }
+    scores = highlight_scores(rec.prediction, config.highlight_mode)
+    top = decode_highlights(rec.prediction, config.highlight_mode, config.highlight_top_k,
+                            scores=scores)
+    return {"top_clips": [int(i) for i in top], "clip_scores": scores.tolist()}
 
 
 def _cmd_decode(args, config: RunConfig) -> int:

@@ -15,6 +15,12 @@ import numpy as np
 QUERY_KINDS = ("sentence", "title", "domain_name", "keywords", "concept")
 SOURCE_KINDS = ("point", "interval", "curve")
 
+# Most clips one timeline may hold: 10^7 is 116 days of 1-second clips, or
+# 1e5 s of video on a 0.01 s grid.  Every command holds O(1) memory per clip,
+# at most about 0.85 kB (fit), so one record at the bound needs at most about
+# 8.5 GB and a 10^12-clip line is refused; docs/formats.md gives the figures.
+MAX_CLIPS = 10_000_000
+
 
 class GroundingWarning(UserWarning):
     """Legal but degenerate input (empty label, vacuous loss term, ...)."""
@@ -57,6 +63,8 @@ class ClipTimeline:
     def __post_init__(self):
         if not isinstance(self.num_clips, (int, np.integer)) or self.num_clips < 1:
             raise ValueError(f"num_clips must be a positive integer, got {self.num_clips!r}")
+        if self.num_clips > MAX_CLIPS:
+            raise ValueError(f"{self.num_clips} clips exceed the limit of {MAX_CLIPS} (MAX_CLIPS)")
         _set(self, "num_clips", int(self.num_clips))
         _set(self, "clip_len", float(self.clip_len))
         if not math.isfinite(self.clip_len) or self.clip_len <= 0:

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (ClipTimeline, GroundingWarning, Interval, PredictionSet, ScoredInterval,
                    _check_clips, _rank_order, _set, _spans)
 from .losses import sigmoid
-from .metrics import temporal_iou
+from .metrics import _iou_array
 
 DEFAULT_NMS_THRESHOLD = 0.7
 DEFAULT_MAX_SEGMENTS = 20
@@ -39,23 +40,25 @@ def nms_1d(
 
     Candidates are taken in order of descending score (ties: earlier start,
     then earlier input position); each kept candidate suppresses everything
-    overlapping it strictly above the IoU threshold.
+    overlapping it strictly above the IoU threshold.  The order is one
+    ``lexsort`` of (-score, start, position), and each kept candidate
+    computes one IoU row against the candidates still alive after it, with
+    ``temporal_iou``'s rules for zero-length intervals.
     """
     if not 0 < iou_threshold <= 1:
         raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
     cands = list(candidates)
     if any(not isinstance(c, ScoredInterval) for c in cands):
         raise ValueError("candidates must be ScoredInterval instances")
-    order = sorted(range(len(cands)), key=lambda i: (-cands[i].score, cands[i].interval.start, i))
-    alive = [True] * len(cands)
+    start = np.array([c.interval.start for c in cands])
+    end = np.array([c.interval.end for c in cands])
+    order = np.lexsort((np.arange(len(cands)), start, -np.array([c.score for c in cands])))
     kept = []
-    for pos, i in enumerate(order):
-        if not alive[i]:
-            continue
+    while order.size:
+        i, order = order[0], order[1:]
         kept.append(cands[i])
-        for j in order[pos + 1:]:
-            if alive[j] and temporal_iou(cands[i].interval, cands[j].interval) > iou_threshold:
-                alive[j] = False
+        # suppress IoU > threshold: the survivors overlap candidate i at most that much
+        order = order[_iou_array(start[i], end[i], start[order], end[order]) <= iou_threshold]
     return kept
 
 
@@ -103,11 +106,17 @@ def highlight_scores(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE) ->
 
 
 def decode_highlights(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE,
-                      k: int = DEFAULT_HIGHLIGHT_TOP_K) -> np.ndarray:
-    """Indices of the top-k clips by highlight score, ties to earlier clips."""
+                      k: int = DEFAULT_HIGHLIGHT_TOP_K,
+                      scores: np.ndarray | None = None) -> np.ndarray:
+    """Indices of the top-k clips by highlight score, ties to earlier clips.
+
+    A caller that already holds ``highlight_scores(pred, mode)`` passes it as
+    ``scores`` so the clip scores are computed once.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = highlight_scores(pred, mode)
+    if scores is None:
+        scores = highlight_scores(pred, mode)
     n = scores.shape[0]
     if k > n:
         warnings.warn(f"k={k} exceeds {n} clips; returning all ranked clips", GroundingWarning)
@@ -150,7 +159,8 @@ class SegmentList:
 def _scatter_band(gram: np.ndarray, width: int) -> np.ndarray:
     """Within-segment scatter of every segment up to ``width`` clips.
 
-    Entry (i, w) is sum(K_jj) - sum(K_jk)/len over the segment [i, i+w].
+    Entry (i, w) is sum(K_jj) - sum(K_jk)/len over the segment [i, i+w];
+    entries for segments that run past the last clip are ``inf``.
     """
     n = gram.shape[0]
     diag_csum = np.concatenate(([0.0], np.cumsum(np.diag(gram))))
@@ -166,6 +176,49 @@ def _scatter_band(gram: np.ndarray, width: int) -> np.ndarray:
     return band
 
 
+def _feature_band(features: np.ndarray, width: int) -> np.ndarray:
+    """``_scatter_band`` of the linear kernel F F^T, without building it.
+
+    For a linear kernel the block sum over a segment is the squared norm of
+    the segment's feature sum, and the trace is the sum of squared row
+    norms, so prefix sums of the features give every entry in
+    O(n * (width + dim)) memory.
+    """
+    n = features.shape[0]
+    sums = np.zeros((n + 1, features.shape[1]))
+    np.cumsum(features, axis=0, out=sums[1:])
+    norm_csum = np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->i", features, features))))
+    band = np.full((n, width), np.inf)
+    for w in range(width):
+        seg = sums[w + 1:] - sums[:n - w]
+        trace = norm_csum[w + 1:] - norm_csum[:n - w]
+        band[:n - w, w] = trace - np.einsum("ij,ij->i", seg, seg) / (w + 1.0)
+    return band
+
+
+def _kts_tables(band: np.ndarray, m_hi: int) -> tuple:
+    """Suffix DP over a scatter band, for 0 to ``m_hi`` segments.
+
+    cost[m, i] is the least scatter splitting clips [i, n) into m segments
+    (``inf`` if no split is feasible) and first_end[m, i] the end of the
+    first segment of that split.  For each m, row i of one band minimum holds
+    the segments [i, i + l] for l < width, each plus the cost of splitting
+    what follows it into m - 1 segments.  ``argmin`` takes the first
+    minimum, the shortest first segment.
+    """
+    n, width = band.shape
+    cost = np.full((m_hi + 1, n + width), np.inf)  # columns past n stay inf: no such end
+    first_end = np.zeros((m_hi + 1, n + 1), dtype=np.int64)
+    cost[0, n] = 0.0
+    starts = np.arange(n)
+    for m in range(1, m_hi + 1):
+        totals = band + sliding_window_view(cost[m - 1, 1:], width)
+        best = np.argmin(totals, axis=1)
+        cost[m, :n] = totals[starts, best]
+        first_end[m, :n] = starts + best + 1
+    return cost[:, :n + 1], first_end
+
+
 def kts_segment(
     features=None,
     gram=None,
@@ -176,21 +229,28 @@ def kts_segment(
 ) -> SegmentList:
     """Kernel change-point segmentation of a clip sequence.
 
-    Dynamic programming minimises total within-segment scatter of the Gram
-    matrix for each candidate segment count; unless ``num_segments`` pins
-    the count, it is chosen by scatter plus the penalty
+    Dynamic programming minimises total within-segment scatter of the
+    kernel matrix for each candidate segment count; unless ``num_segments``
+    pins the count, it is chosen by scatter plus the penalty
     ``penalty * m * (log(n / m) + 1)``.  Among equal-cost segmentations the
     lexicographically smallest change-point tuple wins.
+
+    ``features`` use the linear kernel through their prefix sums, so no
+    n x n matrix is built: memory is O(n * (max_clips + max_segments + dim)).
+    A ``gram`` matrix is used as given.  For each segment count the DP takes
+    one band minimum over all start positions: the scatter band plus the
+    shifted cost of the remaining segments, ``inf`` marking infeasible ends.
+    ``argmin`` returns the first minimum, that is the shortest first
+    segment, which is what keeps the lexicographic tie-break.
     """
     if (features is None) == (gram is None):
         raise ValueError("provide exactly one of features or gram")
     if features is not None:
-        f = np.asarray(features, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] < 1:
-            raise ValueError(f"features must be a non-empty (clips, dim) matrix, got {f.shape}")
-        if not np.isfinite(f).all():
+        k = np.asarray(features, dtype=np.float64)  # like a Gram matrix, one row per clip
+        if k.ndim != 2 or k.shape[0] < 1:
+            raise ValueError(f"features must be a non-empty (clips, dim) matrix, got {k.shape}")
+        if not np.isfinite(k).all():
             raise ValueError("features must be finite")
-        k = f @ f.T
     else:
         k = np.asarray(gram, dtype=np.float64)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 1:
@@ -217,29 +277,17 @@ def kts_segment(
                 f"num_segments={num_segments} infeasible; must lie in [{m_lo}, {m_hi}]"
             )
         m_hi = num_segments
-    band = _scatter_band(k, width)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        band = _feature_band(k, width) if features is not None else _scatter_band(k, width)
+    if np.count_nonzero(np.isfinite(band)) != width * n - width * (width - 1) // 2:
+        raise ValueError("segment scatter overflows float64; scale the features down")
 
-    # suffix DP: cost[m][i] = least scatter splitting clips [i, n) into m segments
-    inf = np.inf
-    cost = np.full((m_hi + 1, n + 1), inf)
-    first_end = np.zeros((m_hi + 1, n + 1), dtype=np.int64)
-    cost[0, n] = 0.0
-    for m in range(1, m_hi + 1):
-        for i in range(n - 1, -1, -1):
-            rem = n - i
-            if rem < m or rem > m * width:
-                continue
-            lengths = np.arange(max(1, rem - (m - 1) * width), min(width, rem - (m - 1)) + 1)
-            totals = band[i, lengths - 1] + cost[m - 1, i + lengths]
-            best = int(np.argmin(totals))  # first minimum => smallest first segment
-            cost[m, i] = totals[best]
-            first_end[m, i] = i + lengths[best]
-
+    cost, first_end = _kts_tables(band, m_hi)
     if num_segments is not None:
         chosen = num_segments
     else:
         chosen = m_lo
-        best_crit = inf
+        best_crit = np.inf
         for m in range(m_lo, m_hi + 1):
             crit = cost[m, 0] + penalty * m * (math.log(n / m) + 1.0)
             if crit < best_crit:

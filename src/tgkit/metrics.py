@@ -26,11 +26,26 @@ def temporal_iou(a: Interval, b: Interval) -> float:
     Two identical zero-length intervals count as a perfect match (1.0);
     disjoint zero-length intervals count as 0.0.
     """
-    inter = max(0.0, min(a.end, b.end) - max(a.start, b.start))
-    union = a.length + b.length - inter
-    if union <= 0:
-        return 1.0 if (a.start == b.start and a.end == b.end) else 0.0
-    return inter / union
+    return float(_iou_array(a.start, a.end, b.start, b.end))
+
+
+def _iou_array(start, end, starts, ends) -> np.ndarray:
+    """``temporal_iou`` of every pair of broadcast arrays of endpoints."""
+    inter = np.maximum(0.0, np.minimum(end, ends) - np.maximum(start, starts))
+    union = (end - start) + (ends - starts) - inter
+    same = (start == starts) & (end == ends)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, np.where(same, 1.0, 0.0))
+
+
+def _item_ious(predictions, ground_truths) -> np.ndarray:
+    """IoU of every scored prediction (rows) with every ground-truth interval (columns)."""
+    return _iou_array(
+        np.array([p.interval.start for p in predictions])[:, None],
+        np.array([p.interval.end for p in predictions])[:, None],
+        np.array([g.start for g in ground_truths]),
+        np.array([g.end for g in ground_truths]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +166,7 @@ def recall_at_k(
     iou_sum = 0.0
     for item in items:
         # best IoU of each of the first k predictions, in rank order
-        best = [max(temporal_iou(pred.interval, gt) for gt in item.ground_truths)
-                for pred in item.predictions[:k]]
+        best = _item_ious(item.predictions[:k], item.ground_truths).max(axis=1).tolist()
         for t in thresholds:
             hits[t] += any(iou >= t for iou in best)
         if best:
@@ -187,20 +201,17 @@ def moment_map(
     number averages mAP over thresholds.
     """
     thresholds = _checked_thresholds(items, thresholds, "mAP")
-    per_threshold = {}
-    for t in thresholds:
-        aps = []
-        for item in items:
+    aps = {t: [] for t in thresholds}
+    for item in items:
+        ious = _item_ious(item.predictions, item.ground_truths).tolist()  # for every threshold
+        for t in thresholds:
             matched = [False] * len(item.ground_truths)
             flags = []
-            for pred in item.predictions:
+            for row in ious:
                 best_iou = -1.0
                 best_gt = -1
-                for g, gt in enumerate(item.ground_truths):
-                    if matched[g]:
-                        continue
-                    iou = temporal_iou(pred.interval, gt)
-                    if iou > best_iou:
+                for g, iou in enumerate(row):
+                    if not matched[g] and iou > best_iou:
                         best_iou = iou
                         best_gt = g
                 if best_gt >= 0 and best_iou >= t:
@@ -208,8 +219,8 @@ def moment_map(
                     flags.append(True)
                 else:
                     flags.append(False)
-            aps.append(_average_precision(flags, len(item.ground_truths)))
-        per_threshold[t] = float(np.mean(aps))
+            aps[t].append(_average_precision(flags, len(item.ground_truths)))
+    per_threshold = {t: float(np.mean(aps[t])) for t in thresholds}
     return {
         "map_per_threshold": per_threshold,
         "average_map": float(np.mean(list(per_threshold.values()))),
@@ -281,7 +292,10 @@ def max_weight_matching(weights) -> tuple:
 
     Returns (pairs, total_weight) where pairs is a list of (row, col) with
     strictly positive weight.  Implemented as the Hungarian potentials
-    algorithm on a zero-padded square matrix, O(n^3).
+    algorithm on a zero-padded square matrix, O(n^3): each step of an
+    augmenting-path search updates every free column's slack as one array
+    operation and moves to the free column of least slack, the first one on
+    ties, so tied weights always give the same pairs.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
@@ -295,37 +309,35 @@ def max_weight_matching(weights) -> tuple:
     cost = np.zeros((n, n), dtype=np.float64)
     cost[:rows, :cols] = -w  # minimise negated weight == maximise weight
 
-    inf = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match_col = [0] * (n + 1)  # match_col[j] = row matched to column j, 1-based
-    way = [0] * (n + 1)
+    # Index 0 is the virtual column that starts each augmenting path, so the
+    # arrays are 1-based in rows and columns.  A used column's slack is never
+    # read again, so it is held at inf; argmin's first minimum over the slacks
+    # then picks the column a left-to-right scan with a strict < would pick.
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    match_col = np.zeros(n + 1, dtype=np.int64)  # match_col[j] = row matched to column j
+    way = np.zeros(n + 1, dtype=np.int64)
+    cur = np.empty(n + 1)
     for i in range(1, n + 1):
         match_col[0] = i
         j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
         while True:
             used[j0] = True
+            minv[j0] = np.inf
             i0 = match_col[j0]
-            delta = inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            np.subtract(cost[i0 - 1], u[i0], out=cur[1:])
+            cur[1:] -= v[1:]
+            cur[used] = np.inf
+            better = cur < minv
+            np.copyto(minv, cur, where=better)
+            way[better] = j0
+            j1 = int(minv.argmin())
+            delta = minv[j1]
+            u[match_col[used]] += delta
+            v[used] -= delta
+            minv -= delta
             j0 = j1
             if match_col[j0] == 0:
                 break
@@ -337,7 +349,7 @@ def max_weight_matching(weights) -> tuple:
     pairs = []
     total = 0.0
     for j in range(1, n + 1):
-        i = match_col[j]
+        i = int(match_col[j])
         if 1 <= i <= rows and 1 <= j <= cols and w[i - 1, j - 1] > 0:
             pairs.append((i - 1, j - 1))
             total += w[i - 1, j - 1]

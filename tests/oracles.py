@@ -145,6 +145,67 @@ def matching_oracle(weights):
     return best_pairs if best_pairs is not None else [], max(best_total, 0.0)
 
 
+def hungarian_reference(weights):
+    """Frozen copy of the scalar Hungarian loop that max_weight_matching replaced.
+
+    Same algorithm, same zero-padding and the same strict-< column scan, so
+    on tied weights it picks the same pairs; the array version must agree
+    with it pair for pair and bit for bit in the total.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    rows, cols = w.shape
+    n = max(rows, cols)
+    cost = np.zeros((n, n), dtype=np.float64)
+    cost[:rows, :cols] = -w
+    inf = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match_col = [0] * (n + 1)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match_col[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match_col[j0]
+            delta = inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match_col[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match_col[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match_col[j0] = match_col[j1]
+            j0 = j1
+    pairs = []
+    total = 0.0
+    for j in range(1, n + 1):
+        i = match_col[j]
+        if 1 <= i <= rows and 1 <= j <= cols and w[i - 1, j - 1] > 0:
+            pairs.append((i - 1, j - 1))
+            total += w[i - 1, j - 1]
+    pairs.sort()
+    return pairs, total
+
+
 def concept_iou_oracle(a, b):
     union = a | b
     if not union:
@@ -266,6 +327,30 @@ def kts_penalty_oracle(gram, max_segments, max_clips, penalty):
             best_total = total
             best = cps if cps is not None else ()
     return best
+
+
+def kts_tables_reference(band, m_hi):
+    """Frozen copy of the per-start KTS suffix DP that the band minimum replaced.
+
+    band[i, w] is the scatter of clips [i, i + w] (inf past the last clip).
+    Returns (cost, first_end) of shape (m_hi + 1, n + 1); infeasible entries
+    have cost inf and first_end 0.
+    """
+    n, width = band.shape
+    cost = np.full((m_hi + 1, n + 1), np.inf)
+    first_end = np.zeros((m_hi + 1, n + 1), dtype=np.int64)
+    cost[0, n] = 0.0
+    for m in range(1, m_hi + 1):
+        for i in range(n - 1, -1, -1):
+            rem = n - i
+            if rem < m or rem > m * width:
+                continue
+            lengths = np.arange(max(1, rem - (m - 1) * width), min(width, rem - (m - 1)) + 1)
+            totals = band[i, lengths - 1] + cost[m - 1, i + lengths]
+            best = int(np.argmin(totals))
+            cost[m, i] = totals[best]
+            first_end[m, i] = i + lengths[best]
+    return cost, first_end
 
 
 def fd_gradient(fn, arrays, epsilon=1e-6):

@@ -264,6 +264,25 @@ class TestDecode:
             assert len(result["top_clips"]) == 3
             assert len(result["clip_scores"]) == 24
 
+    def test_highlight_scores_computed_once_per_record(self, pipeline, tmp_path, monkeypatch):
+        import tgkit.cli
+        import tgkit.decode
+
+        calls = []
+        real = tgkit.decode.highlight_scores
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tgkit.cli, "highlight_scores", counting)
+        monkeypatch.setattr(tgkit.decode, "highlight_scores", counting)
+        out = tmp_path / "h.json"
+        assert main(["decode", "--input", str(pipeline["preds"]), "--task", "highlights",
+                     "--top-k", "3", "--output", str(out)]) == 0
+        assert len(calls) == 2  # one per record
+        assert out.read_bytes() == pipeline["highlights"].read_bytes()
+
     def test_summary_report_shape(self, pipeline):
         report = json.loads(pipeline["summary"].read_text())
         for result in report["results"]:
@@ -471,6 +490,35 @@ class TestConfigFile:
         proc = run_child(["convert", "--input", str(raw), "--bin-width", "0",
                           "--output", str(tmp_path / "out.jsonl")])
         assert_one_line_error(proc, "curve_bin_width must lie in (0, 1]")
+
+
+class TestClipLimit:
+    """A record whose duration / clip_len exceeds core.MAX_CLIPS is one error line."""
+
+    @pytest.mark.parametrize("command", ["convert", "fit", "decode", "eval"])
+    def test_huge_clip_count_fails_closed(self, pipeline, tmp_path, command):
+        def huge(path):
+            lines = []
+            for line in path.read_text().splitlines():
+                obj = json.loads(line)
+                obj["duration"], obj["clip_len"] = 1e12, 1.0
+                lines.append(json.dumps(obj))
+            out = tmp_path / path.name
+            out.write_text("\n".join(lines) + "\n")
+            return str(out)
+
+        out = str(tmp_path / "out")
+        argv = {
+            "convert": ["convert", "--input", huge(pipeline["raw"]), "--output", out],
+            "fit": ["fit", "--input", huge(pipeline["labeled"]), "--steps", "1", "--output", out],
+            "decode": ["decode", "--input", huge(pipeline["preds"]), "--task", "moments",
+                       "--output", out],
+            "eval": ["eval", "--predictions", str(pipeline["moments"]),
+                     "--truth", huge(pipeline["labeled"]), "--task", "moments", "--output", out],
+        }[command]
+        proc = run_child(argv)
+        assert_one_line_error(proc, "")
+        assert "1000000000000 clips exceed the limit of 10000000" in proc.stderr
 
 
 class TestNestedJson:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgkit.core import (
+    MAX_CLIPS,
     ClipTimeline,
     GroundTruthRecord,
     Interval,
@@ -58,6 +59,13 @@ class TestClipTimeline:
         tl = ClipTimeline(num_clips, clip_len)
         i = int(frac * num_clips)
         assert tl.timestamp(i) == (i + 0.5) * clip_len
+
+    def test_clip_count_bound(self):
+        assert ClipTimeline(MAX_CLIPS, 1.0).num_clips == MAX_CLIPS
+        with pytest.raises(ValueError, match="exceed the limit"):
+            ClipTimeline(MAX_CLIPS + 1, 1.0)
+        with pytest.raises(ValueError, match="1000000000000 clips exceed the limit"):
+            ClipTimeline.from_duration(1e12, 1.0)
 
     @given(duration=st.floats(0.01, 1e5), clip_len=st.floats(0.01, 100))
     @settings(**SETTINGS)

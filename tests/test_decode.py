@@ -90,6 +90,21 @@ class TestNms1d:
             got = nms_1d(cands, thr)
             assert [cands[i] for i in expect] == got
 
+    @pytest.mark.parametrize("thr", [0.3, 0.7, 1.0])
+    def test_matches_oracle_at_scale(self, thr):
+        # duplicates, zero-length intervals (some at one shared point) and score ties
+        rng = np.random.default_rng(17)
+        starts = rng.integers(0, 400, 1200) / 4.0
+        lengths = rng.choice([0.0, 0.0, 0.5, 2.0, 5.0, 20.0], 1200)
+        scores = rng.choice([0.2, 0.5, 0.9], 1200)
+        starts[:100], lengths[:100] = 10.0, 0.0
+        cands = [ScoredInterval(Interval(float(a), float(a + w)), float(s))
+                 for a, w, s in zip(starts, lengths, scores)]
+        cands += [ScoredInterval(c.interval, c.score) for c in cands[:200]]  # duplicates
+        expect = nms_oracle([(c.interval.start, c.interval.end) for c in cands],
+                            [c.score for c in cands], thr)
+        assert [id(c) for c in nms_1d(cands, thr)] == [id(cands[i]) for i in expect]
+
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
         st.sampled_from([0.3, 0.5, 0.7]),

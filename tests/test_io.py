@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgkit.config import RunConfig
-from tgkit.core import ClipTimeline, Interval, PredictionSet, Query
+from tgkit.core import MAX_CLIPS, ClipTimeline, Interval, PredictionSet, Query
 from tgkit.formats import (
     MATRIX_MAGIC,
     MATRIX_TEXT_HEADER,
@@ -404,8 +404,28 @@ def json_mutants(draw):
     return "\n".join(lines).encode()
 
 
+@st.composite
+def huge_timelines(draw):
+    """A valid dataset or predictions file with one line claiming a huge clip count.
+
+    Dataset lines lose their label, whose length would give the count away.
+    """
+    lines = VALID_INPUTS[draw(st.sampled_from("dp"))].decode().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    obj = json.loads(lines[i])
+    obj["duration"] = draw(st.floats(min_value=1e6, max_value=1e308))
+    obj["clip_len"] = draw(st.floats(min_value=1e-308, max_value=1.0))
+    if "label" in obj:
+        obj["label"] = None
+    lines[i] = json.dumps(obj)
+    return "\n".join(lines).encode()
+
+
 def read_all(raw: bytes) -> None:
-    """Feed ``raw`` to every reader; each must return records or raise ValueError/OSError."""
+    """Feed ``raw`` to every reader; each must return records or raise ValueError/OSError.
+
+    No record that a reader returns may span more than MAX_CLIPS clips.
+    """
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "input"
         path.write_bytes(raw)
@@ -413,9 +433,11 @@ def read_all(raw: bytes) -> None:
                      lambda p: read_dataset(p, on_error="skip"),
                      lambda p: read_predictions(p, on_error="skip")):
             try:
-                read(path)
+                got = read(path)
             except (ValueError, OSError):
-                pass
+                continue
+            records = got[0] if isinstance(got, tuple) else got
+            assert all(r.timeline().num_clips <= MAX_CLIPS for r in records)
 
 
 class TestReaderFuzz:
@@ -431,7 +453,7 @@ class TestReaderFuzz:
     def test_mutated_bytes(self, raw):
         read_all(raw)
 
-    @given(raw=json_mutants())
+    @given(raw=json_mutants() | huge_timelines())
     @settings(max_examples=300, deadline=None)
     def test_mutated_values(self, raw):
         read_all(raw)

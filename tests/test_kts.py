@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgkit.decode import SegmentList, kts_segment
+from tgkit.decode import SegmentList, _feature_band, _kts_tables, _scatter_band, kts_segment
 
-from oracles import kts_fixed_m_oracle, kts_penalty_oracle, segment_cost_oracle
+from oracles import (kts_fixed_m_oracle, kts_penalty_oracle, kts_tables_reference,
+                     segment_cost_oracle)
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -167,6 +169,57 @@ class TestGramFeatureEquivalence:
             assert a.change_points == b.change_points
 
 
+class TestFeatureBand:
+    def test_within_rounding_of_gram_band(self):
+        # Both bands sum O(n) products per entry, so they may differ by rounding
+        # only: at most 2 * n * eps * trace(K) (measured: under 0.7 * n * eps * trace).
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 60, 300):
+            for scale in (1e-3, 1.0, 1e3):
+                f = scale * (rng.normal(size=(n, 16)) + 3 * rng.normal(size=16))
+                width = min(n, int(rng.integers(1, 201)))
+                free = _feature_band(f, width)
+                gram = _scatter_band(f @ f.T, width)
+                finite = np.isfinite(gram)
+                assert np.array_equal(np.isfinite(free), finite)
+                bound = 2 * n * np.finfo(float).eps * float((f * f).sum())
+                assert np.abs(free[finite] - gram[finite]).max() <= bound
+
+    def test_long_video_in_bounded_memory(self):
+        # A 10 000-clip Gram alone would take 800 MB; the features path never builds it.
+        rng = np.random.default_rng(4)
+        f = np.repeat(rng.normal(size=(50, 16)), 200, axis=0)
+        f += 0.01 * rng.normal(size=f.shape)
+        tracemalloc.start()
+        try:
+            got = kts_segment(features=f, max_segments=50, max_clips=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert got.change_points == tuple(range(200, 10_000, 200))  # the only feasible split
+
+
+class TestBandMinimum:
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_identical_to_per_start_loop(self, tied):
+        rng = np.random.default_rng(11 + tied)
+        for _ in range(40):
+            n = int(rng.integers(1, 80))
+            width = int(rng.integers(1, n + 1))
+            m_hi = int(rng.integers(1, n + 1))
+            if tied:  # few distinct integer blocks: many equal-cost splits
+                f = rng.integers(0, 2, size=(n, 2)).astype(float)
+            else:
+                f = rng.normal(size=(n, 4))
+            band = _feature_band(f, width)
+            cost, first_end = _kts_tables(band, m_hi)
+            expect_cost, expect_end = kts_tables_reference(band, m_hi)
+            assert np.array_equal(cost, expect_cost)
+            feasible = np.isfinite(expect_cost)
+            assert np.array_equal(first_end[feasible], expect_end[feasible])
+
+
 class TestValidation:
     def test_exactly_one_input(self):
         f = np.ones((3, 2))
@@ -189,6 +242,10 @@ class TestValidation:
             kts_segment(gram=asym)
         with pytest.raises(ValueError):
             kts_segment(gram=np.full((2, 2), np.inf))
+
+    def test_overflowing_scatter(self):
+        with pytest.raises(ValueError, match="overflows"):
+            kts_segment(features=np.full((4, 2), 1e200))
 
     def test_bad_limits(self):
         f = np.ones((4, 2))

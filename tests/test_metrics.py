@@ -22,6 +22,7 @@ from tgkit.metrics import (
 from oracles import (
     concept_iou_oracle,
     hit_at_1_oracle,
+    hungarian_reference,
     iou_oracle,
     matching_oracle,
     moment_map_oracle,
@@ -344,6 +345,25 @@ class TestMaxWeightMatching:
             assert len(pairs) == len(set(r for r, _ in pairs))
             assert len(pairs) == len(set(c for _, c in pairs))
             assert all(w[r, c] > 0 for r, c in pairs)
+
+    @pytest.mark.parametrize("weights", ["tied", "continuous"])
+    def test_identical_to_scalar_loop(self, weights):
+        # the array form must pick the very pairs the scalar loop picked, ties included
+        rng = np.random.default_rng(47)
+        shapes = [(1, 1), (1, 9), (9, 1)]
+        shapes += [tuple(int(x) for x in rng.integers(1, 61, 2)) for _ in range(40)]
+        if weights == "tied":
+            shapes += [(150, 150), (150, 41), (41, 150)]
+        for shape in shapes:
+            if weights == "tied":
+                w = rng.integers(0, 4, shape) / 3.0  # few distinct values, many ties
+            else:
+                w = rng.uniform(0, 1, shape)
+                w[rng.random(shape) < 0.3] = 0.0
+            expect_pairs, expect_total = hungarian_reference(w)
+            pairs, total = max_weight_matching(w)
+            assert pairs == expect_pairs, shape
+            assert total == expect_total, shape
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -104,13 +104,13 @@ def _cmd_convert(args, config: RunConfig) -> int:
                 f"record {rec.video_id}/{rec.query_id} has neither annotation nor label"
             )
         if rec.source_kind == "interval":
-            rec.label = from_intervals(timeline, rec.annotation)
+            rec.label = from_intervals(timeline, rec.annotation, rec.duration)
             out.append(rec)
         elif rec.source_kind == "curve":
             rec.label = from_curve(timeline, rec.annotation, config.curve_bin_width)
             out.append(rec)
         else:
-            labels = from_points(timeline, rec.annotation)
+            labels = from_points(timeline, rec.annotation, rec.duration)
             for i, (stamp, label) in enumerate(zip(rec.annotation.timestamps, labels)):
                 out.append(dataclasses.replace(rec, query_id=f"{rec.query_id}#p{i}",
                                                annotation=PointAnnotation((stamp,)), label=label))

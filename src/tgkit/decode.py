@@ -199,24 +199,30 @@ def _feature_band(features: np.ndarray, width: int) -> np.ndarray:
 def _kts_tables(band: np.ndarray, m_hi: int) -> tuple:
     """Suffix DP over a scatter band, for 0 to ``m_hi`` segments.
 
-    cost[m, i] is the least scatter splitting clips [i, n) into m segments
-    (``inf`` if no split is feasible) and first_end[m, i] the end of the
-    first segment of that split.  For each m, row i of one band minimum holds
-    the segments [i, i + l] for l < width, each plus the cost of splitting
-    what follows it into m - 1 segments.  ``argmin`` takes the first
-    minimum, the shortest first segment.
+    Returns (cost, first_end): cost[m] is the least scatter splitting all
+    clips into m segments (``inf`` if no split is feasible) and
+    first_end[m, i] the end of the first segment of the least-scatter split
+    of clips [i, n) into m segments.  For each m, row i of one band minimum
+    holds the segments [i, i + l] for l < width, each plus the cost of
+    splitting what follows it into m - 1 segments.  ``argmin`` takes the
+    first minimum, the shortest first segment.  Only the cost row of m - 1
+    is kept, so the tables take 8 bytes per clip and segment count, and
+    the band minima reuse one buffer of the band's size.
     """
     n, width = band.shape
-    cost = np.full((m_hi + 1, n + width), np.inf)  # columns past n stay inf: no such end
+    prev = np.full(n + width, np.inf)  # columns past n stay inf: no such end
+    prev[n] = 0.0
+    cost = np.full(m_hi + 1, np.inf)
     first_end = np.zeros((m_hi + 1, n + 1), dtype=np.int64)
-    cost[0, n] = 0.0
     starts = np.arange(n)
+    totals = np.empty_like(band)
     for m in range(1, m_hi + 1):
-        totals = band + sliding_window_view(cost[m - 1, 1:], width)
+        np.add(band, sliding_window_view(prev[1:], width), out=totals)
         best = np.argmin(totals, axis=1)
-        cost[m, :n] = totals[starts, best]
+        prev = np.concatenate((totals[starts, best], np.full(width, np.inf)))
+        cost[m] = prev[0]
         first_end[m, :n] = starts + best + 1
-    return cost[:, :n + 1], first_end
+    return cost, first_end
 
 
 def kts_segment(
@@ -289,11 +295,11 @@ def kts_segment(
         chosen = m_lo
         best_crit = np.inf
         for m in range(m_lo, m_hi + 1):
-            crit = cost[m, 0] + penalty * m * (math.log(n / m) + 1.0)
+            crit = cost[m] + penalty * m * (math.log(n / m) + 1.0)
             if crit < best_crit:
                 best_crit = crit
                 chosen = m
-    if not np.isfinite(cost[chosen, 0]):
+    if not np.isfinite(cost[chosen]):
         raise ValueError(f"no feasible segmentation into {chosen} segments")
 
     change_points = []

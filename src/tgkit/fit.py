@@ -115,7 +115,7 @@ def overfit(
         trajectory.append(value)
 
     saliency = np.clip(
-        _cosine_with_grads(clip_emb, sent_emb[:, None, :])[0], -1.0, 1.0
+        _cosine_with_grads(clip_emb, sent_emb[:, None, :])[0][..., 0], -1.0, 1.0
     )
     predictions = tuple(
         PredictionSet(logits[v], offsets[v], saliency[v]) for v in range(b)

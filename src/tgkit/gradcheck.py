@@ -5,6 +5,14 @@ evaluation point away from the loss's non-differentiable sets (interval
 endpoint ties, smooth-L1 seams).  The checker perturbs every scalar input
 by +-epsilon and compares the secant slope against the analytic gradient.
 
+A loss is evaluated through the helper its public function is a view of,
+with a leading problem axis P (see ``tgkit.losses``).  The analytic
+gradient comes from one call of its own (P = 1).  Every +-epsilon copy of
+the point, for every scalar of every input, is then stacked on P and
+evaluated in one call; a point with more than ``_BLOCK_ROWS / 2`` scalars
+takes one call per block of rows.  Each problem's value equals that of its
+own call bit for bit, so the slopes are those of a per-scalar loop.
+
 The relative-error denominator is floored at max(1, |loss|) * 2 * epsilon:
 a central difference carries roundoff of order |loss| * ulp / epsilon, so
 gradient entries below that noise floor cannot be certified in relative
@@ -18,22 +26,25 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ClipTimeline, Interval, UnifiedLabel, _spans
+from .core import ClipTimeline, UnifiedLabel, _spans
 from .losses import (
     LossWeights,
+    _boundary_term,
+    _foreground_term,
+    _giou_endpoints,
+    _inter_term,
+    _intra_term,
     _LossBatch,
     _total_loss_arrays,
-    boundary_loss,
-    foreground_loss,
-    giou_1d,
-    saliency_inter_loss,
-    saliency_intra_loss,
     sample_positive,
     smooth_l1,
 )
 
 _KINK_MARGIN = 1e-3
 _MAX_RESAMPLES = 200
+# Rows of perturbed copies per stacked call: a point of N scalars holds at
+# most this many copies of itself at once.  Every sampler's point fits one.
+_BLOCK_ROWS = 512
 DEFAULT_EPSILON = 1e-5
 DEFAULT_TOLERANCE = 1e-5
 DEFAULT_POINTS = 100
@@ -74,8 +85,8 @@ def _make_foreground(rng):
     inputs = {"logits": rng.uniform(-4.0, 4.0, n)}
 
     def evaluate(ins):
-        rep = foreground_loss(ins["logits"], targets, w)
-        return rep.value, rep.gradients
+        value, grad = _foreground_term(ins["logits"], targets, w)
+        return value, {"logits": grad}
 
     return inputs, evaluate, lambda ins: math.inf
 
@@ -109,10 +120,13 @@ def _make_boundary(l1: bool):
             w = LossWeights(lambda_l1=0.0, lambda_iou=float(rng.uniform(0.5, 2.0)))
         offsets = label.offsets + rng.uniform(-2.0, 2.0, (n, 2))
         inputs = {"offsets": offsets}
+        times = timeline.timestamps()
+        fg = label.foreground == 1
+        fg_count = np.array([max(1.0, int(fg.sum()))])
 
         def evaluate(ins):
-            rep = boundary_loss(ins["offsets"], label, timeline, w)
-            return rep.value, rep.gradients
+            value, grad = _boundary_term(ins["offsets"], times, label.offsets, fg, fg_count, w)
+            return value, {"offsets": grad}
 
         return inputs, evaluate, lambda ins: _boundary_kink_distance(ins, label, timeline, w)
 
@@ -125,10 +139,12 @@ def _make_intra(rng):
     w = LossWeights(tau=float(rng.uniform(0.05, 0.2)))
     positive = sample_positive(label, rng)
     inputs = {"cosines": rng.uniform(-1.0, 1.0, n)}
+    pool = label.saliency < label.saliency[positive]
+    pool[positive] = True
 
     def evaluate(ins):
-        rep = saliency_intra_loss(ins["cosines"], label, weights=w, positive=positive)
-        return rep.value, rep.gradients
+        value, grad = _intra_term(ins["cosines"], pool, positive, w.tau)
+        return value, {"cosines": grad}
 
     return inputs, evaluate, lambda ins: math.inf
 
@@ -139,8 +155,8 @@ def _make_inter(rng):
     inputs = {"pair_cosines": rng.uniform(-1.0, 1.0, (b, b))}
 
     def evaluate(ins):
-        rep = saliency_inter_loss(ins["pair_cosines"], w)
-        return rep.value, rep.gradients
+        value, grad = _inter_term(ins["pair_cosines"], w.tau)
+        return value, {"pair_cosines": grad}
 
     return inputs, evaluate, lambda ins: math.inf
 
@@ -153,8 +169,10 @@ def _make_giou(rng):
     inputs = {"a": interval(rng.uniform(-3, 3)), "b": interval(rng.uniform(-3, 3))}
 
     def evaluate(ins):
-        rep = giou_1d(Interval(*ins["a"]), Interval(*ins["b"]))
-        return rep.value, rep.gradients
+        a, b = ins["a"], ins["b"]
+        value, d_alo, d_ahi, d_blo, d_bhi = _giou_endpoints(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        return value, {"a": np.stack((d_alo, d_ahi), axis=-1),
+                       "b": np.stack((d_blo, d_bhi), axis=-1)}
 
     def kink(ins):
         (a_lo, a_hi), (b_lo, b_hi) = ins["a"], ins["b"]
@@ -171,7 +189,7 @@ def _make_smooth_l1(rng):
 
     def evaluate(ins):
         value, deriv = smooth_l1(ins["x"], beta)
-        return float(np.sum(value)), {"x": deriv}
+        return value.reshape(len(value), -1).sum(axis=1), {"x": deriv}
 
     def kink(ins):
         return float(np.min(np.abs(np.abs(ins["x"]) - beta)))
@@ -229,6 +247,9 @@ def _make_total(rng):
     return inputs, evaluate, kink
 
 
+# Each sampler draws a point and returns (inputs, evaluate, kink_distance).
+# ``evaluate`` takes the inputs stacked on a leading problem axis P and
+# returns the P values and the gradients, which carry the same axis.
 _REGISTRY: dict[str, Callable] = {
     "foreground": _make_foreground,
     "boundary_smooth_l1": _make_boundary(l1=True),
@@ -242,23 +263,32 @@ _REGISTRY: dict[str, Callable] = {
 
 REGISTERED_LOSSES = tuple(_REGISTRY)
 
+# Elementwise losses: an explicit input of any shape is a point.  Every other
+# loss takes explicit inputs of its sampler's shapes.
+_ANY_SHAPE = ("smooth_l1",)
+
 
 def _central_difference(evaluate, inputs, epsilon):
-    numeric = {}
-    work = {k: np.array(v, dtype=np.float64) for k, v in inputs.items()}
-    for key in inputs:
-        flat = work[key].ravel()
-        g = np.zeros(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            up, _ = evaluate(work)
-            flat[i] = orig - epsilon
-            down, _ = evaluate(work)
-            flat[i] = orig
-            g[i] = (up - down) / (2.0 * epsilon)
-        numeric[key] = g.reshape(work[key].shape)
-    return numeric
+    """Central-difference slopes of ``evaluate`` at ``inputs``, one stacked call per block.
+
+    The point's scalars are numbered key by key in C order.  Row 2j of the
+    stack moves scalar j up by ``epsilon`` and row 2j + 1 moves it down;
+    every other entry of a row is the point itself.
+    """
+    keys = list(inputs)
+    point = np.concatenate([inputs[k].ravel() for k in keys])
+    splits = np.cumsum([inputs[k].size for k in keys])[:-1]
+    values = np.empty(2 * point.size)
+    for lo in range(0, values.size, _BLOCK_ROWS):
+        scalar, down = np.divmod(np.arange(lo, min(lo + _BLOCK_ROWS, values.size)), 2)
+        block = np.tile(point, (scalar.size, 1))
+        moved = point[scalar]
+        block[np.arange(scalar.size), scalar] = np.where(down, moved - epsilon, moved + epsilon)
+        stack = {k: part.reshape((scalar.size,) + inputs[k].shape)
+                 for k, part in zip(keys, np.split(block, splits, axis=1))}
+        values[lo:lo + scalar.size] = evaluate(stack)[0]
+    slopes = (values[0::2] - values[1::2]) / (2.0 * epsilon)
+    return {k: part.reshape(inputs[k].shape) for k, part in zip(keys, np.split(slopes, splits))}
 
 
 def _relative_error(analytic, numeric, noise_floor):
@@ -297,11 +327,11 @@ def grad_check(
 
     def run_point(point_inputs, evaluate):
         nonlocal max_rel, checked
-        value, analytic = evaluate(point_inputs)
+        value, analytic = evaluate({k: v[None] for k, v in point_inputs.items()})
         numeric = _central_difference(evaluate, point_inputs, epsilon)
-        noise_floor = max(1.0, abs(value)) * 2.0 * epsilon
+        noise_floor = max(1.0, abs(float(value[0]))) * 2.0 * epsilon
         for key in point_inputs:
-            err = float(np.max(_relative_error(analytic[key], numeric[key], noise_floor)))
+            err = float(np.max(_relative_error(analytic[key][0], numeric[key], noise_floor)))
             per_input[key] = max(per_input.get(key, 0.0), err)
             max_rel = max(max_rel, err)
         checked += 1
@@ -313,6 +343,17 @@ def grad_check(
             raise ValueError(
                 f"inputs must provide exactly {sorted(default_inputs)}, got {sorted(given)}"
             )
+        for key, value in given.items():
+            if loss_name in _ANY_SHAPE:
+                ok, want = value.size > 0, "a non-empty array"
+            else:
+                want = default_inputs[key].shape
+                ok = value.shape == want
+            if not ok:
+                raise ValueError(f"input {key!r} of {loss_name} has shape {value.shape}; "
+                                 f"expected {want}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"input {key!r} of {loss_name} must be finite")
         if kink_distance(given) < _KINK_MARGIN:
             skipped += 1
         else:

@@ -77,19 +77,48 @@ def _runs(mask: np.ndarray, clip_len: float) -> list[tuple[int, int, Interval]]:
             for a, b in zip(edges[::2], edges[1::2])]
 
 
-def from_intervals(timeline: ClipTimeline, intervals: Sequence[Interval]) -> UnifiedLabel:
+def _video_end(timeline: ClipTimeline, duration: float | None) -> float:
+    """The latest time an annotation may name: the declared ``duration`` if given.
+
+    The clip grid drops a trailing partial clip, so a declared duration may
+    pass the grid's end (``timeline.duration``) by up to one clip.
+    """
+    return timeline.duration if duration is None else max(timeline.duration, float(duration))
+
+
+def _to_grid(t: float, timeline: ClipTimeline, what: str) -> float:
+    """``t`` clipped to the grid's end, with a ``GroundingWarning`` if that moves it."""
+    if t <= timeline.duration:
+        return t
+    warnings.warn(f"{what} passes the clip grid's end {timeline.duration}; clipped to it",
+                  GroundingWarning)
+    return timeline.duration
+
+
+def from_intervals(
+    timeline: ClipTimeline, intervals: Sequence[Interval], duration: float | None = None
+) -> UnifiedLabel:
     """Label from explicit target intervals.
 
     A clip is foreground when its centre falls inside any interval; its
     offsets point at the covering interval whose centre is nearest (ties go
     to the earlier interval).  Foreground saliency is the constant 1.0; the
     interval style carries no graded relevance of its own.
+
+    ``duration`` is the video's declared length.  An interval that ends
+    between the grid's end and it is clipped to the grid with one
+    ``GroundingWarning``; only an interval past the declared length is an
+    error.  Without it the grid's end is the limit.
     """
     intervals = [iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals]
-    duration = timeline.duration
+    end = _video_end(timeline, duration)
+    on_grid = []
     for iv in intervals:
-        if iv.start < 0 or iv.end > duration:
-            raise ValueError(f"interval [{iv.start}, {iv.end}] exceeds the video [0, {duration}]")
+        if iv.start < 0 or iv.end > end:
+            raise ValueError(f"interval [{iv.start}, {iv.end}] exceeds the video [0, {end}]")
+        hi = _to_grid(iv.end, timeline, f"interval [{iv.start}, {iv.end}]")
+        on_grid.append(Interval(min(iv.start, hi), hi))
+    intervals = on_grid
     n = timeline.num_clips
     f = np.zeros(n, dtype=np.int8)
     d = np.zeros((n, 2), dtype=np.float64)
@@ -148,27 +177,31 @@ def from_curve(timeline: ClipTimeline, curve, bin_width: float = DEFAULT_BIN_WID
     return UnifiedLabel(fg, d, s)
 
 
-def from_points(timeline: ClipTimeline, points) -> list[UnifiedLabel]:
+def from_points(
+    timeline: ClipTimeline, points, duration: float | None = None
+) -> list[UnifiedLabel]:
     """One label per annotated timestamp.
 
     Each timestamp is widened into a symmetric window whose span is the mean
     gap between consecutive timestamps (twice the clip length when only one
-    timestamp exists), clamped to the video.
+    timestamp exists), clamped to the video.  ``duration`` works as in
+    ``from_intervals``: a timestamp between the grid's end and it is
+    clipped to the grid with one ``GroundingWarning``.
     """
     if not isinstance(points, PointAnnotation):
         points = PointAnnotation(tuple(points))
-    duration = timeline.duration
+    end = _video_end(timeline, duration)
     for t in points.timestamps:
-        if t > duration:
-            raise ValueError(f"timestamp {t} exceeds the video duration {duration}")
-    ts = points.timestamps
+        if t > end:
+            raise ValueError(f"timestamp {t} exceeds the video duration {end}")
+    ts = [_to_grid(t, timeline, f"timestamp {t}") for t in points.timestamps]
     if len(ts) >= 2:
         span = float(np.mean(np.diff(ts)))
     else:
         span = 2.0 * timeline.clip_len
     labels = []
     for p in ts:
-        window = Interval(max(0.0, p - span / 2), min(duration, p + span / 2))
+        window = Interval(max(0.0, p - span / 2), min(timeline.duration, p + span / 2))
         labels.append(from_intervals(timeline, [window]))
     return labels
 

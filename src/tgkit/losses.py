@@ -16,6 +16,13 @@ validated and stacked once per batch in a ``_LossBatch``, which also warns
 once per degenerate video when it is built.  The public
 ``foreground_loss``, ``boundary_loss`` and ``saliency_intra_loss`` are B=1
 calls into the same helpers.
+
+The helpers index with ``...`` and reduce over named trailing axes, so
+every per-call array may carry extra leading axes: a problem axis P of
+independent problems that share the fixed parts.  Each problem's value and
+gradients equal those of its own call without the axis, bit for bit.  The
+gradient checker stacks all its perturbed copies of one point on P and
+evaluates them in one call; ``fit`` calls without it.
 """
 from __future__ import annotations
 
@@ -254,7 +261,7 @@ def _boundary_term(d_hat, times, gt, fg, fg_count, w: LossWeights):
     per_clip = w.lambda_l1 * l1_val.sum(axis=-1) + w.lambda_iou * (1.0 - g_val)
     value = np.where(fg, per_clip, 0.0).sum(axis=-1) / fg_count
     per_offset = w.lambda_l1 * l1_der - w.lambda_iou * np.stack((dg_d0, dg_d1), axis=-1)
-    grad = np.where(fg[..., None], per_offset / fg_count[:, None, None], 0.0)
+    grad = np.where(fg[..., None], per_offset / fg_count[..., None, None], 0.0)
     return value, grad
 
 
@@ -291,21 +298,37 @@ def boundary_loss(
 
 
 def _cosine_with_grads(v, s):
-    """cos(v, s) over the last axis plus partials w.r.t. both vectors."""
-    nv = np.linalg.norm(v, axis=-1, keepdims=True)
-    ns = np.linalg.norm(s, axis=-1, keepdims=True)
+    """Cosine of every row of ``v`` against every row of ``s``, and its backward.
+
+    ``v`` is (..., M, D) and ``s`` (..., N, D); the cosines are (..., M, N).
+    ``backward(g)`` takes their upstream gradient and returns the gradients
+    w.r.t. ``v`` and ``s``.  Since dcos/dv = s / (|v||s|) - cos * v / |v|^2,
+    the gradient of ``v`` is the rows of ``s`` mixed by one factor per
+    cosine minus ``v`` scaled by one factor per row, and likewise for
+    ``s``; no per-element partials are formed.
+    """
+    nv = np.linalg.norm(v, axis=-1)
+    ns = np.linalg.norm(s, axis=-1)
     if not (nv.all() and ns.all()):
         raise ValueError("zero-norm embeddings have no cosine")
-    c = np.sum(v * s, axis=-1, keepdims=True) / (nv * ns)
-    dv = s / (nv * ns) - c * v / nv**2
-    ds = v / (nv * ns) - c * s / ns**2
-    return c[..., 0], dv, ds
+    nvs = nv[..., :, None] * ns[..., None, :]
+    c = np.sum(v[..., :, None, :] * s[..., None, :, :], axis=-1) / nvs
+
+    def backward(g):
+        a = g / nvs
+        k = g * c
+        # einsum rather than @: as fast at these sizes, and without a BLAS call,
+        # whose buffers added about 1.5 MB to a training run's peak memory
+        gv = np.einsum("...mn,...nd->...md", a, s) - (k.sum(axis=-1) / nv**2)[..., None] * v
+        gs = np.einsum("...mn,...md->...nd", a, v) - (k.sum(axis=-2) / ns**2)[..., None] * s
+        return gv, gs
+
+    return c, backward
 
 
 def saliency_cosines(emb: EmbeddingBatch) -> np.ndarray:
     """Cosine of every clip embedding against its own sentence, shape (B, L)."""
-    c, _, _ = _cosine_with_grads(emb.clip_embeddings, emb.sentence_embeddings[:, None, :])
-    return c
+    return _cosine_with_grads(emb.clip_embeddings, emb.sentence_embeddings[:, None, :])[0][..., 0]
 
 
 def cross_saliency_cosines(emb: EmbeddingBatch, positives) -> np.ndarray:
@@ -321,8 +344,7 @@ def cross_saliency_cosines(emb: EmbeddingBatch, positives) -> np.ndarray:
     if (positives < 0).any() or (positives >= l).any():
         raise ValueError("positive clip indices out of range")
     pos = emb.clip_embeddings[np.arange(b), positives]  # (B, D)
-    c, _, _ = _cosine_with_grads(pos[:, None, :], emb.sentence_embeddings[None, :, :])
-    return c
+    return _cosine_with_grads(pos, emb.sentence_embeddings)[0]
 
 
 def sample_positive(label: UnifiedLabel, rng: np.random.Generator) -> int:
@@ -334,24 +356,25 @@ def sample_positive(label: UnifiedLabel, rng: np.random.Generator) -> int:
 
 
 def _infonce_rows(scores, targets, tau: float):
-    """Softmax cross-entropy of column ``targets[b]`` in each row of ``scores``.
+    """Softmax cross-entropy of column ``targets`` in each row of ``scores``.
 
-    ``scores`` is (B, K) at temperature ``tau``; an entry of -inf is left out
-    of its row's softmax.  Returns the per-row losses (B,) and their
-    gradient.  A row whose only finite entry is its target scores exactly 0
-    with zero gradient.
+    ``scores`` is (..., K) at temperature ``tau`` and ``targets`` broadcasts
+    against its leading axes; an entry of -inf is left out of its row's
+    softmax.  Returns the per-row losses (...,) and their gradient.  A row
+    whose only finite entry is its target scores exactly 0 with zero
+    gradient.
     """
-    rows = np.arange(scores.shape[0])
     z = scores / tau
-    peak = z.max(axis=1, keepdims=True)
-    lse = peak + np.log(np.exp(z - peak).sum(axis=1, keepdims=True))
-    grad = np.exp(z - lse) / tau
-    grad[rows, targets] -= 1.0 / tau
-    return lse[:, 0] - z[rows, targets], grad
+    peak = z.max(axis=-1, keepdims=True)
+    lse = peak + np.log(np.exp(z - peak).sum(axis=-1, keepdims=True))
+    # one True per row; summing it out of zeros picks the target's z exactly
+    target = np.asarray(targets)[..., None] == np.arange(z.shape[-1])
+    grad = np.exp(z - lse) / tau - np.where(target, 1.0 / tau, 0.0)
+    return lse[..., 0] - np.where(target, z, 0.0).sum(axis=-1), grad
 
 
 def _intra_term(cosines, pool, positives, tau: float):
-    """Within-video InfoNCE per row, shape (B,), and its gradient.
+    """Within-video InfoNCE per row, shape (..., B), and its gradient.
 
     Row b scores its positive clip against the clips of ``pool[b]``: the
     positive itself and every clip of strictly lower saliency.
@@ -360,10 +383,10 @@ def _intra_term(cosines, pool, positives, tau: float):
 
 
 def _inter_term(pair_cosines, tau: float):
-    """Cross-batch InfoNCE on the (B, B) pairing matrix: row mean and its gradient."""
-    b = pair_cosines.shape[0]
+    """Cross-batch InfoNCE on (..., B, B) pairing matrices: row means and their gradient."""
+    b = pair_cosines.shape[-1]
     losses, grad = _infonce_rows(pair_cosines, np.arange(b), tau)
-    return float(losses.sum()) / b, grad / b
+    return losses.sum(axis=-1) / b, grad / b
 
 
 def saliency_intra_loss(
@@ -487,15 +510,19 @@ class _LossBatch:
         self.scale_inter = scale_inter
 
     def check(self, logits, offsets, clip_emb, sent_emb) -> None:
-        """Reject per-call arrays of the wrong shape or with non-finite entries."""
+        """Reject per-call arrays of the wrong shape or with non-finite entries.
+
+        All four may share leading problem axes in front of their own shapes.
+        """
         b, l = self.shape
+        lead = logits.shape[:-2]
         d = clip_emb.shape[-1]
         for name, arr, shape in (("logits", logits, (b, l)),
                                  ("predicted offsets", offsets, (b, l, 2)),
                                  ("clip embeddings", clip_emb, (b, l, d)),
                                  ("sentence embeddings", sent_emb, (b, d))):
-            if arr.shape != shape:
-                raise ValueError(f"{name} shape {arr.shape} does not match {shape}")
+            if arr.shape != lead + shape:
+                raise ValueError(f"{name} shape {arr.shape} does not match {lead + shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
 
@@ -510,7 +537,8 @@ def _total_loss_arrays(
     """Combined objective on raw arrays; returns (value, grads, components).
 
     One masked pass over the (B, L) batch; ``batch`` holds everything that
-    does not change between calls.
+    does not change between calls.  The arrays may share leading problem
+    axes, which the value, gradients and components then carry.
     """
     batch.check(logits, offsets, clip_emb, sent_emb)
     w = batch.weights
@@ -521,28 +549,26 @@ def _total_loss_arrays(
     l_bd, g_offsets = _boundary_term(
         offsets, batch.times, batch.gt_offsets, batch.fg, batch.fg_count, w
     )
-    cos, dcos_v, dcos_s = _cosine_with_grads(clip_emb, sent_emb[:, None, :])
-    l_intra, g_cos = _intra_term(cos, batch.pool, positives, w.tau)
-    pos_emb = clip_emb[rows, positives]  # (B, D)
-    pair, dpair_v, dpair_s = _cosine_with_grads(pos_emb[:, None, :], sent_emb[None, :, :])
+    cos, cos_backward = _cosine_with_grads(clip_emb, sent_emb[..., None, :])
+    l_intra, g_cos = _intra_term(cos[..., 0], batch.pool, positives, w.tau)
+    pos_emb = clip_emb[..., rows, positives, :]  # (..., B, D)
+    pair, pair_backward = _cosine_with_grads(pos_emb, sent_emb)
     l_inter, g_pair = _inter_term(pair, w.tau)
 
     parts = {
-        "foreground": float(np.sum(batch.scale_f * l_fg)),
-        "boundary": float(np.sum(batch.scale_b * l_bd)),
-        "intra": float(np.sum(batch.scale_intra * l_intra)),
+        "foreground": np.sum(batch.scale_f * l_fg, axis=-1),
+        "boundary": np.sum(batch.scale_b * l_bd, axis=-1),
+        "intra": np.sum(batch.scale_intra * l_intra, axis=-1),
         "inter": batch.scale_inter * l_inter,
     }
-    gc = batch.scale_intra[:, None] * g_cos  # (B, L)
-    gp = batch.scale_inter * g_pair  # (B, B)
-    g_clip = gc[..., None] * dcos_v
-    g_clip[rows, positives] += (gp[:, :, None] * dpair_v).sum(axis=1)
-    g_sent = (gc[..., None] * dcos_s).sum(axis=1) + (gp[:, :, None] * dpair_s).sum(axis=0)
+    g_clip, g_sent = cos_backward((batch.scale_intra[:, None] * g_cos)[..., None])
+    g_pos, g_sent_pair = pair_backward(batch.scale_inter * g_pair)
+    g_clip[..., rows, positives, :] += g_pos
     grads = {
         "foreground_logits": batch.scale_f[:, None] * g_logits,
         "offsets": batch.scale_b[:, None, None] * g_offsets,
         "clip_embeddings": g_clip,
-        "sentence_embeddings": g_sent,
+        "sentence_embeddings": g_sent[..., 0, :] + g_sent_pair,
     }
     return sum(parts.values()), grads, parts
 
@@ -586,5 +612,6 @@ def total_loss(
     return LossReport(
         value,
         grads,
-        {"positives": positives, "components": parts, "aggregation": aggregation},
+        {"positives": positives, "components": {k: float(v) for k, v in parts.items()},
+         "aggregation": aggregation},
     )

@@ -354,7 +354,12 @@ def kts_tables_reference(band, m_hi):
 
 
 def fd_gradient(fn, arrays, epsilon=1e-6):
-    """Central-difference gradients of fn(arrays dict) -> float."""
+    """Central-difference gradients of fn(arrays dict) -> float.
+
+    The per-scalar loop the gradient checker ran before it stacked its
+    perturbations: each scalar in turn is moved up and down by ``epsilon``
+    in place, one call each.
+    """
     grads = {}
     work = {k: np.array(v, dtype=np.float64) for k, v in arrays.items()}
     for key, arr in work.items():
@@ -370,6 +375,20 @@ def fd_gradient(fn, arrays, epsilon=1e-6):
             g[i] = (up - down) / (2 * epsilon)
         grads[key] = g.reshape(arr.shape)
     return grads
+
+
+def cosine_partials_reference(v, s):
+    """Frozen copy of the cosine the fused backward replaced.
+
+    Returns cos(v, s) over the last axis and the full partials dcos/dv and
+    dcos/ds, both of the broadcast shape of ``v`` and ``s``.
+    """
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    ns = np.linalg.norm(s, axis=-1, keepdims=True)
+    c = np.sum(v * s, axis=-1, keepdims=True) / (nv * ns)
+    dv = s / (nv * ns) - c * v / nv**2
+    ds = v / (nv * ns) - c * s / ns**2
+    return c[..., 0], dv, ds
 
 
 def bce_oracle(logits, targets, lam, neg_weight):

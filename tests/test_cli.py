@@ -521,6 +521,43 @@ class TestClipLimit:
         assert "1000000000000 clips exceed the limit of 10000000" in proc.stderr
 
 
+class TestFractionalDuration:
+    """A declared duration that passes the clip grid by a partial clip (Charades-STA style)."""
+
+    def raw_line(self, tmp_path, source_kind, annotation):
+        obj = dataset_record_to_obj(toy_corpus(1, 10, seed=0)[0])
+        obj.update(duration=30.96, clip_len=2.0, source_kind=source_kind,
+                   annotation=annotation, label=None)
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(json.dumps(obj) + "\n")
+        return str(raw)
+
+    @pytest.mark.parametrize("kind,annotation", [
+        ("interval", {"intervals": [[24, 30.96]]}),
+        ("point", {"points": [30.5]}),
+    ])
+    def test_converts_with_one_warning(self, tmp_path, kind, annotation):
+        out = tmp_path / "out.jsonl"
+        proc = run_child(["convert", "--input", self.raw_line(tmp_path, kind, annotation),
+                          "--output", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("GroundingWarning") == 1
+        assert "passes the clip grid's end 30.0; clipped to it" in proc.stderr
+        (rec,) = read_dataset(out)[0]
+        assert rec.duration == 30.96 and len(rec.label) == 15
+        assert rec.label.foreground[-1] == 1
+
+    @pytest.mark.parametrize("kind,annotation", [
+        ("interval", {"intervals": [[24, 31]]}),
+        ("point", {"points": [31]}),
+    ])
+    def test_past_declared_duration_fails_closed(self, tmp_path, kind, annotation):
+        proc = run_child(["convert", "--input", self.raw_line(tmp_path, kind, annotation),
+                          "--output", str(tmp_path / "out.jsonl")])
+        assert_one_line_error(proc, "")
+        assert "30.96" in proc.stderr
+
+
 class TestNestedJson:
     """A line of 100 000 nested brackets is one error line, not a RecursionError."""
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from tgkit.gradcheck import REGISTERED_LOSSES, grad_check
+from tgkit import gradcheck
+from tgkit.core import ClipTimeline, Interval
+from tgkit.gradcheck import (_BLOCK_ROWS, _REGISTRY, REGISTERED_LOSSES, _central_difference,
+                             _random_label, grad_check)
+from tgkit.losses import (LossReport, LossWeights, _cosine_with_grads, _LossBatch,
+                          _total_loss_arrays, boundary_loss, foreground_loss, giou_1d,
+                          saliency_inter_loss, saliency_intra_loss, sample_positive, smooth_l1)
+
+from oracles import cosine_partials_reference, fd_gradient
 
 
 class TestRegistry:
@@ -89,3 +97,178 @@ class TestParameters:
         assert d["loss_name"] == "foreground"
         assert d["passed"] is True
         assert d["points_checked"] == 2
+
+
+def public_view(name, seed):
+    """The sampler's point for ``name`` at ``seed`` and the public function at it.
+
+    Draws the sampler's random numbers again, in its order, to rebuild the
+    fixed parts the public function takes; the redrawn inputs must equal the
+    sampler's.  Returns (inputs, evaluate, public), where ``public(inputs)``
+    gives (value, gradients) without a problem axis.
+    """
+    inputs, evaluate, _ = _REGISTRY[name](np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    if name == "foreground":
+        targets = (rng.random(6) < 0.5).astype(float)
+        w = LossWeights(lambda_f=float(rng.uniform(0.5, 2.0)))
+        redrawn = {"logits": rng.uniform(-4.0, 4.0, 6)}
+        call = lambda ins: foreground_loss(ins["logits"], targets, w)  # noqa: E731
+    elif name.startswith("boundary"):
+        timeline = ClipTimeline(6, float(rng.uniform(0.5, 2.0)))
+        label = _random_label(rng, 6)
+        scale = float(rng.uniform(0.5, 2.0))
+        w = (LossWeights(lambda_l1=scale, lambda_iou=0.0) if name == "boundary_smooth_l1"
+             else LossWeights(lambda_l1=0.0, lambda_iou=scale))
+        redrawn = {"offsets": label.offsets + rng.uniform(-2.0, 2.0, (6, 2))}
+        call = lambda ins: boundary_loss(ins["offsets"], label, timeline, w)  # noqa: E731
+    elif name == "saliency_intra":
+        label = _random_label(rng, 8)
+        w = LossWeights(tau=float(rng.uniform(0.05, 0.2)))
+        positive = sample_positive(label, rng)
+        redrawn = {"cosines": rng.uniform(-1.0, 1.0, 8)}
+        call = lambda ins: saliency_intra_loss(  # noqa: E731
+            ins["cosines"], label, weights=w, positive=positive)
+    elif name == "saliency_inter":
+        w = LossWeights(tau=float(rng.uniform(0.05, 0.2)))
+        redrawn = {"pair_cosines": rng.uniform(-1.0, 1.0, (4, 4))}
+        call = lambda ins: saliency_inter_loss(ins["pair_cosines"], w)  # noqa: E731
+    elif name == "giou_1d":
+        redrawn = dict(inputs)  # no fixed parts
+        call = lambda ins: giou_1d(Interval(*ins["a"]), Interval(*ins["b"]))  # noqa: E731
+    elif name == "smooth_l1":
+        redrawn = {"x": rng.uniform(-3.0, 3.0, 5)}
+
+        def call(ins):
+            value, deriv = smooth_l1(ins["x"], 1.0)
+            return LossReport(np.sum(value), {"x": deriv})
+    else:  # total: the kernel without a problem axis, as total_loss and fit call it
+        timelines = [ClipTimeline(5, 1.0) for _ in range(2)]
+        labels = [_random_label(rng, 5) for _ in range(2)]
+        positives = np.array([sample_positive(lab, rng) for lab in labels])
+        w = LossWeights(*[float(rng.uniform(0.5, 1.5)) for _ in range(5)],
+                        tau=float(rng.uniform(0.07, 0.2)))
+        aggregation = "per_video" if rng.random() < 0.5 else "per_clip"
+        batch = _LossBatch(labels, timelines, w, positives, aggregation)
+        names = ("foreground_logits", "offsets", "clip_embeddings", "sentence_embeddings")
+        redrawn = {names[0]: rng.uniform(-3.0, 3.0, (2, 5)),
+                   names[1]: np.stack([lab.offsets for lab in labels])
+                   + rng.uniform(-1.5, 1.5, (2, 5, 2))}
+        for key, shape in zip(names[2:], ((2, 5, 3), (2, 3))):
+            m = rng.normal(size=shape)
+            redrawn[key] = m / np.maximum(np.linalg.norm(m, axis=-1, keepdims=True), 0.3)
+
+        def call(ins):
+            value, grads, _ = _total_loss_arrays(*(ins[k] for k in names), batch)
+            return LossReport(value, grads)
+    for key in inputs:
+        assert np.array_equal(redrawn[key], inputs[key]), "sampler draws changed"
+
+    def public(ins):
+        rep = call(ins)
+        return rep.value, rep.gradients
+    return inputs, evaluate, public
+
+
+def one(evaluate, inputs):
+    """``evaluate`` at P = 1, with the problem axis taken off again."""
+    value, grads = evaluate({k: v[None] for k, v in inputs.items()})
+    return value[0], {k: g[0] for k, g in grads.items()}
+
+
+def assert_same(a, b):
+    (va, ga), (vb, gb) = a, b
+    assert np.array_equal(va, vb)
+    assert set(ga) == set(gb)
+    for key in ga:
+        assert np.array_equal(np.asarray(ga[key]), np.asarray(gb[key])), key
+
+
+class TestProblemAxis:
+    @pytest.mark.parametrize("name", REGISTERED_LOSSES)
+    def test_one_problem_equals_public_function(self, name):
+        for seed in range(5):
+            inputs, evaluate, public = public_view(name, seed)
+            assert_same(one(evaluate, inputs), public(inputs))
+
+    @pytest.mark.parametrize("name", REGISTERED_LOSSES)
+    def test_each_stacked_problem_equals_its_own_call(self, name):
+        rng = np.random.default_rng(3)
+        for seed in range(3):
+            inputs, evaluate, _ = _REGISTRY[name](np.random.default_rng(seed))
+            stack = {k: v + 1e-3 * rng.normal(size=(9,) + v.shape) for k, v in inputs.items()}
+            values, grads = evaluate(stack)
+            assert values.shape == (9,)
+            for p in range(9):
+                assert_same((values[p], {k: g[p] for k, g in grads.items()}),
+                            one(evaluate, {k: v[p] for k, v in stack.items()}))
+
+    @pytest.mark.parametrize("name", REGISTERED_LOSSES)
+    def test_slopes_equal_per_scalar_loop(self, name):
+        for seed in range(5):
+            inputs, evaluate, _ = _REGISTRY[name](np.random.default_rng(seed))
+            stacked = _central_difference(evaluate, inputs, 1e-5)
+            looped = fd_gradient(lambda ins: one(evaluate, ins)[0], inputs, epsilon=1e-5)
+            for key in inputs:
+                assert np.array_equal(stacked[key], looped[key]), key
+
+    def test_slopes_across_blocks_equal_per_scalar_loop(self):
+        # 2 * 300 rows: more than one block
+        inputs = {"x": np.random.default_rng(0).uniform(-3.0, 3.0, (3, 100))}
+        assert 2 * inputs["x"].size > _BLOCK_ROWS
+        _, evaluate, _ = _REGISTRY["smooth_l1"](np.random.default_rng(0))
+        stacked = _central_difference(evaluate, inputs, 1e-5)
+        looped = fd_gradient(lambda ins: one(evaluate, ins)[0], inputs, epsilon=1e-5)
+        assert np.array_equal(stacked["x"], looped["x"])
+
+    def test_total_at_1000_points(self):
+        result = grad_check("total", num_points=1000, seed=0, epsilon=1e-5, tolerance=1e-5)
+        assert result.points_checked == 1000
+        assert result.passed, result.max_rel_error
+
+
+class TestFusedCosineBackward:
+    @pytest.mark.parametrize("shapes", [
+        ((2, 8, 60, 8), (2, 8, 1, 8)),  # clips against their own sentence
+        ((2, 8, 8), (2, 8, 8)),  # positives against every sentence
+        ((5, 3), (4, 3)),
+    ])
+    def test_matches_explicit_partials(self, shapes):
+        rng = np.random.default_rng(1)
+        v, s = (rng.normal(size=shape) for shape in shapes)
+        c, backward = _cosine_with_grads(v, s)
+        c_ref, dv, ds = cosine_partials_reference(v[..., :, None, :], s[..., None, :, :])
+        assert np.array_equal(c, c_ref)
+        g = rng.normal(size=c.shape)
+        gv, gs = backward(g)
+        np.testing.assert_allclose(gv, (g[..., None] * dv).sum(axis=-2), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(gs, (g[..., None] * ds).sum(axis=-3), rtol=0, atol=1e-13)
+
+
+class TestExplicitShapes:
+    @pytest.mark.parametrize("name", [n for n in REGISTERED_LOSSES if n != "smooth_l1"])
+    def test_wrong_shape_rejected_before_any_stacked_call(self, name, monkeypatch):
+        def no_call(*args):
+            raise AssertionError("stacked call made")
+        monkeypatch.setattr(gradcheck, "_central_difference", no_call)
+        inputs, _, _ = _REGISTRY[name](np.random.default_rng(0))
+        for key in inputs:
+            bad = dict(inputs, **{key: np.append(inputs[key], 0.5)})
+            with pytest.raises(ValueError, match=f"input '{key}' of {name} has shape"):
+                grad_check(name, inputs=bad)
+
+    def test_giou_three_vector(self):
+        with pytest.raises(ValueError, match=r"input 'a' of giou_1d has shape \(3,\)"):
+            grad_check("giou_1d", inputs={"a": np.array([0.0, 1.0, 2.0]),
+                                          "b": np.array([0.5, 1.5])})
+
+    def test_smooth_l1_takes_any_non_empty_shape(self):
+        result = grad_check("smooth_l1", inputs={"x": np.array([[0.4, -2.5], [0.1, 2.0]])})
+        assert result.points_checked == 1 and result.passed
+        assert grad_check("smooth_l1", inputs={"x": np.array(0.4)}).passed
+        with pytest.raises(ValueError, match="input 'x' of smooth_l1 has shape"):
+            grad_check("smooth_l1", inputs={"x": np.zeros((2, 0))})
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="input 'logits' of foreground must be finite"):
+            grad_check("foreground", inputs={"logits": np.array([0.0, 1, 2, 3, 4, np.nan])})

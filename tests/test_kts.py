@@ -199,6 +199,20 @@ class TestFeatureBand:
         assert peak < 100e6
         assert got.change_points == tuple(range(200, 10_000, 200))  # the only feasible split
 
+    def test_many_segments_in_bounded_memory(self):
+        # The DP keeps one int64 first-segment end per clip and segment count and
+        # a single cost row; a full float cost table beside it would double that.
+        n, m = 4000, 1000
+        f = np.repeat(np.random.default_rng(5).normal(size=(n // 8, 4)), 8, axis=0)
+        tracemalloc.start()
+        try:
+            got = kts_segment(features=f, max_segments=m, max_clips=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * (m + 1) * (n + 1)
+        assert got.change_points == tuple(range(8, n, 8))  # constant 8-clip blocks
+
 
 class TestBandMinimum:
     @pytest.mark.parametrize("tied", [False, True])
@@ -215,7 +229,24 @@ class TestBandMinimum:
             band = _feature_band(f, width)
             cost, first_end = _kts_tables(band, m_hi)
             expect_cost, expect_end = kts_tables_reference(band, m_hi)
-            assert np.array_equal(cost, expect_cost)
+            assert np.array_equal(cost, expect_cost[:, 0])
+            feasible = np.isfinite(expect_cost)
+            assert np.array_equal(first_end[feasible], expect_end[feasible])
+
+
+    def test_identical_on_arbitrary_bands(self):
+        # Scatter never grows when a segment is split; a band without that
+        # property also tells apart splits into exactly m and into at most m.
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            width = int(rng.integers(1, n + 1))
+            m_hi = int(rng.integers(1, n + 1))
+            band = rng.uniform(0.0, 1.0, (n, width))
+            band[np.add.outer(np.arange(n), np.arange(width)) >= n] = np.inf
+            cost, first_end = _kts_tables(band, m_hi)
+            expect_cost, expect_end = kts_tables_reference(band, m_hi)
+            assert np.array_equal(cost, expect_cost[:, 0])
             feasible = np.isfinite(expect_cost)
             assert np.array_equal(first_end[feasible], expect_end[feasible])
 

@@ -111,6 +111,38 @@ class TestFromIntervals:
         np.testing.assert_allclose(lab.saliency, s, atol=1e-12)
 
 
+class TestDeclaredDuration:
+    """A declared duration past the grid's end (a trailing partial clip)."""
+
+    def test_interval_to_declared_end_clipped_to_grid(self):
+        tl = ClipTimeline.from_duration(30.96, 2.0)  # 15 clips, grid end 30
+        with pytest.warns(GroundingWarning, match="clipped") as caught:
+            lab = from_intervals(tl, [Interval(24.0, 30.96), Interval(2.0, 4.0)], 30.96)
+        assert len(caught) == 1
+        assert lab.foreground.tolist() == [0, 1] + [0] * 10 + [1, 1, 1]
+        assert lab.offsets[14].tolist() == [5.0, 1.0]  # centre 29, interval [24, 30]
+
+    def test_interval_past_declared_end_rejected(self):
+        tl = ClipTimeline.from_duration(30.96, 2.0)
+        with pytest.raises(ValueError, match=r"exceeds the video \[0, 30.96\]"):
+            from_intervals(tl, [Interval(24.0, 31.0)], 30.96)
+
+    def test_grid_end_is_the_limit_without_duration(self):
+        tl = ClipTimeline.from_duration(30.96, 2.0)
+        with pytest.raises(ValueError, match=r"exceeds the video \[0, 30.0\]"):
+            from_intervals(tl, [Interval(24.0, 30.96)])
+
+    def test_timestamps_clipped_one_warning_each(self):
+        tl = ClipTimeline.from_duration(30.96, 2.0)
+        with pytest.warns(GroundingWarning, match="clipped") as caught:
+            labs = from_points(tl, PointAnnotation((10.0, 30.5, 30.9)), 30.96)
+        assert len(caught) == 2
+        assert len(labs) == 3
+        assert labs[1].foreground.tolist() == labs[2].foreground.tolist()
+        with pytest.raises(ValueError, match="exceeds the video duration 30.96"):
+            from_points(tl, PointAnnotation((31.0,)), 30.96)
+
+
 class TestFromCurve:
     def test_worked_example(self):
         tl = ClipTimeline(4, 2.0)

@@ -189,6 +189,7 @@ def _cmd_fit(args, config: RunConfig) -> int:
 
     predictions = []
     trace = []
+    stalled = []  # per group; on stdout only, so trajectory.json keeps its bytes
     for num_clips in sorted(groups):
         members = groups[num_clips]
         gt = [
@@ -218,15 +219,17 @@ def _cmd_fit(args, config: RunConfig) -> int:
                 "trajectory": result.trajectory.tolist(),
             }
         )
+        stalled.append(result.stalled_steps)
     write_predictions(predictions, args.output)
     if args.trajectory:
         write_json_report(
             {"seed": config.seed, "steps": config.fit_steps, "groups": trace}, args.trajectory
         )
-    for group in trace:
+    for group, count in zip(trace, stalled):
         print(
             f"fit {len(group['items'])} record(s) at {group['num_clips']} clips: "
             f"loss {group['initial_loss']:.6f} -> {group['final_loss']:.6f}"
+            + (f", {count} stalled step(s)" if count else "")
         )
     return 0
 

@@ -30,14 +30,21 @@ DEFAULT_EMBED_DIM = 8
 
 @dataclass(frozen=True, eq=False)
 class OverfitResult:
-    """Final predictions plus the accepted loss value after every step."""
+    """Final predictions plus the accepted loss value after every step.
+
+    ``stalled_steps`` counts the steps that did not lower the loss: either
+    no step size down to ``_MIN_STEP`` kept it from rising, so the
+    parameters held still, or the accepted step left it unchanged.
+    """
 
     predictions: tuple
     trajectory: np.ndarray
     positives: np.ndarray
+    stalled_steps: int
 
     def __post_init__(self):
         _set(self, "predictions", tuple(self.predictions))
+        _set(self, "stalled_steps", int(self.stalled_steps))
         _set(self, "trajectory", _frozen(np.array(self.trajectory, dtype=np.float64)))
         _set(self, "positives", _frozen(np.array(self.positives, dtype=np.int64)))
 
@@ -91,6 +98,7 @@ def overfit(
     if not np.isfinite(value):
         raise RuntimeError(f"objective is not finite at initialisation: {value}")
     trajectory = [value]
+    stalled = 0
     step_size = learning_rate
     for step in range(steps):
         g_logits = grads["foreground_logits"]
@@ -112,6 +120,7 @@ def overfit(
             if trial < _MIN_STEP:
                 # no improving step exists at representable sizes; hold still
                 break
+        stalled += value >= trajectory[-1]
         trajectory.append(value)
 
     saliency = np.clip(
@@ -120,4 +129,4 @@ def overfit(
     predictions = tuple(
         PredictionSet(logits[v], offsets[v], saliency[v]) for v in range(b)
     )
-    return OverfitResult(predictions, np.array(trajectory), positives)
+    return OverfitResult(predictions, np.array(trajectory), positives, stalled)

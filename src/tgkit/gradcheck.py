@@ -29,9 +29,12 @@ import numpy as np
 from .core import ClipTimeline, UnifiedLabel, _spans
 from .losses import (
     LossWeights,
+    _background_weights,
+    _boundary_labels,
     _boundary_term,
     _foreground_term,
     _giou_endpoints,
+    _infonce_targets,
     _inter_term,
     _intra_term,
     _LossBatch,
@@ -83,9 +86,10 @@ def _make_foreground(rng):
     targets = (rng.random(n) < 0.5).astype(float)
     w = LossWeights(lambda_f=float(rng.uniform(0.5, 2.0)))
     inputs = {"logits": rng.uniform(-4.0, 4.0, n)}
+    background = _background_weights(targets, w)
 
     def evaluate(ins):
-        value, grad = _foreground_term(ins["logits"], targets, w)
+        value, grad = _foreground_term(ins["logits"], targets, background, w)
         return value, {"logits": grad}
 
     return inputs, evaluate, lambda ins: math.inf
@@ -120,12 +124,10 @@ def _make_boundary(l1: bool):
             w = LossWeights(lambda_l1=0.0, lambda_iou=float(rng.uniform(0.5, 2.0)))
         offsets = label.offsets + rng.uniform(-2.0, 2.0, (n, 2))
         inputs = {"offsets": offsets}
-        times = timeline.timestamps()
-        fg = label.foreground == 1
-        fg_count = np.array([max(1.0, int(fg.sum()))])
+        labels = _boundary_labels(timeline.timestamps(), label.offsets, label.foreground == 1)
 
         def evaluate(ins):
-            value, grad = _boundary_term(ins["offsets"], times, label.offsets, fg, fg_count, w)
+            value, grad = _boundary_term(ins["offsets"], labels, w)
             return value, {"offsets": grad}
 
         return inputs, evaluate, lambda ins: _boundary_kink_distance(ins, label, timeline, w)
@@ -141,9 +143,10 @@ def _make_intra(rng):
     inputs = {"cosines": rng.uniform(-1.0, 1.0, n)}
     pool = label.saliency < label.saliency[positive]
     pool[positive] = True
+    target = _infonce_targets(positive, n, w.tau)
 
     def evaluate(ins):
-        value, grad = _intra_term(ins["cosines"], pool, positive, w.tau)
+        value, grad = _intra_term(ins["cosines"], pool, target, w.tau)
         return value, {"cosines": grad}
 
     return inputs, evaluate, lambda ins: math.inf
@@ -153,9 +156,10 @@ def _make_inter(rng):
     b = 4
     w = LossWeights(tau=float(rng.uniform(0.05, 0.2)))
     inputs = {"pair_cosines": rng.uniform(-1.0, 1.0, (b, b))}
+    target = _infonce_targets(np.arange(b), b, w.tau)
 
     def evaluate(ins):
-        value, grad = _inter_term(ins["pair_cosines"], w.tau)
+        value, grad = _inter_term(ins["pair_cosines"], target, w.tau)
         return value, {"pair_cosines": grad}
 
     return inputs, evaluate, lambda ins: math.inf
@@ -170,7 +174,8 @@ def _make_giou(rng):
 
     def evaluate(ins):
         a, b = ins["a"], ins["b"]
-        value, d_alo, d_ahi, d_blo, d_bhi = _giou_endpoints(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        value, d_alo, d_ahi = _giou_endpoints(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        _, d_blo, d_bhi = _giou_endpoints(b[:, 0], b[:, 1], a[:, 0], a[:, 1])
         return value, {"a": np.stack((d_alo, d_ahi), axis=-1),
                        "b": np.stack((d_blo, d_bhi), axis=-1)}
 

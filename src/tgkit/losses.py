@@ -8,14 +8,18 @@ finite-difference checker validates them at random non-kink points.
 
 Each term has one implementation, a helper over a (B, L) batch of B videos
 of L clips.  The weighted total evaluates all four in one masked pass
-(``_total_loss_arrays``): the foreground mask selects the boundary terms, a
-per-row pool mask selects each positive's contrastive negatives, and the
-cross-video term is a row-wise log-sum-exp.  What stays fixed while the
-predictions move (labels, positives, masks, aggregation scales) is
-validated and stacked once per batch in a ``_LossBatch``, which also warns
-once per degenerate video when it is built.  The public
-``foreground_loss``, ``boundary_loss`` and ``saliency_intra_loss`` are B=1
-calls into the same helpers.
+(``_total_loss_arrays``): the boundary terms are computed for the foreground
+clips alone, a per-row pool mask selects each positive's contrastive negatives, and the
+cross-video term is a row-wise log-sum-exp.  Everything that depends on the
+labels alone is validated and built once per batch in a ``_LossBatch``:
+targets and background weights, the foreground clips' centres, target
+offsets and spans, foreground counts, contrastive pools, the one-hot targets of both
+InfoNCE terms with their 1/tau gradient shares, and the aggregation scales
+in the shapes they broadcast in.  An evaluation then computes only what
+depends on the predictions.  The batch also warns once per degenerate video
+when it is built.  The public ``foreground_loss``, ``boundary_loss``,
+``saliency_intra_loss`` and ``saliency_inter_loss`` are B=1 calls into the
+same helpers and build their label-side values the same way.
 
 The helpers index with ``...`` and reduce over named trailing axes, so
 every per-call array may carry extra leading axes: a problem axis P of
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,14 +137,21 @@ class EmbeddingBatch:
         return self.clip_embeddings.shape[2]
 
 
-def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
+def _sigmoid_pair(x):
+    """sigma(x) and sigma(-x) from one e = exp(-|x|), which cannot overflow.
+
+    Each side is 1 / (1 + e) where its own argument is non-negative and
+    e / (1 + e) elsewhere; at x = 0 both forms give 1/2.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    large, small = 1.0 / d, e / d
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return np.where(pos, large, small), np.where(pos, small, large)
+
+
+def sigmoid(x):
+    return _sigmoid_pair(np.asarray(x, dtype=np.float64))[0]
 
 
 def _softplus(x):
@@ -148,12 +159,21 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _foreground_term(x, f, w: LossWeights):
-    """Row means of the weighted BCE, shape (B,), and its gradient w.r.t. ``x``."""
+def _background_weights(f, w: LossWeights):
+    """Per-clip weight of the background side of the BCE: ``neg_weight`` where f = 0."""
+    return w.neg_weight * (1.0 - f)
+
+
+def _foreground_term(x, f, background, w: LossWeights):
+    """Row means of the weighted BCE, shape (B,), and its gradient w.r.t. ``x``.
+
+    ``f`` holds the targets and ``background`` their ``_background_weights``.
+    """
     n = x.shape[-1]
-    per_clip = w.lambda_f * (f * _softplus(-x) + w.neg_weight * (1.0 - f) * _softplus(x))
-    grad = w.lambda_f * (-f * sigmoid(-x) + w.neg_weight * (1.0 - f) * sigmoid(x)) / n
-    return per_clip.mean(axis=-1), grad
+    per_clip = w.lambda_f * (f * _softplus(-x) + background * _softplus(x))
+    p, q = _sigmoid_pair(x)
+    grad = w.lambda_f * (background * p - f * q) / n
+    return np.add.reduce(per_clip, -1) / n, grad
 
 
 def foreground_loss(logits, targets, weights: LossWeights = LossWeights()) -> LossReport:
@@ -173,7 +193,8 @@ def foreground_loss(logits, targets, weights: LossWeights = LossWeights()) -> Lo
         raise ValueError("targets must be 0 or 1")
     if not np.isfinite(x).all():
         raise ValueError("logits must be finite")
-    value, grad = _foreground_term(x[None], f[None], weights)
+    f = f[None]
+    value, grad = _foreground_term(x[None], f, _background_weights(f, weights), weights)
     return LossReport(float(value[0]), {"logits": grad[0]})
 
 
@@ -185,23 +206,29 @@ def smooth_l1(x, beta: float = 1.0):
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    x = np.asarray(x, dtype=np.float64)
-    inner = np.abs(x) < beta
-    value = np.where(inner, 0.5 * x * x / beta, np.abs(x) - 0.5 * beta)
-    deriv = np.where(inner, x / beta, np.sign(x))
+    value, deriv = _smooth_l1(np.asarray(x, dtype=np.float64), beta)
     if value.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
 
 
-def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
-    """Generalised IoU of ordered 1-D intervals plus partials, vectorised.
+def _smooth_l1(x, beta: float):
+    """``smooth_l1`` on a float array, without the checks."""
+    ax = np.abs(x)
+    inner = ax < beta
+    value = np.where(inner, 0.5 * x * x / beta, ax - 0.5 * beta)
+    return value, np.where(inner, x / beta, np.sign(x))
 
-    Returns (value, d/da_lo, d/da_hi, d/db_lo, d/db_hi).  Uses right-hand
-    derivatives at ties; callers that need verified gradients must stay off
-    the tie set.
+
+def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
+    """Generalised IoU of ordered 1-D intervals and its partials w.r.t. ``a``, vectorised.
+
+    Takes float arrays and returns (value, d/da_lo, d/da_hi).  The partials
+    w.r.t. ``b`` are the ``a``-side partials of the swapped call
+    ``_giou_endpoints(b_lo, b_hi, a_lo, a_hi)``, bit for bit: every step is
+    symmetric in the two intervals.  Uses right-hand derivatives at ties;
+    callers that need verified gradients must stay off the tie set.
     """
-    a_lo, a_hi, b_lo, b_hi = (np.asarray(v, dtype=np.float64) for v in (a_lo, a_hi, b_lo, b_hi))
     inter_raw = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
     live = inter_raw > 0
     inter = np.where(live, inter_raw, 0.0)
@@ -222,9 +249,7 @@ def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
     k_h = np.where(regular, u / h**2, 0.0)
     d_alo = k_h * (a_lo < b_lo) - k_u - k_iu * (live & (a_lo >= b_lo))
     d_ahi = k_u + k_iu * (live & (a_hi < b_hi)) - k_h * (a_hi >= b_hi)
-    d_blo = k_h * (b_lo < a_lo) - k_u - k_iu * (live & (b_lo >= a_lo))
-    d_bhi = k_u + k_iu * (live & (b_hi < a_hi)) - k_h * (b_hi >= a_hi)
-    return value, d_alo, d_ahi, d_blo, d_bhi
+    return value, d_alo, d_ahi
 
 
 def giou_1d(a: Interval, b: Interval) -> LossReport:
@@ -233,36 +258,66 @@ def giou_1d(a: Interval, b: Interval) -> LossReport:
     Equals plain IoU minus the fraction of the covering hull not filled by
     the union; two identical zero-length intervals score 1.
     """
-    value, d_alo, d_ahi, d_blo, d_bhi = _giou_endpoints(a.start, a.end, b.start, b.end)
+    a_lo, a_hi, b_lo, b_hi = (np.asarray(v, dtype=np.float64)
+                              for v in (a.start, a.end, b.start, b.end))
+    value, d_alo, d_ahi = _giou_endpoints(a_lo, a_hi, b_lo, b_hi)
+    _, d_blo, d_bhi = _giou_endpoints(b_lo, b_hi, a_lo, a_hi)
     return LossReport(
         float(value),
         {"a": np.array([d_alo, d_ahi]), "b": np.array([d_blo, d_bhi])},
     )
 
 
-def _boundary_term(d_hat, times, gt, fg, fg_count, w: LossWeights):
+class _BoundaryLabels(NamedTuple):
+    """What the boundary term reads of its labels; ``_boundary_labels`` builds it.
+
+    Only foreground clips are scored, so the per-clip arrays hold those
+    clips alone, in C order of the (B, L) foreground mask.
+    """
+
+    clips: tuple  # (..., rows, cols): picks the foreground clips from (..., B, L)
+    pairs: tuple  # the same, from (..., B, L, 2)
+    times: np.ndarray  # (F,) clip centres
+    gt: np.ndarray  # (F, 2) target offsets
+    gt_start: np.ndarray  # (F,) target spans
+    gt_end: np.ndarray
+    count: np.ndarray  # (B,) foreground counts floored at 1
+    clip_count: np.ndarray  # (F, 1), each clip's row count
+
+
+def _boundary_labels(times, gt, fg) -> _BoundaryLabels:
+    index = np.nonzero(fg)
+    count = np.maximum(fg.sum(axis=-1), 1.0)
+    times, gt = times[index], gt[index]
+    gt_start, gt_end, _, _ = _spans(times, gt)
+    return _BoundaryLabels((Ellipsis, *index), (Ellipsis, *index, slice(None)), times, gt,
+                           gt_start, gt_end, count, count[index[:-1]][..., None])
+
+
+def _boundary_term(d_hat, labels: _BoundaryLabels, w: LossWeights):
     """Boundary loss per row, shape (B,), and its gradient w.r.t. ``d_hat``.
 
-    ``d_hat`` and ``gt`` are (B, L, 2) offsets, ``times`` the (B, L) clip
-    centres, ``fg`` the (B, L) foreground mask and ``fg_count`` its row sums
-    floored at 1.  Every clip is scored; the mask keeps the foreground ones
-    and each row is averaged over its own foreground count.
+    ``d_hat`` holds (B, L, 2) offsets.  Only foreground clips are scored;
+    each row is averaged over its own foreground count, and every other
+    clip gets zero gradient.
     """
-    l1_val, l1_der = smooth_l1(d_hat - gt, w.smooth_l1_beta)
+    d = d_hat[labels.pairs]
+    l1_val, l1_der = _smooth_l1(d - labels.gt, w.smooth_l1_beta)
 
-    pr_s, pr_e, lo, hi = _spans(times, d_hat)
-    gt_s, gt_e, _, _ = _spans(times, gt)
-    g_val, dg_lo, dg_hi, _, _ = _giou_endpoints(lo, hi, gt_s, gt_e)
+    pr_s, pr_e, lo, hi = _spans(labels.times, d)
+    g_val, dg_lo, dg_hi = _giou_endpoints(lo, hi, labels.gt_start, labels.gt_end)
 
     # chain through the ordering: lo/hi pick one of (pr_s, pr_e) each
-    dg_d0 = -np.where(pr_s < pr_e, dg_lo, dg_hi)  # pr_s = t - d0
-    dg_d1 = np.where(pr_e < pr_s, dg_lo, dg_hi)  # pr_e = t + d1
+    dg = np.empty(d.shape)
+    dg[..., 0] = np.where(pr_s < pr_e, dg_lo, dg_hi)
+    np.negative(dg[..., 0], out=dg[..., 0])  # pr_s = t - d0
+    dg[..., 1] = np.where(pr_e < pr_s, dg_lo, dg_hi)  # pr_e = t + d1
 
-    per_clip = w.lambda_l1 * l1_val.sum(axis=-1) + w.lambda_iou * (1.0 - g_val)
-    value = np.where(fg, per_clip, 0.0).sum(axis=-1) / fg_count
-    per_offset = w.lambda_l1 * l1_der - w.lambda_iou * np.stack((dg_d0, dg_d1), axis=-1)
-    grad = np.where(fg[..., None], per_offset / fg_count[..., None, None], 0.0)
-    return value, grad
+    per_clip = np.zeros(d_hat.shape[:-1])
+    per_clip[labels.clips] = w.lambda_l1 * np.add.reduce(l1_val, -1) + w.lambda_iou * (1.0 - g_val)
+    grad = np.zeros(d_hat.shape)
+    grad[labels.pairs] = (w.lambda_l1 * l1_der - w.lambda_iou * dg) / labels.clip_count
+    return np.add.reduce(per_clip, -1) / labels.count, grad
 
 
 def boundary_loss(
@@ -290,10 +345,8 @@ def boundary_loss(
     count = int(fg.sum())
     if count == 0:
         warnings.warn("no foreground clips; boundary loss is vacuously 0", GroundingWarning)
-    value, grad = _boundary_term(
-        d_hat[None], timeline.timestamps()[None], label.offsets[None], fg[None],
-        np.array([max(1.0, count)]), weights,
-    )
+    labels = _boundary_labels(timeline.timestamps()[None], label.offsets[None], fg[None])
+    value, grad = _boundary_term(d_hat[None], labels, weights)
     return LossReport(float(value[0]), {"offsets": grad[0]}, {"foreground_count": count})
 
 
@@ -307,20 +360,20 @@ def _cosine_with_grads(v, s):
     cosine minus ``v`` scaled by one factor per row, and likewise for
     ``s``; no per-element partials are formed.
     """
-    nv = np.linalg.norm(v, axis=-1)
-    ns = np.linalg.norm(s, axis=-1)
+    nv = np.sqrt(np.add.reduce(v * v, -1))
+    ns = np.sqrt(np.add.reduce(s * s, -1))
     if not (nv.all() and ns.all()):
         raise ValueError("zero-norm embeddings have no cosine")
     nvs = nv[..., :, None] * ns[..., None, :]
-    c = np.sum(v[..., :, None, :] * s[..., None, :, :], axis=-1) / nvs
+    c = np.add.reduce(v[..., :, None, :] * s[..., None, :, :], -1) / nvs
 
     def backward(g):
         a = g / nvs
         k = g * c
         # einsum rather than @: as fast at these sizes, and without a BLAS call,
         # whose buffers added about 1.5 MB to a training run's peak memory
-        gv = np.einsum("...mn,...nd->...md", a, s) - (k.sum(axis=-1) / nv**2)[..., None] * v
-        gs = np.einsum("...mn,...md->...nd", a, v) - (k.sum(axis=-2) / ns**2)[..., None] * s
+        gv = np.einsum("...mn,...nd->...md", a, s) - (np.add.reduce(k, -1) / nv**2)[..., None] * v
+        gs = np.einsum("...mn,...md->...nd", a, v) - (np.add.reduce(k, -2) / ns**2)[..., None] * s
         return gv, gs
 
     return c, backward
@@ -355,38 +408,52 @@ def sample_positive(label: UnifiedLabel, rng: np.random.Generator) -> int:
     return int(rng.choice(eligible))
 
 
-def _infonce_rows(scores, targets, tau: float):
-    """Softmax cross-entropy of column ``targets`` in each row of ``scores``.
+class _InfoNCETargets(NamedTuple):
+    """One-hot target columns of InfoNCE rows; ``_infonce_targets`` builds them."""
 
-    ``scores`` is (..., K) at temperature ``tau`` and ``targets`` broadcasts
-    against its leading axes; an entry of -inf is left out of its row's
-    softmax.  Returns the per-row losses (...,) and their gradient.  A row
-    whose only finite entry is its target scores exactly 0 with zero
-    gradient.
+    mask: np.ndarray  # (..., K), one True per row
+    grad: np.ndarray  # the mask as 1/tau and 0, the target's share of the gradient
+
+
+def _infonce_targets(targets, k: int, tau: float) -> _InfoNCETargets:
+    mask = np.asarray(targets)[..., None] == np.arange(k)
+    return _InfoNCETargets(mask, np.where(mask, 1.0 / tau, 0.0))
+
+
+def _infonce_rows(scores, target: _InfoNCETargets, tau: float):
+    """Softmax cross-entropy of each row's ``target`` column of ``scores``.
+
+    ``scores`` is (..., K) at temperature ``tau`` and ``target`` broadcasts
+    against it; an entry of -inf is left out of its row's softmax.  Returns
+    the per-row losses (...,) and their gradient.  A row whose only finite
+    entry is its target scores exactly 0 with zero gradient.
     """
     z = scores / tau
-    peak = z.max(axis=-1, keepdims=True)
-    lse = peak + np.log(np.exp(z - peak).sum(axis=-1, keepdims=True))
+    peak = np.maximum.reduce(z, -1, keepdims=True)
+    lse = peak + np.log(np.add.reduce(np.exp(z - peak), -1, keepdims=True))
+    grad = np.exp(z - lse) / tau - target.grad
     # one True per row; summing it out of zeros picks the target's z exactly
-    target = np.asarray(targets)[..., None] == np.arange(z.shape[-1])
-    grad = np.exp(z - lse) / tau - np.where(target, 1.0 / tau, 0.0)
-    return lse[..., 0] - np.where(target, z, 0.0).sum(axis=-1), grad
+    return lse[..., 0] - np.add.reduce(np.where(target.mask, z, 0.0), -1), grad
 
 
-def _intra_term(cosines, pool, positives, tau: float):
+def _intra_term(cosines, pool, target: _InfoNCETargets, tau: float):
     """Within-video InfoNCE per row, shape (..., B), and its gradient.
 
-    Row b scores its positive clip against the clips of ``pool[b]``: the
-    positive itself and every clip of strictly lower saliency.
+    Row b scores its positive clip, the ``target`` column, against the clips
+    of ``pool[b]``: the positive itself and every clip of strictly lower
+    saliency.
     """
-    return _infonce_rows(np.where(pool, cosines, -np.inf), positives, tau)
+    return _infonce_rows(np.where(pool, cosines, -np.inf), target, tau)
 
 
-def _inter_term(pair_cosines, tau: float):
-    """Cross-batch InfoNCE on (..., B, B) pairing matrices: row means and their gradient."""
+def _inter_term(pair_cosines, target: _InfoNCETargets, tau: float):
+    """Cross-batch InfoNCE on (..., B, B) pairing matrices: row means and their gradient.
+
+    ``target`` marks the diagonal, ``_infonce_targets(arange(B), B, tau)``.
+    """
     b = pair_cosines.shape[-1]
-    losses, grad = _infonce_rows(pair_cosines, np.arange(b), tau)
-    return losses.sum(axis=-1) / b, grad / b
+    losses, grad = _infonce_rows(pair_cosines, target, tau)
+    return np.add.reduce(losses, -1) / b, grad / b
 
 
 def saliency_intra_loss(
@@ -420,7 +487,8 @@ def saliency_intra_loss(
             GroundingWarning,
         )
     pool[positive] = True
-    value, grad = _intra_term(c[None], pool[None], np.array([positive]), weights.tau)
+    target = _infonce_targets([positive], c.shape[0], weights.tau)
+    value, grad = _intra_term(c[None], pool[None], target, weights.tau)
     return LossReport(
         float(value[0]), {"cosines": grad[0]},
         {"positive": positive, "num_negatives": num_negatives},
@@ -439,7 +507,8 @@ def saliency_inter_loss(pair_cosines, weights: LossWeights = LossWeights()) -> L
         raise ValueError(f"pairing matrix must be square and non-empty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("pairing cosines must be finite")
-    value, grad = _inter_term(m, weights.tau)
+    b = m.shape[0]
+    value, grad = _inter_term(m, _infonce_targets(np.arange(b), b, weights.tau), weights.tau)
     return LossReport(value, {"pair_cosines": grad})
 
 
@@ -448,9 +517,13 @@ class _LossBatch:
 
     Built once per batch of labelled videos whose labels and timelines the
     caller has already matched up: checks that every contrastive positive is
-    eligible, stacks targets, clip centres and target offsets into (B, L)
-    arrays, builds the foreground and contrastive pool masks, and fixes the
-    aggregation scales.  A video whose positive has no negative raises its
+    eligible and builds every value that depends on the labels alone, so an
+    evaluation computes only what depends on the predictions.  These are the
+    targets and their background weights; the foreground clips' index,
+    centres, target offsets and target spans, and the foreground counts; the
+    contrastive pool masks and the one-hot targets of both InfoNCE terms;
+    ``arange(B)``; and the aggregation scales, each also in the shape it
+    broadcasts in.  A video whose positive has no negative raises its
     ``GroundingWarning`` here, once, not on every evaluation.  Every positive
     is a foreground clip, so no video's boundary term is vacuous.
     """
@@ -480,7 +553,11 @@ class _LossBatch:
                 GroundingWarning,
             )
         pool[rows, positives] = True
-        fg_count = fg.sum(axis=1).astype(np.float64)
+        boundary = _boundary_labels(
+            np.stack([tl.timestamps() for tl in timelines]),
+            np.stack([lab.offsets for lab in labels]),
+            fg,
+        )
 
         if aggregation not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {aggregation!r}; expected one of {AGGREGATIONS}")
@@ -491,22 +568,26 @@ class _LossBatch:
             # weight each video's mean terms back into per-clip sums over the batch
             video_weight = 1.0 / float(b * l)
             scale_f = np.full(b, video_weight * float(l))
-            scale_b = video_weight * fg_count
+            scale_b = video_weight * boundary.count
             scale_c = np.full(b, video_weight)
             scale_inter = weights.lambda_inter * b / (b * l)
 
         self.shape = (b, l)
         self.weights = weights
+        self.rows = rows
         self.positives = positives
         self.targets = fg.astype(np.float64)
-        self.fg = fg
-        self.fg_count = fg_count
-        self.times = np.stack([tl.timestamps() for tl in timelines])
-        self.gt_offsets = np.stack([lab.offsets for lab in labels])
+        self.background = _background_weights(self.targets, weights)
+        self.boundary = boundary
         self.pool = pool
+        self.intra_target = _infonce_targets(positives, l, weights.tau)
+        self.inter_target = _infonce_targets(rows, b, weights.tau)
         self.scale_f = scale_f
+        self.scale_f_clips = scale_f[:, None]
         self.scale_b = scale_b
+        self.scale_b_pairs = scale_b[:, None, None]
         self.scale_intra = weights.lambda_intra * scale_c
+        self.scale_intra_clips = self.scale_intra[:, None, None]
         self.scale_inter = scale_inter
 
     def check(self, logits, offsets, clip_emb, sent_emb) -> None:
@@ -542,31 +623,28 @@ def _total_loss_arrays(
     """
     batch.check(logits, offsets, clip_emb, sent_emb)
     w = batch.weights
-    positives = batch.positives
-    rows = np.arange(len(positives))
+    rows, positives = batch.rows, batch.positives
 
-    l_fg, g_logits = _foreground_term(logits, batch.targets, w)
-    l_bd, g_offsets = _boundary_term(
-        offsets, batch.times, batch.gt_offsets, batch.fg, batch.fg_count, w
-    )
+    l_fg, g_logits = _foreground_term(logits, batch.targets, batch.background, w)
+    l_bd, g_offsets = _boundary_term(offsets, batch.boundary, w)
     cos, cos_backward = _cosine_with_grads(clip_emb, sent_emb[..., None, :])
-    l_intra, g_cos = _intra_term(cos[..., 0], batch.pool, positives, w.tau)
+    l_intra, g_cos = _intra_term(cos[..., 0], batch.pool, batch.intra_target, w.tau)
     pos_emb = clip_emb[..., rows, positives, :]  # (..., B, D)
     pair, pair_backward = _cosine_with_grads(pos_emb, sent_emb)
-    l_inter, g_pair = _inter_term(pair, w.tau)
+    l_inter, g_pair = _inter_term(pair, batch.inter_target, w.tau)
 
     parts = {
-        "foreground": np.sum(batch.scale_f * l_fg, axis=-1),
-        "boundary": np.sum(batch.scale_b * l_bd, axis=-1),
-        "intra": np.sum(batch.scale_intra * l_intra, axis=-1),
+        "foreground": np.add.reduce(batch.scale_f * l_fg, -1),
+        "boundary": np.add.reduce(batch.scale_b * l_bd, -1),
+        "intra": np.add.reduce(batch.scale_intra * l_intra, -1),
         "inter": batch.scale_inter * l_inter,
     }
-    g_clip, g_sent = cos_backward((batch.scale_intra[:, None] * g_cos)[..., None])
+    g_clip, g_sent = cos_backward(batch.scale_intra_clips * g_cos[..., None])
     g_pos, g_sent_pair = pair_backward(batch.scale_inter * g_pair)
     g_clip[..., rows, positives, :] += g_pos
     grads = {
-        "foreground_logits": batch.scale_f[:, None] * g_logits,
-        "offsets": batch.scale_b[:, None, None] * g_offsets,
+        "foreground_logits": batch.scale_f_clips * g_logits,
+        "offsets": batch.scale_b_pairs * g_offsets,
         "clip_embeddings": g_clip,
         "sentence_embeddings": g_sent[..., 0, :] + g_sent_pair,
     }

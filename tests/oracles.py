@@ -482,3 +482,150 @@ def total_loss_oracle(logits, offsets, clip_emb, sent_emb, foreground, gt_offset
     count = b if aggregation == "per_video" else b * n
     parts = {k: s / count for k, s in sums.items()}
     return sum(parts.values()), parts
+
+
+# --- frozen copy of the batched loss kernel ---------------------------------
+# The numpy kernel as it was before its label-only values were built once per
+# batch: masked-assignment sigmoid, a gIoU that returns both intervals'
+# partials, and every constant rebuilt on each call.  The kernel in the package
+# must equal it bit for bit.
+
+
+def sigmoid_masked_reference(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def giou_endpoints_reference(a_lo, a_hi, b_lo, b_hi):
+    """Generalised IoU of ordered intervals and its four endpoint partials."""
+    a_lo, a_hi, b_lo, b_hi = (np.asarray(v, dtype=np.float64) for v in (a_lo, a_hi, b_lo, b_hi))
+    inter_raw = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
+    live = inter_raw > 0
+    inter = np.where(live, inter_raw, 0.0)
+    union = (a_hi - a_lo) + (b_hi - b_lo) - inter
+    hull = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    degenerate = hull <= 0
+    regular = ~degenerate & (union > 0)
+    u = np.where(regular, union, 1.0)
+    h = np.where(regular, hull, 1.0)
+    value = np.where(regular, inter / u - (h - u) / h, np.where(degenerate, 1.0, -1.0))
+    k_u = np.where(regular, 1.0 / h - inter / u**2, 0.0)
+    k_iu = np.where(regular, 1.0 / u, 0.0) - k_u
+    k_h = np.where(regular, u / h**2, 0.0)
+    d_alo = k_h * (a_lo < b_lo) - k_u - k_iu * (live & (a_lo >= b_lo))
+    d_ahi = k_u + k_iu * (live & (a_hi < b_hi)) - k_h * (a_hi >= b_hi)
+    d_blo = k_h * (b_lo < a_lo) - k_u - k_iu * (live & (b_lo >= a_lo))
+    d_bhi = k_u + k_iu * (live & (b_hi < a_hi)) - k_h * (b_hi >= a_hi)
+    return value, d_alo, d_ahi, d_blo, d_bhi
+
+
+def _spans_reference(times, offsets):
+    start = times - offsets[..., 0]
+    end = times + offsets[..., 1]
+    return start, end, np.minimum(start, end), np.maximum(start, end)
+
+
+def _cosine_reference(v, s):
+    nv = np.linalg.norm(v, axis=-1)
+    ns = np.linalg.norm(s, axis=-1)
+    nvs = nv[..., :, None] * ns[..., None, :]
+    c = np.sum(v[..., :, None, :] * s[..., None, :, :], axis=-1) / nvs
+
+    def backward(g):
+        a = g / nvs
+        k = g * c
+        gv = np.einsum("...mn,...nd->...md", a, s) - (k.sum(axis=-1) / nv**2)[..., None] * v
+        gs = np.einsum("...mn,...md->...nd", a, v) - (k.sum(axis=-2) / ns**2)[..., None] * s
+        return gv, gs
+
+    return c, backward
+
+
+def _infonce_rows_reference(scores, targets, tau):
+    z = scores / tau
+    peak = z.max(axis=-1, keepdims=True)
+    lse = peak + np.log(np.exp(z - peak).sum(axis=-1, keepdims=True))
+    target = np.asarray(targets)[..., None] == np.arange(z.shape[-1])
+    grad = np.exp(z - lse) / tau - np.where(target, 1.0 / tau, 0.0)
+    return lse[..., 0] - np.where(target, z, 0.0).sum(axis=-1), grad
+
+
+def total_loss_kernel_reference(logits, offsets, clip_emb, sent_emb, foreground, saliency,
+                                gt_offsets, times, positives, aggregation, w):
+    """The batched kernel's (value, grads, components), from the labels' arrays.
+
+    ``foreground``, ``saliency`` and ``times`` are (B, L), ``gt_offsets``
+    (B, L, 2) and ``positives`` (B,); ``w`` holds the loss weights as
+    attributes.  The four prediction arrays may carry leading problem axes.
+    """
+    positives = np.asarray(positives, dtype=np.int64)
+    b, l = foreground.shape
+    rows = np.arange(b)
+    fg = np.asarray(foreground) == 1
+    pool = saliency < saliency[rows, positives][:, None]
+    pool[rows, positives] = True
+    fg_count = fg.sum(axis=1).astype(np.float64)
+    if aggregation == "per_video":
+        scale_f = scale_b = scale_c = np.full(b, 1.0 / b)
+        scale_inter = w.lambda_inter
+    else:
+        video_weight = 1.0 / float(b * l)
+        scale_f = np.full(b, video_weight * float(l))
+        scale_b = video_weight * fg_count
+        scale_c = np.full(b, video_weight)
+        scale_inter = w.lambda_inter * b / (b * l)
+    scale_intra = w.lambda_intra * scale_c
+    f = fg.astype(np.float64)
+
+    x = logits
+    n = x.shape[-1]
+    per_clip = w.lambda_f * (f * np.logaddexp(0.0, -x)
+                             + w.neg_weight * (1.0 - f) * np.logaddexp(0.0, x))
+    g_logits = w.lambda_f * (-f * sigmoid_masked_reference(-x)
+                             + w.neg_weight * (1.0 - f) * sigmoid_masked_reference(x)) / n
+    l_fg = per_clip.mean(axis=-1)
+
+    beta = w.smooth_l1_beta
+    r = offsets - gt_offsets
+    inner = np.abs(r) < beta
+    l1_val = np.where(inner, 0.5 * r * r / beta, np.abs(r) - 0.5 * beta)
+    l1_der = np.where(inner, r / beta, np.sign(r))
+    pr_s, pr_e, lo, hi = _spans_reference(times, offsets)
+    gt_s, gt_e, _, _ = _spans_reference(times, gt_offsets)
+    g_val, dg_lo, dg_hi, _, _ = giou_endpoints_reference(lo, hi, gt_s, gt_e)
+    dg_d0 = -np.where(pr_s < pr_e, dg_lo, dg_hi)
+    dg_d1 = np.where(pr_e < pr_s, dg_lo, dg_hi)
+    bd_clip = w.lambda_l1 * l1_val.sum(axis=-1) + w.lambda_iou * (1.0 - g_val)
+    l_bd = np.where(fg, bd_clip, 0.0).sum(axis=-1) / fg_count
+    per_offset = w.lambda_l1 * l1_der - w.lambda_iou * np.stack((dg_d0, dg_d1), axis=-1)
+    g_offsets = np.where(fg[..., None], per_offset / fg_count[..., None, None], 0.0)
+
+    cos, cos_backward = _cosine_reference(clip_emb, sent_emb[..., None, :])
+    l_intra, g_cos = _infonce_rows_reference(np.where(pool, cos[..., 0], -np.inf),
+                                             positives, w.tau)
+    pos_emb = clip_emb[..., rows, positives, :]
+    pair, pair_backward = _cosine_reference(pos_emb, sent_emb)
+    inter_rows, inter_grad = _infonce_rows_reference(pair, np.arange(b), w.tau)
+    l_inter, g_pair = inter_rows.sum(axis=-1) / b, inter_grad / b
+
+    parts = {
+        "foreground": np.sum(scale_f * l_fg, axis=-1),
+        "boundary": np.sum(scale_b * l_bd, axis=-1),
+        "intra": np.sum(scale_intra * l_intra, axis=-1),
+        "inter": scale_inter * l_inter,
+    }
+    g_clip, g_sent = cos_backward((scale_intra[:, None] * g_cos)[..., None])
+    g_pos, g_sent_pair = pair_backward(scale_inter * g_pair)
+    g_clip[..., rows, positives, :] += g_pos
+    grads = {
+        "foreground_logits": scale_f[:, None] * g_logits,
+        "offsets": scale_b[:, None, None] * g_offsets,
+        "clip_embeddings": g_clip,
+        "sentence_embeddings": g_sent[..., 0, :] + g_sent_pair,
+    }
+    return sum(parts.values()), grads, parts

@@ -244,6 +244,21 @@ class TestFit:
         assert main(["fit", "--input", str(raw),
                      "--output", str(tmp_path / "p.jsonl")]) == 1
 
+    def test_stalled_steps_named_on_stdout(self, tmp_path):
+        # at clip_len 1e300 no step moves the loss by one ulp, so every step stalls
+        for clip_len, tail in ((1e300, ", 4 stalled step(s)"), (2.0, "")):
+            data = tmp_path / f"labeled_{clip_len:g}.jsonl"
+            write_dataset(toy_corpus(2, 12, clip_len, seed=0), data)
+            proc = run_child(["fit", "--input", str(data), "--steps", "4",
+                              "--trajectory", str(tmp_path / "traj.json"),
+                              "--output", str(tmp_path / "p.jsonl")])
+            assert proc.returncode == 0, proc.stderr
+            lines = proc.stdout.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("fit 2 record(s) at 12 clips: loss ")
+            assert lines[0].endswith(tail) and lines[0].count("stalled") == bool(tail)
+            traj = json.loads((tmp_path / "traj.json").read_text())
+            assert "stalled" not in json.dumps(traj)
+
 
 class TestDecode:
     def test_moments_report_shape(self, pipeline):

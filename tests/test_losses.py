@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgkit.core import ClipTimeline, GroundingWarning, Interval, PredictionSet, UnifiedLabel
+from tgkit import fit
+from tgkit.core import (ClipTimeline, GroundingWarning, GroundTruthRecord, Interval,
+                        PredictionSet, UnifiedLabel)
 from tgkit.losses import (
     EmbeddingBatch,
     LossWeights,
+    _giou_endpoints,
+    _LossBatch,
+    _total_loss_arrays,
     boundary_loss,
     cross_saliency_cosines,
     foreground_loss,
@@ -24,7 +29,10 @@ from tgkit.losses import (
     total_loss,
 )
 
-from oracles import bce_oracle, fd_gradient, infonce_oracle, total_loss_oracle
+from tgkit.synth import toy_corpus
+
+from oracles import (bce_oracle, fd_gradient, giou_endpoints_reference, infonce_oracle,
+                     sigmoid_masked_reference, total_loss_kernel_reference, total_loss_oracle)
 
 SETTINGS = dict(max_examples=100, deadline=None)
 
@@ -472,3 +480,156 @@ class TestSigmoid:
         y = sigmoid(np.array([x]))[0]
         assert 0.0 <= y <= 1.0
         assert sigmoid(np.array([x + 1.0]))[0] >= y
+
+    def test_bitwise_equal_to_masked_form(self):
+        edges = np.array([0.0, 1e-300, 745.0, 800.0, np.inf])
+        grid = np.concatenate([edges, -edges, np.random.default_rng(0).uniform(-50, 50, 1000)])
+        assert bitwise(sigmoid(grid), sigmoid_masked_reference(grid))
+        assert bitwise(sigmoid(grid.reshape(2, -1)), sigmoid_masked_reference(grid).reshape(2, -1))
+        for x in grid[:10]:
+            assert bitwise(sigmoid(x), sigmoid_masked_reference(x))
+
+
+def bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def tied_intervals(rng, n):
+    """Ordered intervals on a coarse grid, so ties, touches and zero lengths are common."""
+    lo, hi = np.sort(rng.integers(-4, 5, (2, n)).astype(np.float64) / 2, axis=0)
+    return lo, hi
+
+
+class TestGiouPartials:
+    def test_swapped_call_gives_b_side_partials(self):
+        rng = np.random.default_rng(5)
+        for draw in (lambda n: np.sort(rng.uniform(-5, 5, (2, n)), axis=0),
+                     lambda n: tied_intervals(rng, n)):
+            a_lo, a_hi = draw(50_000)
+            b_lo, b_hi = draw(50_000)
+            want = giou_endpoints_reference(a_lo, a_hi, b_lo, b_hi)
+            swapped = _giou_endpoints(b_lo, b_hi, a_lo, a_hi)
+            got = _giou_endpoints(a_lo, a_hi, b_lo, b_hi) + swapped[1:]
+            assert len(got) == len(want)
+            for x, y in zip(got, want):
+                assert bitwise(x, y)
+
+    def test_giou_1d_equals_frozen_endpoints(self):
+        rng = np.random.default_rng(6)
+        a_lo, a_hi = tied_intervals(rng, 300)
+        b_lo, b_hi = np.sort(rng.uniform(-2, 2, (2, 300)), axis=0)
+        b_lo[::3], b_hi[::3] = a_lo[::3], a_hi[::3]
+        for i in range(300):
+            rep = giou_1d(Interval(a_lo[i], a_hi[i]), Interval(b_lo[i], b_hi[i]))
+            value, d_alo, d_ahi, d_blo, d_bhi = giou_endpoints_reference(
+                a_lo[i], a_hi[i], b_lo[i], b_hi[i])
+            assert bitwise(rep.value, float(value))
+            assert bitwise(rep.grad("a"), np.array([d_alo, d_ahi]))
+            assert bitwise(rep.grad("b"), np.array([d_blo, d_bhi]))
+
+
+def fit_shaped_batch(seed=0, aggregation="per_video"):
+    """Labels, positives, weights and a ``_LossBatch`` at fit's shape: 8 videos of 60 clips."""
+    records = toy_corpus(8, 60, 2.0, seed)
+    labels = [r.label for r in records]
+    timelines = [r.timeline() for r in records]
+    rng = np.random.default_rng(seed)
+    positives = np.array([sample_positive(lab, rng) for lab in labels])
+    w = LossWeights(*rng.uniform(0.5, 1.5, 5), tau=float(rng.uniform(0.05, 0.2)))
+    batch = _LossBatch(labels, timelines, w, positives, aggregation)
+    return labels, timelines, positives, w, batch
+
+
+def assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation, w, batch):
+    """The kernel's value, gradients and components equal the frozen copy's bit for bit."""
+    value, grads, parts = _total_loss_arrays(*ins, batch)
+    ref_value, ref_grads, ref_parts = total_loss_kernel_reference(
+        *ins,
+        np.stack([lab.foreground for lab in labels]),
+        np.stack([lab.saliency for lab in labels]),
+        np.stack([lab.offsets for lab in labels]),
+        np.stack([tl.timestamps() for tl in timelines]),
+        positives, aggregation, w,
+    )
+    assert bitwise(value, ref_value)
+    assert set(grads) == set(ref_grads) and set(parts) == set(ref_parts)
+    for key in grads:
+        assert bitwise(grads[key], ref_grads[key]), key
+    for key in parts:
+        assert bitwise(parts[key], ref_parts[key]), key
+
+
+class TestKernelMatchesFrozenCopy:
+    """``_total_loss_arrays`` against ``oracles.total_loss_kernel_reference``, bitwise."""
+
+    def point(self, rng, labels, lead=()):
+        b, n, d = len(labels), len(labels[0]), 8
+        gt = np.stack([lab.offsets for lab in labels])
+        return [rng.normal(0, 3, lead + (b, n)),
+                gt + rng.normal(0, 1, lead + (b, n, 2)),
+                rng.normal(size=lead + (b, n, d)),
+                rng.normal(size=lead + (b, d))]
+
+    @pytest.mark.parametrize("aggregation", ["per_video", "per_clip"])
+    def test_random_points_at_fit_shape(self, aggregation):
+        rng = np.random.default_rng(7)
+        for seed in range(3):
+            labels, timelines, positives, w, batch = fit_shaped_batch(seed, aggregation)
+            for lead in ((), (), (9,)):
+                assert_kernel_matches_frozen(self.point(rng, labels, lead), labels, timelines,
+                                             positives, aggregation, w, batch)
+
+    def test_edge_intervals(self):
+        labels, timelines, positives, w, batch = fit_shaped_batch(1)
+        rng = np.random.default_rng(8)
+        logits, offsets, clip_emb, sent_emb = self.point(rng, labels)
+        gt = np.stack([lab.offsets for lab in labels])
+        times = np.stack([tl.timestamps() for tl in timelines])
+        gt_start, gt_end = times - gt[..., 0], times + gt[..., 1]
+        d0 = rng.uniform(-3, 3, gt_start.shape)
+        cases = [
+            (d0, -d0),  # zero-length
+            (-np.abs(d0) - 0.5, -np.abs(d0[:, ::-1]) - 0.5),  # inverted
+            (times - gt_end, gt_end - times + np.abs(d0)),  # starts where the target ends
+            (times - gt_start + np.abs(d0), gt_start - times),  # ends where the target starts
+            (gt[..., 0], gt[..., 1]),  # equal to the target
+            (np.zeros_like(d0), np.zeros_like(d0)),  # a point at the clip centre
+        ]
+        index = np.arange(gt_start.size).reshape(gt_start.shape)
+        for shift in range(len(cases)):
+            kind = (index + shift) % len(cases)
+            for k, (start_side, end_side) in enumerate(cases):
+                offsets[..., 0] = np.where(kind == k, start_side, offsets[..., 0])
+                offsets[..., 1] = np.where(kind == k, end_side, offsets[..., 1])
+            assert_kernel_matches_frozen([logits, offsets, clip_emb, sent_emb], labels,
+                                         timelines, positives, "per_video", w, batch)
+
+    def test_extreme_logits(self):
+        labels, timelines, positives, w, batch = fit_shaped_batch(2, "per_clip")
+        rng = np.random.default_rng(9)
+        _, offsets, clip_emb, sent_emb = self.point(rng, labels)
+        edges = np.array([0.0, 1e-300, 745.0, 800.0])
+        grid = np.concatenate([edges, -edges])
+        for shift in range(grid.size):
+            logits = np.resize(np.roll(grid, shift), offsets.shape[:-1])
+            assert_kernel_matches_frozen([logits, offsets, clip_emb, sent_emb], labels,
+                                         timelines, positives, "per_clip", w, batch)
+
+    def test_every_step_of_an_overfit_run(self, monkeypatch):
+        records = [GroundTruthRecord(r.video_id, r.timeline(), r.query, r.label, r.source_kind)
+                   for r in toy_corpus(8, 60, 2.0, 3)]
+        labels = [r.label for r in records]
+        timelines = [r.timeline for r in records]
+        calls = []
+
+        def checked(logits, offsets, clip_emb, sent_emb, batch):
+            assert_kernel_matches_frozen([logits, offsets, clip_emb, sent_emb], labels,
+                                         timelines, batch.positives, "per_video",
+                                         batch.weights, batch)
+            calls.append(1)
+            return _total_loss_arrays(logits, offsets, clip_emb, sent_emb, batch)
+
+        monkeypatch.setattr(fit, "_total_loss_arrays", checked)
+        result = fit.overfit(records, steps=300, rng_seed=0)
+        assert len(result.trajectory) == 301 and len(calls) >= 301

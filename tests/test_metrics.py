@@ -301,6 +301,23 @@ class TestHighlightEvalItem:
         assert HighlightEvalItem("q", [0.1, 0.2, 0.3], [1, 0, 1]).num_positives == 2
 
 
+def concept_iou_matrix(rng, rows, cols):
+    """Concept-set IoUs of ``rows`` predicted against ``cols`` reference clips.
+
+    The clips come from a video of scenes 3-12 clips long, each scene
+    carrying one set of 1-3 concepts out of 12, so whole blocks of the
+    matrix repeat the same few values.
+    """
+    vocab = [f"c{c:02d}" for c in range(12)]
+    concepts = []
+    while len(concepts) < 2 * (rows + cols):
+        chosen = frozenset(rng.choice(vocab, size=int(rng.integers(1, 4)), replace=False))
+        concepts += [chosen] * int(rng.integers(3, 13))
+    pred = np.sort(rng.choice(len(concepts), rows, replace=False))
+    gt = np.sort(rng.choice(len(concepts), cols, replace=False))
+    return np.array([[concept_iou_oracle(concepts[p], concepts[g]) for g in gt] for p in pred])
+
+
 class TestMaxWeightMatching:
     def test_simple_assignment(self):
         pairs, total = max_weight_matching([[0.9, 0.1], [0.2, 0.8]])
@@ -346,7 +363,7 @@ class TestMaxWeightMatching:
             assert len(pairs) == len(set(c for _, c in pairs))
             assert all(w[r, c] > 0 for r, c in pairs)
 
-    @pytest.mark.parametrize("weights", ["tied", "continuous"])
+    @pytest.mark.parametrize("weights", ["tied", "continuous", "concepts"])
     def test_identical_to_scalar_loop(self, weights):
         # the array form must pick the very pairs the scalar loop picked, ties included
         rng = np.random.default_rng(47)
@@ -354,9 +371,15 @@ class TestMaxWeightMatching:
         shapes += [tuple(int(x) for x in rng.integers(1, 61, 2)) for _ in range(40)]
         if weights == "tied":
             shapes += [(150, 150), (150, 41), (41, 150)]
+        if weights == "concepts":
+            # summary-shaped: a few predicted clips against more reference clips
+            shapes = [(int(r), int(c)) for c in rng.integers(8, 61, 30)
+                      for r in [rng.integers(1, c // 2 + 1)]] + [(24, 94)]
         for shape in shapes:
             if weights == "tied":
                 w = rng.integers(0, 4, shape) / 3.0  # few distinct values, many ties
+            elif weights == "concepts":
+                w = concept_iou_matrix(rng, *shape)
             else:
                 w = rng.uniform(0, 1, shape)
                 w[rng.random(shape) < 0.3] = 0.0

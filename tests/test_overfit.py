@@ -36,6 +36,20 @@ class TestTrajectory:
         assert result.trajectory[-1] < 0.1 * result.trajectory[0]
 
 
+class TestStalledSteps:
+    def test_none_while_the_loss_falls(self):
+        assert overfit(records(), steps=100, rng_seed=0).stalled_steps == 0
+
+    def test_every_step_stalls_when_no_step_size_moves_the_loss(self):
+        # at clip_len 1e300 the loss is about 4e300 and no step moves it by one ulp
+        recs = [GroundTruthRecord(r.video_id, r.timeline(), r.query, r.label, r.source_kind)
+                for r in toy_corpus(2, 12, 1e300, 0)]
+        with np.errstate(over="ignore"):  # squares in the branches np.where drops
+            result = overfit(recs, steps=30, rng_seed=0)
+        assert np.unique(result.trajectory).size == 1
+        assert result.stalled_steps == 30
+
+
 class TestDeterminism:
     def test_same_seed_same_run(self):
         a = overfit(records(), steps=50, rng_seed=3)

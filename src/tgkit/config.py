@@ -1,12 +1,11 @@
 """Run configuration; each default is the constant of the module that uses it."""
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import decode, fit, gradcheck, labels, losses, metrics, teacher
-from .formats import parse_json
+from .formats import parse_json, write_json_report
 from .losses import LossWeights
 
 
@@ -139,8 +138,8 @@ class RunConfig:
         return cls(**data)
 
     def dump(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json_report(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.from_dict(parse_json(Path(path).read_text()))
+        return cls.from_dict(parse_json(Path(path).read_text(encoding="utf-8")))

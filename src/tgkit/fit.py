@@ -16,11 +16,12 @@ import numpy as np
 from .core import GroundTruthRecord, PredictionSet, _frozen, _set
 from .losses import (
     DEFAULT_AGGREGATION,
+    EmbeddingBatch,
     LossWeights,
-    _cosine_with_grads,
     _LossBatch,
     _total_loss_arrays,
     sample_positive,
+    saliency_cosines,
 )
 
 _MIN_STEP = 1e-18
@@ -40,13 +41,15 @@ class OverfitResult:
     predictions: tuple
     trajectory: np.ndarray
     positives: np.ndarray
-    stalled_steps: int
 
     def __post_init__(self):
         _set(self, "predictions", tuple(self.predictions))
-        _set(self, "stalled_steps", int(self.stalled_steps))
         _set(self, "trajectory", _frozen(np.array(self.trajectory, dtype=np.float64)))
         _set(self, "positives", _frozen(np.array(self.positives, dtype=np.int64)))
+
+    @property
+    def stalled_steps(self) -> int:
+        return int(np.count_nonzero(self.trajectory[1:] >= self.trajectory[:-1]))
 
 
 def overfit(
@@ -98,7 +101,6 @@ def overfit(
     if not np.isfinite(value):
         raise RuntimeError(f"objective is not finite at initialisation: {value}")
     trajectory = [value]
-    stalled = 0
     step_size = learning_rate
     for step in range(steps):
         g_logits = grads["foreground_logits"]
@@ -120,13 +122,10 @@ def overfit(
             if trial < _MIN_STEP:
                 # no improving step exists at representable sizes; hold still
                 break
-        stalled += value >= trajectory[-1]
         trajectory.append(value)
 
-    saliency = np.clip(
-        _cosine_with_grads(clip_emb, sent_emb[:, None, :])[0][..., 0], -1.0, 1.0
-    )
+    saliency = np.clip(saliency_cosines(EmbeddingBatch(clip_emb, sent_emb)), -1.0, 1.0)
     predictions = tuple(
         PredictionSet(logits[v], offsets[v], saliency[v]) for v in range(b)
     )
-    return OverfitResult(predictions, np.array(trajectory), positives, stalled)
+    return OverfitResult(predictions, np.array(trajectory), positives)

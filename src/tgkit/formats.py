@@ -165,17 +165,21 @@ def dataset_record_from_obj(obj: dict) -> DatasetRecord:
     concepts = None
     if obj.get("clip_concepts") is not None:
         concepts = tuple(frozenset(str(c) for c in cs) for cs in obj["clip_concepts"])
-    record = DatasetRecord(
+    return _check_dataset_record(DatasetRecord(
         **head,
         query=query,
         source_kind=source_kind,
         annotation=_annotation_from_obj(obj.get("annotation"), source_kind),
         label=label,
         clip_concepts=concepts,
-    )
+    ))
+
+
+def _check_dataset_record(record: DatasetRecord) -> DatasetRecord:
+    """What a dataset record must satisfy beyond its types; readers and writers both check it."""
     timeline = record.timeline()  # a bad duration or clip_len fails here, labelled or not
-    if label is not None:
-        _check_clips(timeline, "label", len(label))
+    if record.label is not None:
+        _check_clips(timeline, "label", len(record.label))
     return record
 
 
@@ -224,7 +228,8 @@ def read_dataset(path, on_error: str = "raise"):
 
 
 def write_dataset(records: Sequence[DatasetRecord], path) -> None:
-    _write_jsonl(path, records, dataset_record_to_obj)
+    # every record is checked before the file is opened
+    _write_jsonl(path, [_check_dataset_record(r) for r in records], dataset_record_to_obj)
 
 
 def prediction_record_to_obj(record: PredictionRecord) -> dict:
@@ -247,8 +252,12 @@ def prediction_record_from_obj(obj: dict) -> PredictionRecord:
         np.asarray(obj["offsets"], dtype=np.float64),
         np.asarray(obj["saliency"], dtype=np.float64),
     )
-    record = PredictionRecord(**head, prediction=pred)
-    _check_clips(record.timeline(), "prediction", len(pred))
+    return _check_prediction_record(PredictionRecord(**head, prediction=pred))
+
+
+def _check_prediction_record(record: PredictionRecord) -> PredictionRecord:
+    """What a prediction record must satisfy beyond its types; readers and writers both check it."""
+    _check_clips(record.timeline(), "prediction", len(record.prediction))
     return record
 
 
@@ -258,7 +267,8 @@ def read_predictions(path, on_error: str = "raise"):
 
 
 def write_predictions(records: Sequence[PredictionRecord], path) -> None:
-    _write_jsonl(path, records, prediction_record_to_obj)
+    # every record is checked before the file is opened
+    _write_jsonl(path, [_check_prediction_record(r) for r in records], prediction_record_to_obj)
 
 
 def _validate_matrix_record(record: MatrixRecord) -> MatrixRecord:
@@ -321,12 +331,12 @@ def _parse_text_matrices(text: str) -> list[MatrixRecord]:
 
 
 def write_matrices_binary(records: Sequence[MatrixRecord], path) -> None:
-    ordered = sorted(records, key=lambda r: r.video_id)
+    # every record is checked before the file is opened
+    ordered = [_validate_matrix_record(r) for r in sorted(records, key=lambda r: r.video_id)]
     with open(path, "wb") as handle:
         handle.write(MATRIX_MAGIC)
         handle.write(struct.pack("<II", 1, len(ordered)))
         for record in ordered:
-            record = _validate_matrix_record(record)
             vid = record.video_id.encode("utf-8")
             handle.write(struct.pack("<I", len(vid)))
             handle.write(vid)

@@ -1,9 +1,11 @@
 """Central finite-difference verification of the analytic loss gradients.
 
 Each registered loss comes with a sampler that draws a random, well-posed
-evaluation point away from the loss's non-differentiable sets (interval
-endpoint ties, smooth-L1 seams).  The checker perturbs every scalar input
-by +-epsilon and compares the secant slope against the analytic gradient.
+evaluation point away from the loss's kinks (smooth-L1 seams, interval
+ordering flips and endpoint ties), measured by ``tgkit.losses`` from the
+label values the loss itself scores.  The checker perturbs every scalar
+input by +-epsilon and compares the secant slope against the analytic
+gradient.
 
 A loss is evaluated through the helper its public function is a view of,
 with a leading problem axis P (see ``tgkit.losses``).  The analytic
@@ -26,18 +28,22 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ClipTimeline, UnifiedLabel, _spans
+from .core import ClipTimeline, UnifiedLabel
 from .losses import (
     LossWeights,
     _background_weights,
+    _boundary_kink,
     _boundary_labels,
     _boundary_term,
+    _contrastive_pools,
     _foreground_term,
-    _giou_endpoints,
+    _giou_kink,
+    _giou_with_grads,
     _infonce_targets,
     _inter_term,
     _intra_term,
     _LossBatch,
+    _smooth_l1_kink,
     _total_loss_arrays,
     sample_positive,
     smooth_l1,
@@ -95,24 +101,6 @@ def _make_foreground(rng):
     return inputs, evaluate, lambda ins: math.inf
 
 
-def _boundary_kink_distance(ins, label, timeline, w):
-    """Distance to the nearest smooth-L1 seam or interval ordering/tie set."""
-    fg = np.flatnonzero(label.foreground == 1)
-    t = timeline.timestamps()[fg]
-    d_hat = ins["offsets"][fg]
-    gt = label.offsets[fg]
-    dist = math.inf
-    if w.lambda_l1 > 0:
-        dist = min(dist, float(np.min(np.abs(np.abs(d_hat - gt) - w.smooth_l1_beta))))
-    if w.lambda_iou > 0:
-        pr_s, pr_e, lo, hi = _spans(t, d_hat)
-        gt_lo, gt_hi, _, _ = _spans(t, gt)
-        inter_raw = np.minimum(hi, gt_hi) - np.maximum(lo, gt_lo)
-        for gap in (pr_s - pr_e, lo - gt_lo, hi - gt_hi, inter_raw):
-            dist = min(dist, float(np.min(np.abs(gap))))
-    return dist
-
-
 def _make_boundary(l1: bool):
     def make(rng):
         n = 6
@@ -130,7 +118,7 @@ def _make_boundary(l1: bool):
             value, grad = _boundary_term(ins["offsets"], labels, w)
             return value, {"offsets": grad}
 
-        return inputs, evaluate, lambda ins: _boundary_kink_distance(ins, label, timeline, w)
+        return inputs, evaluate, lambda ins: _boundary_kink(ins["offsets"], labels, w)
 
     return make
 
@@ -141,8 +129,7 @@ def _make_intra(rng):
     w = LossWeights(tau=float(rng.uniform(0.05, 0.2)))
     positive = sample_positive(label, rng)
     inputs = {"cosines": rng.uniform(-1.0, 1.0, n)}
-    pool = label.saliency < label.saliency[positive]
-    pool[positive] = True
+    pool = _contrastive_pools(label.foreground[None], label.saliency[None], np.array([positive]))[0]
     target = _infonce_targets(positive, n, w.tau)
 
     def evaluate(ins):
@@ -172,20 +159,12 @@ def _make_giou(rng):
 
     inputs = {"a": interval(rng.uniform(-3, 3)), "b": interval(rng.uniform(-3, 3))}
 
-    def evaluate(ins):
-        a, b = ins["a"], ins["b"]
-        value, d_alo, d_ahi = _giou_endpoints(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
-        _, d_blo, d_bhi = _giou_endpoints(b[:, 0], b[:, 1], a[:, 0], a[:, 1])
-        return value, {"a": np.stack((d_alo, d_ahi), axis=-1),
-                       "b": np.stack((d_blo, d_bhi), axis=-1)}
-
     def kink(ins):
         (a_lo, a_hi), (b_lo, b_hi) = ins["a"], ins["b"]
-        inter_raw = min(a_hi, b_hi) - max(a_lo, b_lo)
-        return min(abs(a_hi - b_hi), abs(a_lo - b_lo), abs(inter_raw),
-                   a_hi - a_lo, b_hi - b_lo)
+        # _giou_endpoints takes ordered intervals: each length must stay positive
+        return min(_giou_kink(a_lo, a_hi, b_lo, b_hi), a_hi - a_lo, b_hi - b_lo)
 
-    return inputs, evaluate, kink
+    return inputs, lambda ins: _giou_with_grads(ins["a"], ins["b"]), kink
 
 
 def _make_smooth_l1(rng):
@@ -196,10 +175,7 @@ def _make_smooth_l1(rng):
         value, deriv = smooth_l1(ins["x"], beta)
         return value.reshape(len(value), -1).sum(axis=1), {"x": deriv}
 
-    def kink(ins):
-        return float(np.min(np.abs(np.abs(ins["x"]) - beta)))
-
-    return inputs, evaluate, kink
+    return inputs, evaluate, lambda ins: _smooth_l1_kink(ins["x"], beta)
 
 
 def _make_total(rng):
@@ -240,16 +216,7 @@ def _make_total(rng):
         )
         return value, grads
 
-    def kink(ins):
-        dist = math.inf
-        for v in range(b):
-            dist = min(
-                dist,
-                _boundary_kink_distance({"offsets": ins["offsets"][v]}, labels[v], timelines[v], w),
-            )
-        return dist
-
-    return inputs, evaluate, kink
+    return inputs, evaluate, lambda ins: _boundary_kink(ins["offsets"], batch.boundary, w)
 
 
 # Each sampler draws a point and returns (inputs, evaluate, kink_distance).
@@ -296,6 +263,18 @@ def _central_difference(evaluate, inputs, epsilon):
     return {k: part.reshape(inputs[k].shape) for k, part in zip(keys, np.split(slopes, splits))}
 
 
+def _sampled_points(factory, rng, num_points: int, loss_name: str):
+    """Yield ``num_points`` (inputs, evaluate) pairs, each resampled until off the kinks."""
+    for _ in range(num_points):
+        for _ in range(_MAX_RESAMPLES):
+            inputs, evaluate, kink_distance = factory(rng)
+            if kink_distance(inputs) >= _KINK_MARGIN:
+                break
+        else:
+            raise RuntimeError(f"could not sample a non-kink point for {loss_name}")
+        yield inputs, evaluate
+
+
 def _relative_error(analytic, numeric, noise_floor):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), noise_floor)
     return np.abs(analytic - numeric) / denom
@@ -325,22 +304,6 @@ def grad_check(
     rng = np.random.default_rng(seed)
     factory = _REGISTRY[loss_name]
 
-    max_rel = 0.0
-    per_input: dict[str, float] = {}
-    checked = 0
-    skipped = 0
-
-    def run_point(point_inputs, evaluate):
-        nonlocal max_rel, checked
-        value, analytic = evaluate({k: v[None] for k, v in point_inputs.items()})
-        numeric = _central_difference(evaluate, point_inputs, epsilon)
-        noise_floor = max(1.0, abs(float(value[0]))) * 2.0 * epsilon
-        for key in point_inputs:
-            err = float(np.max(_relative_error(analytic[key][0], numeric[key], noise_floor)))
-            per_input[key] = max(per_input.get(key, 0.0), err)
-            max_rel = max(max_rel, err)
-        checked += 1
-
     if inputs is not None:
         default_inputs, evaluate, kink_distance = factory(rng)
         given = {k: np.array(v, dtype=np.float64) for k, v in inputs.items()}
@@ -359,19 +322,24 @@ def grad_check(
                                  f"expected {want}")
             if not np.isfinite(value).all():
                 raise ValueError(f"input {key!r} of {loss_name} must be finite")
-        if kink_distance(given) < _KINK_MARGIN:
-            skipped += 1
-        else:
-            run_point(given, evaluate)
+        points = [(given, evaluate)] if kink_distance(given) >= _KINK_MARGIN else []
+        skipped = 1 - len(points)
     else:
-        for _ in range(num_points):
-            for _ in range(_MAX_RESAMPLES):
-                point_inputs, evaluate, kink_distance = factory(rng)
-                if kink_distance(point_inputs) >= _KINK_MARGIN:
-                    break
-            else:
-                raise RuntimeError(f"could not sample a non-kink point for {loss_name}")
-            run_point(point_inputs, evaluate)
+        points = _sampled_points(factory, rng, num_points, loss_name)
+        skipped = 0
+
+    max_rel = 0.0
+    per_input: dict[str, float] = {}
+    checked = 0
+    for point, evaluate in points:
+        value, analytic = evaluate({k: v[None] for k, v in point.items()})
+        numeric = _central_difference(evaluate, point, epsilon)
+        noise_floor = max(1.0, abs(float(value[0]))) * 2.0 * epsilon
+        for key in point:
+            err = float(np.max(_relative_error(analytic[key][0], numeric[key], noise_floor)))
+            per_input[key] = max(per_input.get(key, 0.0), err)
+            max_rel = max(max_rel, err)
+        checked += 1
 
     return GradCheckResult(
         loss_name=loss_name,

@@ -14,12 +14,12 @@ cross-video term is a row-wise log-sum-exp.  Everything that depends on the
 labels alone is validated and built once per batch in a ``_LossBatch``:
 targets and background weights, the foreground clips' centres, target
 offsets and spans, foreground counts, contrastive pools, the one-hot targets of both
-InfoNCE terms with their 1/tau gradient shares, and the aggregation scales
-in the shapes they broadcast in.  An evaluation then computes only what
-depends on the predictions.  The batch also warns once per degenerate video
-when it is built.  The public ``foreground_loss``, ``boundary_loss``,
-``saliency_intra_loss`` and ``saliency_inter_loss`` are B=1 calls into the
-same helpers and build their label-side values the same way.
+InfoNCE terms with their 1/tau gradient shares, and the aggregation scales.
+An evaluation then computes only what depends on the predictions.  The batch
+also warns once per degenerate video when it is built.  The public
+``foreground_loss``, ``boundary_loss``, ``saliency_intra_loss`` and
+``saliency_inter_loss`` are B=1 calls into the same helpers and build their
+label-side values the same way.
 
 The helpers index with ``...`` and reduce over named trailing axes, so
 every per-call array may carry extra leading axes: a problem axis P of
@@ -220,6 +220,11 @@ def _smooth_l1(x, beta: float):
     return value, np.where(inner, x / beta, np.sign(x))
 
 
+def _smooth_l1_kink(x, beta: float) -> float:
+    """Distance from the entries of ``x`` to the smooth-L1 seam |x| = beta."""
+    return float(np.min(np.abs(np.abs(x) - beta)))
+
+
 def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
     """Generalised IoU of ordered 1-D intervals and its partials w.r.t. ``a``, vectorised.
 
@@ -252,20 +257,28 @@ def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
     return value, d_alo, d_ahi
 
 
+def _giou_kink(a_lo, a_hi, b_lo, b_hi) -> float:
+    """Distance to where ``_giou_endpoints``' rules switch: equal starts or ends, touching."""
+    inter_raw = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
+    return float(min(np.min(np.abs(gap)) for gap in (a_hi - b_hi, a_lo - b_lo, inter_raw)))
+
+
+def _giou_with_grads(a, b):
+    """gIoU of (..., 2) endpoint arrays and its partials {"a": d/da, "b": d/db}, each (..., 2)."""
+    value, d_alo, d_ahi = _giou_endpoints(a[..., 0], a[..., 1], b[..., 0], b[..., 1])
+    _, d_blo, d_bhi = _giou_endpoints(b[..., 0], b[..., 1], a[..., 0], a[..., 1])
+    return value, {"a": np.stack((d_alo, d_ahi), axis=-1), "b": np.stack((d_blo, d_bhi), axis=-1)}
+
+
 def giou_1d(a: Interval, b: Interval) -> LossReport:
     """Generalised IoU of two intervals with endpoint gradients.
 
     Equals plain IoU minus the fraction of the covering hull not filled by
     the union; two identical zero-length intervals score 1.
     """
-    a_lo, a_hi, b_lo, b_hi = (np.asarray(v, dtype=np.float64)
-                              for v in (a.start, a.end, b.start, b.end))
-    value, d_alo, d_ahi = _giou_endpoints(a_lo, a_hi, b_lo, b_hi)
-    _, d_blo, d_bhi = _giou_endpoints(b_lo, b_hi, a_lo, a_hi)
-    return LossReport(
-        float(value),
-        {"a": np.array([d_alo, d_ahi]), "b": np.array([d_blo, d_bhi])},
-    )
+    value, grads = _giou_with_grads(np.array([a.start, a.end], dtype=np.float64),
+                                    np.array([b.start, b.end], dtype=np.float64))
+    return LossReport(float(value), grads)
 
 
 class _BoundaryLabels(NamedTuple):
@@ -318,6 +331,21 @@ def _boundary_term(d_hat, labels: _BoundaryLabels, w: LossWeights):
     grad = np.zeros(d_hat.shape)
     grad[labels.pairs] = (w.lambda_l1 * l1_der - w.lambda_iou * dg) / labels.clip_count
     return np.add.reduce(per_clip, -1) / labels.count, grad
+
+
+def _boundary_kink(d_hat, labels: _BoundaryLabels, w: LossWeights) -> float:
+    """Distance of (B, L, 2) offsets to the boundary term's kinks on the foreground clips.
+
+    These are the smooth-L1 seams and, for gIoU, where a predicted interval
+    flips its ordering or meets a ``_giou_kink`` tie with its target.
+    """
+    d = d_hat[labels.pairs]
+    dist = _smooth_l1_kink(d - labels.gt, w.smooth_l1_beta) if w.lambda_l1 > 0 else math.inf
+    if w.lambda_iou > 0:
+        pr_s, pr_e, lo, hi = _spans(labels.times, d)
+        dist = min(dist, float(np.min(np.abs(pr_s - pr_e))),
+                   _giou_kink(lo, hi, labels.gt_start, labels.gt_end))
+    return dist
 
 
 def boundary_loss(
@@ -400,12 +428,38 @@ def cross_saliency_cosines(emb: EmbeddingBatch, positives) -> np.ndarray:
     return _cosine_with_grads(pos, emb.sentence_embeddings)[0]
 
 
+def _eligible(foreground, saliency):
+    """Which clips may serve as a contrastive positive: foreground with positive saliency."""
+    return (foreground == 1) & (saliency > 0)
+
+
 def sample_positive(label: UnifiedLabel, rng: np.random.Generator) -> int:
     """Uniformly pick a foreground clip with positive saliency."""
-    eligible = np.flatnonzero((label.foreground == 1) & (label.saliency > 0))
+    eligible = np.flatnonzero(_eligible(label.foreground, label.saliency))
     if eligible.size == 0:
         raise ValueError("no clip with foreground=1 and saliency>0 to serve as positive")
     return int(rng.choice(eligible))
+
+
+def _contrastive_pools(foreground, saliency, positives):
+    """(B, L) pools of each video's positive and every clip of strictly lower saliency.
+
+    Rejects a positive that is not ``_eligible`` and warns once for each
+    video whose positive has no negative.
+    """
+    rows = np.arange(len(positives))
+    inside = (positives >= 0) & (positives < saliency.shape[-1])
+    clips = np.where(inside, positives, 0)  # a negative index would wrap around
+    eligible = inside & _eligible(foreground[rows, clips], saliency[rows, clips])
+    if not eligible.all():
+        v = int(np.flatnonzero(~eligible)[0])
+        raise ValueError(f"clip {positives[v]} of video {v} is not an eligible positive")
+    pool = saliency < saliency[rows, positives][:, None]
+    for v in np.flatnonzero(~pool.any(axis=1)):
+        warnings.warn(f"video {v}: no clip has strictly lower saliency than the positive; "
+                      "intra loss is 0", GroundingWarning)
+    pool[rows, positives] = True
+    return pool
 
 
 class _InfoNCETargets(NamedTuple):
@@ -477,21 +531,12 @@ def saliency_intra_loss(
         raise ValueError("cosines must be finite")
     if positive is None:
         positive = sample_positive(label, np.random.default_rng(rng_seed))
-    elif not (label.foreground[positive] == 1 and label.saliency[positive] > 0):
-        raise ValueError(f"clip {positive} is not an eligible positive")
-    pool = label.saliency < label.saliency[positive]
-    num_negatives = int(pool.sum())
-    if num_negatives == 0:
-        warnings.warn(
-            "no clip has strictly lower saliency than the positive; intra loss is 0",
-            GroundingWarning,
-        )
-    pool[positive] = True
+    pool = _contrastive_pools(label.foreground[None], label.saliency[None], np.array([positive]))
     target = _infonce_targets([positive], c.shape[0], weights.tau)
-    value, grad = _intra_term(c[None], pool[None], target, weights.tau)
+    value, grad = _intra_term(c[None], pool, target, weights.tau)
     return LossReport(
         float(value[0]), {"cosines": grad[0]},
-        {"positive": positive, "num_negatives": num_negatives},
+        {"positive": positive, "num_negatives": int(pool.sum()) - 1},
     )
 
 
@@ -522,10 +567,10 @@ class _LossBatch:
     targets and their background weights; the foreground clips' index,
     centres, target offsets and target spans, and the foreground counts; the
     contrastive pool masks and the one-hot targets of both InfoNCE terms;
-    ``arange(B)``; and the aggregation scales, each also in the shape it
-    broadcasts in.  A video whose positive has no negative raises its
-    ``GroundingWarning`` here, once, not on every evaluation.  Every positive
-    is a foreground clip, so no video's boundary term is vacuous.
+    ``arange(B)``; and the per-video aggregation scales.  A video whose
+    positive has no negative raises its ``GroundingWarning`` here, once, not
+    on every evaluation.  Every positive is a foreground clip, so no video's
+    boundary term is vacuous.
     """
 
     def __init__(
@@ -540,19 +585,7 @@ class _LossBatch:
         positives = np.asarray(positives, dtype=np.int64)
         rows = np.arange(b)
         fg = np.stack([lab.foreground for lab in labels]) == 1
-        saliency = np.stack([lab.saliency for lab in labels])
-        eligible = fg[rows, positives] & (saliency[rows, positives] > 0)
-        if not eligible.all():
-            v = int(np.flatnonzero(~eligible)[0])
-            raise ValueError(f"clip {positives[v]} of video {v} is not an eligible positive")
-        pool = saliency < saliency[rows, positives][:, None]
-        for v in np.flatnonzero(~pool.any(axis=1)):
-            warnings.warn(
-                f"video {v}: no clip has strictly lower saliency than the positive; "
-                "intra loss is 0",
-                GroundingWarning,
-            )
-        pool[rows, positives] = True
+        pool = _contrastive_pools(fg, np.stack([lab.saliency for lab in labels]), positives)
         boundary = _boundary_labels(
             np.stack([tl.timestamps() for tl in timelines]),
             np.stack([lab.offsets for lab in labels]),
@@ -583,11 +616,8 @@ class _LossBatch:
         self.intra_target = _infonce_targets(positives, l, weights.tau)
         self.inter_target = _infonce_targets(rows, b, weights.tau)
         self.scale_f = scale_f
-        self.scale_f_clips = scale_f[:, None]
         self.scale_b = scale_b
-        self.scale_b_pairs = scale_b[:, None, None]
         self.scale_intra = weights.lambda_intra * scale_c
-        self.scale_intra_clips = self.scale_intra[:, None, None]
         self.scale_inter = scale_inter
 
     def check(self, logits, offsets, clip_emb, sent_emb) -> None:
@@ -639,12 +669,12 @@ def _total_loss_arrays(
         "intra": np.add.reduce(batch.scale_intra * l_intra, -1),
         "inter": batch.scale_inter * l_inter,
     }
-    g_clip, g_sent = cos_backward(batch.scale_intra_clips * g_cos[..., None])
+    g_clip, g_sent = cos_backward(batch.scale_intra[:, None, None] * g_cos[..., None])
     g_pos, g_sent_pair = pair_backward(batch.scale_inter * g_pair)
     g_clip[..., rows, positives, :] += g_pos
     grads = {
-        "foreground_logits": batch.scale_f_clips * g_logits,
-        "offsets": batch.scale_b_pairs * g_offsets,
+        "foreground_logits": batch.scale_f[:, None] * g_logits,
+        "offsets": batch.scale_b[:, None, None] * g_offsets,
         "clip_embeddings": g_clip,
         "sentence_embeddings": g_sent[..., 0, :] + g_sent_pair,
     }

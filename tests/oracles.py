@@ -629,3 +629,48 @@ def total_loss_kernel_reference(logits, offsets, clip_emb, sent_emb, foreground,
         "sentence_embeddings": g_sent[..., 0, :] + g_sent_pair,
     }
     return sum(parts.values()), grads, parts
+
+
+# --- frozen copy of the gradient checker's kink distances -------------------
+# The distances as the samplers computed them before they read the loss's own
+# label values: the boundary term's foreground clips, centres and target spans
+# rebuilt from each label, one video at a time.  The package must give the
+# same distances bit for bit, so every resampling decision stays the same.
+# ``w`` is any object with ``lambda_l1``, ``lambda_iou`` and ``smooth_l1_beta``.
+
+
+def boundary_kink_distance_reference(offsets, foreground, gt_offsets, times, w):
+    """One video: ``offsets`` and ``gt_offsets`` (L, 2), ``foreground`` and ``times`` (L,)."""
+    fg = np.flatnonzero(np.asarray(foreground) == 1)
+    t = np.asarray(times)[fg]
+    d_hat = np.asarray(offsets)[fg]
+    gt = np.asarray(gt_offsets)[fg]
+    dist = math.inf
+    if w.lambda_l1 > 0:
+        dist = min(dist, float(np.min(np.abs(np.abs(d_hat - gt) - w.smooth_l1_beta))))
+    if w.lambda_iou > 0:
+        pr_s, pr_e, lo, hi = _spans_reference(t, d_hat)
+        gt_lo, gt_hi, _, _ = _spans_reference(t, gt)
+        inter_raw = np.minimum(hi, gt_hi) - np.maximum(lo, gt_lo)
+        for gap in (pr_s - pr_e, lo - gt_lo, hi - gt_hi, inter_raw):
+            dist = min(dist, float(np.min(np.abs(gap))))
+    return dist
+
+
+def total_kink_distance_reference(offsets, foregrounds, gt_offsets, times, w):
+    """A batch: the minimum of ``boundary_kink_distance_reference`` over its videos."""
+    dist = math.inf
+    for v in range(len(foregrounds)):
+        dist = min(dist, boundary_kink_distance_reference(
+            offsets[v], foregrounds[v], gt_offsets[v], times[v], w))
+    return dist
+
+
+def giou_kink_reference(a, b):
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
+    inter_raw = min(a_hi, b_hi) - max(a_lo, b_lo)
+    return min(abs(a_hi - b_hi), abs(a_lo - b_lo), abs(inter_raw), a_hi - a_lo, b_hi - b_lo)
+
+
+def smooth_l1_kink_reference(x, beta):
+    return float(np.min(np.abs(np.abs(x) - beta)))

@@ -9,7 +9,8 @@ from tgkit.losses import (LossReport, LossWeights, _cosine_with_grads, _LossBatc
                           _total_loss_arrays, boundary_loss, foreground_loss, giou_1d,
                           saliency_inter_loss, saliency_intra_loss, sample_positive, smooth_l1)
 
-from oracles import cosine_partials_reference, fd_gradient
+from oracles import (boundary_kink_distance_reference, cosine_partials_reference, fd_gradient,
+                     giou_kink_reference, smooth_l1_kink_reference, total_kink_distance_reference)
 
 
 class TestRegistry:
@@ -104,11 +105,14 @@ def public_view(name, seed):
 
     Draws the sampler's random numbers again, in its order, to rebuild the
     fixed parts the public function takes; the redrawn inputs must equal the
-    sampler's.  Returns (inputs, evaluate, public), where ``public(inputs)``
-    gives (value, gradients) without a problem axis.
+    sampler's.  Returns (inputs, evaluate, public, fixed), where
+    ``public(inputs)`` gives (value, gradients) without a problem axis and
+    ``fixed`` holds the boundary samplers' redrawn label(s), timeline(s) and
+    weights.
     """
     inputs, evaluate, _ = _REGISTRY[name](np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
+    fixed = {}
     if name == "foreground":
         targets = (rng.random(6) < 0.5).astype(float)
         w = LossWeights(lambda_f=float(rng.uniform(0.5, 2.0)))
@@ -122,6 +126,7 @@ def public_view(name, seed):
              else LossWeights(lambda_l1=0.0, lambda_iou=scale))
         redrawn = {"offsets": label.offsets + rng.uniform(-2.0, 2.0, (6, 2))}
         call = lambda ins: boundary_loss(ins["offsets"], label, timeline, w)  # noqa: E731
+        fixed = {"labels": [label], "timelines": [timeline], "w": w}
     elif name == "saliency_intra":
         label = _random_label(rng, 8)
         w = LossWeights(tau=float(rng.uniform(0.05, 0.2)))
@@ -150,6 +155,7 @@ def public_view(name, seed):
                         tau=float(rng.uniform(0.07, 0.2)))
         aggregation = "per_video" if rng.random() < 0.5 else "per_clip"
         batch = _LossBatch(labels, timelines, w, positives, aggregation)
+        fixed = {"labels": labels, "timelines": timelines, "w": w}
         names = ("foreground_logits", "offsets", "clip_embeddings", "sentence_embeddings")
         redrawn = {names[0]: rng.uniform(-3.0, 3.0, (2, 5)),
                    names[1]: np.stack([lab.offsets for lab in labels])
@@ -167,7 +173,7 @@ def public_view(name, seed):
     def public(ins):
         rep = call(ins)
         return rep.value, rep.gradients
-    return inputs, evaluate, public
+    return inputs, evaluate, public, fixed
 
 
 def one(evaluate, inputs):
@@ -188,7 +194,7 @@ class TestProblemAxis:
     @pytest.mark.parametrize("name", REGISTERED_LOSSES)
     def test_one_problem_equals_public_function(self, name):
         for seed in range(5):
-            inputs, evaluate, public = public_view(name, seed)
+            inputs, evaluate, public, _ = public_view(name, seed)
             assert_same(one(evaluate, inputs), public(inputs))
 
     @pytest.mark.parametrize("name", REGISTERED_LOSSES)
@@ -272,3 +278,86 @@ class TestExplicitShapes:
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError, match="input 'logits' of foreground must be finite"):
             grad_check("foreground", inputs={"logits": np.array([0.0, 1, 2, 3, 4, np.nan])})
+
+
+KINKED_LOSSES = ("boundary_smooth_l1", "boundary_giou", "total", "giou_1d", "smooth_l1")
+
+
+def frozen_kink(name, fixed):
+    """The frozen copy of ``name``'s kink distance, over ``public_view``'s redrawn parts."""
+    if name == "smooth_l1":
+        return lambda ins: smooth_l1_kink_reference(ins["x"], 1.0)
+    if name == "giou_1d":
+        return lambda ins: giou_kink_reference(ins["a"], ins["b"])
+    w = fixed["w"]
+    fg = [lab.foreground for lab in fixed["labels"]]
+    gt = [lab.offsets for lab in fixed["labels"]]
+    times = [tl.timestamps() for tl in fixed["timelines"]]
+    if name == "total":
+        return lambda ins: total_kink_distance_reference(ins["offsets"], fg, gt, times, w)
+    return lambda ins: boundary_kink_distance_reference(ins["offsets"], fg[0], gt[0], times[0], w)
+
+
+def near_kink(name, inputs, fixed, rng):
+    """A copy of ``inputs`` with one entry moved to within 1e-3 of one of the loss's kinks."""
+    delta = 0.0 if rng.random() < 0.1 else rng.uniform(-1e-3, 1e-3)
+    sign = rng.choice([-1.0, 1.0])
+    moved = {k: v.copy() for k, v in inputs.items()}
+    if name == "smooth_l1":
+        moved["x"].flat[rng.integers(moved["x"].size)] = sign * (1.0 + delta)
+        return moved
+    if name == "giou_1d":
+        a, b = moved["a"], moved["b"]
+        kind = rng.integers(4)
+        if kind == 0:  # equal ends
+            a[1] = b[1] + delta
+        elif kind == 1:  # equal starts
+            a[0] = b[0] + delta
+        elif kind == 2:  # a's end touches b's start
+            a[:] = b[0] + delta - 1.0, b[0] + delta
+        else:  # a zero-length a
+            a[0] = a[1] - abs(delta)
+        return moved
+    # the boundary terms: one residual of one foreground clip
+    d = moved["offsets"]
+    labels = fixed["labels"]
+    gt = np.stack([lab.offsets for lab in labels]).reshape(d.shape)
+    fg = np.flatnonzero(np.stack([lab.foreground for lab in labels]).ravel() == 1)
+    j = np.unravel_index(rng.choice(fg), d.shape[:-1])
+    start, end = j + (0,), j + (1,)
+    kinds = {"boundary_smooth_l1": (0,), "boundary_giou": (1, 2, 3, 4)}.get(name, range(5))
+    kind = rng.choice(kinds)
+    if kind == 0:  # a smooth-L1 seam
+        k = (start, end)[rng.integers(2)]
+        d[k] = gt[k] + sign * (fixed["w"].smooth_l1_beta + delta)
+    elif kind == 1:  # the predicted interval flips its ordering: d0 + d1 = 0
+        d[end] = -d[start] + delta
+    elif kind == 2:  # equal starts
+        d[start] = gt[start] + delta
+    elif kind == 3:  # equal ends
+        d[end] = gt[end] + delta
+    else:  # the predicted end touches the target's start
+        d[start], d[end] = gt[start] + 1.0, -gt[start] + delta
+    return moved
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestKinkDistancesMatchFrozenCopy:
+    """The samplers' kink distances read the loss's own label values; they stay bit for bit."""
+
+    @pytest.mark.parametrize("name", KINKED_LOSSES)
+    def test_sampled_and_near_kink_points(self, name):
+        rng = np.random.default_rng(17)
+        near = 0
+        for seed in range(1000):
+            inputs, _, kink = _REGISTRY[name](np.random.default_rng(seed))
+            fixed = public_view(name, seed)[3]
+            frozen = frozen_kink(name, fixed)
+            moved = near_kink(name, inputs, fixed, rng)
+            for point in (inputs, moved):
+                assert same_bits(kink(point), frozen(point)), (seed, point)
+            near += frozen(moved) < 1e-3
+        assert near >= 900, near

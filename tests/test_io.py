@@ -19,6 +19,7 @@ from tgkit.formats import (
     PredictionRecord,
     dataset_record_from_obj,
     dataset_record_to_obj,
+    prediction_record_to_obj,
     read_dataset,
     read_matrices,
     read_predictions,
@@ -318,6 +319,67 @@ class TestMatrixContainers:
             write_matrices_text([MatrixRecord("v", 0.0, ("a",), np.zeros((2, 1)))], path)
 
 
+def _long_label(record):
+    record.label = from_intervals(ClipTimeline(11, 2.0), [Interval(2.0, 6.0)])
+    return record
+
+
+def _nan_duration(record):
+    record.duration = float("nan")
+    return record
+
+
+def _prediction(video_id, duration, num_clips):
+    pred = PredictionSet(np.zeros(num_clips), np.ones((num_clips, 2)), np.zeros(num_clips))
+    return PredictionRecord(video_id, "q1", duration, 2.0, pred)
+
+
+# writer -> a good record, then a bad one that sorts after it, and the check it fails
+BAD_WRITES = {
+    "label_too_long": (write_dataset, lambda: [
+        point_record("v1"), _long_label(interval_record("v2", num_clips=10))],
+        "label covers 11 clips but the timeline has 10"),
+    "nan_duration": (write_dataset, lambda: [
+        point_record("v1"), _nan_duration(point_record("v2"))],
+        "duration must be positive and finite"),
+    "prediction_too_short": (write_predictions, lambda: [
+        _prediction("v1", 8.0, 4), _prediction("v2", 20.0, 3)],
+        "prediction covers 3 clips but the timeline has 10"),
+    "binary_matrix": (write_matrices_binary, lambda: [
+        MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
+        MatrixRecord("vb", 2.0, ("c0",), np.zeros((2, 2)))], "1 column names for 2 columns"),
+    "text_matrix": (write_matrices_text, lambda: [
+        MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
+        MatrixRecord("vb", 2.0, ("c0",), np.zeros((2, 2)))], "1 column names for 2 columns"),
+}
+
+
+class TestWritersFailClosed:
+    """A writer checks every record before it opens its file."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_WRITES))
+    def test_bad_record_leaves_the_file_as_it_was(self, tmp_path, case):
+        write, records, message = BAD_WRITES[case]
+        existing, fresh = tmp_path / "existing", tmp_path / "fresh"
+        existing.write_bytes(b"earlier bytes\n")
+        for path in (existing, fresh):
+            with pytest.raises(ValueError, match=message):
+                write(records(), path)
+        assert existing.read_bytes() == b"earlier bytes\n"
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("case,to_obj,read", [
+        ("label_too_long", dataset_record_to_obj, read_dataset),
+        ("prediction_too_short", prediction_record_to_obj, read_predictions),
+    ])
+    def test_reader_rejects_what_the_writer_refuses(self, tmp_path, case, to_obj, read):
+        _, records, message = BAD_WRITES[case]
+        path = tmp_path / "in.jsonl"
+        path.write_text(json.dumps(to_obj(records()[-1])) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read(path)
+
+
 class TestJsonReport:
     def test_stable_formatting(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -476,6 +538,13 @@ class TestRunConfig:
         cfg = RunConfig(tau=0.1, fit_steps=50, map_iou_thresholds=(0.5, 0.75))
         cfg.dump(path)
         assert RunConfig.load(path) == cfg
+
+    def test_dump_writes_the_report_bytes(self, tmp_path):
+        # UTF-8 and "\n" line ends whatever the platform's defaults
+        cfg = RunConfig(tau=0.1, fit_steps=50, map_iou_thresholds=(0.5, 0.75))
+        cfg.dump(tmp_path / "config.json")
+        write_json_report(cfg.to_dict(), tmp_path / "report.json")
+        assert (tmp_path / "config.json").read_bytes() == (tmp_path / "report.json").read_bytes()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):

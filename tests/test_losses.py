@@ -246,6 +246,17 @@ class TestIntraLoss:
         assert rep.value == 0.0
         assert not rep.grad("cosines").any()
 
+    def test_batch_messages(self):
+        # the rule the loss batch applies, with the same texts
+        label = label_of([0, 1, 1], [[0, 0], [1, 1], [1, 1]], [0.0, 0.5, 0.5])
+        # background, and outside the video at either end (clip -1 must not wrap to clip 2)
+        for clip in (0, -1, 3):
+            with pytest.raises(ValueError, match=f"clip {clip} of video 0 is not an eligible"):
+                saliency_intra_loss(np.zeros(3), label, positive=clip)
+        label = label_of([1, 1], [[1, 1], [1, 1]], [0.5, 0.5])
+        with pytest.warns(GroundingWarning, match="video 0: no clip has strictly lower"):
+            saliency_intra_loss(np.zeros(2), label, positive=1)
+
     def test_positive_sampling_is_seeded(self):
         label = label_of([1, 1, 1], [[1, 1]] * 3, [0.9, 0.6, 0.3])
         cos = np.array([0.5, 0.1, -0.2])

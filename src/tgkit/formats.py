@@ -5,11 +5,14 @@ per line with an explicit schema version.  Clip-by-column matrices
 (concept similarities, summarisation features) have a plain-text form and a
 compact binary form; both are specified bit-for-bit in docs/formats.md.
 Writers emit records in canonical (video_id, query_id) order with sorted
-keys so identical inputs always serialise to identical bytes.
+keys so identical inputs always serialise to identical bytes, and every
+writer hands its complete bytes to ``_write_file``.
 """
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,11 +218,42 @@ def _read_jsonl(path, parse, on_error: str):
     return records, errors
 
 
+def _write_file(path, data: bytes) -> None:
+    """Make ``data`` the whole content of ``path``, rewriting the file in place.
+
+    The file is opened without truncation (an existing file keeps its inode
+    and mode, a symlink is written through) and cut to ``len(data)`` only
+    when it was longer.  Truncating to zero first would make ext4
+    (``auto_da_alloc``) flush the file to disk on close, tens of
+    milliseconds per rewrite whatever its size.  Pipes and devices report
+    size 0, so they are never truncated.  If a write fails, a regular file
+    is emptied, so old and new bytes are never left mixed.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        st = os.fstat(fd)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        except BaseException as exc:
+            if stat.S_ISREG(st.st_mode):
+                os.ftruncate(fd, 0)
+            if isinstance(exc, OSError) and exc.filename is None:
+                exc.filename = os.fspath(path)  # os.write's errors name no file
+            raise
+        if st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_jsonl(path, records: Sequence[_Record], to_obj) -> None:
     """One compact, sorted-key line per record, in canonical (video_id, query_id) order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for record in sorted(records, key=_Record.sort_key):
-            handle.write(json.dumps(to_obj(record), sort_keys=True, separators=(",", ":")) + "\n")
+    _write_file(path, "".join(
+        json.dumps(to_obj(record), sort_keys=True, separators=(",", ":")) + "\n"
+        for record in sorted(records, key=_Record.sort_key)
+    ).encode("utf-8"))
 
 
 def read_dataset(path, on_error: str = "raise"):
@@ -294,7 +328,7 @@ def write_matrices_text(records: Sequence[MatrixRecord], path) -> None:
         for row in record.values:
             lines.append("\t".join(repr(float(v)) for v in row))
         lines.append("")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _parse_text_matrices(text: str) -> list[MatrixRecord]:
@@ -333,20 +367,17 @@ def _parse_text_matrices(text: str) -> list[MatrixRecord]:
 def write_matrices_binary(records: Sequence[MatrixRecord], path) -> None:
     # every record is checked before the file is opened
     ordered = [_validate_matrix_record(r) for r in sorted(records, key=lambda r: r.video_id)]
-    with open(path, "wb") as handle:
-        handle.write(MATRIX_MAGIC)
-        handle.write(struct.pack("<II", 1, len(ordered)))
-        for record in ordered:
-            vid = record.video_id.encode("utf-8")
-            handle.write(struct.pack("<I", len(vid)))
-            handle.write(vid)
-            rows, cols = record.values.shape
-            handle.write(struct.pack("<dII", float(record.clip_len), rows, cols))
-            for name in record.column_names:
-                raw = name.encode("utf-8")
-                handle.write(struct.pack("<I", len(raw)))
-                handle.write(raw)
-            handle.write(record.values.astype("<f4").tobytes(order="C"))
+    parts = [MATRIX_MAGIC, struct.pack("<II", 1, len(ordered))]
+    for record in ordered:
+        vid = record.video_id.encode("utf-8")
+        rows, cols = record.values.shape
+        parts += [struct.pack("<I", len(vid)), vid,
+                  struct.pack("<dII", float(record.clip_len), rows, cols)]
+        for name in record.column_names:
+            raw = name.encode("utf-8")
+            parts += [struct.pack("<I", len(raw)), raw]
+        parts.append(record.values.astype("<f4").tobytes(order="C"))
+    _write_file(path, b"".join(parts))
 
 
 def _parse_binary_matrices(raw: bytes) -> list[MatrixRecord]:
@@ -402,6 +433,4 @@ def read_matrices(path) -> list[MatrixRecord]:
 
 
 def write_json_report(obj: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -638,3 +639,38 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["convert", "--output", "x.jsonl"])
         assert exc.value.code == 2
+
+
+# runs the CLI with its file-size limit (RLIMIT_FSIZE) set to argv[1] bytes
+_CAPPED_CLI = """
+import resource, sys
+from tgkit.cli import main
+_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), hard))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestOutputFiles:
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null_output(self):
+        proc = run_child(["losscheck", "--points", "1", "--output", "/dev/null"])
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+    def test_failed_rewrite_leaves_an_empty_file(self, pipeline, tmp_path):
+        # an in-place write cut short would leave new bytes followed by old ones
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_FSIZE"):
+            pytest.skip("no RLIMIT_FSIZE")
+        argv = ["convert", "--input", str(pipeline["raw"])]
+        fresh, out = tmp_path / "fresh.jsonl", tmp_path / "out.jsonl"
+        assert main([*argv, "--output", str(fresh)]) == 0
+        size = fresh.stat().st_size
+        out.write_bytes(b"\n" * (2 * size))
+        proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, str(size // 2), *argv,
+                               "--output", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: [Errno {errno.EFBIG}]"), lines
+        assert str(out) in lines[0]
+        assert out.stat().st_size == 0

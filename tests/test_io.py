@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -378,6 +380,68 @@ class TestWritersFailClosed:
         path.write_text(json.dumps(to_obj(records()[-1])) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             read(path)
+
+
+# writer -> a long content, then a shorter one, each as a callable of the path
+REWRITES = {
+    "dataset": (lambda p: write_dataset([interval_record("v1"), point_record(), curve_record()], p),
+                lambda p: write_dataset([point_record()], p)),
+    "predictions": (
+        lambda p: write_predictions([_prediction(f"v{i}", 20.0, 10) for i in range(5)], p),
+        lambda p: write_predictions([_prediction("v0", 8.0, 4)], p)),
+    "matrices_text": (lambda p: write_matrices_text(matrix_records(), p),
+                      lambda p: write_matrices_text(matrix_records()[1:], p)),
+    "matrices_binary": (lambda p: write_matrices_binary(matrix_records(), p),
+                        lambda p: write_matrices_binary(matrix_records()[1:], p)),
+    "json_report": (lambda p: write_json_report({"values": list(range(100))}, p),
+                    lambda p: write_json_report({"values": [0]}, p)),
+    "run_config": (
+        lambda p: RunConfig(map_iou_thresholds=tuple(i / 20 for i in range(1, 21))).dump(p),
+        lambda p: RunConfig().dump(p)),
+}
+
+
+class TestRewriteInPlace:
+    """Every writer rewrites an existing file in place with exactly its new bytes."""
+
+    @pytest.fixture(params=sorted(REWRITES))
+    def rewrite(self, request, tmp_path):
+        long, short = REWRITES[request.param]
+        short(tmp_path / "fresh")
+        return long, short, (tmp_path / "fresh").read_bytes()
+
+    def test_shorter_rewrite_holds_only_the_new_bytes(self, tmp_path, rewrite):
+        long, short, expected = rewrite
+        path = tmp_path / "out"
+        long(path)
+        assert path.stat().st_size > len(expected)
+        short(path)
+        assert path.read_bytes() == expected
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX inodes and modes")
+    def test_inode_and_mode_survive(self, tmp_path, rewrite):
+        long, short, expected = rewrite
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "fresh").stat().st_mode) == 0o666 & ~umask
+        path = tmp_path / "out"
+        long(path)
+        path.chmod(0o640)
+        inode = path.stat().st_ino
+        short(path)
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_bytes() == expected
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks")
+    def test_symlink_is_written_through(self, tmp_path, rewrite):
+        long, short, expected = rewrite
+        target, link = tmp_path / "target", tmp_path / "link"
+        long(target)
+        link.symlink_to(target)
+        short(link)
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
 
 
 class TestJsonReport:

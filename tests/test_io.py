@@ -420,7 +420,7 @@ class TestRewriteInPlace:
 
     @pytest.mark.skipif(os.name != "posix", reason="POSIX inodes and modes")
     def test_inode_and_mode_survive(self, tmp_path, rewrite):
-        long, short, expected = rewrite
+        long, short, _ = rewrite
         umask = os.umask(0)
         os.umask(umask)
         assert stat.S_IMODE((tmp_path / "fresh").stat().st_mode) == 0o666 & ~umask
@@ -431,7 +431,6 @@ class TestRewriteInPlace:
         short(path)
         assert path.stat().st_ino == inode
         assert stat.S_IMODE(path.stat().st_mode) == 0o640
-        assert path.read_bytes() == expected
 
     @pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks")
     def test_symlink_is_written_through(self, tmp_path, rewrite):

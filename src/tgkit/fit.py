@@ -99,7 +99,7 @@ def overfit(
 
     value, grads, _ = evaluate(logits, offsets, clip_emb)
     if not np.isfinite(value):
-        raise RuntimeError(f"objective is not finite at initialisation: {value}")
+        raise ValueError(f"objective is not finite at initialisation: {value}")
     trajectory = [value]
     step_size = learning_rate
     for step in range(steps):
@@ -107,7 +107,7 @@ def overfit(
         g_offsets = grads["offsets"]
         g_clip = grads["clip_embeddings"]
         if not all(np.isfinite(g).all() for g in (g_logits, g_offsets, g_clip)):
-            raise RuntimeError(f"gradients diverged at step {step}")
+            raise ValueError(f"gradients diverged at step {step}")
         trial = step_size
         while True:
             cand = (logits - trial * g_logits, offsets - trial * g_offsets,

@@ -312,10 +312,9 @@ def _validate_matrix_record(record: MatrixRecord) -> MatrixRecord:
     names = tuple(str(c) for c in record.column_names)
     if len(names) != values.shape[1]:
         raise ValueError(f"{len(names)} column names for {values.shape[1]} columns")
-    if record.clip_len <= 0:
-        raise ValueError(f"clip_len must be positive, got {record.clip_len}")
     record.values = values
     record.column_names = names
+    record.timeline()  # a bad clip_len or row count fails here
     return record
 
 

@@ -293,7 +293,9 @@ def grad_check(
     Without explicit ``inputs``, ``num_points`` (at least 1) random
     well-posed points are drawn from the loss's sampler (resampling away
     from kinks).  With explicit inputs a single point is checked; if it sits
-    within the kink margin it is recorded as skipped instead of judged.
+    within the kink margin it is recorded as skipped instead of judged.  A
+    point whose loss value, analytic gradient or slope is not finite raises
+    ``ValueError``.
     """
     if loss_name not in _REGISTRY:
         raise ValueError(f"unknown loss {loss_name!r}; registered: {REGISTERED_LOSSES}")
@@ -334,6 +336,10 @@ def grad_check(
     for point, evaluate in points:
         value, analytic = evaluate({k: v[None] for k, v in point.items()})
         numeric = _central_difference(evaluate, point, epsilon)
+        # max() would drop a NaN error, so a NaN point would pass unjudged
+        if not all(np.isfinite(a).all() for a in (value, *analytic.values(), *numeric.values())):
+            raise ValueError(f"loss value, gradient or slope of {loss_name} is not finite "
+                             "at this point")
         noise_floor = max(1.0, abs(float(value[0]))) * 2.0 * epsilon
         for key in point:
             err = float(np.max(_relative_error(analytic[key][0], numeric[key], noise_floor)))

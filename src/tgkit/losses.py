@@ -428,16 +428,19 @@ def cross_saliency_cosines(emb: EmbeddingBatch, positives) -> np.ndarray:
     return _cosine_with_grads(pos, emb.sentence_embeddings)[0]
 
 
-def _eligible(foreground, saliency):
-    """Which clips may serve as a contrastive positive: foreground with positive saliency."""
-    return (foreground == 1) & (saliency > 0)
+def _eligible(foreground):
+    """Which clips may serve as a contrastive positive: the foreground clips.
+
+    ``UnifiedLabel`` gives every foreground clip a positive saliency.
+    """
+    return foreground == 1
 
 
 def sample_positive(label: UnifiedLabel, rng: np.random.Generator) -> int:
-    """Uniformly pick a foreground clip with positive saliency."""
-    eligible = np.flatnonzero(_eligible(label.foreground, label.saliency))
+    """Uniformly pick a foreground clip."""
+    eligible = np.flatnonzero(_eligible(label.foreground))
     if eligible.size == 0:
-        raise ValueError("no clip with foreground=1 and saliency>0 to serve as positive")
+        raise ValueError("no foreground clip to serve as positive")
     return int(rng.choice(eligible))
 
 
@@ -450,7 +453,7 @@ def _contrastive_pools(foreground, saliency, positives):
     rows = np.arange(len(positives))
     inside = (positives >= 0) & (positives < saliency.shape[-1])
     clips = np.where(inside, positives, 0)  # a negative index would wrap around
-    eligible = inside & _eligible(foreground[rows, clips], saliency[rows, clips])
+    eligible = inside & _eligible(foreground[rows, clips])
     if not eligible.all():
         v = int(np.flatnonzero(~eligible)[0])
         raise ValueError(f"clip {positives[v]} of video {v} is not an eligible positive")
@@ -605,7 +608,6 @@ class _LossBatch:
             scale_c = np.full(b, video_weight)
             scale_inter = weights.lambda_inter * b / (b * l)
 
-        self.shape = (b, l)
         self.weights = weights
         self.rows = rows
         self.positives = positives
@@ -620,23 +622,6 @@ class _LossBatch:
         self.scale_intra = weights.lambda_intra * scale_c
         self.scale_inter = scale_inter
 
-    def check(self, logits, offsets, clip_emb, sent_emb) -> None:
-        """Reject per-call arrays of the wrong shape or with non-finite entries.
-
-        All four may share leading problem axes in front of their own shapes.
-        """
-        b, l = self.shape
-        lead = logits.shape[:-2]
-        d = clip_emb.shape[-1]
-        for name, arr, shape in (("logits", logits, (b, l)),
-                                 ("predicted offsets", offsets, (b, l, 2)),
-                                 ("clip embeddings", clip_emb, (b, l, d)),
-                                 ("sentence embeddings", sent_emb, (b, d))):
-            if arr.shape != lead + shape:
-                raise ValueError(f"{name} shape {arr.shape} does not match {lead + shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-
 
 def _total_loss_arrays(
     logits: np.ndarray,
@@ -649,9 +634,10 @@ def _total_loss_arrays(
 
     One masked pass over the (B, L) batch; ``batch`` holds everything that
     does not change between calls.  The arrays may share leading problem
-    axes, which the value, gradients and components then carry.
+    axes, which the value, gradients and components then carry.  The caller
+    owns the checks: the arrays must have ``batch``'s shapes and finite
+    entries.
     """
-    batch.check(logits, offsets, clip_emb, sent_emb)
     w = batch.weights
     rows, positives = batch.rows, batch.positives
 

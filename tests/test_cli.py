@@ -260,6 +260,15 @@ class TestFit:
             traj = json.loads((tmp_path / "traj.json").read_text())
             assert "stalled" not in json.dumps(traj)
 
+    def test_divergence_is_one_error_line(self, tmp_path):
+        # at clip_len 1e-300 the gIoU partials overflow and the first gradients are NaN
+        data = tmp_path / "labeled.jsonl"
+        write_dataset(toy_corpus(2, 12, 1e-300, seed=0), data)
+        proc = run_child(["fit", "--input", str(data), "--output", str(tmp_path / "p.jsonl")])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: "), proc.stderr
+
 
 class TestDecode:
     def test_moments_report_shape(self, pipeline):

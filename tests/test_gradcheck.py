@@ -279,6 +279,14 @@ class TestExplicitShapes:
         with pytest.raises(ValueError, match="input 'logits' of foreground must be finite"):
             grad_check("foreground", inputs={"logits": np.array([0.0, 1, 2, 3, 4, np.nan])})
 
+    def test_non_finite_loss_or_gradient_rejected(self):
+        # finite inputs whose cosines overflow: the value and embedding gradients are NaN
+        inputs, _, _ = _REGISTRY["total"](np.random.default_rng(0))
+        for key in ("clip_embeddings", "sentence_embeddings"):
+            inputs[key] = inputs[key] * 1e200
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="of total is not finite"):
+            grad_check("total", inputs=inputs)
+
 
 KINKED_LOSSES = ("boundary_smooth_l1", "boundary_giou", "total", "giou_1d", "smooth_l1")
 

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import os
 import stat
+import struct
 import tempfile
 from pathlib import Path
 
@@ -295,10 +297,12 @@ class TestMatrixContainers:
             read_matrices(path)
 
     def test_every_truncation_rejected(self, tmp_path):
-        full, cut = tmp_path / "m.tgmx", tmp_path / "cut.tgmx"
+        full = tmp_path / "m.tgmx"
         write_matrices_binary(matrix_records(), full)
         raw = full.read_bytes()
         for size in range(len(raw)):
+            # a fresh path each time: truncating one file over and over is slow on ext4
+            cut = tmp_path / f"cut{size}.tgmx"
             cut.write_bytes(raw[:size])
             with pytest.raises(ValueError):
                 read_matrices(cut)
@@ -319,6 +323,27 @@ class TestMatrixContainers:
             write_matrices_text([MatrixRecord("v", 2.0, ("a",), np.zeros((2, 2)))], path)
         with pytest.raises(ValueError, match="clip_len"):
             write_matrices_text([MatrixRecord("v", 0.0, ("a",), np.zeros((2, 1)))], path)
+
+    @pytest.mark.parametrize("clip_len", [math.nan, math.inf, -math.inf])
+    def test_non_finite_clip_len_rejected(self, tmp_path, clip_len):
+        out = tmp_path / "out"
+        for write in (write_matrices_text, write_matrices_binary):
+            with pytest.raises(ValueError, match="clip_len"):
+                write([MatrixRecord("v", clip_len, ("a",), np.zeros((2, 1)))], out)
+            assert not out.exists()
+        good = [MatrixRecord("v", 2.0, ("a",), np.zeros((2, 1)))]
+        text, binary = tmp_path / "m.txt", tmp_path / "m.tgmx"
+        write_matrices_text(good, text)
+        text.write_text(text.read_text().replace("\tv\t2.0\n", f"\tv\t{clip_len!r}\n"))
+        write_matrices_binary(good, binary)
+        raw = bytearray(binary.read_bytes())
+        at = len(MATRIX_MAGIC) + struct.calcsize("<III") + len("v")  # the one record's clip_len
+        assert struct.unpack_from("<d", raw, at) == (2.0,)
+        struct.pack_into("<d", raw, at, clip_len)
+        binary.write_bytes(bytes(raw))
+        for path in (text, binary):
+            with pytest.raises(ValueError, match="clip_len"):
+                read_matrices(path)
 
 
 def _long_label(record):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tgkit import fit
 from tgkit.core import GroundingWarning, GroundTruthRecord, Query, UnifiedLabel
 from tgkit.fit import overfit
 from tgkit.losses import LossWeights
@@ -48,6 +49,38 @@ class TestStalledSteps:
             result = overfit(recs, steps=30, rng_seed=0)
         assert np.unique(result.trajectory).size == 1
         assert result.stalled_steps == 30
+
+
+class TestBacktracking:
+    def wrap_kernel(self, monkeypatch, trial_value=None):
+        """Wrap fit's kernel and list the values it returns.
+
+        ``trial_value(first)``, if given, replaces every value after the first.
+        """
+        real, values = fit._total_loss_arrays, []
+
+        def wrapped(*args):
+            value, grads, parts = real(*args)
+            if values and trial_value is not None:
+                value = trial_value(values[0])
+            values.append(value)
+            return value, grads, parts
+
+        monkeypatch.setattr(fit, "_total_loss_arrays", wrapped)
+        return values
+
+    def test_halves_a_step_too_large_to_keep(self, monkeypatch):
+        values = self.wrap_kernel(monkeypatch)
+        result = overfit(records(3, 40), steps=50, learning_rate=50)
+        assert (np.diff(result.trajectory) <= 0).all()
+        assert len(values) > 50 + 1
+
+    def test_holds_still_when_every_trial_rises(self, monkeypatch):
+        self.wrap_kernel(monkeypatch, lambda first: first + 1.0)
+        result = overfit(records(), steps=3, rng_seed=0)
+        assert result.stalled_steps == 3
+        assert np.unique(result.trajectory).size == 1
+        assert all((p.foreground_logits == 0).all() for p in result.predictions)
 
 
 class TestDeterminism:

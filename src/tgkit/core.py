@@ -72,16 +72,25 @@ class ClipTimeline:
 
     @classmethod
     def from_duration(cls, duration: float, clip_len: float) -> "ClipTimeline":
-        """Grid covering ``duration`` seconds; a trailing partial clip is dropped."""
+        """Grid covering ``duration`` seconds; a trailing partial clip is dropped.
+
+        The clip count is the largest n >= 1 whose grid end, ``n * clip_len`` as
+        ``duration`` computes it, does not pass ``duration``; so a grid's own
+        duration gives back its clip count.
+        """
         duration = float(duration)
-        clip_len = float(clip_len)
         if not math.isfinite(duration) or duration <= 0:
             raise ValueError(f"duration must be positive and finite, got {duration!r}")
-        if not math.isfinite(clip_len) or clip_len <= 0:
-            raise ValueError(f"clip_len must be positive and finite, got {clip_len!r}")
-        if not math.isfinite(duration / clip_len):
+        clip_len = cls(1, clip_len).clip_len
+        ratio = duration / clip_len  # may be one clip off that count
+        if not math.isfinite(ratio):
             raise ValueError(f"duration {duration!r} over clip_len {clip_len!r} is not a clip count")
-        return cls(max(1, int(duration / clip_len)), clip_len)
+        n = int(ratio)
+        if (n + 1) * clip_len <= duration:
+            n += 1
+        elif n > 1 and n * clip_len > duration:
+            n -= 1
+        return cls(max(1, n), clip_len)
 
     @property
     def duration(self) -> float:

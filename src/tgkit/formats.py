@@ -38,6 +38,9 @@ _ANNOTATIONS = {
               lambda a: a.values.tolist()),
 }
 
+# the fields every record line starts with, each with how a line's value is read
+_HEAD = {"video_id": str, "query_id": str, "duration": float, "clip_len": float}
+
 
 @dataclass
 class _Record:
@@ -86,8 +89,13 @@ class MatrixRecord:
         return ClipTimeline(self.values.shape[0], self.clip_len)
 
 
+def _head_to_obj(record: _Record) -> dict:
+    """The schema version and the common fields that every record line starts with."""
+    return {"schema_version": SCHEMA_VERSION, **{key: getattr(record, key) for key in _HEAD}}
+
+
 def _head_from_obj(obj, required: tuple) -> dict:
-    """The four common fields of a record line, once the line is checked.
+    """The common fields of a record line, once the line is checked.
 
     The line must be a JSON object of this schema version that holds the
     common fields and the ``required`` ones.
@@ -98,12 +106,10 @@ def _head_from_obj(obj, required: tuple) -> dict:
         raise ValueError(
             f"unsupported schema_version {obj.get('schema_version')!r}; expected {SCHEMA_VERSION}"
         )
-    missing = [key for key in ("video_id", "query_id", "duration", "clip_len", *required)
-               if key not in obj]
+    missing = [key for key in (*_HEAD, *required) if key not in obj]
     if missing:
         raise ValueError(f"record is missing fields {missing}")
-    return {"video_id": str(obj["video_id"]), "query_id": str(obj["query_id"]),
-            "duration": float(obj["duration"]), "clip_len": float(obj["clip_len"])}
+    return {key: parse(obj[key]) for key, parse in _HEAD.items()}
 
 
 def _annotation_to_obj(annotation, source_kind: str) -> dict | None:
@@ -129,11 +135,7 @@ def _annotation_from_obj(obj, source_kind: str):
 
 def dataset_record_to_obj(record: DatasetRecord) -> dict:
     obj = {
-        "schema_version": SCHEMA_VERSION,
-        "video_id": record.video_id,
-        "query_id": record.query_id,
-        "duration": record.duration,
-        "clip_len": record.clip_len,
+        **_head_to_obj(record),
         "query": {"text": record.query.text, "kind": record.query.kind},
         "source_kind": record.source_kind,
         "annotation": _annotation_to_obj(record.annotation, record.source_kind),
@@ -153,9 +155,6 @@ def dataset_record_to_obj(record: DatasetRecord) -> dict:
 
 def dataset_record_from_obj(obj: dict) -> DatasetRecord:
     head = _head_from_obj(obj, ("query", "source_kind"))
-    source_kind = obj["source_kind"]
-    if source_kind not in SOURCE_KINDS:
-        raise ValueError(f"unknown source_kind {source_kind!r}; expected one of {SOURCE_KINDS}")
     query = Query(obj["query"]["text"], obj["query"]["kind"])
     label = None
     if obj.get("label") is not None:
@@ -168,21 +167,25 @@ def dataset_record_from_obj(obj: dict) -> DatasetRecord:
     concepts = None
     if obj.get("clip_concepts") is not None:
         concepts = tuple(frozenset(str(c) for c in cs) for cs in obj["clip_concepts"])
-    return _check_dataset_record(DatasetRecord(
-        **head,
-        query=query,
-        source_kind=source_kind,
-        annotation=_annotation_from_obj(obj.get("annotation"), source_kind),
-        label=label,
-        clip_concepts=concepts,
-    ))
+    record = _check_dataset_record(DatasetRecord(
+        **head, query=query, source_kind=obj["source_kind"], label=label, clip_concepts=concepts))
+    record.annotation = _annotation_from_obj(obj.get("annotation"), record.source_kind)
+    return record
 
 
 def _check_dataset_record(record: DatasetRecord) -> DatasetRecord:
-    """What a dataset record must satisfy beyond its types; readers and writers both check it."""
+    """What a dataset record must satisfy beyond its types; readers and writers both check it.
+
+    The annotation is not checked here: the reader parses it by the checked source_kind.
+    """
+    if record.source_kind not in SOURCE_KINDS:
+        raise ValueError(
+            f"unknown source_kind {record.source_kind!r}; expected one of {SOURCE_KINDS}")
     timeline = record.timeline()  # a bad duration or clip_len fails here, labelled or not
     if record.label is not None:
         _check_clips(timeline, "label", len(record.label))
+    if record.clip_concepts is not None:
+        _check_clips(timeline, "clip_concepts", len(record.clip_concepts))
     return record
 
 
@@ -268,11 +271,7 @@ def write_dataset(records: Sequence[DatasetRecord], path) -> None:
 
 def prediction_record_to_obj(record: PredictionRecord) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "video_id": record.video_id,
-        "query_id": record.query_id,
-        "duration": record.duration,
-        "clip_len": record.clip_len,
+        **_head_to_obj(record),
         "foreground_logits": record.prediction.foreground_logits.tolist(),
         "offsets": record.prediction.offsets.tolist(),
         "saliency": record.prediction.saliency.tolist(),
@@ -305,27 +304,46 @@ def write_predictions(records: Sequence[PredictionRecord], path) -> None:
     _write_jsonl(path, [_check_prediction_record(r) for r in records], prediction_record_to_obj)
 
 
-def _validate_matrix_record(record: MatrixRecord) -> MatrixRecord:
+def _checked_matrix(record: MatrixRecord) -> MatrixRecord:
+    """A checked copy of ``record``, with float64 values, a str id and names, a float clip_len.
+
+    The readers and both writers check every record with it; ``record`` itself
+    is left as it was.
+    """
     values = np.asarray(record.values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
         raise ValueError(f"matrix must be 2-D and non-empty, got shape {values.shape}")
     names = tuple(str(c) for c in record.column_names)
     if len(names) != values.shape[1]:
         raise ValueError(f"{len(names)} column names for {values.shape[1]} columns")
-    record.values = values
-    record.column_names = names
-    record.timeline()  # a bad clip_len or row count fails here
-    return record
+    timeline = ClipTimeline(values.shape[0], record.clip_len)  # owns clip_len and the row bound
+    return MatrixRecord(str(record.video_id), timeline.clip_len, names, values)
+
+
+def _checked_matrices(records: Sequence[MatrixRecord]) -> list[MatrixRecord]:
+    """What a matrix writer writes: every record checked, in video_id order."""
+    return [_checked_matrix(r) for r in sorted(records, key=lambda r: r.video_id)]
+
+
+def _text_field(value: str, what: str) -> str:
+    """``value`` as one field of the text encoding, or a ``ValueError`` that names it.
+
+    That encoding splits lines as ``str.splitlines`` does and fields at tabs;
+    the binary encoding carries any string.
+    """
+    if "\t" in value or "".join(value.splitlines()) != value:
+        raise ValueError(f"{what} {value!r} holds a tab or line break, which the text matrix "
+                         "encoding cannot carry; write the binary encoding instead")
+    return value
 
 
 def write_matrices_text(records: Sequence[MatrixRecord], path) -> None:
     lines = [MATRIX_TEXT_HEADER]
-    for record in sorted(records, key=lambda r: r.video_id):
-        record = _validate_matrix_record(record)
-        lines.append("video\t%s\t%s" % (record.video_id, repr(float(record.clip_len))))
-        lines.append("columns\t" + "\t".join(record.column_names))
-        for row in record.values:
-            lines.append("\t".join(repr(float(v)) for v in row))
+    for record in _checked_matrices(records):
+        lines.append("video\t%s\t%r" % (_text_field(record.video_id, "video id"), record.clip_len))
+        lines.append("\t".join(["columns", *(_text_field(name, "column name")
+                                             for name in record.column_names)]))
+        lines += ("\t".join(repr(float(v)) for v in row) for row in record.values)
         lines.append("")
     _write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -355,23 +373,18 @@ def _parse_text_matrices(text: str) -> list[MatrixRecord]:
             i += 1
         if not rows:
             raise ValueError(f"matrix for video {video_id!r} has no rows")
-        records.append(
-            _validate_matrix_record(
-                MatrixRecord(video_id, clip_len, names, np.asarray(rows, dtype=np.float64))
-            )
-        )
+        records.append(_checked_matrix(MatrixRecord(video_id, clip_len, names, np.asarray(rows))))
     return records
 
 
 def write_matrices_binary(records: Sequence[MatrixRecord], path) -> None:
-    # every record is checked before the file is opened
-    ordered = [_validate_matrix_record(r) for r in sorted(records, key=lambda r: r.video_id)]
+    ordered = _checked_matrices(records)
     parts = [MATRIX_MAGIC, struct.pack("<II", 1, len(ordered))]
     for record in ordered:
         vid = record.video_id.encode("utf-8")
         rows, cols = record.values.shape
         parts += [struct.pack("<I", len(vid)), vid,
-                  struct.pack("<dII", float(record.clip_len), rows, cols)]
+                  struct.pack("<dII", record.clip_len, rows, cols)]
         for name in record.column_names:
             raw = name.encode("utf-8")
             parts += [struct.pack("<I", len(raw)), raw]
@@ -412,12 +425,8 @@ def _parse_binary_matrices(raw: bytes) -> list[MatrixRecord]:
             (name_len,) = unpack("<I", "column name length")
             names.append(bytes(take(name_len, "column name")).decode("utf-8"))
         values = np.frombuffer(take(rows * cols * 4, "matrix values"), dtype="<f4")
-        records.append(
-            _validate_matrix_record(
-                MatrixRecord(video_id, clip_len, tuple(names),
-                             values.reshape(rows, cols).astype(np.float64))
-            )
-        )
+        records.append(_checked_matrix(
+            MatrixRecord(video_id, clip_len, tuple(names), values.reshape(rows, cols))))
     if pos != len(raw):
         raise ValueError(f"{len(raw) - pos} trailing bytes after the last matrix")
     return records

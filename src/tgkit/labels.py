@@ -102,8 +102,9 @@ def from_intervals(
 
     A clip is foreground when its centre falls inside any interval; its
     offsets point at the covering interval whose centre is nearest (ties go
-    to the earlier interval).  Foreground saliency is the constant 1.0; the
-    interval style carries no graded relevance of its own.
+    to the earlier start, then the earlier end, then the earlier interval).
+    Foreground saliency is the constant 1.0; the interval style carries no
+    graded relevance of its own.
 
     ``duration`` is the video's declared length.  An interval that ends
     between the grid's end and it is clipped to the grid with one
@@ -118,31 +119,27 @@ def from_intervals(
             raise ValueError(f"interval [{iv.start}, {iv.end}] exceeds the video [0, {end}]")
         hi = _to_grid(iv.end, timeline, f"interval [{iv.start}, {iv.end}]")
         on_grid.append(Interval(min(iv.start, hi), hi))
-    intervals = on_grid
-    n = timeline.num_clips
-    f = np.zeros(n, dtype=np.int8)
-    d = np.zeros((n, 2), dtype=np.float64)
-    s = np.zeros(n, dtype=np.float64)
-    if not intervals:
+    if not on_grid:
         warnings.warn("empty interval list; label is all background", GroundingWarning)
-        return UnifiedLabel(f, d, s)
-    for i in range(n):
-        t = timeline.timestamp(i)
-        covering = [
-            (abs(iv.center - t), iv.start, iv.end, k)
-            for k, iv in enumerate(intervals)
-            if iv.start <= t <= iv.end
-        ]
-        if not covering:
-            continue
-        _, start, end, _ = min(covering)
-        f[i] = 1
-        d[i] = (t - start, end - t)
-        s[i] = 1.0
-    if not f.any():
+    t = timeline.timestamps()
+    nearest = np.full(t.shape, np.inf)
+    starts = np.zeros(t.shape)
+    ends = np.zeros(t.shape)
+    # In (start, end) order, with a stable sort, a later interval takes a clip only
+    # when its centre is strictly nearer: so the nearest wins, then the earlier
+    # start, end and input position.
+    for iv in sorted(on_grid):
+        dist = np.abs(iv.center - t)
+        take = (iv.start <= t) & (t <= iv.end) & (dist < nearest)
+        nearest[take] = dist[take]
+        starts[take] = iv.start
+        ends[take] = iv.end
+    fg = nearest < np.inf
+    if on_grid and not fg.any():
         warnings.warn("no clip centre falls inside any interval; label is all background",
                       GroundingWarning)
-    return UnifiedLabel(f, d, s)
+    d = np.where(fg[:, None], np.stack((t - starts, ends - t), axis=1), 0.0)
+    return UnifiedLabel(fg, d, fg.astype(np.float64))
 
 
 def bin_index(values, bin_width: float = DEFAULT_BIN_WIDTH) -> np.ndarray:

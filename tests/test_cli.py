@@ -11,6 +11,7 @@ import pytest
 from tgkit.cli import build_parser, main
 from tgkit.config import RunConfig
 from tgkit.formats import (
+    MatrixRecord,
     dataset_record_to_obj,
     read_dataset,
     read_predictions,
@@ -195,6 +196,17 @@ class TestTeacher:
         proc = run_child(["teacher", "--input", str(matrices),
                           "--output", str(tmp_path / "labeled.jsonl")])
         assert_one_line_error(proc, "truncated matrix container")
+
+    @pytest.mark.parametrize("rows,clip_len", [(3, 0.7), (43, 0.1)])
+    def test_grid_duration_keeps_its_clips(self, tmp_path, rows, clip_len):
+        # rows * clip_len divided by clip_len used to truncate to rows - 1
+        values = np.linspace(0.0, 1.0, 2 * rows).reshape(rows, 2)
+        matrices, out = tmp_path / "sim.tgmx", tmp_path / "labeled.jsonl"
+        write_matrices_binary([MatrixRecord("v", clip_len, ("a", "b"), values)], matrices)
+        proc = run_child(["teacher", "--input", str(matrices), "--output", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        records, _ = read_dataset(out)
+        assert len(records) == 2 and all(len(r.label) == rows for r in records)
 
 
 class TestLosscheck:
@@ -403,8 +415,12 @@ class TestEval:
          "results[0].moments[0] must be an object with numeric start, end and score"),
         (lambda report: {**report, "results": report["results"] * 2},
          "duplicate (video_id, query_id) pairs in the decode report"),
+        (lambda report: {**report, "results": [{**report["results"][0], "video_id": 0}]},
+         "results[0] must be an object with string video_id and query_id"),
+        (lambda report: {**report, "results": report["results"][:1]},
+         "truth records without predictions: [('video01', 'q0')]"),
     ], ids=["list", "no_results", "results_not_list", "no_moments", "moment_without_end",
-            "duplicate_result"])
+            "duplicate_result", "id_not_a_string", "truth_without_result"])
     def test_malformed_report_fails_closed(self, pipeline, tmp_path, capsys, edit, fragment):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(edit(json.loads(pipeline["moments"].read_text()))))
@@ -417,6 +433,46 @@ class TestEval:
                      "--truth", str(pipeline["labeled"]),
                      "--task", "summary",
                      "--output", str(tmp_path / "e.json")]) == 1
+
+
+class TestErrorPaths:
+    """Data errors no other test reaches: each is one ``error:`` line and exit 1.
+
+    Two more, in eval's report, are cases of ``TestEval.test_malformed_report_fails_closed``.
+    """
+
+    def test_convert_record_without_annotation_or_label(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        write_dataset([dataclasses.replace(toy_corpus(1, 10)[0], annotation=None, label=None)], raw)
+        assert_fails_closed(["convert", "--input", str(raw), "--output", str(tmp_path / "o")],
+                            capsys, "record video00/q0 has neither annotation nor label")
+
+    def test_fit_empty_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert_fails_closed(["fit", "--input", str(empty), "--output", str(tmp_path / "o")],
+                            capsys, "no records in")
+
+    def test_decode_summary_video_without_features(self, pipeline, tmp_path, capsys):
+        features = tmp_path / "features.txt"
+        write_matrices_text(toy_similarity(num_videos=1, num_clips=24, seed=0), features)
+        assert_fails_closed(["decode", "--input", str(pipeline["preds"]), "--task", "summary",
+                             "--kts-input", str(features), "--output", str(tmp_path / "o")],
+                            capsys, "--kts-input has no features for video 'video01'")
+
+    def test_eval_truth_without_labels(self, pipeline, tmp_path, capsys):
+        assert_fails_closed(["eval", "--predictions", str(pipeline["moments"]),
+                             "--truth", str(pipeline["raw"]), "--task", "moments",
+                             "--output", str(tmp_path / "o")],
+                            capsys, "truth records without labels: ['video00/q0', 'video01/q0']")
+
+    def test_zero_clip_len(self, tmp_path, capsys):
+        obj = dataset_record_to_obj(toy_corpus(1, 10)[0])
+        obj["clip_len"] = 0
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(json.dumps(obj) + "\n")
+        assert_fails_closed(["convert", "--input", str(raw), "--output", str(tmp_path / "o")],
+                            capsys, "raw.jsonl:1: clip_len must be positive and finite, got 0.0")
 
 
 class TestConfigFile:

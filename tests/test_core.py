@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,10 @@ class TestClipTimeline:
         assert ClipTimeline.from_duration(10.0, 2.0).num_clips == 5
         assert ClipTimeline.from_duration(11.9, 2.0).num_clips == 5
         assert ClipTimeline.from_duration(0.5, 2.0).num_clips == 1
+        assert ClipTimeline.from_duration(30.96, 2.0).num_clips == 15  # docs/formats.md
+        # 3 * 0.7 = 2.0999999999999996, and int(2.0999999999999996 / 0.7) is 2
+        assert ClipTimeline.from_duration(3 * 0.7, 0.7).num_clips == 3
+        assert ClipTimeline.from_duration(43 * 0.1, 0.1).num_clips == 43
 
     def test_duration_and_bounds(self):
         tl = ClipTimeline(4, 1.5)
@@ -73,6 +79,15 @@ class TestClipTimeline:
         tl = ClipTimeline.from_duration(duration, clip_len)
         assert tl.num_clips >= 1
         assert tl.num_clips * clip_len <= max(duration, clip_len) + 1e-9
+
+    @given(num_clips=st.integers(1, 10**5), clip_len=st.floats(1e-6, 1e6))
+    @settings(**SETTINGS)
+    def test_duration_gives_back_the_grid(self, num_clips, clip_len):
+        tl = ClipTimeline(num_clips, clip_len)
+        assert ClipTimeline.from_duration(tl.duration, tl.clip_len) == tl
+        if num_clips > 1:
+            below = math.nextafter(tl.duration, 0.0)
+            assert ClipTimeline.from_duration(below, clip_len).num_clips == num_clips - 1
 
 
 class TestInterval:

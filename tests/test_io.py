@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import struct
 import tempfile
@@ -34,6 +35,7 @@ from tgkit.formats import (
     write_predictions,
 )
 from tgkit.labels import CurveAnnotation, PointAnnotation, from_intervals
+from tgkit.synth import toy_corpus
 
 
 def interval_record(video_id="v1", query_id="q1", num_clips=4, clip_len=2.0):
@@ -134,6 +136,14 @@ class TestDatasetRoundTrip:
         write_dataset([rec], path)
         back, _ = read_dataset(path)
         assert back[0].clip_concepts == rec.clip_concepts
+
+    def test_grid_duration_keeps_its_clips(self, tmp_path):
+        # 43 * 0.1 = 4.3, and int(4.3 / 0.1) is 42
+        (rec,) = toy_corpus(1, 43, 0.1)
+        path = tmp_path / "data.jsonl"
+        write_dataset([rec], path)
+        (back,), _ = read_dataset(path)
+        assert back.timeline().num_clips == 43 and back.label.equals(rec.label)
 
 
 class TestDatasetErrors:
@@ -346,6 +356,41 @@ class TestMatrixContainers:
                 read_matrices(path)
 
 
+class TestMatrixWriters:
+    SEPARATORS = {"tab": "\t", "newline": "\n", "return": "\r", "file_separator": "\x1c",
+                  "line_separator": "\u2028"}
+
+    @pytest.mark.parametrize("where", ["video_id", "column_name"])
+    @pytest.mark.parametrize("separator", sorted(SEPARATORS))
+    def test_text_refuses_a_separator_binary_keeps_it(self, tmp_path, separator, where):
+        value = f"a{self.SEPARATORS[separator]}b"
+        rec = MatrixRecord("v", 2.0, ("c0", "c1"), np.array([[0.5, 0.25], [1.0, 0.0]]))
+        if where == "video_id":
+            rec.video_id = value
+        else:
+            rec.column_names = ("c0", value)
+        text = tmp_path / "m.txt"
+        text.write_bytes(b"earlier bytes\n")
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            write_matrices_text([rec], text)
+        assert text.read_bytes() == b"earlier bytes\n"
+        binary = tmp_path / "m.tgmx"
+        write_matrices_binary([rec], binary)
+        (back,) = read_matrices(binary)
+        assert (back.video_id, back.column_names) == (rec.video_id, rec.column_names)
+        np.testing.assert_array_equal(back.values, rec.values)
+
+    def test_writers_leave_the_record_alone(self, tmp_path):
+        values = [[0.5, 0.25], [1.0, 0.0]]
+        rec = MatrixRecord("v", 2, ["a", 2], values)
+        for write, name in ((write_matrices_text, "m.txt"), (write_matrices_binary, "m.tgmx")):
+            write([rec], tmp_path / name)
+            assert rec.values is values and values == [[0.5, 0.25], [1.0, 0.0]]
+            assert (rec.video_id, rec.clip_len, rec.column_names) == ("v", 2, ["a", 2])
+            assert type(rec.clip_len) is int
+            assert read_matrices(tmp_path / name)[0].column_names == ("a", "2")
+
+
 def _long_label(record):
     record.label = from_intervals(ClipTimeline(11, 2.0), [Interval(2.0, 6.0)])
     return record
@@ -369,6 +414,13 @@ BAD_WRITES = {
     "nan_duration": (write_dataset, lambda: [
         point_record("v1"), _nan_duration(point_record("v2"))],
         "duration must be positive and finite"),
+    "concepts_too_few": (write_dataset, lambda: [
+        point_record("v1"), dataclasses.replace(interval_record("v2", num_clips=12),
+                                                clip_concepts=(frozenset({"door"}),) * 3)],
+        "clip_concepts covers 3 clips but the timeline has 12"),
+    "unknown_source_kind": (write_dataset, lambda: [
+        point_record("v1"), dataclasses.replace(interval_record("v2"), source_kind="video")],
+        r"unknown source_kind 'video'; expected one of \('point', 'interval', 'curve'\)"),
     "prediction_too_short": (write_predictions, lambda: [
         _prediction("v1", 8.0, 4), _prediction("v2", 20.0, 3)],
         "prediction covers 3 clips but the timeline has 10"),
@@ -397,6 +449,10 @@ class TestWritersFailClosed:
 
     @pytest.mark.parametrize("case,to_obj,read", [
         ("label_too_long", dataset_record_to_obj, read_dataset),
+        ("concepts_too_few", dataset_record_to_obj, read_dataset),
+        # the annotation dropped, as dataset_record_to_obj has no encoding for an unknown kind
+        ("unknown_source_kind",
+         lambda r: dataset_record_to_obj(dataclasses.replace(r, annotation=None)), read_dataset),
         ("prediction_too_short", prediction_record_to_obj, read_predictions),
     ])
     def test_reader_rejects_what_the_writer_refuses(self, tmp_path, case, to_obj, read):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,40 @@ class TestFromIntervals:
         assert lab.foreground.tolist() == f
         np.testing.assert_allclose(lab.offsets, d, atol=1e-12)
         np.testing.assert_allclose(lab.saliency, s, atol=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_bitwise_equal_to_oracle(self, data):
+        clip_len = data.draw(st.sampled_from((0.7, 1 / 3, 0.1, 0.3, 1.1, 2.0, 0.5, 3.7)))
+        num_clips = data.draw(st.integers(1, 24))
+        tl = ClipTimeline(num_clips, clip_len)
+        # clip edges and centres as endpoints give zero-length, nested and equal-distance
+        # intervals; 2 * num_clips * clip_len / 2 is exactly the grid's end
+        edge = st.integers(0, 2 * num_clips).map(lambda k: k * clip_len / 2)
+        point = st.one_of(edge, st.floats(0, tl.duration))
+        raw = [tuple(sorted((data.draw(point), data.draw(point))))
+               for _ in range(data.draw(st.integers(0, 6)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GroundingWarning)
+            lab = from_intervals(tl, [Interval(a, b) for a, b in raw])
+        f, d, s = interval_label_oracle(num_clips, clip_len, raw)
+        assert lab.foreground.tobytes() == np.array(f, dtype=np.int8).tobytes()
+        assert lab.offsets.tobytes() == np.array(d, dtype=np.float64).reshape(-1, 2).tobytes()
+        assert lab.saliency.tobytes() == np.array(s, dtype=np.float64).tobytes()
+
+    def test_warnings_in_order(self):
+        tl = ClipTimeline.from_duration(30.96, 2.0)  # grid end 30, last centre 29
+        with pytest.warns(GroundingWarning) as caught:
+            lab = from_intervals(tl, [Interval(30.5, 30.9), Interval(30.2, 30.96)], 30.96)
+        assert [str(w.message) for w in caught] == [
+            "interval [30.5, 30.9] passes the clip grid's end 30.0; clipped to it",
+            "interval [30.2, 30.96] passes the clip grid's end 30.0; clipped to it",
+            "no clip centre falls inside any interval; label is all background",
+        ]
+        assert not lab.foreground.any()
+        with pytest.warns(GroundingWarning) as caught:
+            from_intervals(tl, [])
+        assert [str(w.message) for w in caught] == ["empty interval list; label is all background"]
 
 
 class TestDeclaredDuration:

@@ -538,12 +538,9 @@ def main(argv=None) -> int:
     try:
         _thread_count()
         return args.func(args, _load_config(args))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValueError) else 2  # io.UnsupportedOperation, both, is 1
 
 
 if __name__ == "__main__":

@@ -87,8 +87,7 @@ def decode_moments(
         ScoredInterval(Interval(lo[i], hi[i]), float(scores[i]))
         for i in range(timeline.num_clips)
     ]
-    kept = nms_1d(candidates, iou_threshold)
-    return kept[:top_k] if top_k is not None else kept
+    return nms_1d(candidates, iou_threshold)[:top_k]
 
 
 def highlight_scores(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE) -> np.ndarray:
@@ -120,7 +119,6 @@ def decode_highlights(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE,
     n = scores.shape[0]
     if k > n:
         warnings.warn(f"k={k} exceeds {n} clips; returning all ranked clips", GroundingWarning)
-        k = n
     return _rank_order(scores)[:k]
 
 
@@ -251,20 +249,14 @@ def kts_segment(
     """
     if (features is None) == (gram is None):
         raise ValueError("provide exactly one of features or gram")
-    if features is not None:
-        k = np.asarray(features, dtype=np.float64)  # like a Gram matrix, one row per clip
-        if k.ndim != 2 or k.shape[0] < 1:
-            raise ValueError(f"features must be a non-empty (clips, dim) matrix, got {k.shape}")
-        if not np.isfinite(k).all():
-            raise ValueError("features must be finite")
-    else:
-        k = np.asarray(gram, dtype=np.float64)
-        if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 1:
-            raise ValueError(f"gram matrix must be square and non-empty, got shape {k.shape}")
-        if not np.isfinite(k).all():
-            raise ValueError("gram matrix must be finite")
-        if not np.allclose(k, k.T, atol=1e-8):
-            raise ValueError("gram matrix must be symmetric")
+    what = "features" if gram is None else "gram matrix"
+    k = np.asarray(features if gram is None else gram, dtype=np.float64)  # one row per clip
+    if k.ndim != 2 or k.shape[0] < 1:
+        raise ValueError(f"{what} must be a 2-D matrix with at least one row, got shape {k.shape}")
+    if not np.isfinite(k).all():
+        raise ValueError(f"{what} must be finite")
+    if gram is not None and (k.shape[0] != k.shape[1] or not np.allclose(k, k.T, atol=1e-8)):
+        raise ValueError(f"gram matrix must be square and symmetric, got shape {k.shape}")
     if max_segments < 1 or max_clips < 1:
         raise ValueError("max_segments and max_clips must be >= 1")
     if penalty < 0:

@@ -176,9 +176,7 @@ def recall_at_k(
 
 
 def _average_precision(tp_flags: Sequence[bool], num_positive: int) -> float:
-    """Exact area under the precision-recall staircase."""
-    if num_positive == 0:
-        return 0.0
+    """Exact area under the precision-recall staircase; ``num_positive`` is at least 1."""
     ap = 0.0
     tp = 0
     for rank, flag in enumerate(tp_flags, start=1):
@@ -241,10 +239,8 @@ def hit_at_1(items: Sequence[HighlightEvalItem]) -> float:
         )
     if not eligible:
         raise ValueError("hit_at_1 is undefined: no item has a positive clip")
-    hits = 0
-    for item in eligible:
-        hits += bool(item.gt_positive[_rank_order(item.clip_scores)[0]])
-    return hits / len(eligible)
+    # AP at depth 1 divides by min(1, positives) = 1: 1 when the top clip is positive, else 0
+    return _ranking_map(eligible, "hit_at_1", depth=1)
 
 
 def _ranking_map(items: Sequence[HighlightEvalItem], what: str, depth: int | None = None) -> float:

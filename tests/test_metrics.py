@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,26 @@ class TestHitAt1:
                 _w.simplefilter("ignore", GroundingWarning)
                 got = hit_at_1([HighlightEvalItem("q", s, p) for s, p in raw])
             assert abs(got - expect) <= 1e-12
+
+    def test_equals_oracle_bit_for_bit(self):
+        # four score values make ties common; about half the items may lack a positive
+        rng = np.random.default_rng(13)
+        drawn = tied = excluded = 0
+        while drawn < 1000:
+            raw = [
+                random_highlight_instance(rng, require_positive=bool(rng.integers(0, 2)))
+                for _ in range(int(rng.integers(1, 8)))
+            ]
+            if not any(p.any() for _, p in raw):
+                continue
+            drawn += 1
+            tied += any(len(set(s.tolist())) < len(s) for s, _ in raw)
+            excluded += any(not p.any() for _, p in raw)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GroundingWarning)
+                got = hit_at_1([HighlightEvalItem("q", s, p) for s, p in raw])
+            assert got == hit_at_1_oracle([(s.tolist(), p.tolist()) for s, p in raw])
+        assert tied > 100 and excluded > 100
 
 
 class TestHighlightMap:

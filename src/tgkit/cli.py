@@ -425,8 +425,6 @@ def _cmd_eval(args, config: RunConfig) -> int:
     if unlabeled:
         raise ValueError(f"truth records without labels: {unlabeled}")
     truth = {(r.video_id, r.query_id): r for r in truth_records}
-    if len(truth) != len(truth_records):
-        raise ValueError("duplicate (video_id, query_id) pairs in the truth file")
     results = sorted(results, key=lambda r: (r["video_id"], r["query_id"]))
     pairs = _match_results(results, truth)
 

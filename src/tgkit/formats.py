@@ -6,7 +6,9 @@ per line with an explicit schema version.  Clip-by-column matrices
 compact binary form; both are specified bit-for-bit in docs/formats.md.
 Writers emit records in canonical (video_id, query_id) order with sorted
 keys so identical inputs always serialise to identical bytes, and every
-writer hands its complete bytes to ``_write_file``.
+writer hands its complete bytes to ``_write_file``.  A file holds each
+(video_id, query_id), or for matrices each video_id, once: readers and
+writers alike refuse a repeat.
 """
 from __future__ import annotations
 
@@ -202,17 +204,33 @@ def parse_json(text):
         raise ValueError("JSON is nested too deeply") from None
 
 
+def _unique(keys, what: str) -> None:
+    """Refuse the first key that repeats an earlier one; ``what`` names the keys."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"{what} {key!r} appears more than once")
+        seen.add(key)
+
+
 def _read_jsonl(path, parse, on_error: str):
+    """Records of a JSONL file and the lines skipped; a repeated (video_id, query_id) is an error."""
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
     records = []
     errors = []
+    first_line = {}  # (video_id, query_id) -> the line that holds it
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(parse(parse_json(line)))
+                record = parse(parse_json(line))
+                key = record.sort_key()
+                if key in first_line:
+                    raise ValueError(f"(video_id, query_id) {key!r} repeats line {first_line[key]}")
+                first_line[key] = line_no
+                records.append(record)
             # OverflowError: a JSON integer too large for a float
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 if on_error == "raise":
@@ -253,9 +271,11 @@ def _write_file(path, data: bytes) -> None:
 
 def _write_jsonl(path, records: Sequence[_Record], to_obj) -> None:
     """One compact, sorted-key line per record, in canonical (video_id, query_id) order."""
+    ordered = sorted(records, key=_Record.sort_key)
+    _unique((r.sort_key() for r in ordered), "(video_id, query_id)")
     _write_file(path, "".join(
         json.dumps(to_obj(record), sort_keys=True, separators=(",", ":")) + "\n"
-        for record in sorted(records, key=_Record.sort_key)
+        for record in ordered
     ).encode("utf-8"))
 
 
@@ -321,8 +341,10 @@ def _checked_matrix(record: MatrixRecord) -> MatrixRecord:
 
 
 def _checked_matrices(records: Sequence[MatrixRecord]) -> list[MatrixRecord]:
-    """What a matrix writer writes: every record checked, in video_id order."""
-    return [_checked_matrix(r) for r in sorted(records, key=lambda r: r.video_id)]
+    """What a matrix writer writes: every record checked, in video_id order, each id once."""
+    ordered = [_checked_matrix(r) for r in sorted(records, key=lambda r: r.video_id)]
+    _unique((r.video_id for r in ordered), "video id")
+    return ordered
 
 
 def _text_field(value: str, what: str) -> str:
@@ -433,11 +455,14 @@ def _parse_binary_matrices(raw: bytes) -> list[MatrixRecord]:
 
 
 def read_matrices(path) -> list[MatrixRecord]:
-    """Parse a matrix container, sniffing text vs binary by the magic bytes."""
+    """Parse a matrix container, sniffing text vs binary by the magic bytes; each id once."""
     raw = Path(path).read_bytes()
     if raw[:4] == MATRIX_MAGIC:
-        return _parse_binary_matrices(raw)
-    return _parse_text_matrices(raw.decode("utf-8"))
+        records = _parse_binary_matrices(raw)
+    else:
+        records = _parse_text_matrices(raw.decode("utf-8"))
+    _unique((r.video_id for r in records), "video id")
+    return records
 
 
 def write_json_report(obj: dict, path) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -10,14 +11,18 @@ import pytest
 
 from tgkit.cli import build_parser, main
 from tgkit.config import RunConfig
+from tgkit.core import PredictionSet
 from tgkit.formats import (
+    MATRIX_MAGIC,
     MatrixRecord,
+    PredictionRecord,
     dataset_record_to_obj,
     read_dataset,
     read_predictions,
     write_dataset,
     write_matrices_binary,
     write_matrices_text,
+    write_predictions,
 )
 from tgkit.labels import PointAnnotation
 from tgkit.synth import toy_corpus, toy_similarity
@@ -395,9 +400,9 @@ class TestEval:
         assert "video01" in err
 
     def test_duplicate_truth_pairs(self, pipeline, tmp_path):
-        records, _ = read_dataset(pipeline["labeled"])
+        lines = pipeline["labeled"].read_bytes().splitlines(keepends=True)
         truth = tmp_path / "truth.jsonl"
-        write_dataset(records + records[:1], truth)
+        truth.write_bytes(b"".join(lines + lines[:1]))
         assert main(["eval", "--predictions", str(pipeline["moments"]),
                      "--truth", str(truth),
                      "--task", "moments", "--output", str(tmp_path / "e.json")]) == 1
@@ -473,6 +478,69 @@ class TestErrorPaths:
         raw.write_text(json.dumps(obj) + "\n")
         assert_fails_closed(["convert", "--input", str(raw), "--output", str(tmp_path / "o")],
                             capsys, "raw.jsonl:1: clip_len must be positive and finite, got 0.0")
+
+
+def tgmx_with_repeat(path, values_a, values_b):
+    """A binary container holding video 'v' twice, which no writer writes."""
+    bodies = []
+    for values in (values_a, values_b):
+        one = path.with_name("one.tgmx")
+        write_matrices_binary([MatrixRecord("v", 1.0, ("a", "b"), values)], one)
+        bodies.append(one.read_bytes()[12:])  # after the magic, version and count
+    path.write_bytes(MATRIX_MAGIC + struct.pack("<II", 1, 2) + b"".join(bodies))
+    return path
+
+
+def with_first_line_repeated(source, path):
+    """``source``'s lines with its first line appended again, as a new file."""
+    path.write_bytes(source.read_bytes() + source.read_bytes().splitlines(keepends=True)[0])
+    return path
+
+
+class TestRecordIdentity:
+    """A repeated (video_id, query_id), or matrix video_id, is one ``error:`` line and exit 1."""
+
+    def test_teacher_refuses_a_repeated_video(self, tmp_path):
+        matrices = tgmx_with_repeat(tmp_path / "sim.tgmx", np.full((12, 2), 0.5),
+                                    np.full((20, 2), 0.5))
+        proc = run_child(["teacher", "--input", str(matrices), "--top-k", "1",
+                          "--output", str(tmp_path / "labeled.jsonl")])
+        assert_one_line_error(proc, "video id 'v' appears more than once")
+
+    @pytest.mark.parametrize("block_last", [True, False])
+    def test_summary_decode_refuses_a_repeated_video(self, tmp_path, block_last):
+        flat = np.zeros((12, 2))
+        block = np.repeat([[1.0, 0.0], [0.0, 1.0]], 6, axis=0)
+        matrices = tgmx_with_repeat(tmp_path / "features.tgmx",
+                                    *((flat, block) if block_last else (block, flat)))
+        preds = tmp_path / "preds.jsonl"
+        write_predictions([PredictionRecord("v", "q0", 12.0, 1.0, PredictionSet(
+            np.zeros(12), np.ones((12, 2)), np.zeros(12)))], preds)
+        proc = run_child(["decode", "--input", str(preds), "--task", "summary",
+                          "--kts-input", str(matrices), "--output", str(tmp_path / "s.json")])
+        assert_one_line_error(proc, "video id 'v' appears more than once")
+
+    @pytest.mark.parametrize("command,source", [
+        ("convert", "raw"), ("fit", "labeled"), ("decode", "preds")])
+    def test_repeated_line_refused(self, pipeline, tmp_path, command, source):
+        data = with_first_line_repeated(pipeline[source], tmp_path / "in.jsonl")
+        extra = ["--task", "moments"] if command == "decode" else []
+        proc = run_child([command, "--input", str(data), *extra,
+                          "--output", str(tmp_path / "out")])
+        assert_one_line_error(proc, f"{data}:3: (video_id, query_id) ('video00', 'q0') "
+                                    "repeats line 1")
+
+    def test_convert_skip_keeps_the_first(self, pipeline, tmp_path):
+        first = json.loads(pipeline["raw"].read_bytes().splitlines()[0])
+        first["query"]["text"] = "a different query"
+        data = tmp_path / "in.jsonl"
+        data.write_bytes(pipeline["raw"].read_bytes() + json.dumps(first).encode() + b"\n")
+        out = tmp_path / "labeled.jsonl"
+        proc = run_child(["convert", "--input", str(data), "--on-error", "skip",
+                          "--output", str(out)])
+        assert proc.returncode == 0
+        assert proc.stderr == "skipped line 3: (video_id, query_id) ('video00', 'q0') repeats line 1\n"
+        assert out.read_bytes() == pipeline["labeled"].read_bytes()
 
 
 class TestConfigFile:

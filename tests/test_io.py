@@ -152,8 +152,8 @@ class TestDatasetErrors:
         path.write_text("\n".join(lines) + "\n")
         return path
 
-    def good_line(self):
-        return json.dumps(dataset_record_to_obj(point_record()))
+    def good_line(self, query_id="q1"):
+        return json.dumps(dataset_record_to_obj(point_record(query_id=query_id)))
 
     def test_wrong_schema_version(self, tmp_path):
         obj = dataset_record_to_obj(point_record())
@@ -188,7 +188,7 @@ class TestDatasetErrors:
 
     def test_skip_collects_line_numbers(self, tmp_path):
         bad = json.dumps({"schema_version": 99})
-        path = self.write_lines(tmp_path, [self.good_line(), bad, self.good_line()])
+        path = self.write_lines(tmp_path, [self.good_line(), bad, self.good_line("q2")])
         records, errors = read_dataset(path, on_error="skip")
         assert len(records) == 2
         assert [line for line, _ in errors] == [2]
@@ -200,7 +200,7 @@ class TestDatasetErrors:
             read_dataset(path, on_error="ignore")
 
     def test_blank_lines_skipped(self, tmp_path):
-        path = self.write_lines(tmp_path, [self.good_line(), "", self.good_line()])
+        path = self.write_lines(tmp_path, [self.good_line(), "", self.good_line("q2")])
         records, errors = read_dataset(path)
         assert len(records) == 2 and errors == []
 
@@ -430,6 +430,18 @@ BAD_WRITES = {
     "text_matrix": (write_matrices_text, lambda: [
         MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
         MatrixRecord("vb", 2.0, ("c0",), np.zeros((2, 2)))], "1 column names for 2 columns"),
+    "repeated_dataset_key": (write_dataset, lambda: [
+        interval_record("v1"), point_record("v1")],
+        re.escape("(video_id, query_id) ('v1', 'q1') appears more than once")),
+    "repeated_prediction_key": (write_predictions, lambda: [
+        _prediction("v1", 8.0, 4), _prediction("v1", 20.0, 10)],
+        re.escape("(video_id, query_id) ('v1', 'q1') appears more than once")),
+    "repeated_binary_matrix_id": (write_matrices_binary, lambda: [
+        MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
+        MatrixRecord("va", 2.0, ("c0",), np.ones((3, 1)))], "video id 'va' appears more than once"),
+    "repeated_text_matrix_id": (write_matrices_text, lambda: [
+        MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
+        MatrixRecord("va", 2.0, ("c0",), np.ones((3, 1)))], "video id 'va' appears more than once"),
 }
 
 
@@ -461,6 +473,48 @@ class TestWritersFailClosed:
         path.write_text(json.dumps(to_obj(records()[-1])) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             read(path)
+
+
+def matrices_with_repeat(path, binary: bool) -> Path:
+    """A container holding video 'va' twice (2 and 3 rows), which no writer writes."""
+    parts = []
+    for rows in (2, 3):
+        one = path.with_name(f"one_{rows}")
+        record = MatrixRecord("va", 2.0, ("c0",), np.full((rows, 1), 0.5))
+        (write_matrices_binary if binary else write_matrices_text)([record], one)
+        parts.append(one.read_bytes())
+    if binary:  # magic, version and count, then both bodies
+        path.write_bytes(MATRIX_MAGIC + struct.pack("<II", 1, 2) + parts[0][12:] + parts[1][12:])
+    else:  # the second file without its header line
+        path.write_bytes(parts[0] + parts[1].split(b"\n", 1)[1])
+    return path
+
+
+class TestRecordIdentity:
+    """A file holds each (video_id, query_id), or each matrix video_id, once."""
+
+    @pytest.mark.parametrize("to_obj,first,other,repeat,read", [
+        (dataset_record_to_obj, interval_record("v1"), point_record("v0"), point_record("v1"),
+         read_dataset),
+        (prediction_record_to_obj, _prediction("v1", 8.0, 4), _prediction("v0", 8.0, 4),
+         _prediction("v1", 20.0, 10), read_predictions),
+    ], ids=["dataset", "predictions"])
+    def test_reader_names_the_repeated_line(self, tmp_path, to_obj, first, other, repeat, read):
+        path = tmp_path / "in.jsonl"
+        lines = [to_obj(first), to_obj(other), to_obj(repeat)]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                ":3: (video_id, query_id) ('v1', 'q1') repeats line 1")):
+            read(path)
+        records, errors = read(path, on_error="skip")
+        assert errors == [(3, "(video_id, query_id) ('v1', 'q1') repeats line 1")]
+        assert to_obj(records[0]) == to_obj(first) and len(records) == 2
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
+    def test_matrix_reader_names_the_repeated_id(self, tmp_path, binary):
+        path = matrices_with_repeat(tmp_path / "m", binary)
+        with pytest.raises(ValueError, match="video id 'va' appears more than once"):
+            read_matrices(path)
 
 
 # writer -> a long content, then a shorter one, each as a callable of the path

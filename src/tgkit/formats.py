@@ -214,7 +214,7 @@ def _unique(keys, what: str) -> None:
 
 
 def _read_jsonl(path, parse, on_error: str):
-    """Records of a JSONL file and the lines skipped; a repeated (video_id, query_id) is an error."""
+    """The records of a JSONL file and its skipped lines; a repeated key is a line's error."""
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
     records = []
@@ -432,8 +432,7 @@ def _parse_binary_matrices(raw: bytes) -> list[MatrixRecord]:
     def unpack(fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, take(struct.calcsize(fmt), what))
 
-    if bytes(take(4, "magic bytes")) != MATRIX_MAGIC:
-        raise ValueError(f"bad magic bytes; expected {MATRIX_MAGIC!r}")
+    take(4, "magic bytes")  # read_matrices has matched them
     version, count = unpack("<II", "container header")
     if version != 1:
         raise ValueError(f"unsupported matrix container version {version}")

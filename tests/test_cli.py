@@ -539,7 +539,8 @@ class TestRecordIdentity:
         proc = run_child(["convert", "--input", str(data), "--on-error", "skip",
                           "--output", str(out)])
         assert proc.returncode == 0
-        assert proc.stderr == "skipped line 3: (video_id, query_id) ('video00', 'q0') repeats line 1\n"
+        assert proc.stderr == ("skipped line 3: (video_id, query_id) ('video00', 'q0') "
+                               "repeats line 1\n")
         assert out.read_bytes() == pipeline["labeled"].read_bytes()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,3 +210,34 @@ class TestRecords:
         lab = make_label([1, 0], [[1, 1], [0, 0]], [1, 0])
         with pytest.raises(ValueError):
             GroundTruthRecord("v", tl, Query("q", "sentence"), lab, "video")
+
+
+def _label(n=2):
+    return make_label([1] + [0] * (n - 1), [[1, 1]] + [[0, 0]] * (n - 1), [1] + [0] * (n - 1))
+
+
+# input checks no other test reaches: the call, its exception type and its message
+INPUT_CHECKS = {
+    "interval_finite": (lambda: Interval(0.0, math.inf), ValueError,
+                        "interval endpoints must be finite, got (0.0, inf)"),
+    "label_ndim": (lambda: make_label(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2)),
+                   ValueError, "foreground must be 1-D, got shape (2, 2)"),
+    "label_finite": (lambda: make_label([1], [[math.nan, 1.0]], [1.0]), ValueError,
+                     "offsets and saliency must be finite"),
+    "boundary_index": (lambda: boundary_of(ClipTimeline(2, 1.0), _label(), 2), IndexError,
+                       "clip index 2 out of range [0, 2)"),
+    "query_text": (lambda: Query(""), ValueError, "query text must be a non-empty string"),
+    "prediction_finite": (lambda: PredictionSet([math.inf], [[0.0, 0.0]], [0.0]), ValueError,
+                          "predictions must be finite"),
+    "record_video_id": (lambda: GroundTruthRecord("", ClipTimeline(2, 1.0), Query("q"), _label(),
+                                                  "interval"),
+                        ValueError, "video_id must be a non-empty string"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is error

@@ -247,6 +247,29 @@ class TestPredictionRoundTrip:
             read_predictions(path)
 
 
+def _read_text_matrices(tmp_path, body):
+    path = tmp_path / "m.txt"
+    path.write_text(MATRIX_TEXT_HEADER + "\n" + body, encoding="utf-8")
+    return read_matrices(path)
+
+
+# input checks no other test reaches: the call, its exception type and its message
+INPUT_CHECKS = {
+    "text_no_columns_line": (lambda p: _read_text_matrices(p, "video\tv\t1.0\n"), ValueError,
+                             "line 3: expected a 'columns' line"),
+    "text_no_rows": (lambda p: _read_text_matrices(p, "video\tv\t1.0\ncolumns\ta\n"), ValueError,
+                     "matrix for video 'v' has no rows"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check(tmp_path, case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call(tmp_path)
+    assert info.type is error
+
+
 class TestMatrixContainers:
     def test_text_round_trip_is_exact_f64(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -297,3 +298,22 @@ class TestRoundTrip:
         lab = from_intervals(tl, ivs)
         back = intervals_of(tl, lab)
         assert [(iv.start, iv.end) for iv in back] == [(iv.start, iv.end) for iv in ivs]
+
+
+# input checks no other test reaches: the call, its exception type and its message
+INPUT_CHECKS = {
+    "curve_finite": (lambda: CurveAnnotation([0.5, np.nan]), ValueError,
+                     "curve values must be finite"),
+    "bin_width_zero": (lambda: bin_index([0.5], 0.0), ValueError,
+                       "bin width must lie in (0, 1], got 0.0"),
+    "bin_width_above_one": (lambda: bin_index([0.5], 1.5), ValueError,
+                            "bin width must lie in (0, 1], got 1.5"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is error

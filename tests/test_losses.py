@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from tgkit import fit
 from tgkit.core import (ClipTimeline, GroundingWarning, GroundTruthRecord, Interval,
                         PredictionSet, UnifiedLabel)
+from tgkit.gradcheck import grad_check
 from tgkit.losses import (
     EmbeddingBatch,
     LossWeights,
@@ -61,6 +63,83 @@ class TestLossWeights:
             LossWeights(tau=0.0)
         with pytest.raises(ValueError):
             LossWeights(neg_weight=1.5)
+
+
+def _embeddings(b=2, l=3, d=2):
+    return EmbeddingBatch(np.ones((b, l, d)), np.ones((b, d)))
+
+
+def _total(b=2, preds=None, labels=None, timelines=None, emb=None):
+    """``total_loss`` over ``b`` two-clip records, with any argument swapped out."""
+    pred = PredictionSet(np.zeros(2), np.ones((2, 2)), np.zeros(2))
+    label = label_of([1, 0])
+    return total_loss(preds if preds is not None else [pred] * b,
+                      emb if emb is not None else _embeddings(b, 2),
+                      labels if labels is not None else [label] * b,
+                      timelines if timelines is not None else [ClipTimeline(2, 1.0)] * b)
+
+
+def _zero_clip_embedding_row():
+    """``grad_check("total")`` at explicit inputs whose first clip embedding is all zeros."""
+    clip_embeddings = np.full((2, 5, 3), 0.5)
+    clip_embeddings[0, 0] = 0.0
+    return grad_check("total", inputs={
+        "foreground_logits": np.zeros((2, 5)), "offsets": np.full((2, 5, 2), 0.37),
+        "clip_embeddings": clip_embeddings, "sentence_embeddings": np.full((2, 3), 0.5)})
+
+
+# input checks no other test reaches: the call, and the message of the ValueError it raises
+INPUT_CHECKS = {
+    "weights_beta": (lambda: LossWeights(smooth_l1_beta=0),
+                     "smooth_l1_beta must be positive, got 0.0"),
+    "embeddings_ndim": (lambda: EmbeddingBatch(np.ones((2, 3)), np.ones((2, 3))),
+                        "clip embeddings must be (B, L, D), got shape (2, 3)"),
+    "embeddings_sentence_shape": (lambda: EmbeddingBatch(np.ones((2, 3, 4)), np.ones((2, 3))),
+                                  "sentence embeddings shape (2, 3) does not match (2, 4)"),
+    "embeddings_finite": (lambda: EmbeddingBatch(np.full((1, 2, 2), np.nan), np.ones((1, 2))),
+                          "embeddings must be finite"),
+    "foreground_ndim": (lambda: foreground_loss(np.zeros(0), np.zeros(0)),
+                        "logits must be non-empty 1-D, got shape (0,)"),
+    "foreground_target_shape": (lambda: foreground_loss(np.zeros(3), [0, 1]),
+                                "target shape (2,) does not match logits (3,)"),
+    "foreground_binary": (lambda: foreground_loss(np.zeros(2), [0, 2]), "targets must be 0 or 1"),
+    "foreground_finite": (lambda: foreground_loss([0.0, np.inf], [0, 1]),
+                          "logits must be finite"),
+    "smooth_l1_beta": (lambda: smooth_l1(1.0, beta=0), "beta must be positive, got 0"),
+    "boundary_shape": (lambda: boundary_loss(np.zeros((3, 2)), label_of([1, 0, 0, 1]),
+                                             ClipTimeline(4, 1.0)),
+                       "predicted offsets shape (3, 2) does not match (4, 2)"),
+    "boundary_finite": (lambda: boundary_loss(np.full((2, 2), np.nan), label_of([1, 0]),
+                                              ClipTimeline(2, 1.0)),
+                        "predicted offsets must be finite"),
+    "cross_positives_shape": (lambda: cross_saliency_cosines(_embeddings(), [0]),
+                              "positives shape (1,) does not match (2,)"),
+    "cross_positives_range": (lambda: cross_saliency_cosines(_embeddings(), [0, 3]),
+                              "positive clip indices out of range"),
+    "intra_shape": (lambda: saliency_intra_loss(np.zeros(3), label_of([1, 0, 0, 1])),
+                    "cosines shape (3,) does not match label length 4"),
+    "intra_finite": (lambda: saliency_intra_loss([np.nan, 0.0], label_of([1, 0])),
+                     "cosines must be finite"),
+    "inter_shape": (lambda: saliency_inter_loss(np.zeros((2, 3))),
+                    "pairing matrix must be square and non-empty, got shape (2, 3)"),
+    "inter_finite": (lambda: saliency_inter_loss([[0.0, np.nan], [0.0, 0.0]]),
+                     "pairing cosines must be finite"),
+    "total_batch_size": (lambda: _total(timelines=[ClipTimeline(2, 1.0)]),
+                         "preds, labels, timelines, and embeddings must agree on batch size"),
+    "total_empty": (lambda: _total(b=0, emb=EmbeddingBatch(np.ones((0, 2, 2)), np.ones((0, 2)))),
+                    "empty batch"),
+    "total_clip_count": (lambda: _total(timelines=[ClipTimeline(2, 1.0), ClipTimeline(3, 1.0)]),
+                         "all records must share the embedding clip count"),
+    "cosine_zero_norm": (_zero_clip_embedding_row, "zero-norm embeddings have no cosine"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError
 
 
 class TestForegroundLoss:

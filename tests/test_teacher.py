@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,3 +108,22 @@ class TestPseudoLabels:
             assert v.min() >= 0.0 and v.max() <= 1.0
             assert np.isclose(v.max(), 1.0)
             assert sample.label.foreground.any()
+
+
+# input checks no other test reaches: the call, its exception type and its message
+INPUT_CHECKS = {
+    "shape": (lambda: SimilarityMatrix(np.zeros(3), ("a",)), ValueError,
+              "similarity matrix must be 2-D and non-empty, got shape (3,)"),
+    "finite": (lambda: SimilarityMatrix([[0.5, np.nan]], ("a", "b")), ValueError,
+               "similarity values must be finite"),
+    "name_count": (lambda: SimilarityMatrix(np.zeros((3, 2)), ("a",)), ValueError,
+                   "1 concept names for 2 columns"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is error

@@ -3,7 +3,9 @@
 
 Equivalent to running by hand:
     tgkit convert -> tgkit fit -> tgkit decode -> tgkit eval
-for the moments and highlights tasks, plus a gradient audit.  Each step runs
+for the moments and highlights tasks, plus a gradient audit, pseudo-labels
+from concept similarity matrices (tgkit teacher) and a summary decode over
+those matrices.  Each step runs
 as ``python -m tgkit`` under this interpreter, so an uninstalled checkout
 works with ``PYTHONPATH=src python scripts/run_toy_pipeline.py``.
 """
@@ -13,8 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tgkit.formats import write_dataset
-from tgkit.synth import toy_corpus
+from tgkit.formats import write_dataset, write_matrices_binary
+from tgkit.synth import toy_corpus, toy_similarity
 
 
 def tgkit(*args) -> None:
@@ -40,10 +42,13 @@ def main() -> None:
         record.label = None
     raw = work / "raw.jsonl"
     write_dataset(records, raw)
+    similarity = work / "similarity.tgmx"
+    write_matrices_binary(toy_similarity(num_videos=3, num_clips=40, seed=args.seed), similarity)
 
     labeled = work / "labeled.jsonl"
     preds = work / "preds.jsonl"
     tgkit("convert", "--input", raw, "--output", labeled)
+    tgkit("teacher", "--input", similarity, "--top-k", "5", "--output", work / "teacher.jsonl")
     tgkit("losscheck", "--output", work / "losscheck.json",
           "--points", "25", "--seed", args.seed)
     tgkit("fit", "--input", labeled, "--output", preds,
@@ -56,6 +61,8 @@ def main() -> None:
         tgkit("eval", "--task", task, "--predictions", decoded,
               "--truth", labeled, "--output", report)
         print(json.dumps(json.loads(report.read_text()), indent=2))
+    tgkit("decode", "--input", preds, "--task", "summary", "--kts-input", similarity,
+          "--output", work / "decoded_summary.json")
 
 
 if __name__ == "__main__":

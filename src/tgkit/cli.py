@@ -538,7 +538,7 @@ def main(argv=None) -> int:
         return args.func(args, _load_config(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, ValueError) else 2  # io.UnsupportedOperation, both, is 1
+        return 1 if isinstance(exc, ValueError) else 2  # io.UnsupportedOperation is both; it stays 1
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ class RunConfig:
     gradcheck_epsilon: float = gradcheck.DEFAULT_EPSILON
     gradcheck_tolerance: float = gradcheck.DEFAULT_TOLERANCE
     gradcheck_points: int = gradcheck.DEFAULT_POINTS
-    # decoding; moment_top_k caps the report, where decode_moments() keeps all
+    # decoding; decode_moments() stops NMS at moment_top_k (top_k=None keeps all)
     nms_iou_threshold: float = decode.DEFAULT_NMS_THRESHOLD
     moment_top_k: int = 10
     moment_use_saliency: bool = False

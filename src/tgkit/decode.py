@@ -34,19 +34,25 @@ DEFAULT_SEGMENT_AGGREGATE = "mean"
 
 
 def nms_1d(
-    candidates: Sequence[ScoredInterval], iou_threshold: float = DEFAULT_NMS_THRESHOLD
+    candidates: Sequence[ScoredInterval],
+    iou_threshold: float = DEFAULT_NMS_THRESHOLD,
+    top_k: int | None = None,
 ) -> list[ScoredInterval]:
     """Greedy non-maximum suppression over scored intervals.
 
     Candidates are taken in order of descending score (ties: earlier start,
     then earlier input position); each kept candidate suppresses everything
     overlapping it strictly above the IoU threshold.  The order is one
-    ``lexsort`` of (-score, start, position), and each kept candidate
-    computes one IoU row against the candidates still alive after it, with
-    ``temporal_iou``'s rules for zero-length intervals.
+    ``lexsort`` of (-score, start, position), and each kept candidate but
+    the last computes one IoU row against the candidates still alive after
+    it, with ``temporal_iou``'s rules for zero-length intervals.  The loop
+    stops once it holds ``top_k`` candidates (None: no limit); candidates
+    are kept in rank order, so that is the first ``top_k`` of the full list.
     """
     if not 0 < iou_threshold <= 1:
         raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     cands = list(candidates)
     if any(not isinstance(c, ScoredInterval) for c in cands):
         raise ValueError("candidates must be ScoredInterval instances")
@@ -57,6 +63,8 @@ def nms_1d(
     while order.size:
         i, order = order[0], order[1:]
         kept.append(cands[i])
+        if len(kept) == top_k:
+            break
         # suppress IoU > threshold: the survivors overlap candidate i at most that much
         order = order[_iou_array(start[i], end[i], start[order], end[order]) <= iou_threshold]
     return kept
@@ -74,11 +82,10 @@ def decode_moments(
     Every clip proposes the interval spanned by its offsets (re-ordered if
     inverted, clamped to the video) scored by its foreground probability;
     ``use_saliency`` adds the saliency prediction to the score.  NMS then
-    de-duplicates, and ``top_k`` truncates the ranked result.
+    de-duplicates and stops after ``top_k`` moments (None: keeps all), which
+    are the first ``top_k`` of the full NMS result.
     """
     _check_clips(timeline, "prediction", len(pred))
-    if top_k is not None and top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
     _, _, lo, hi = _spans(timeline.timestamps(), pred.offsets)
     lo = np.clip(lo, 0.0, timeline.duration)
     hi = np.clip(hi, 0.0, timeline.duration)
@@ -87,7 +94,7 @@ def decode_moments(
         ScoredInterval(Interval(lo[i], hi[i]), float(scores[i]))
         for i in range(timeline.num_clips)
     ]
-    return nms_1d(candidates, iou_threshold)[:top_k]
+    return nms_1d(candidates, iou_threshold, top_k)
 
 
 def highlight_scores(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE) -> np.ndarray:

@@ -302,38 +302,46 @@ def max_weight_matching(weights) -> tuple:
         raise ValueError("weights must be finite and non-negative")
     rows, cols = w.shape
     n = max(rows, cols)
-    cost = np.zeros((n, n), dtype=np.float64)
-    cost[:rows, :cols] = -w  # minimise negated weight == maximise weight
-
     # Index 0 is the virtual column that starts each augmenting path, so the
-    # arrays are 1-based in rows and columns.  A used column's slack is never
-    # read again, so it is held at inf; argmin's first minimum over the slacks
-    # then picks the column a left-to-right scan with a strict < would pick.
+    # arrays, cost included, are 1-based in rows and columns; cost's row 0 is
+    # never read.  A used column's slack is never read again, so it is held
+    # at inf: each search reads v through v_free, in which a used column (the
+    # virtual one from the first step) holds -inf.  argmin's first minimum
+    # over the slacks then picks the column a left-to-right scan with a
+    # strict < would pick.  A zero delta would change the potentials and
+    # slacks by at most the sign of a zero, which no comparison sees and no
+    # result reads (pairs and total come from w), so that update is skipped;
+    # most steps of the zero rows' searches have one.
+    cost = np.zeros((n + 1, n + 1), dtype=np.float64)
+    cost[1:rows + 1, 1:cols + 1] = -w  # minimise negated weight == maximise weight
     u = np.zeros(n + 1)
     v = np.zeros(n + 1)
     match_col = np.zeros(n + 1, dtype=np.int64)  # match_col[j] = row matched to column j
     way = np.zeros(n + 1, dtype=np.int64)
     cur = np.empty(n + 1)
+    better = np.empty(n + 1, dtype=bool)
     for i in range(1, n + 1):
         match_col[0] = i
         j0 = 0
         minv = np.full(n + 1, np.inf)
         used = np.zeros(n + 1, dtype=bool)
+        v_free = v.copy()
         while True:
             used[j0] = True
             minv[j0] = np.inf
+            v_free[j0] = -np.inf
             i0 = match_col[j0]
-            np.subtract(cost[i0 - 1], u[i0], out=cur[1:])
-            cur[1:] -= v[1:]
-            cur[used] = np.inf
-            better = cur < minv
+            np.subtract(cost[i0], u[i0], out=cur)
+            cur -= v_free
+            np.less(cur, minv, out=better)
             np.copyto(minv, cur, where=better)
-            way[better] = j0
+            np.copyto(way, j0, where=better)
             j1 = int(minv.argmin())
             delta = minv[j1]
-            u[match_col[used]] += delta
-            v[used] -= delta
-            minv -= delta
+            if delta != 0.0:
+                u[match_col[used]] += delta
+                v[used] -= delta
+                minv -= delta
             j0 = j1
             if match_col[j0] == 0:
                 break

@@ -37,6 +37,17 @@ def random_candidates(rng, n):
     ]
 
 
+def assert_matches_oracle(cands, thr):
+    """nms_1d keeps the oracle's list, the same objects, and with a keep limit
+    ``top_k`` that list's first ``top_k``."""
+    expect = nms_oracle([(c.interval.start, c.interval.end) for c in cands],
+                        [c.score for c in cands], thr)
+    assert [id(c) for c in nms_1d(cands, thr)] == [id(cands[i]) for i in expect]
+    for k in (1, 2, len(expect), len(expect) + 1):
+        got = nms_1d(cands, thr, top_k=k)
+        assert [id(c) for c in got] == [id(cands[i]) for i in expect[:k]], (thr, k)
+
+
 class TestNms1d:
     def test_worked_example(self):
         cands = scored([(0, 10, 0.9), (1, 11, 0.8), (20, 30, 0.7), (0.5, 10.5, 0.95)])
@@ -84,11 +95,7 @@ class TestNms1d:
             n = int(rng.integers(1, 24))
             cands = random_candidates(rng, n)
             thr = float(rng.choice([0.3, 0.5, 0.7, 0.9]))
-            intervals = [(c.interval.start, c.interval.end) for c in cands]
-            scores = [c.score for c in cands]
-            expect = nms_oracle(intervals, scores, thr)
-            got = nms_1d(cands, thr)
-            assert [cands[i] for i in expect] == got
+            assert_matches_oracle(cands, thr)
 
     @pytest.mark.parametrize("thr", [0.3, 0.7, 1.0])
     def test_matches_oracle_at_scale(self, thr):
@@ -101,9 +108,12 @@ class TestNms1d:
         cands = [ScoredInterval(Interval(float(a), float(a + w)), float(s))
                  for a, w, s in zip(starts, lengths, scores)]
         cands += [ScoredInterval(c.interval, c.score) for c in cands[:200]]  # duplicates
-        expect = nms_oracle([(c.interval.start, c.interval.end) for c in cands],
-                            [c.score for c in cands], thr)
-        assert [id(c) for c in nms_1d(cands, thr)] == [id(cands[i]) for i in expect]
+        assert_matches_oracle(cands, thr)
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        with pytest.raises(ValueError, match=rf"^top_k must be >= 1, got {top_k}$"):
+            nms_1d(scored([(0, 1, 0.5)]), 0.5, top_k=top_k)
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),

@@ -397,6 +397,9 @@ class TestMaxWeightMatching:
             # summary-shaped: a few predicted clips against more reference clips
             shapes = [(int(r), int(c)) for c in rng.integers(8, 61, 30)
                       for r in [rng.integers(1, c // 2 + 1)]] + [(24, 94)]
+            # the summary shapes of perfbench's long_videos workload
+            shapes += [(6, 74), (8, 94), (11, 75), (13, 62), (16, 69), (18, 72), (21, 87),
+                       (24, 56)]
         for shape in shapes:
             if weights == "tied":
                 w = rng.integers(0, 4, shape) / 3.0  # few distinct values, many ties

@@ -373,7 +373,6 @@ def _eval_highlights(pairs) -> dict:
                 rec.label.foreground,
             )
         )
-    excluded = sum(1 for item in items if item.num_positives == 0)
     t5 = top5_map(items)
     return {
         "num_items": len(items),
@@ -381,7 +380,6 @@ def _eval_highlights(pairs) -> dict:
         "top5_map": t5["top5_map"],
         "top5_protocol": t5["protocol"],
         "hit_at_1": hit_at_1(items),
-        "hit_at_1_excluded": excluded,
     }
 
 
@@ -409,6 +407,8 @@ def _eval_summary(pairs) -> dict:
                 "f1": score.f1,
             }
         )
+    if not per_item:
+        raise ValueError("summary F1 over zero items is undefined")
     return {
         "num_items": len(per_item),
         "precision": float(np.mean([e["precision"] for e in per_item])),

@@ -228,19 +228,11 @@ def moment_map(
 def hit_at_1(items: Sequence[HighlightEvalItem]) -> float:
     """Fraction of items whose single top-scored clip is a positive.
 
-    Items without any positive clip are excluded (with a warning carrying
-    the count) rather than scored as misses.
+    Ranking AP at depth 1, whose recall denominator is min(1, positives) = 1:
+    an item scores 1 when its top clip is positive, else 0.  Like the other
+    highlight metrics it refuses an item without a positive clip.
     """
-    eligible = [item for item in items if item.num_positives > 0]
-    excluded = len(items) - len(eligible)
-    if excluded:
-        warnings.warn(
-            f"hit_at_1 excluded {excluded} item(s) without positive clips", GroundingWarning
-        )
-    if not eligible:
-        raise ValueError("hit_at_1 is undefined: no item has a positive clip")
-    # AP at depth 1 divides by min(1, positives) = 1: 1 when the top clip is positive, else 0
-    return _ranking_map(eligible, "hit_at_1", depth=1)
+    return _ranking_map(items, "hit_at_1", depth=1)
 
 
 def _ranking_map(items: Sequence[HighlightEvalItem], what: str, depth: int | None = None) -> float:

@@ -11,7 +11,7 @@ import pytest
 
 from tgkit.cli import build_parser, main
 from tgkit.config import RunConfig
-from tgkit.core import PredictionSet
+from tgkit.core import GroundingWarning, Interval, PredictionSet
 from tgkit.formats import (
     MATRIX_MAGIC,
     MatrixRecord,
@@ -24,7 +24,7 @@ from tgkit.formats import (
     write_matrices_text,
     write_predictions,
 )
-from tgkit.labels import PointAnnotation
+from tgkit.labels import PointAnnotation, from_intervals
 from tgkit.synth import toy_corpus, toy_similarity
 
 
@@ -370,7 +370,8 @@ class TestEval:
                      "--truth", str(pipeline["labeled"]),
                      "--task", "highlights", "--output", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert {"highlight_map", "top5_map", "hit_at_1", "hit_at_1_excluded"} <= set(report)
+        assert set(report) == {"task", "num_items", "highlight_map", "top5_map",
+                               "top5_protocol", "hit_at_1"}
         assert report["top5_protocol"] == "reconstructed"
 
     def test_summary_report(self, pipeline, tmp_path):
@@ -438,6 +439,39 @@ class TestEval:
                      "--truth", str(pipeline["labeled"]),
                      "--task", "summary",
                      "--output", str(tmp_path / "e.json")]) == 1
+
+    @pytest.mark.parametrize("task, refusal", [("highlights", "has no positive clips"),
+                                               ("moments", "has no ground truths")],
+                             ids=["highlights", "moments"])
+    def test_all_background_truth_refused(self, tmp_path, task, refusal):
+        # video01's truth is relabelled to [4.2, 4.8], which holds no clip centre
+        records = toy_corpus(2, 12)
+        data, preds, report = tmp_path / "data.jsonl", tmp_path / "p.jsonl", tmp_path / "r.json"
+        write_dataset(records, data)
+        assert main(["fit", "--input", str(data), "--output", str(preds),
+                     "--steps", "50", "--seed", "0"]) == 0
+        assert main(["decode", "--input", str(preds), "--task", task,
+                     "--output", str(report)]) == 0
+        moment = Interval(4.2, 4.8)
+        with pytest.warns(GroundingWarning, match="label is all background"):
+            label = from_intervals(records[1].timeline(), [moment])
+        records[1] = dataclasses.replace(records[1], annotation=[moment], label=label)
+        write_dataset(records, data)
+        proc = run_child(["eval", "--predictions", str(report), "--truth", str(data),
+                          "--task", task, "--output", str(tmp_path / "e.json")])
+        assert_one_line_error(proc, f"item 'video01/q0' {refusal}")
+
+    @pytest.mark.parametrize("task", ["moments", "highlights", "summary"])
+    def test_zero_items_refused(self, tmp_path, task):
+        truth, report, out = tmp_path / "truth.jsonl", tmp_path / "r.json", tmp_path / "e.json"
+        truth.write_text("")
+        report.write_text(json.dumps({"task": task, "results": []}))
+        proc = run_child(["eval", "--predictions", str(report), "--truth", str(truth),
+                          "--task", task, "--output", str(out)],
+                         PYTHONWARNINGS="error::RuntimeWarning")
+        assert_one_line_error(proc, "")
+        assert "over zero items" in proc.stderr
+        assert not out.exists()
 
 
 class TestErrorPaths:

@@ -204,54 +204,36 @@ class TestHitAt1:
         item = HighlightEvalItem("q", [0.9, 0.9], [0, 1])
         assert hit_at_1([item]) == 0.0
 
-    def test_excludes_items_without_positives_and_warns(self):
-        good = HighlightEvalItem("a", [0.2, 0.8], [0, 1])
-        empty = HighlightEvalItem("b", [0.5, 0.5], [0, 0])
-        with pytest.warns(GroundingWarning, match="excluded 1"):
-            assert hit_at_1([good, empty]) == 1.0
-
-    def test_all_excluded_raises(self):
-        empty = HighlightEvalItem("b", [0.5, 0.5], [0, 0])
-        with pytest.warns(GroundingWarning):
-            with pytest.raises(ValueError):
-                hit_at_1([empty])
-
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            raw = [
-                random_highlight_instance(rng, require_positive=bool(rng.integers(0, 2)))
-                for _ in range(int(rng.integers(1, 8)))
-            ]
-            if not any(p.any() for _, p in raw):
-                continue
+            raw = [random_highlight_instance(rng) for _ in range(int(rng.integers(1, 8)))]
             expect = hit_at_1_oracle([(s.tolist(), p.tolist()) for s, p in raw])
-            import warnings as _w
-
-            with _w.catch_warnings():
-                _w.simplefilter("ignore", GroundingWarning)
-                got = hit_at_1([HighlightEvalItem("q", s, p) for s, p in raw])
+            got = hit_at_1([HighlightEvalItem("q", s, p) for s, p in raw])
             assert abs(got - expect) <= 1e-12
 
     def test_equals_oracle_bit_for_bit(self):
-        # four score values make ties common; about half the items may lack a positive
+        # four score values make ties common
         rng = np.random.default_rng(13)
-        drawn = tied = excluded = 0
-        while drawn < 1000:
-            raw = [
-                random_highlight_instance(rng, require_positive=bool(rng.integers(0, 2)))
-                for _ in range(int(rng.integers(1, 8)))
-            ]
-            if not any(p.any() for _, p in raw):
-                continue
-            drawn += 1
+        tied = 0
+        for _ in range(1000):
+            raw = [random_highlight_instance(rng) for _ in range(int(rng.integers(1, 8)))]
             tied += any(len(set(s.tolist())) < len(s) for s, _ in raw)
-            excluded += any(not p.any() for _, p in raw)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", GroundingWarning)
-                got = hit_at_1([HighlightEvalItem("q", s, p) for s, p in raw])
+            got = hit_at_1([HighlightEvalItem("q", s, p) for s, p in raw])
             assert got == hit_at_1_oracle([(s.tolist(), p.tolist()) for s, p in raw])
-        assert tied > 100 and excluded > 100
+        assert tied > 100
+
+
+@pytest.mark.parametrize("metric", [highlight_map, top5_map, hit_at_1],
+                         ids=["highlight_map", "top5_map", "hit_at_1"])
+def test_item_without_a_positive_clip_refused(metric):
+    # every highlight metric refuses such an item: none skips it with a warning
+    good = HighlightEvalItem("a", [0.2, 0.8], [0, 1])
+    empty = HighlightEvalItem("b", [0.5, 0.5], [0, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GroundingWarning)
+        with pytest.raises(ValueError, match="item 'b' has no positive clips"):
+            metric([good, empty])
 
 
 class TestHighlightMap:

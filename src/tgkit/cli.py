@@ -396,7 +396,10 @@ def _eval_summary(pairs) -> dict:
             tuple(result["selected_clips"]),
             tuple(int(i) for i in rec.label.foreground_indices),
             concepts,
+            f"{rec.video_id}/{rec.query_id}",
         )
+        if not item.gt_clips:
+            raise ValueError(f"item {item.query_id!r} has no foreground clips")
         score = qfvs_f1(item)
         per_item.append(
             {

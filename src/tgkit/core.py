@@ -36,6 +36,23 @@ def _set(obj, name: str, value) -> None:
     object.__setattr__(obj, name, value)
 
 
+def _concept_sets(groups) -> list:
+    """``frozenset(str(c) for c in g)`` for each group of concepts, in order.
+
+    A run of equal groups of strings shares one frozenset, so a scene's clips
+    cost one set between them.  A group holding anything but strings is
+    never shared: 1, 1.0 and True are equal but print differently.
+    """
+    sets = []
+    run = shared = None
+    for group in groups:
+        if run is None or group != run:
+            shared = frozenset(str(c) for c in group)
+            run = group if all(isinstance(c, str) for c in group) else None
+        sets.append(shared)
+    return sets
+
+
 def _rank_order(scores) -> np.ndarray:
     """Indices sorted by descending score; the earlier index wins ties."""
     return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")

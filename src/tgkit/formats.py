@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (SOURCE_KINDS, ClipTimeline, Interval, PredictionSet, Query, UnifiedLabel,
-                   _check_clips)
+                   _check_clips, _concept_sets)
 from .labels import CurveAnnotation, PointAnnotation
 
 SCHEMA_VERSION = 1
@@ -168,7 +168,7 @@ def dataset_record_from_obj(obj: dict) -> DatasetRecord:
         )
     concepts = None
     if obj.get("clip_concepts") is not None:
-        concepts = tuple(frozenset(str(c) for c in cs) for cs in obj["clip_concepts"])
+        concepts = tuple(_concept_sets(obj["clip_concepts"]))
     record = _check_dataset_record(DatasetRecord(
         **head, query=query, source_kind=obj["source_kind"], label=label, clip_concepts=concepts))
     record.annotation = _annotation_from_obj(obj.get("annotation"), record.source_kind)

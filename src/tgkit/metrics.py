@@ -7,13 +7,14 @@ is itself the protocol).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GroundingWarning, Interval, ScoredInterval, _rank_order, _set
+from .core import GroundingWarning, Interval, ScoredInterval, _concept_sets, _rank_order, _set
 
 DEFAULT_MAP_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 DEFAULT_RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
@@ -103,18 +104,22 @@ class HighlightEvalItem:
 
 @dataclass(frozen=True)
 class SummaryEvalItem:
-    """Selected clips, reference clips, and the per-clip concept map."""
+    """Selected clips, reference clips, and the per-clip concept map of one query.
+
+    ``query_id`` names the item in error messages.
+    """
 
     predicted_clips: tuple
     gt_clips: tuple
     clip_concepts: Mapping[int, frozenset]
+    query_id: str = ""
 
     def __post_init__(self):
         pred = tuple(sorted(int(i) for i in set(self.predicted_clips)))
         gt = tuple(sorted(int(i) for i in set(self.gt_clips)))
         if any(i < 0 for i in pred + gt):
             raise ValueError("clip indices must be non-negative")
-        concepts = {int(i): frozenset(str(c) for c in cs) for i, cs in self.clip_concepts.items()}
+        concepts = dict(zip(map(int, self.clip_concepts), _concept_sets(self.clip_concepts.values())))
         missing = [i for i in pred + gt if i not in concepts]
         if missing:
             raise ValueError(f"concept map missing clips {sorted(set(missing))}")
@@ -275,15 +280,88 @@ def concept_iou(a: frozenset, b: frozenset) -> float:
     return len(a & b) / union
 
 
+def _match_rows(cost: np.ndarray) -> np.ndarray:
+    """A minimum-cost matching that matches every row of ``cost``.
+
+    The Hungarian potentials algorithm, one augmenting-path search per row.
+    ``cost`` is 1-based, of shape (rows + 1, cols + 1) with rows <= cols:
+    its row 0 is never read, and its column 0, all zeros, is the virtual
+    column that starts each search.  Returns ``match_col`` of length
+    cols + 1, where ``match_col[j]`` is the row matched to column j (0 for
+    none); entry 0 is scratch.
+
+    Each step of a search updates every free column's slack as one array
+    operation and moves to the free column of least slack, the first one on
+    ties, so tied costs always give the same matching.  The arithmetic is
+    ``cost``'s: float64, or Python ints in an object array.  On integer
+    costs in [-L, 0] every potential stays within rows * L and every slack
+    within (2 * rows + 1) * L of zero (a search moves each potential by at
+    most L), so float64 holds them exactly while (2 * rows + 1) * L <= 2**53;
+    past that, pass the costs as Python ints.
+    """
+    rows, cols = cost.shape[0] - 1, cost.shape[1] - 1
+    # A used column's slack is never read again, so it is held at inf: each
+    # search reads v through v_free, in which a used column (the virtual one
+    # from the first step) holds -inf.  argmin's first minimum over the
+    # slacks then picks the column a left-to-right scan with a strict < would
+    # pick.  A zero delta would change the potentials and slacks by at most
+    # the sign of a zero, which no comparison sees and no caller reads (the
+    # matching comes from match_col), so that update is skipped.
+    inf = np.inf
+    if cost.dtype == object:
+        # Python ints of any size meet this infinity without turning into
+        # floats (an int past 2**1024 cannot be added to float inf).  Loading
+        # decimal costs a process 0.4 MB, so only this path imports it.
+        from decimal import Decimal
+        inf = Decimal("Infinity")
+    u = np.zeros(rows + 1, dtype=cost.dtype)
+    v = np.zeros(cols + 1, dtype=cost.dtype)
+    match_col = np.zeros(cols + 1, dtype=np.int64)
+    way = np.zeros(cols + 1, dtype=np.int64)
+    cur = np.empty(cols + 1, dtype=cost.dtype)
+    better = np.empty(cols + 1, dtype=bool)
+    for i in range(1, rows + 1):
+        match_col[0] = i
+        j0 = 0
+        minv = np.full(cols + 1, inf, dtype=cost.dtype)
+        used = np.zeros(cols + 1, dtype=bool)
+        v_free = v.copy()
+        for _ in range(cols + 1):  # each step uses one more column
+            used[j0] = True
+            minv[j0] = inf
+            v_free[j0] = -inf
+            i0 = match_col[j0]
+            np.subtract(cost[i0], u[i0], out=cur)
+            cur -= v_free
+            np.less(cur, minv, out=better)
+            np.copyto(minv, cur, where=better)
+            np.copyto(way, j0, where=better)
+            j1 = int(minv.argmin())
+            delta = minv[j1]
+            if delta != 0:
+                u[match_col[used]] += delta
+                v[used] -= delta
+                minv -= delta
+            j0 = j1
+            if match_col[j0] == 0:
+                break
+        else:
+            raise RuntimeError(f"search for row {i} took {cols + 1} steps and found no free column")
+        while j0:
+            j1 = way[j0]
+            match_col[j0] = match_col[j1]
+            j0 = j1
+    return match_col
+
+
 def max_weight_matching(weights) -> tuple:
     """Exact maximum-weight bipartite matching for non-negative weights.
 
     Returns (pairs, total_weight) where pairs is a list of (row, col) with
     strictly positive weight.  Implemented as the Hungarian potentials
-    algorithm on a zero-padded square matrix, O(n^3): each step of an
-    augmenting-path search updates every free column's slack as one array
-    operation and moves to the free column of least slack, the first one on
-    ties, so tied weights always give the same pairs.
+    algorithm (``_match_rows``) on a zero-padded square matrix, O(n^3): the
+    padding rows keep their searches, so on tied float weights the pairs,
+    and the float total's last bits, are those of the padded scalar loop.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
@@ -294,54 +372,9 @@ def max_weight_matching(weights) -> tuple:
         raise ValueError("weights must be finite and non-negative")
     rows, cols = w.shape
     n = max(rows, cols)
-    # Index 0 is the virtual column that starts each augmenting path, so the
-    # arrays, cost included, are 1-based in rows and columns; cost's row 0 is
-    # never read.  A used column's slack is never read again, so it is held
-    # at inf: each search reads v through v_free, in which a used column (the
-    # virtual one from the first step) holds -inf.  argmin's first minimum
-    # over the slacks then picks the column a left-to-right scan with a
-    # strict < would pick.  A zero delta would change the potentials and
-    # slacks by at most the sign of a zero, which no comparison sees and no
-    # result reads (pairs and total come from w), so that update is skipped;
-    # most steps of the zero rows' searches have one.
     cost = np.zeros((n + 1, n + 1), dtype=np.float64)
     cost[1:rows + 1, 1:cols + 1] = -w  # minimise negated weight == maximise weight
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match_col = np.zeros(n + 1, dtype=np.int64)  # match_col[j] = row matched to column j
-    way = np.zeros(n + 1, dtype=np.int64)
-    cur = np.empty(n + 1)
-    better = np.empty(n + 1, dtype=bool)
-    for i in range(1, n + 1):
-        match_col[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        v_free = v.copy()
-        while True:
-            used[j0] = True
-            minv[j0] = np.inf
-            v_free[j0] = -np.inf
-            i0 = match_col[j0]
-            np.subtract(cost[i0], u[i0], out=cur)
-            cur -= v_free
-            np.less(cur, minv, out=better)
-            np.copyto(minv, cur, where=better)
-            np.copyto(way, j0, where=better)
-            j1 = int(minv.argmin())
-            delta = minv[j1]
-            if delta != 0.0:
-                u[match_col[used]] += delta
-                v[used] -= delta
-                minv -= delta
-            j0 = j1
-            if match_col[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match_col[j0] = match_col[j1]
-            j0 = j1
-
+    match_col = _match_rows(cost)
     pairs = []
     total = 0.0
     for j in range(1, n + 1):
@@ -353,11 +386,42 @@ def max_weight_matching(weights) -> tuple:
     return pairs, total
 
 
+def _exact_matching_weight(row_sets: list, col_sets: list) -> float:
+    """The maximum total concept IoU of a matching, correctly rounded.
+
+    Each IoU |a & b| / |a | b| is rational.  With L the least common multiple
+    of the union sizes of the pairs that share a concept, every weight
+    |a & b| * (L / |a | b|) is an integer, so the search is exact, every
+    optimal matching has the same total, and no padding rows are needed.
+    Needs len(row_sets) <= len(col_sets).
+    """
+    kinds = {}  # clips of one scene share a concept set: count each distinct pair once
+    row_kind = np.array([kinds.setdefault(s, len(kinds)) for s in row_sets])
+    col_kind = np.array([kinds.setdefault(s, len(kinds)) for s in col_sets])
+    distinct = list(kinds)
+    inter = np.array([[len(a & b) for b in distinct] for a in distinct])
+    size = inter.diagonal()
+    inter = inter[np.ix_(row_kind, col_kind)]
+    # a union is 0 only between two empty sets, whose weight is 0 whatever it divides
+    union = np.maximum(size[row_kind, None] + size[col_kind] - inter, 1)
+    scale = math.lcm(*set(union[inter > 0].tolist()))
+    if (2 * len(row_sets) + 1) * scale <= 2**53:
+        weights = (inter * (scale // union)).astype(np.float64)
+    else:
+        weights = inter.astype(object) * (scale // union.astype(object))
+    cost = np.zeros((len(row_sets) + 1, len(col_sets) + 1), dtype=weights.dtype)
+    cost[1:, 1:] = -weights  # minimise negated weight == maximise weight
+    match_col = _match_rows(cost)
+    matched = np.flatnonzero(match_col[1:])
+    return int(weights[match_col[matched + 1] - 1, matched].sum()) / scale
+
+
 def qfvs_f1(item: SummaryEvalItem) -> QfvsScore:
     """Concept-overlap F1 between a selected summary and the reference.
 
     Edge weights are concept-set IoUs between predicted and reference clips;
-    an exact maximum-weight matching supplies the shared weight W, giving
+    an exact maximum-weight matching supplies the shared weight W, the
+    correctly rounded exact optimum (``_exact_matching_weight``), giving
     precision W/|pred| and recall W/|gt|.
     """
     pred, gt = item.predicted_clips, item.gt_clips
@@ -367,10 +431,9 @@ def qfvs_f1(item: SummaryEvalItem) -> QfvsScore:
         warnings.warn("empty reference summary; recall reported as 0", GroundingWarning)
     if not pred or not gt:
         return QfvsScore(0.0, 0.0, 0.0)
-    weights = np.array(
-        [[concept_iou(item.clip_concepts[p], item.clip_concepts[g]) for g in gt] for p in pred]
-    )
-    _, total = max_weight_matching(weights)
+    short, long = sorted((pred, gt), key=len)  # a matching of the transpose weighs the same
+    total = _exact_matching_weight([item.clip_concepts[c] for c in short],
+                                   [item.clip_concepts[c] for c in long])
     precision = total / len(pred)
     recall = total / len(gt)
     if precision + recall == 0:

@@ -461,6 +461,33 @@ class TestEval:
                           "--task", task, "--output", str(tmp_path / "e.json")])
         assert_one_line_error(proc, f"item 'video01/q0' {refusal}")
 
+    def test_summary_truth_without_foreground_refused(self, tmp_path):
+        # as above, with per-clip concepts for a summary truth file
+        records = toy_corpus(2, 12)
+        data, preds, report = tmp_path / "data.jsonl", tmp_path / "p.jsonl", tmp_path / "r.json"
+        features = tmp_path / "features.txt"
+        write_dataset(records, data)
+        write_matrices_text(toy_similarity(2, 12), features)
+        assert main(["fit", "--input", str(data), "--output", str(preds),
+                     "--steps", "50", "--seed", "0"]) == 0
+        assert main(["decode", "--input", str(preds), "--task", "summary",
+                     "--kts-input", str(features), "--max-clips", "12",
+                     "--output", str(report)]) == 0
+        moment = Interval(4.2, 4.8)
+        with pytest.warns(GroundingWarning, match="label is all background"):
+            label = from_intervals(records[1].timeline(), [moment])
+        records[1] = dataclasses.replace(records[1], annotation=[moment], label=label)
+        for i, rec in enumerate(records):
+            records[i] = dataclasses.replace(rec, clip_concepts=tuple(
+                frozenset({"moment"} if f else {f"bg{c % 3}"})
+                for c, f in enumerate(rec.label.foreground)))
+        write_dataset(records, data)
+        out = tmp_path / "e.json"
+        proc = run_child(["eval", "--predictions", str(report), "--truth", str(data),
+                          "--task", "summary", "--output", str(out)])
+        assert_one_line_error(proc, "item 'video01/q0' has no foreground clips")
+        assert not out.exists()
+
     @pytest.mark.parametrize("task", ["moments", "highlights", "summary"])
     def test_zero_items_refused(self, tmp_path, task):
         truth, report, out = tmp_path / "truth.jsonl", tmp_path / "r.json", tmp_path / "e.json"

@@ -115,6 +115,10 @@ class TestUnifiedLabel:
         assert len(lab) == 2
         assert lab.foreground_indices.tolist() == [0]
 
+    def test_num_clips_is_its_length(self):
+        lab = make_label([1, 0, 0], [[1, 2], [0, 0], [0, 0]], [0.5, 0.0, 0.0])
+        assert lab.num_clips == len(lab) == 3
+
     def test_background_must_be_blank(self):
         with pytest.raises(ValueError):
             make_label([0, 0], [[0, 0], [1, 0]], [0, 0])

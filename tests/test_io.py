@@ -137,6 +137,18 @@ class TestDatasetRoundTrip:
         back, _ = read_dataset(path)
         assert back[0].clip_concepts == rec.clip_concepts
 
+    def test_runs_of_equal_concept_lists_share_one_set(self, tmp_path):
+        rec = interval_record()
+        obj = dataset_record_to_obj(rec)
+        obj["clip_concepts"] = [["dog", "park"], ["dog", "park"], [1], [True]]
+        back = dataset_record_from_obj(obj)
+        assert back.clip_concepts == ({"dog", "park"}, {"dog", "park"}, {"1"}, {"True"})
+        assert back.clip_concepts[0] is back.clip_concepts[1]
+        path = tmp_path / "data.jsonl"
+        write_dataset([back], path)
+        assert json.loads(path.read_text())["clip_concepts"] == [
+            ["dog", "park"], ["dog", "park"], ["1"], ["True"]]
+
     def test_grid_duration_keeps_its_clips(self, tmp_path):
         # 43 * 0.1 = 4.3, and int(4.3 / 0.1) is 42
         (rec,) = toy_corpus(1, 43, 0.1)

@@ -31,6 +31,7 @@ class TestAnnotations:
     def test_points_sorted_and_deduped(self):
         ann = PointAnnotation((5.0, 1.0, 5.0))
         assert ann.timestamps == (1.0, 5.0)
+        assert len(ann) == 2
 
     def test_points_validation(self):
         with pytest.raises(ValueError):

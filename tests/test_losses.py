@@ -387,6 +387,10 @@ class TestInterLoss:
 
 
 class TestEmbeddings:
+    def test_shape_properties(self):
+        emb = EmbeddingBatch(np.ones((2, 3, 4)), np.ones((2, 4)))
+        assert (emb.batch_size, emb.num_clips, emb.dim) == (2, 3, 4)
+
     def test_cosines_agree_with_numpy(self):
         rng = np.random.default_rng(7)
         clips = rng.normal(size=(2, 3, 4))

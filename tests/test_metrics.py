@@ -1,4 +1,6 @@
+import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from tgkit.metrics import (
     HighlightEvalItem,
     MomentEvalItem,
     SummaryEvalItem,
+    _exact_matching_weight,
+    _match_rows,
     concept_iou,
     highlight_map,
     hit_at_1,
@@ -404,6 +408,83 @@ class TestMaxWeightMatching:
             max_weight_matching([[np.inf]])
 
 
+class TestSearchBound:
+    def test_a_search_that_finds_no_free_column_raises(self):
+        # more rows than columns: the last row's search runs out of columns,
+        # and the bound on its steps turns what would loop into an error
+        cost = -np.arange(12.0).reshape(4, 3)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                RuntimeError, match="search for row 3 took 3 steps and found no free column"):
+            _match_rows(cost)
+
+
+def fraction_optimum(row_sets, col_sets):
+    """Maximum total concept IoU over every matching, in exact arithmetic."""
+    if len(row_sets) > len(col_sets):
+        row_sets, col_sets = col_sets, row_sets
+    ious = [[Fraction(len(a & b), len(a | b)) if a | b else Fraction(0) for b in col_sets]
+            for a in row_sets]
+    return max(sum((ious[r][c] for r, c in enumerate(cols)), Fraction(0))
+               for cols in itertools.permutations(range(len(col_sets)), len(row_sets)))
+
+
+def random_concept_sets(rng, count, pool="abcdef"):
+    return [frozenset(rng.choice(list(pool), size=int(rng.integers(0, 4)), replace=False).tolist())
+            for _ in range(count)]
+
+
+def prime_sized_sets(bound):
+    """Two one-concept rows and a column per prime p < bound whose union with a row has size p.
+
+    The first column, {a, b}, is each row's best, so the second row's search
+    has to pass through the first row's column; L is twice the product of the
+    primes, past 2**53 for bound 50 and past 2**1024 for bound 1000.
+    """
+    primes = [p for p in range(3, bound) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    cols = [frozenset("ab")]
+    for k, p in enumerate(primes):
+        shared = "ab"[k % 2]
+        cols.append(frozenset([shared] + [f"{p}-{i}" for i in range(p - 1)]))
+    return [frozenset("a"), frozenset("b")], cols
+
+
+class TestExactMatchingWeight:
+    def test_equals_exhaustive_fraction_optimum(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            rows = int(rng.integers(1, 6))
+            row_sets = random_concept_sets(rng, rows)
+            col_sets = random_concept_sets(rng, int(rng.integers(rows, 7)))
+            assert _exact_matching_weight(row_sets, col_sets) == float(
+                fraction_optimum(row_sets, col_sets))
+
+    def test_same_bits_for_transpose_and_row_permutation(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            a, b = random_concept_sets(rng, n), random_concept_sets(rng, n)
+            w = _exact_matching_weight(a, b)
+            assert _exact_matching_weight(b, a) == w
+            order = rng.permutation(n)
+            assert _exact_matching_weight([a[i] for i in order], b) == w
+
+    def test_summary_shaped_matrices_equal_the_fraction_optimum(self):
+        # 2-3 predicted clips against up to 40 reference clips drawn from scenes
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            scenes = random_concept_sets(rng, 6, pool="abcdefghij")
+            row_sets = [scenes[i] for i in rng.integers(0, 6, int(rng.integers(2, 4)))]
+            col_sets = [scenes[i] for i in rng.integers(0, 6, int(rng.integers(3, 41)))]
+            assert _exact_matching_weight(row_sets, col_sets) == float(
+                fraction_optimum(row_sets, col_sets))
+
+    @pytest.mark.parametrize("bound", [50, 1000])
+    def test_scale_past_float_range_is_exact(self, bound):
+        row_sets, col_sets = prime_sized_sets(bound)
+        assert _exact_matching_weight(row_sets, col_sets) == float(
+            fraction_optimum(row_sets, col_sets))
+
+
 class TestConceptIou:
     def test_worked_examples(self):
         assert concept_iou(frozenset("ab"), frozenset("bc")) == pytest.approx(1 / 3)
@@ -475,6 +556,15 @@ class TestQfvsF1:
 
 
 class TestSummaryEvalItem:
+    def test_query_id_names_the_item(self):
+        assert SummaryEvalItem((0,), (0,), {0: set()}, "v/q").query_id == "v/q"
+        assert SummaryEvalItem((0,), (0,), {0: set()}).query_id == ""
+
+    def test_runs_of_equal_concept_lists_share_a_set(self):
+        item = SummaryEvalItem((0,), (2,), {0: ["a"], 1: ["a"], 2: ["b"], 3: [1], 4: [True]})
+        assert item.clip_concepts == {0: {"a"}, 1: {"a"}, 2: {"b"}, 3: {"1"}, 4: {"True"}}
+        assert item.clip_concepts[0] is item.clip_concepts[1]
+
     def test_dedup_and_sort(self):
         item = SummaryEvalItem((3, 1, 3), (2,), {1: set(), 2: set(), 3: set()})
         assert item.predicted_clips == (1, 3)

@@ -119,7 +119,8 @@ class SummaryEvalItem:
         gt = tuple(sorted(int(i) for i in set(self.gt_clips)))
         if any(i < 0 for i in pred + gt):
             raise ValueError("clip indices must be non-negative")
-        concepts = dict(zip(map(int, self.clip_concepts), _concept_sets(self.clip_concepts.values())))
+        concepts = dict(zip(map(int, self.clip_concepts),
+                            _concept_sets(self.clip_concepts.values())))
         missing = [i for i in pred + gt if i not in concepts]
         if missing:
             raise ValueError(f"concept map missing clips {sorted(set(missing))}")

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import _thread_count
-from .config import RunConfig, _is_real
+from .config import RunConfig
 from .core import GroundTruthRecord, Interval, ScoredInterval, _check_clips
 from .decode import (
     HIGHLIGHT_MODES,
@@ -29,8 +29,8 @@ from .decode import (
 from .formats import (
     DatasetRecord,
     PredictionRecord,
-    parse_json,
     read_dataset,
+    read_decode_report,
     read_matrices,
     read_predictions,
     write_dataset,
@@ -55,16 +55,6 @@ from .metrics import (
 from .teacher import SimilarityMatrix, pseudo_labels
 
 TASKS = ("moments", "highlights", "summary")
-# what eval reads from a decoded result, by task: (key, check on each entry, what it must be)
-_RESULT_ENTRIES = {
-    "moments": ("moments",
-                lambda m: isinstance(m, dict) and all(_is_real(m.get(k))
-                                                      for k in ("start", "end", "score")),
-                "an object with numeric start, end and score"),
-    "highlights": ("clip_scores", _is_real, "a finite number"),
-    "summary": ("selected_clips", lambda c: isinstance(c, int) and not isinstance(c, bool),
-                "an integer clip index"),
-}
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 _TOP_K_FIELDS = {"moments": "moment_top_k", "highlights": "highlight_top_k"}
 
@@ -301,46 +291,6 @@ def _cmd_decode(args, config: RunConfig) -> int:
     return 0
 
 
-def _read_report(path, task: str) -> list:
-    """The results of a decode report, after checking the shape eval reads."""
-    with open(path, "r", encoding="utf-8") as handle:
-        report = parse_json(handle.read())
-    if not isinstance(report, dict) or not isinstance(report.get("results"), list):
-        raise ValueError(f"{path}: a decode report is an object holding a 'results' list")
-    if report.get("task") != task:
-        raise ValueError(f"predictions were decoded for task {report.get('task')!r}, not {task!r}")
-    key, accepts, kind = _RESULT_ENTRIES[task]
-    for i, result in enumerate(report["results"]):
-        where = f"{path}: results[{i}]"
-        if not (isinstance(result, dict) and isinstance(result.get("video_id"), str)
-                and isinstance(result.get("query_id"), str)):
-            raise ValueError(f"{where} must be an object with string video_id and query_id")
-        if not isinstance(result.get(key), list):
-            raise ValueError(f"{where} needs a list {key!r}")
-        for j, entry in enumerate(result[key]):
-            if not accepts(entry):
-                raise ValueError(f"{where}.{key}[{j}] must be {kind}")
-    return report["results"]
-
-
-def _match_results(results: list, truth: dict) -> list:
-    """Pair each decoded result with its truth record; mismatches are errors."""
-    got = {(r["video_id"], r["query_id"]) for r in results}
-    if len(got) != len(results):
-        raise ValueError("duplicate (video_id, query_id) pairs in the decode report")
-    want = set(truth)
-    if got != want:
-        missing = sorted(want - got)
-        extra = sorted(got - want)
-        parts = []
-        if missing:
-            parts.append(f"truth records without predictions: {missing}")
-        if extra:
-            parts.append(f"predictions without truth records: {extra}")
-        raise ValueError("; ".join(parts))
-    return [(r, truth[(r["video_id"], r["query_id"])]) for r in results]
-
-
 def _eval_moments(pairs, config: RunConfig) -> dict:
     items = []
     for result, rec in pairs:
@@ -422,14 +372,14 @@ def _eval_summary(pairs) -> dict:
 
 
 def _cmd_eval(args, config: RunConfig) -> int:
-    results = _read_report(args.predictions, args.task)
     truth_records, _ = read_dataset(args.truth)
     unlabeled = [f"{r.video_id}/{r.query_id}" for r in truth_records if r.label is None]
     if unlabeled:
         raise ValueError(f"truth records without labels: {unlabeled}")
-    truth = {(r.video_id, r.query_id): r for r in truth_records}
-    results = sorted(results, key=lambda r: (r["video_id"], r["query_id"]))
-    pairs = _match_results(results, truth)
+    truth = sorted(truth_records, key=DatasetRecord.sort_key)
+    results = read_decode_report(args.predictions, args.task,
+                                 {r.sort_key(): r.timeline() for r in truth})
+    pairs = list(zip(results, truth))
 
     if args.task == "moments":
         body = _eval_moments(pairs, config)

@@ -1,18 +1,12 @@
 """Run configuration; each default is the constant of the module that uses it."""
 import dataclasses
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import decode, fit, gradcheck, labels, losses, metrics, teacher
+from .core import _is_real
 from .formats import parse_json, write_json_report
 from .losses import LossWeights
-
-
-def _is_real(value) -> bool:
-    """An int or float, not a bool, inside the finite float range."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 # field annotation -> (accepts the value, what the value must be)

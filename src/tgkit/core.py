@@ -8,6 +8,7 @@ pair of boundary offsets, and a saliency score.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _set(obj, name: str, value) -> None:
     # frozen dataclasses forbid plain attribute assignment in __post_init__
     object.__setattr__(obj, name, value)
+
+
+def _is_real(value) -> bool:
+    """An int or float, not a bool, inside the finite float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _concept_sets(groups) -> list:

@@ -1,4 +1,4 @@
-"""On-disk formats: dataset/prediction record lines and matrix containers.
+"""On-disk formats: dataset/prediction record lines, matrix containers, decode reports.
 
 Datasets and predictions are line-delimited JSON, one self-contained record
 per line with an explicit schema version.  Clip-by-column matrices
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (SOURCE_KINDS, ClipTimeline, Interval, PredictionSet, Query, UnifiedLabel,
-                   _check_clips, _concept_sets)
+                   _check_clips, _concept_sets, _is_real)
 from .labels import CurveAnnotation, PointAnnotation
 
 SCHEMA_VERSION = 1
@@ -42,6 +42,17 @@ _ANNOTATIONS = {
 
 # the fields every record line starts with, each with how a line's value is read
 _HEAD = {"video_id": str, "query_id": str, "duration": float, "clip_len": float}
+
+# what eval reads from a decoded result, by task: (key, check on each entry, what it must be)
+_RESULT_ENTRIES = {
+    "moments": ("moments",
+                lambda m: isinstance(m, dict) and all(_is_real(m.get(k))
+                                                      for k in ("start", "end", "score")),
+                "an object with numeric start, end and score"),
+    "highlights": ("clip_scores", _is_real, "a finite number"),
+    "summary": ("selected_clips", lambda c: isinstance(c, int) and not isinstance(c, bool),
+                "an integer clip index"),
+}
 
 
 @dataclass
@@ -227,9 +238,8 @@ def _read_jsonl(path, parse, on_error: str):
             try:
                 record = parse(parse_json(line))
                 key = record.sort_key()
-                if key in first_line:
+                if first_line.setdefault(key, line_no) != line_no:
                     raise ValueError(f"(video_id, query_id) {key!r} repeats line {first_line[key]}")
-                first_line[key] = line_no
                 records.append(record)
             # OverflowError: a JSON integer too large for a float
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -466,3 +476,65 @@ def read_matrices(path) -> list[MatrixRecord]:
 
 def write_json_report(obj: dict, path) -> None:
     _write_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def _misfit(task: str, entries: list, timeline: ClipTimeline) -> str | None:
+    """What puts a result's checked entries off its video's clip grid, or None when they fit.
+
+    A moment satisfies 0 <= start <= end <= ``timeline.duration``, the grid end
+    that ``decode_moments`` clamps to; ``clip_scores`` holds one score per clip;
+    a selected clip lies in [0, num_clips).
+    """
+    n = timeline.num_clips
+    if task == "highlights":
+        return None if len(entries) == n else (
+            f"clip_scores covers {len(entries)} clips but the timeline has {n}")
+    for j, entry in enumerate(entries):
+        if task == "moments" and not 0 <= entry["start"] <= entry["end"] <= timeline.duration:
+            return (f"moments[{j}] from {entry['start']!r} to {entry['end']!r} must satisfy "
+                    f"0 <= start <= end <= {timeline.duration!r}")
+        if task == "summary" and not 0 <= entry < n:
+            return f"selected_clips[{j}] is {entry}, outside [0, {n})"
+    return None
+
+
+def read_decode_report(path, task: str, timelines: dict) -> list:
+    """The results of a ``task`` decode report, one per key of ``timelines``, in key order.
+
+    ``timelines`` maps each truth record's (video_id, query_id) to its clip grid.
+    Each key needs one result of the shape eval reads that fits its grid; an
+    error names ``path`` and, where there is one, the result and its ids.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        report = parse_json(handle.read())
+    if not isinstance(report, dict) or not isinstance(report.get("results"), list):
+        raise ValueError(f"{path}: a decode report is an object holding a 'results' list")
+    if report.get("task") != task:
+        raise ValueError(
+            f"{path}: predictions were decoded for task {report.get('task')!r}, not {task!r}")
+    key, accepts, kind = _RESULT_ENTRIES[task]
+    first = {}  # (video_id, query_id) -> the index of the result that holds it
+    for i, result in enumerate(report["results"]):
+        where = f"{path}: results[{i}]"
+        if not (isinstance(result, dict) and isinstance(result.get("video_id"), str)
+                and isinstance(result.get("query_id"), str)):
+            raise ValueError(f"{where} must be an object with string video_id and query_id")
+        ids = (result["video_id"], result["query_id"])
+        named = f" (video_id {ids[0]!r}, query_id {ids[1]!r})"
+        if first.setdefault(ids, i) != i:
+            raise ValueError(f"{where}: duplicate (video_id, query_id) pairs in the decode "
+                             f"report; results[{first[ids]}] holds the first{named}")
+        if not isinstance(result.get(key), list):
+            raise ValueError(f"{where} needs a list {key!r}{named}")
+        for j, entry in enumerate(result[key]):
+            if not accepts(entry):
+                raise ValueError(f"{where}.{key}[{j}] must be {kind}{named}")
+        misfit = _misfit(task, result[key], timelines[ids]) if ids in timelines else None
+        if misfit is not None:
+            raise ValueError(f"{where}.{misfit}{named}")
+    unpaired = [(what, sorted(keys)) for what, keys in (
+        ("truth records without predictions", timelines.keys() - first.keys()),
+        ("predictions without truth records", first.keys() - timelines.keys())) if keys]
+    if unpaired:
+        raise ValueError(f"{path}: " + "; ".join(f"{what}: {keys}" for what, keys in unpaired))
+    return [report["results"][first[k]] for k in sorted(timelines)]

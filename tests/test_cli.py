@@ -434,6 +434,74 @@ class TestEval:
                              "--task", "moments", "--output", str(tmp_path / "e.json")],
                             capsys, fragment)
 
+    @pytest.mark.parametrize("task", ["moments", "highlights", "summary"])
+    def test_result_order_does_not_matter(self, pipeline, tmp_path, task):
+        truth = str(pipeline["truth_summary" if task == "summary" else "labeled"])
+        report = json.loads(pipeline[task].read_text())
+        report["results"].reverse()
+        reversed_report = tmp_path / "reversed.json"
+        reversed_report.write_text(json.dumps(report))
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for predictions, out in zip((pipeline[task], reversed_report), outs):
+            assert main(["eval", "--predictions", str(predictions), "--truth", truth,
+                         "--task", task, "--output", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda results: results + results[:1],
+         "results[2]: duplicate (video_id, query_id) pairs in the decode report; "
+         "results[0] holds the first (video_id 'video00', query_id 'q0')"),
+        (lambda results: results[1:] + [{**results[0], "video_id": "video09"}],
+         "truth records without predictions: [('video00', 'q0')]; "
+         "predictions without truth records: [('video09', 'q0')]"),
+    ], ids=["duplicate_names_first_copy", "missing_and_extra"])
+    def test_report_identity_errors_name_the_file(self, pipeline, tmp_path, capsys, edit,
+                                                  message):
+        report = json.loads(pipeline["moments"].read_text())
+        report["results"] = edit(report["results"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(report))
+        assert_fails_closed(["eval", "--predictions", str(bad), "--truth", str(pipeline["labeled"]),
+                             "--task", "moments", "--output", str(tmp_path / "e.json")],
+                            capsys, f"error: {bad}: {message}")
+
+    @pytest.mark.parametrize("task, edit, fragment", [
+        ("moments", lambda r, t: r["moments"][0].update(start=-1e308, end=1e308),
+         "moments[0] from -1e+308 to 1e+308 must satisfy 0 <= start <= end <= 48.0"),
+        ("moments", lambda r, t: r["moments"][0].update(start=-50, end=1e9),
+         "moments[0] from -50 to 1000000000.0 must satisfy"),
+        ("moments", lambda r, t: r["moments"][0].update(start=-2.0, end=2.0),
+         "moments[0] from -2.0 to 2.0 must satisfy"),
+        ("moments", lambda r, t: r["moments"][0].update(start=0.0, end=t.duration + t.clip_len),
+         "moments[0] from 0.0 to 50.0 must satisfy"),
+        ("moments", lambda r, t: r["moments"][0].update(start=3.0, end=2.0),
+         "moments[0] from 3.0 to 2.0 must satisfy"),
+        ("highlights", lambda r, t: r["clip_scores"].pop(),
+         "clip_scores covers 23 clips but the timeline has 24"),
+        ("highlights", lambda r, t: r["clip_scores"].append(0.5),
+         "clip_scores covers 25 clips but the timeline has 24"),
+        ("summary", lambda r, t: r["selected_clips"].__setitem__(0, t.num_clips),
+         "selected_clips[0] is 24, outside [0, 24)"),
+        ("summary", lambda r, t: r["selected_clips"].__setitem__(0, -1),
+         "selected_clips[0] is -1, outside [0, 24)"),
+    ], ids=["huge_moment", "moment_outside_video", "moment_before_zero", "moment_past_grid_end",
+            "start_after_end", "clip_scores_short", "clip_scores_long",
+            "selected_clip_at_num_clips", "selected_clip_negative"])
+    def test_result_off_the_clip_grid_refused(self, pipeline, tmp_path, task, edit, fragment):
+        # each edit breaks one clip-grid rule in results[1], video01/q0's result
+        truth = pipeline["truth_summary" if task == "summary" else "labeled"]
+        timeline = read_dataset(truth)[0][1].timeline()
+        report = json.loads(pipeline[task].read_text())
+        edit(report["results"][1], timeline)
+        bad, out = tmp_path / "bad.json", tmp_path / "e.json"
+        bad.write_text(json.dumps(report))
+        proc = run_child(["eval", "--predictions", str(bad), "--truth", str(truth),
+                          "--task", task, "--output", str(out)],
+                         PYTHONWARNINGS="error::RuntimeWarning")
+        assert_one_line_error(proc, f"{bad}: results[1].{fragment}")
+        assert proc.stderr.rstrip().endswith("(video_id 'video01', query_id 'q0')")
+        assert not out.exists()
+
     def test_summary_truth_needs_concepts(self, pipeline, tmp_path):
         assert main(["eval", "--predictions", str(pipeline["summary"]),
                      "--truth", str(pipeline["labeled"]),

@@ -26,6 +26,7 @@ from tgkit.formats import (
     dataset_record_to_obj,
     prediction_record_to_obj,
     read_dataset,
+    read_decode_report,
     read_matrices,
     read_predictions,
     write_dataset,
@@ -265,8 +266,37 @@ def _read_text_matrices(tmp_path, body):
     return read_matrices(path)
 
 
+def _read_one_result(tmp_path, task, key, entries):
+    """Read a ``task`` report holding one result for ('v', 'q') on a 4-clip grid of 1 s clips.
+
+    The report is opened as ``r.json`` from inside ``tmp_path``, so errors name that path.
+    """
+    (tmp_path / "r.json").write_text(json.dumps(
+        {"task": task, "results": [{"video_id": "v", "query_id": "q", key: entries}]}))
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        return read_decode_report("r.json", task, {("v", "q"): ClipTimeline(4, 1.0)})
+    finally:
+        os.chdir(cwd)
+
+
 # input checks no other test reaches: the call, its exception type and its message
 INPUT_CHECKS = {
+    "report_moment_off_grid": (
+        lambda p: _read_one_result(p, "moments", "moments",
+                                   [{"start": 1.0, "end": 4.5, "score": 0.5}]), ValueError,
+        "r.json: results[0].moments[0] from 1.0 to 4.5 must satisfy 0 <= start <= end <= 4.0 "
+        "(video_id 'v', query_id 'q')"),
+    "report_clip_score_count": (
+        lambda p: _read_one_result(p, "highlights", "clip_scores", [0.5] * 3), ValueError,
+        "r.json: results[0].clip_scores covers 3 clips but the timeline has 4 "
+        "(video_id 'v', query_id 'q')"),
+    "report_selected_clip_off_grid": (
+        lambda p: _read_one_result(p, "summary", "selected_clips", [0, 4]), ValueError,
+        "r.json: results[0].selected_clips[1] is 4, outside [0, 4) (video_id 'v', query_id 'q')"),
+    "text_no_video_line": (lambda p: _read_text_matrices(p, "columns\ta\n"), ValueError,
+                           "line 2: expected 'video\\t<id>\\t<clip_len>'"),
     "text_no_columns_line": (lambda p: _read_text_matrices(p, "video\tv\t1.0\n"), ValueError,
                              "line 3: expected a 'columns' line"),
     "text_no_rows": (lambda p: _read_text_matrices(p, "video\tv\t1.0\ncolumns\ta\n"), ValueError,

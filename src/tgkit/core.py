@@ -44,18 +44,22 @@ def _is_real(value) -> bool:
 
 
 def _concept_sets(groups) -> list:
-    """``frozenset(str(c) for c in g)`` for each group of concepts, in order.
+    """``frozenset(g)`` for each group of concepts, in order.
 
-    A run of equal groups of strings shares one frozenset, so a scene's clips
-    cost one set between them.  A group holding anything but strings is
-    never shared: 1, 1.0 and True are equal but print differently.
+    A group is a list, tuple or set of strings, never one string, which would
+    read as the set of its characters; anything else is a ``ValueError``.  A
+    run of equal groups shares one frozenset, so a scene's clips cost one set
+    between them.
     """
     sets = []
     run = shared = None
     for group in groups:
         if run is None or group != run:
-            shared = frozenset(str(c) for c in group)
-            run = group if all(isinstance(c, str) for c in group) else None
+            if not (isinstance(group, (list, tuple, set, frozenset))
+                    and all(isinstance(c, str) for c in group)):
+                raise ValueError(f"a clip's concepts must be a list of strings, got {group!r}")
+            shared = frozenset(group)
+            run = group
         sets.append(shared)
     return sets
 

@@ -16,7 +16,7 @@ import json
 import os
 import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -177,11 +177,9 @@ def dataset_record_from_obj(obj: dict) -> DatasetRecord:
             np.asarray(lab["offsets"], dtype=np.float64),
             np.asarray(lab["saliency"], dtype=np.float64),
         )
-    concepts = None
-    if obj.get("clip_concepts") is not None:
-        concepts = tuple(_concept_sets(obj["clip_concepts"]))
     record = _check_dataset_record(DatasetRecord(
-        **head, query=query, source_kind=obj["source_kind"], label=label, clip_concepts=concepts))
+        **head, query=query, source_kind=obj["source_kind"], label=label,
+        clip_concepts=obj.get("clip_concepts")))
     record.annotation = _annotation_from_obj(obj.get("annotation"), record.source_kind)
     return record
 
@@ -189,7 +187,9 @@ def dataset_record_from_obj(obj: dict) -> DatasetRecord:
 def _check_dataset_record(record: DatasetRecord) -> DatasetRecord:
     """What a dataset record must satisfy beyond its types; readers and writers both check it.
 
-    The annotation is not checked here: the reader parses it by the checked source_kind.
+    Returns the record, or, when it has concepts, a copy holding them as
+    ``core._concept_sets`` gives them; the input is left as it was.  The
+    annotation is not checked here: the reader parses it by the checked source_kind.
     """
     if record.source_kind not in SOURCE_KINDS:
         raise ValueError(
@@ -198,7 +198,9 @@ def _check_dataset_record(record: DatasetRecord) -> DatasetRecord:
     if record.label is not None:
         _check_clips(timeline, "label", len(record.label))
     if record.clip_concepts is not None:
-        _check_clips(timeline, "clip_concepts", len(record.clip_concepts))
+        concepts = tuple(_concept_sets(record.clip_concepts))
+        _check_clips(timeline, "clip_concepts", len(concepts))
+        record = replace(record, clip_concepts=concepts)
     return record
 
 

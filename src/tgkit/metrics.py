@@ -8,13 +8,12 @@ is itself the protocol).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GroundingWarning, Interval, ScoredInterval, _concept_sets, _rank_order, _set
+from .core import Interval, ScoredInterval, _concept_sets, _rank_order, _set
 
 DEFAULT_MAP_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 DEFAULT_RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
@@ -273,14 +272,6 @@ def top5_map(items: Sequence[HighlightEvalItem]) -> dict:
     return {"top5_map": _ranking_map(items, "top-5 mAP", depth=5), "protocol": "reconstructed"}
 
 
-def concept_iou(a: frozenset, b: frozenset) -> float:
-    """Jaccard overlap of two concept sets; empty-vs-empty counts as 0."""
-    union = len(a | b)
-    if union == 0:
-        return 0.0
-    return len(a & b) / union
-
-
 def _match_rows(cost: np.ndarray) -> np.ndarray:
     """A minimum-cost matching that matches every row of ``cost``.
 
@@ -423,14 +414,13 @@ def qfvs_f1(item: SummaryEvalItem) -> QfvsScore:
     Edge weights are concept-set IoUs between predicted and reference clips;
     an exact maximum-weight matching supplies the shared weight W, the
     correctly rounded exact optimum (``_exact_matching_weight``), giving
-    precision W/|pred| and recall W/|gt|.
+    precision W/|pred| and recall W/|gt|.  An item without reference clips is
+    refused; an empty selection scores 0.
     """
     pred, gt = item.predicted_clips, item.gt_clips
-    if not pred:
-        warnings.warn("empty predicted summary; precision reported as 0", GroundingWarning)
     if not gt:
-        warnings.warn("empty reference summary; recall reported as 0", GroundingWarning)
-    if not pred or not gt:
+        raise ValueError(f"item {item.query_id!r} has no foreground clips")
+    if not pred:
         return QfvsScore(0.0, 0.0, 0.0)
     short, long = sorted((pred, gt), key=len)  # a matching of the transpose weighs the same
     total = _exact_matching_weight([item.clip_concepts[c] for c in short],

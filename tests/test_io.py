@@ -141,14 +141,27 @@ class TestDatasetRoundTrip:
     def test_runs_of_equal_concept_lists_share_one_set(self, tmp_path):
         rec = interval_record()
         obj = dataset_record_to_obj(rec)
-        obj["clip_concepts"] = [["dog", "park"], ["dog", "park"], [1], [True]]
+        obj["clip_concepts"] = [["dog", "park"], ["dog", "park"], ["park", "dog"], []]
         back = dataset_record_from_obj(obj)
-        assert back.clip_concepts == ({"dog", "park"}, {"dog", "park"}, {"1"}, {"True"})
+        assert back.clip_concepts == ({"dog", "park"},) * 3 + (set(),)
         assert back.clip_concepts[0] is back.clip_concepts[1]
         path = tmp_path / "data.jsonl"
         write_dataset([back], path)
-        assert json.loads(path.read_text())["clip_concepts"] == [
-            ["dog", "park"], ["dog", "park"], ["1"], ["True"]]
+        assert json.loads(path.read_text())["clip_concepts"] == [["dog", "park"]] * 3 + [[]]
+
+    @pytest.mark.parametrize("concepts", [["dog", "car", "dog", "park"], [[1], [1], [1], [1]]],
+                             ids=["strings", "numbers"])
+    def test_concepts_other_than_lists_of_strings_refused(self, tmp_path, concepts):
+        # a clip's string would read as the set of its characters, a number as its str()
+        rec = dataclasses.replace(interval_record(), clip_concepts=tuple(concepts))
+        path = tmp_path / "data.jsonl"
+        with pytest.raises(ValueError, match="concepts must be a list of strings"):
+            write_dataset([rec], path)
+        assert not path.exists()
+        path.write_text(json.dumps({**dataset_record_to_obj(interval_record()),
+                                    "clip_concepts": concepts}) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: a clip's concepts"):
+            read_dataset(path)
 
     def test_grid_duration_keeps_its_clips(self, tmp_path):
         # 43 * 0.1 = 4.3, and int(4.3 / 0.1) is 42

@@ -14,7 +14,6 @@ from tgkit.metrics import (
     SummaryEvalItem,
     _exact_matching_weight,
     _match_rows,
-    concept_iou,
     highlight_map,
     hit_at_1,
     max_weight_matching,
@@ -485,22 +484,6 @@ class TestExactMatchingWeight:
             fraction_optimum(row_sets, col_sets))
 
 
-class TestConceptIou:
-    def test_worked_examples(self):
-        assert concept_iou(frozenset("ab"), frozenset("bc")) == pytest.approx(1 / 3)
-        assert concept_iou(frozenset(), frozenset()) == 0.0
-        assert concept_iou(frozenset("a"), frozenset()) == 0.0
-        assert concept_iou(frozenset("ab"), frozenset("ab")) == 1.0
-
-    @given(
-        st.frozensets(st.sampled_from("abcdef"), max_size=6),
-        st.frozensets(st.sampled_from("abcdef"), max_size=6),
-    )
-    @settings(**SETTINGS)
-    def test_matches_oracle(self, a, b):
-        assert concept_iou(a, b) == concept_iou_oracle(a, b)
-
-
 class TestQfvsF1:
     def concepts(self):
         return {
@@ -525,13 +508,13 @@ class TestQfvsF1:
         assert out.recall == pytest.approx(0.5)
         assert out.f1 == pytest.approx(0.5)
 
-    def test_empty_sides_warn_and_zero(self):
-        with pytest.warns(GroundingWarning):
-            out = qfvs_f1(SummaryEvalItem((), (0,), self.concepts()))
-        assert out == (0.0, 0.0, 0.0)
-        with pytest.warns(GroundingWarning):
-            out = qfvs_f1(SummaryEvalItem((0,), (), self.concepts()))
-        assert out == (0.0, 0.0, 0.0)
+    def test_empty_selection_scores_zero_empty_reference_refused(self):
+        # as a moment item without predictions scores 0 and one without ground truths is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qfvs_f1(SummaryEvalItem((), (0,), self.concepts())) == (0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^item 'v/q' has no foreground clips$"):
+            qfvs_f1(SummaryEvalItem((0,), (), self.concepts(), "v/q"))
 
     def test_disjoint_concepts_zero_f1(self):
         out = qfvs_f1(SummaryEvalItem((1,), (2,), self.concepts()))
@@ -561,9 +544,16 @@ class TestSummaryEvalItem:
         assert SummaryEvalItem((0,), (0,), {0: set()}).query_id == ""
 
     def test_runs_of_equal_concept_lists_share_a_set(self):
-        item = SummaryEvalItem((0,), (2,), {0: ["a"], 1: ["a"], 2: ["b"], 3: [1], 4: [True]})
-        assert item.clip_concepts == {0: {"a"}, 1: {"a"}, 2: {"b"}, 3: {"1"}, 4: {"True"}}
+        item = SummaryEvalItem((0,), (2,), {0: ["a"], 1: ["a"], 2: ("b",), 3: {"b", "c"}})
+        assert item.clip_concepts == {0: {"a"}, 1: {"a"}, 2: {"b"}, 3: {"b", "c"}}
         assert item.clip_concepts[0] is item.clip_concepts[1]
+
+    @pytest.mark.parametrize("concepts", ["dog", ["dog", 1], [True], None, {"dog": 1}],
+                             ids=["string", "int", "bool", "none", "dict"])
+    def test_concepts_other_than_strings_refused(self, concepts):
+        # "dog" would read as the set {"d", "o", "g"}
+        with pytest.raises(ValueError, match="concepts must be a list of strings"):
+            SummaryEvalItem((0,), (1,), {0: ["dog"], 1: concepts})
 
     def test_dedup_and_sort(self):
         item = SummaryEvalItem((3, 1, 3), (2,), {1: set(), 2: set(), 3: set()})

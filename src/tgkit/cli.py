@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _thread_count
 from .config import RunConfig
-from .core import GroundTruthRecord, Interval, ScoredInterval, _check_clips
+from .core import GroundTruthRecord, Interval, ScoredInterval
 from .decode import (
     HIGHLIGHT_MODES,
     SEGMENT_AGGREGATES,
@@ -74,8 +74,12 @@ def _load_config(args) -> RunConfig:
     )
 
 
-def _tkey(t: float) -> str:
-    return f"{float(t):g}"
+def _tkeyed(values: dict, field: str) -> dict:
+    """``values`` keyed by each threshold as the report prints it; two of one key are refused."""
+    keys = [f"{t:g}" for t in values]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"{field} {list(values)} share report keys {keys}")
+    return dict(zip(keys, values.values()))
 
 
 def _cmd_convert(args, config: RunConfig) -> int:
@@ -138,6 +142,8 @@ def _cmd_losscheck(args, config: RunConfig) -> int:
         names = list(REGISTERED_LOSSES)
     else:
         names = [n.strip() for n in args.losses.split(",") if n.strip()]
+        if not names:
+            raise ValueError(f"--losses {args.losses!r} names no loss")
         unknown = [n for n in names if n not in REGISTERED_LOSSES]
         if unknown:
             raise ValueError(f"unknown losses {unknown}; registered: {list(REGISTERED_LOSSES)}")
@@ -265,7 +271,12 @@ def _cmd_decode(args, config: RunConfig) -> int:
             if rec.video_id not in features:
                 raise ValueError(f"--kts-input has no features for video {rec.video_id!r}")
             matrix = features[rec.video_id]
-            _check_clips(rec.timeline(), f"features for {rec.video_id!r}", matrix.values.shape[0])
+            have, want = matrix.timeline(), rec.timeline()
+            if have != want:
+                raise ValueError(
+                    f"--kts-input features for video {rec.video_id!r} cover {have.num_clips} "
+                    f"clips of {have.clip_len!r} s, its predictions {want.num_clips} clips "
+                    f"of {want.clip_len!r} s")
             segments = kts_segment(
                 features=matrix.values,
                 max_segments=config.kts_max_segments,
@@ -306,9 +317,9 @@ def _eval_moments(pairs, config: RunConfig) -> dict:
     return {
         "num_items": len(items),
         "recall_k": config.recall_k,
-        "recall": {_tkey(t): v for t, v in recall.recall.items()},
+        "recall": _tkeyed(recall.recall, "recall_iou_thresholds"),
         "miou": recall.miou,
-        "map_per_threshold": {_tkey(t): v for t, v in detail["map_per_threshold"].items()},
+        "map_per_threshold": _tkeyed(detail["map_per_threshold"], "map_iou_thresholds"),
         "average_map": detail["average_map"],
     }
 

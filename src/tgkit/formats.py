@@ -40,6 +40,14 @@ _ANNOTATIONS = {
               lambda a: a.values.tolist()),
 }
 
+# source_kind -> (whether an annotation is of that kind, what it must be)
+_ANNOTATION_TYPES = {
+    "point": (lambda a: isinstance(a, PointAnnotation), "a PointAnnotation"),
+    "interval": (lambda a: isinstance(a, (list, tuple)) and all(isinstance(i, Interval) for i in a),
+                 "a list of Interval"),
+    "curve": (lambda a: isinstance(a, CurveAnnotation), "a CurveAnnotation"),
+}
+
 # the fields every record line starts with, each with how a line's value is read
 _HEAD = {"video_id": str, "query_id": str, "duration": float, "clip_len": float}
 
@@ -188,12 +196,16 @@ def _check_dataset_record(record: DatasetRecord) -> DatasetRecord:
     """What a dataset record must satisfy beyond its types; readers and writers both check it.
 
     Returns the record, or, when it has concepts, a copy holding them as
-    ``core._concept_sets`` gives them; the input is left as it was.  The
-    annotation is not checked here: the reader parses it by the checked source_kind.
+    ``core._concept_sets`` gives them; the input is left as it was.  A reader
+    parses the annotation after this check, by the checked source_kind.
     """
     if record.source_kind not in SOURCE_KINDS:
         raise ValueError(
             f"unknown source_kind {record.source_kind!r}; expected one of {SOURCE_KINDS}")
+    accepts, kind = _ANNOTATION_TYPES[record.source_kind]
+    if record.annotation is not None and not accepts(record.annotation):
+        raise ValueError(f"annotation of source_kind {record.source_kind!r} must be {kind}, "
+                         f"got {type(record.annotation).__name__}")
     timeline = record.timeline()  # a bad duration or clip_len fails here, labelled or not
     if record.label is not None:
         _check_clips(timeline, "label", len(record.label))
@@ -337,18 +349,21 @@ def write_predictions(records: Sequence[PredictionRecord], path) -> None:
 
 
 def _checked_matrix(record: MatrixRecord) -> MatrixRecord:
-    """A checked copy of ``record``, with float64 values, a str id and names, a float clip_len.
+    """A checked copy of ``record``: finite float64 values, a str id and names, a float clip_len.
 
     The readers and both writers check every record with it; ``record`` itself
     is left as it was.
     """
-    values = np.asarray(record.values, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):  # a float32 signalling NaN warns when cast
+        values = np.asarray(record.values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
         raise ValueError(f"matrix must be 2-D and non-empty, got shape {values.shape}")
     names = tuple(str(c) for c in record.column_names)
     if len(names) != values.shape[1]:
         raise ValueError(f"{len(names)} column names for {values.shape[1]} columns")
     timeline = ClipTimeline(values.shape[0], record.clip_len)  # owns clip_len and the row bound
+    if not np.isfinite(values).all():
+        raise ValueError(f"matrix for video {record.video_id!r} holds a non-finite value")
     return MatrixRecord(str(record.video_id), timeline.clip_len, names, values)
 
 
@@ -422,7 +437,12 @@ def write_matrices_binary(records: Sequence[MatrixRecord], path) -> None:
         for name in record.column_names:
             raw = name.encode("utf-8")
             parts += [struct.pack("<I", len(raw)), raw]
-        parts.append(record.values.astype("<f4").tobytes(order="C"))
+        with np.errstate(over="ignore"):
+            values = record.values.astype("<f4")
+        if not np.isfinite(values).all():
+            raise ValueError(
+                f"matrix for video {record.video_id!r} holds a value float32 cannot hold")
+        parts.append(values.tobytes(order="C"))
     _write_file(path, b"".join(parts))
 
 
@@ -466,13 +486,19 @@ def _parse_binary_matrices(raw: bytes) -> list[MatrixRecord]:
 
 
 def read_matrices(path) -> list[MatrixRecord]:
-    """Parse a matrix container, sniffing text vs binary by the magic bytes; each id once."""
+    """Parse a matrix container, sniffing text vs binary by the magic bytes; each id once.
+
+    Every error names ``path``.
+    """
     raw = Path(path).read_bytes()
-    if raw[:4] == MATRIX_MAGIC:
-        records = _parse_binary_matrices(raw)
-    else:
-        records = _parse_text_matrices(raw.decode("utf-8"))
-    _unique((r.video_id for r in records), "video id")
+    try:
+        if raw[:4] == MATRIX_MAGIC:
+            records = _parse_binary_matrices(raw)
+        else:
+            records = _parse_text_matrices(raw.decode("utf-8"))
+        _unique((r.video_id for r in records), "video id")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return records
 
 

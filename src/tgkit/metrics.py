@@ -140,10 +140,15 @@ class QfvsScore(NamedTuple):
 
 
 def _checked_thresholds(items: Sequence[MomentEvalItem], thresholds, what: str) -> tuple:
-    """``thresholds`` as floats, once they lie in (0, 1] and every item has a ground truth."""
+    """``thresholds`` as floats, once each lies in (0, 1] and none repeats.
+
+    Zero items, or an item without a ground truth, is refused too.
+    """
     thresholds = tuple(float(t) for t in thresholds)
     if any(not 0 < t <= 1 for t in thresholds):
         raise ValueError(f"thresholds must lie in (0, 1], got {thresholds}")
+    if len(set(thresholds)) < len(thresholds):
+        raise ValueError(f"thresholds must not repeat, got {thresholds}")
     if not items:
         raise ValueError(f"{what} over zero items is undefined")
     for item in items:

@@ -200,7 +200,7 @@ class TestTeacher:
         matrices.write_bytes(matrices.read_bytes()[:30])
         proc = run_child(["teacher", "--input", str(matrices),
                           "--output", str(tmp_path / "labeled.jsonl")])
-        assert_one_line_error(proc, "truncated matrix container")
+        assert_one_line_error(proc, f"{matrices}: truncated matrix container")
 
     @pytest.mark.parametrize("rows,clip_len", [(3, 0.7), (43, 0.1)])
     def test_grid_duration_keeps_its_clips(self, tmp_path, rows, clip_len):
@@ -235,6 +235,12 @@ class TestLosscheck:
     def test_unknown_loss(self, tmp_path):
         assert main(["losscheck", "--losses", "nope",
                      "--output", str(tmp_path / "r.json")]) == 1
+
+    def test_empty_list_refused(self, tmp_path):
+        # it used to check nothing and report all_passed
+        proc = run_child(["losscheck", "--losses", ",", "--output", str(tmp_path / "r.json")])
+        assert_one_line_error(proc, "--losses ',' names no loss")
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestFit:
@@ -343,6 +349,17 @@ class TestDecode:
         assert main(["decode", "--input", str(pipeline["preds"]), "--task", "summary",
                      "--kts-input", str(features),
                      "--output", str(tmp_path / "s.json")]) == 1
+
+    def test_summary_feature_clip_len_mismatch(self, tmp_path, capsys):
+        preds, features = tmp_path / "preds.jsonl", tmp_path / "features.tgmx"
+        write_predictions([PredictionRecord("v", "q0", 24.0, 2.0, PredictionSet(
+            np.zeros(12), np.ones((12, 2)), np.zeros(12)))], preds)
+        write_matrices_binary([MatrixRecord("v", 7.0, ("a", "b"), np.eye(12, 2))], features)
+        assert_fails_closed(["decode", "--input", str(preds), "--task", "summary",
+                             "--kts-input", str(features), "--output", str(tmp_path / "s.json")],
+                            capsys, "--kts-input features for video 'v' cover 12 clips of 7.0 s, "
+                            "its predictions 12 clips of 2.0 s")
+        assert not (tmp_path / "s.json").exists()
 
     def test_empty_predictions_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -634,7 +651,7 @@ class TestRecordIdentity:
                                     np.full((20, 2), 0.5))
         proc = run_child(["teacher", "--input", str(matrices), "--top-k", "1",
                           "--output", str(tmp_path / "labeled.jsonl")])
-        assert_one_line_error(proc, "video id 'v' appears more than once")
+        assert_one_line_error(proc, f"{matrices}: video id 'v' appears more than once")
 
     @pytest.mark.parametrize("block_last", [True, False])
     def test_summary_decode_refuses_a_repeated_video(self, tmp_path, block_last):
@@ -647,7 +664,7 @@ class TestRecordIdentity:
             np.zeros(12), np.ones((12, 2)), np.zeros(12)))], preds)
         proc = run_child(["decode", "--input", str(preds), "--task", "summary",
                           "--kts-input", str(matrices), "--output", str(tmp_path / "s.json")])
-        assert_one_line_error(proc, "video id 'v' appears more than once")
+        assert_one_line_error(proc, f"{matrices}: video id 'v' appears more than once")
 
     @pytest.mark.parametrize("command,source", [
         ("convert", "raw"), ("fit", "labeled"), ("decode", "preds")])
@@ -738,6 +755,22 @@ class TestConfigFile:
         args = build_parser().parse_args([*argv, "--output", "o"])
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         assert set(vars(args)) - plumbing <= fields
+
+    @pytest.mark.parametrize("field, thresholds, message", [
+        ("recall_iou_thresholds", [0.7, 0.7], "thresholds must not repeat, got (0.7, 0.7)"),
+        ("map_iou_thresholds", [0.5, 0.50000001],
+         "map_iou_thresholds [0.5, 0.50000001] share report keys ['0.5', '0.5']"),
+    ], ids=["repeated", "same_report_key"])
+    def test_eval_refuses_thresholds_that_repeat(self, pipeline, tmp_path, field, thresholds,
+                                                 message):
+        # recall counted a repeated threshold twice; map_per_threshold kept one of the two
+        config, out = tmp_path / "config.json", tmp_path / "eval.json"
+        config.write_text(json.dumps({field: thresholds}))
+        proc = run_child(["eval", "--predictions", str(pipeline["moments"]),
+                          "--truth", str(pipeline["labeled"]), "--task", "moments",
+                          "--config", str(config), "--output", str(out)])
+        assert_one_line_error(proc, message)
+        assert proc.stderr == f"error: {message}\n" and not out.exists()
 
     def test_malformed_config_is_one_line_error(self, pipeline, tmp_path):
         bad = tmp_path / "bad.json"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgkit.config import RunConfig
@@ -273,10 +273,27 @@ class TestPredictionRoundTrip:
             read_predictions(path)
 
 
+def _read_from(tmp_path, read, *args):
+    """``read(*args)`` run from inside ``tmp_path``, so errors name a file by its bare name."""
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        return read(*args)
+    finally:
+        os.chdir(cwd)
+
+
 def _read_text_matrices(tmp_path, body):
-    path = tmp_path / "m.txt"
-    path.write_text(MATRIX_TEXT_HEADER + "\n" + body, encoding="utf-8")
-    return read_matrices(path)
+    """Read ``body`` after the text header, as ``m.txt``."""
+    (tmp_path / "m.txt").write_text(MATRIX_TEXT_HEADER + "\n" + body, encoding="utf-8")
+    return _read_from(tmp_path, read_matrices, "m.txt")
+
+
+def _read_binary_matrix(tmp_path, value: bytes):
+    """Read, as ``m.tgmx``, video 'v''s one-value binary matrix holding the float32 ``value``."""
+    write_matrices_binary([MatrixRecord("v", 1.0, ("a",), np.zeros((1, 1)))], tmp_path / "m.tgmx")
+    (tmp_path / "m.tgmx").write_bytes((tmp_path / "m.tgmx").read_bytes()[:-4] + value)
+    return _read_from(tmp_path, read_matrices, "m.tgmx")
 
 
 def _read_one_result(tmp_path, task, key, entries):
@@ -286,12 +303,8 @@ def _read_one_result(tmp_path, task, key, entries):
     """
     (tmp_path / "r.json").write_text(json.dumps(
         {"task": task, "results": [{"video_id": "v", "query_id": "q", key: entries}]}))
-    cwd = os.getcwd()
-    os.chdir(tmp_path)
-    try:
-        return read_decode_report("r.json", task, {("v", "q"): ClipTimeline(4, 1.0)})
-    finally:
-        os.chdir(cwd)
+    return _read_from(tmp_path, read_decode_report, "r.json", task,
+                      {("v", "q"): ClipTimeline(4, 1.0)})
 
 
 # input checks no other test reaches: the call, its exception type and its message
@@ -308,12 +321,28 @@ INPUT_CHECKS = {
     "report_selected_clip_off_grid": (
         lambda p: _read_one_result(p, "summary", "selected_clips", [0, 4]), ValueError,
         "r.json: results[0].selected_clips[1] is 4, outside [0, 4) (video_id 'v', query_id 'q')"),
+    "point_annotation_under_interval": (
+        lambda p: write_dataset([dataclasses.replace(
+            interval_record(), annotation=PointAnnotation((1.0,)))], p / "d.jsonl"), ValueError,
+        "annotation of source_kind 'interval' must be a list of Interval, got PointAnnotation"),
+    "intervals_under_curve": (
+        lambda p: write_dataset([dataclasses.replace(
+            curve_record(), annotation=[Interval(0.0, 2.0)])], p / "d.jsonl"), ValueError,
+        "annotation of source_kind 'curve' must be a CurveAnnotation, got list"),
     "text_no_video_line": (lambda p: _read_text_matrices(p, "columns\ta\n"), ValueError,
-                           "line 2: expected 'video\\t<id>\\t<clip_len>'"),
+                           "m.txt: line 2: expected 'video\\t<id>\\t<clip_len>'"),
     "text_no_columns_line": (lambda p: _read_text_matrices(p, "video\tv\t1.0\n"), ValueError,
-                             "line 3: expected a 'columns' line"),
+                             "m.txt: line 3: expected a 'columns' line"),
     "text_no_rows": (lambda p: _read_text_matrices(p, "video\tv\t1.0\ncolumns\ta\n"), ValueError,
-                     "matrix for video 'v' has no rows"),
+                     "m.txt: matrix for video 'v' has no rows"),
+    "text_non_finite": (lambda p: _read_text_matrices(p, "video\tv\t1.0\ncolumns\ta\ninf\n"),
+                        ValueError, "m.txt: matrix for video 'v' holds a non-finite value"),
+    # float32 signalling NaN: numpy warns when it casts one to float64
+    "binary_signalling_nan": (lambda p: _read_binary_matrix(p, struct.pack("<I", 0x7FA00000)),
+                              ValueError, "m.tgmx: matrix for video 'v' holds a non-finite value"),
+    "binary_truncated": (lambda p: _read_binary_matrix(p, b""), ValueError,
+                         "m.tgmx: truncated matrix container: matrix values at byte offset 38 "
+                         "needs 4 byte(s), 0 left"),
 }
 
 
@@ -508,6 +537,18 @@ BAD_WRITES = {
     "text_matrix": (write_matrices_text, lambda: [
         MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
         MatrixRecord("vb", 2.0, ("c0",), np.zeros((2, 2)))], "1 column names for 2 columns"),
+    "non_finite_binary_matrix": (write_matrices_binary, lambda: [
+        MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
+        MatrixRecord("vb", 2.0, ("c0",), np.array([[0.5], [np.nan]]))],
+        "matrix for video 'vb' holds a non-finite value"),
+    "non_finite_text_matrix": (write_matrices_text, lambda: [
+        MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
+        MatrixRecord("vb", 2.0, ("c0",), np.array([[0.5], [-np.inf]]))],
+        "matrix for video 'vb' holds a non-finite value"),
+    "binary_matrix_past_float32": (write_matrices_binary, lambda: [
+        MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
+        MatrixRecord("vb", 2.0, ("c0",), np.array([[0.5], [1e39]]))],
+        "matrix for video 'vb' holds a value float32 cannot hold"),
     "repeated_dataset_key": (write_dataset, lambda: [
         interval_record("v1"), point_record("v1")],
         re.escape("(video_id, query_id) ('v1', 'q1') appears more than once")),
@@ -787,6 +828,7 @@ class TestReaderFuzz:
         read_all(raw)
 
     @given(raw=byte_mutants())
+    @example(raw=VALID_INPUTS["b"][:-4] + struct.pack("<I", 0x7FA00000))  # float32 signalling NaN
     @settings(max_examples=300, deadline=None)
     def test_mutated_bytes(self, raw):
         read_all(raw)

@@ -340,9 +340,6 @@ INPUT_CHECKS = {
     # float32 signalling NaN: numpy warns when it casts one to float64
     "binary_signalling_nan": (lambda p: _read_binary_matrix(p, struct.pack("<I", 0x7FA00000)),
                               ValueError, "m.tgmx: matrix for video 'v' holds a non-finite value"),
-    "binary_truncated": (lambda p: _read_binary_matrix(p, b""), ValueError,
-                         "m.tgmx: truncated matrix container: matrix values at byte offset 38 "
-                         "needs 4 byte(s), 0 left"),
 }
 
 

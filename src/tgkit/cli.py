@@ -147,6 +147,9 @@ def _cmd_losscheck(args, config: RunConfig) -> int:
         unknown = [n for n in names if n not in REGISTERED_LOSSES]
         if unknown:
             raise ValueError(f"unknown losses {unknown}; registered: {list(REGISTERED_LOSSES)}")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"--losses {args.losses!r} names {', '.join(repeated)} more than once")
     settings = {
         "epsilon": config.gradcheck_epsilon,
         "tolerance": config.gradcheck_tolerance,

@@ -95,7 +95,7 @@ def overfit(
     batch = _LossBatch(labels, timelines, weights, positives, aggregation)
 
     def evaluate(lg, off, emb):
-        return _total_loss_arrays(lg, off, emb, sent_emb, batch)
+        return _total_loss_arrays(lg, off, emb, sent_emb, batch, sentence_grad=False)
 
     value, grads, _ = evaluate(logits, offsets, clip_emb)
     if not np.isfinite(value):

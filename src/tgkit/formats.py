@@ -397,6 +397,14 @@ def write_matrices_text(records: Sequence[MatrixRecord], path) -> None:
     _write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _line_floats(fields, line: int) -> list[float]:
+    """The text ``fields`` of line ``line`` as floats; an error names the line."""
+    try:
+        return [float(v) for v in fields]
+    except ValueError as exc:
+        raise ValueError(f"line {line}: {exc}") from None
+
+
 def _parse_text_matrices(text: str) -> list[MatrixRecord]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != MATRIX_TEXT_HEADER:
@@ -410,7 +418,7 @@ def _parse_text_matrices(text: str) -> list[MatrixRecord]:
         head = lines[i].split("\t")
         if head[0] != "video" or len(head) != 3:
             raise ValueError(f"line {i + 1}: expected 'video\\t<id>\\t<clip_len>'")
-        video_id, clip_len = head[1], float(head[2])
+        video_id, (clip_len,) = head[1], _line_floats(head[2:], i + 1)
         i += 1
         if i >= len(lines) or not lines[i].startswith("columns\t"):
             raise ValueError(f"line {i + 1}: expected a 'columns' line")
@@ -418,7 +426,11 @@ def _parse_text_matrices(text: str) -> list[MatrixRecord]:
         i += 1
         rows = []
         while i < len(lines) and lines[i].strip() and not lines[i].startswith("video\t"):
-            rows.append([float(v) for v in lines[i].split("\t")])
+            fields = lines[i].split("\t")
+            if len(fields) != len(names):
+                raise ValueError(f"line {i + 1}: {len(fields)} field(s) under {len(names)} "
+                                 "column(s)")
+            rows.append(_line_floats(fields, i + 1))
             i += 1
         if not rows:
             raise ValueError(f"matrix for video {video_id!r} has no rows")

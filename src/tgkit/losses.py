@@ -27,6 +27,10 @@ independent problems that share the fixed parts.  Each problem's value and
 gradients equal those of its own call without the axis, bit for bit.  The
 gradient checker stacks all its perturbed copies of one point on P and
 evaluates them in one call; ``fit`` calls without it.
+
+``fit`` holds the sentence embeddings fixed, so it calls the kernel with
+``sentence_grad=False``, which skips the einsums and reductions of that
+gradient; ``total_loss`` and the gradient checker take all four.
 """
 from __future__ import annotations
 
@@ -137,13 +141,12 @@ class EmbeddingBatch:
         return self.clip_embeddings.shape[2]
 
 
-def _sigmoid_pair(x):
-    """sigma(x) and sigma(-x) from one e = exp(-|x|), which cannot overflow.
+def _sigmoid_pair(x, e):
+    """sigma(x) and sigma(-x) from ``e = exp(-|x|)``, which cannot overflow.
 
     Each side is 1 / (1 + e) where its own argument is non-negative and
     e / (1 + e) elsewhere; at x = 0 both forms give 1/2.
     """
-    e = np.exp(-np.abs(x))
     d = 1.0 + e
     large, small = 1.0 / d, e / d
     pos = x >= 0
@@ -151,12 +154,20 @@ def _sigmoid_pair(x):
 
 
 def sigmoid(x):
-    return _sigmoid_pair(np.asarray(x, dtype=np.float64))[0]
+    x = np.asarray(x, dtype=np.float64)
+    return _sigmoid_pair(x, np.exp(-np.abs(x)))[0]
 
 
-def _softplus(x):
-    # log(1 + e^x) without overflow
-    return np.logaddexp(0.0, x)
+def _softplus_pair(x, nax):
+    """log(1 + e^x) and log(1 + e^-x) from one ``np.logaddexp(0, nax)``, ``nax = -|x|``.
+
+    Each side is max(+-x, 0) plus that term and equals ``np.logaddexp(0, +-x)``
+    bit for bit: logaddexp adds log1p(exp(.)) of the same value to the same
+    argument either way.  (log1p(exp(-|x|)) through the vectorised ufuncs
+    differs near 0.)
+    """
+    t = np.logaddexp(0.0, nax)
+    return np.maximum(x, 0.0) + t, t - np.minimum(x, 0.0)
 
 
 def _background_weights(f, w: LossWeights):
@@ -170,8 +181,10 @@ def _foreground_term(x, f, background, w: LossWeights):
     ``f`` holds the targets and ``background`` their ``_background_weights``.
     """
     n = x.shape[-1]
-    per_clip = w.lambda_f * (f * _softplus(-x) + background * _softplus(x))
-    p, q = _sigmoid_pair(x)
+    nax = -np.abs(x)
+    up, down = _softplus_pair(x, nax)
+    per_clip = w.lambda_f * (f * down + background * up)
+    p, q = _sigmoid_pair(x, np.exp(nax))
     grad = w.lambda_f * (background * p - f * q) / n
     return np.add.reduce(per_clip, -1) / n, grad
 
@@ -378,29 +391,39 @@ def boundary_loss(
     return LossReport(float(value[0]), {"offsets": grad[0]}, {"foreground_count": count})
 
 
-def _cosine_with_grads(v, s):
+def _row_norms(x):
+    """Euclidean norms of the rows of ``x`` (..., D); a zero row has no cosine and is refused."""
+    n = np.sqrt(np.add.reduce(x * x, -1))
+    if not n.all():
+        raise ValueError("zero-norm embeddings have no cosine")
+    return n
+
+
+def _cosine_with_grads(v, s, nv, ns):
     """Cosine of every row of ``v`` against every row of ``s``, and its backward.
 
-    ``v`` is (..., M, D) and ``s`` (..., N, D); the cosines are (..., M, N).
-    ``backward(g)`` takes their upstream gradient and returns the gradients
-    w.r.t. ``v`` and ``s``.  Since dcos/dv = s / (|v||s|) - cos * v / |v|^2,
-    the gradient of ``v`` is the rows of ``s`` mixed by one factor per
-    cosine minus ``v`` scaled by one factor per row, and likewise for
-    ``s``; no per-element partials are formed.
+    ``v`` is (..., M, D) and ``s`` (..., N, D), with row norms ``nv`` (..., M)
+    and ``ns`` (..., N) from ``_row_norms``: a caller that takes several
+    cosines of the same rows computes their norms once.  The cosines are
+    (..., M, N).  ``backward(g)`` takes their upstream gradient and returns
+    the gradients w.r.t. ``v`` and ``s``; ``backward(g, s_grad=False)``
+    skips the second and returns None in its place.  Since
+    dcos/dv = s / (|v||s|) - cos * v / |v|^2, the gradient of ``v`` is the
+    rows of ``s`` mixed by one factor per cosine minus ``v`` scaled by one
+    factor per row, and likewise for ``s``; no per-element partials are
+    formed.
     """
-    nv = np.sqrt(np.add.reduce(v * v, -1))
-    ns = np.sqrt(np.add.reduce(s * s, -1))
-    if not (nv.all() and ns.all()):
-        raise ValueError("zero-norm embeddings have no cosine")
     nvs = nv[..., :, None] * ns[..., None, :]
     c = np.add.reduce(v[..., :, None, :] * s[..., None, :, :], -1) / nvs
 
-    def backward(g):
+    def backward(g, s_grad=True):
         a = g / nvs
         k = g * c
         # einsum rather than @: as fast at these sizes, and without a BLAS call,
         # whose buffers added about 1.5 MB to a training run's peak memory
         gv = np.einsum("...mn,...nd->...md", a, s) - (np.add.reduce(k, -1) / nv**2)[..., None] * v
+        if not s_grad:
+            return gv, None
         gs = np.einsum("...mn,...md->...nd", a, v) - (np.add.reduce(k, -2) / ns**2)[..., None] * s
         return gv, gs
 
@@ -409,7 +432,8 @@ def _cosine_with_grads(v, s):
 
 def saliency_cosines(emb: EmbeddingBatch) -> np.ndarray:
     """Cosine of every clip embedding against its own sentence, shape (B, L)."""
-    return _cosine_with_grads(emb.clip_embeddings, emb.sentence_embeddings[:, None, :])[0][..., 0]
+    v, s = emb.clip_embeddings, emb.sentence_embeddings[:, None, :]
+    return _cosine_with_grads(v, s, _row_norms(v), _row_norms(s))[0][..., 0]
 
 
 def cross_saliency_cosines(emb: EmbeddingBatch, positives) -> np.ndarray:
@@ -424,8 +448,8 @@ def cross_saliency_cosines(emb: EmbeddingBatch, positives) -> np.ndarray:
         raise ValueError(f"positives shape {positives.shape} does not match ({b},)")
     if (positives < 0).any() or (positives >= l).any():
         raise ValueError("positive clip indices out of range")
-    pos = emb.clip_embeddings[np.arange(b), positives]  # (B, D)
-    return _cosine_with_grads(pos, emb.sentence_embeddings)[0]
+    pos, s = emb.clip_embeddings[np.arange(b), positives], emb.sentence_embeddings  # (B, D)
+    return _cosine_with_grads(pos, s, _row_norms(pos), _row_norms(s))[0]
 
 
 def _eligible(foreground):
@@ -629,6 +653,7 @@ def _total_loss_arrays(
     clip_emb: np.ndarray,
     sent_emb: np.ndarray,
     batch: _LossBatch,
+    sentence_grad: bool = True,
 ):
     """Combined objective on raw arrays; returns (value, grads, components).
 
@@ -636,17 +661,27 @@ def _total_loss_arrays(
     does not change between calls.  The arrays may share leading problem
     axes, which the value, gradients and components then carry.  The caller
     owns the checks: the arrays must have ``batch``'s shapes and finite
-    entries.
+    entries.  Both cosines share the clip and sentence norms: the pair
+    cosines read the per-clip norms at the positives.
+
+    With ``sentence_grad=False`` the gradients leave out
+    ``"sentence_embeddings"`` and the work that forms it; every other output
+    is the same, bit for bit.  ``fit`` holds the sentence embeddings fixed,
+    so it asks for no sentence gradient; ``total_loss`` and the gradient
+    checker take all four.
     """
     w = batch.weights
     rows, positives = batch.rows, batch.positives
 
     l_fg, g_logits = _foreground_term(logits, batch.targets, batch.background, w)
     l_bd, g_offsets = _boundary_term(offsets, batch.boundary, w)
-    cos, cos_backward = _cosine_with_grads(clip_emb, sent_emb[..., None, :])
+    clip_norms, sent_norms = _row_norms(clip_emb), _row_norms(sent_emb)
+    cos, cos_backward = _cosine_with_grads(clip_emb, sent_emb[..., None, :], clip_norms,
+                                           sent_norms[..., None])
     l_intra, g_cos = _intra_term(cos[..., 0], batch.pool, batch.intra_target, w.tau)
     pos_emb = clip_emb[..., rows, positives, :]  # (..., B, D)
-    pair, pair_backward = _cosine_with_grads(pos_emb, sent_emb)
+    pair, pair_backward = _cosine_with_grads(pos_emb, sent_emb,
+                                             clip_norms[..., rows, positives], sent_norms)
     l_inter, g_pair = _inter_term(pair, batch.inter_target, w.tau)
 
     parts = {
@@ -655,15 +690,17 @@ def _total_loss_arrays(
         "intra": np.add.reduce(batch.scale_intra * l_intra, -1),
         "inter": batch.scale_inter * l_inter,
     }
-    g_clip, g_sent = cos_backward(batch.scale_intra[:, None, None] * g_cos[..., None])
-    g_pos, g_sent_pair = pair_backward(batch.scale_inter * g_pair)
+    g_clip, g_sent = cos_backward(batch.scale_intra[:, None, None] * g_cos[..., None],
+                                  sentence_grad)
+    g_pos, g_sent_pair = pair_backward(batch.scale_inter * g_pair, sentence_grad)
     g_clip[..., rows, positives, :] += g_pos
     grads = {
         "foreground_logits": batch.scale_f[:, None] * g_logits,
         "offsets": batch.scale_b[:, None, None] * g_offsets,
         "clip_embeddings": g_clip,
-        "sentence_embeddings": g_sent[..., 0, :] + g_sent_pair,
     }
+    if sentence_grad:
+        grads["sentence_embeddings"] = g_sent[..., 0, :] + g_sent_pair
     return sum(parts.values()), grads, parts
 
 

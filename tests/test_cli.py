@@ -242,6 +242,14 @@ class TestLosscheck:
         assert_one_line_error(proc, "--losses ',' names no loss")
         assert not (tmp_path / "r.json").exists()
 
+    def test_repeated_name_refused(self, tmp_path):
+        # it used to check smooth_l1 twice and print two lines for one report entry
+        proc = run_child(["losscheck", "--losses", "smooth_l1, giou_1d,smooth_l1", "--points", "2",
+                          "--output", str(tmp_path / "r.json")])
+        assert_one_line_error(proc, "--losses 'smooth_l1, giou_1d,smooth_l1' names smooth_l1 "
+                                    "more than once")
+        assert proc.stdout == "" and not (tmp_path / "r.json").exists()
+
 
 class TestFit:
     def test_predictions_parse_and_cover_corpus(self, pipeline):

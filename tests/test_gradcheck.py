@@ -5,7 +5,7 @@ from tgkit import gradcheck
 from tgkit.core import ClipTimeline, Interval
 from tgkit.gradcheck import (_BLOCK_ROWS, _REGISTRY, REGISTERED_LOSSES, _central_difference,
                              _random_label, grad_check)
-from tgkit.losses import (LossReport, LossWeights, _cosine_with_grads, _LossBatch,
+from tgkit.losses import (LossReport, LossWeights, _cosine_with_grads, _LossBatch, _row_norms,
                           _total_loss_arrays, boundary_loss, foreground_loss, giou_1d,
                           saliency_inter_loss, saliency_intra_loss, sample_positive, smooth_l1)
 
@@ -242,13 +242,15 @@ class TestFusedCosineBackward:
     def test_matches_explicit_partials(self, shapes):
         rng = np.random.default_rng(1)
         v, s = (rng.normal(size=shape) for shape in shapes)
-        c, backward = _cosine_with_grads(v, s)
+        c, backward = _cosine_with_grads(v, s, _row_norms(v), _row_norms(s))
         c_ref, dv, ds = cosine_partials_reference(v[..., :, None, :], s[..., None, :, :])
         assert np.array_equal(c, c_ref)
         g = rng.normal(size=c.shape)
         gv, gs = backward(g)
         np.testing.assert_allclose(gv, (g[..., None] * dv).sum(axis=-2), rtol=0, atol=1e-13)
         np.testing.assert_allclose(gs, (g[..., None] * ds).sum(axis=-3), rtol=0, atol=1e-13)
+        gv_alone, none = backward(g, s_grad=False)
+        assert none is None and gv_alone.tobytes() == gv.tobytes()
 
 
 class TestExplicitShapes:

@@ -335,6 +335,15 @@ INPUT_CHECKS = {
                              "m.txt: line 3: expected a 'columns' line"),
     "text_no_rows": (lambda p: _read_text_matrices(p, "video\tv\t1.0\ncolumns\ta\n"), ValueError,
                      "m.txt: matrix for video 'v' has no rows"),
+    "text_ragged_row": (
+        lambda p: _read_text_matrices(p, "video\tv\t1.0\ncolumns\ta\tb\n1\t2\n3\n"),
+        ValueError, "m.txt: line 5: 1 field(s) under 2 column(s)"),
+    "text_non_numeric_field": (
+        lambda p: _read_text_matrices(p, "video\tv\t1.0\ncolumns\ta\tb\n1\tx\n"),
+        ValueError, "m.txt: line 4: could not convert string to float: 'x'"),
+    "text_non_numeric_clip_len": (
+        lambda p: _read_text_matrices(p, "video\tv\tlong\ncolumns\ta\n1\n"),
+        ValueError, "m.txt: line 2: could not convert string to float: 'long'"),
     "text_non_finite": (lambda p: _read_text_matrices(p, "video\tv\t1.0\ncolumns\ta\ninf\n"),
                         ValueError, "m.txt: matrix for video 'v' holds a non-finite value"),
     # float32 signalling NaN: numpy warns when it casts one to float64

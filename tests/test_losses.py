@@ -17,6 +17,7 @@ from tgkit.losses import (
     LossWeights,
     _giou_endpoints,
     _LossBatch,
+    _softplus_pair,
     _total_loss_arrays,
     boundary_loss,
     cross_saliency_cosines,
@@ -584,6 +585,18 @@ class TestSigmoid:
             assert bitwise(sigmoid(x), sigmoid_masked_reference(x))
 
 
+class TestSoftplusPair:
+    def test_bitwise_equal_to_logaddexp(self):
+        rng = np.random.default_rng(11)
+        near = np.array([5e-324, 1e-300, 1e-8, 0.5, 36.7, 709.78, 745.0, 800.0])
+        edges = np.concatenate([[0.0], near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
+        grid = np.concatenate([edges, -edges, rng.uniform(-50, 50, 100_000),
+                               rng.normal(0, 1e-3, 100_000), rng.normal(0, 1e3, 10_000)])
+        up, down = _softplus_pair(grid, -np.abs(grid))
+        assert bitwise(up, np.logaddexp(0.0, grid))
+        assert bitwise(down, np.logaddexp(0.0, -grid))
+
+
 def bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -635,9 +648,14 @@ def fit_shaped_batch(seed=0, aggregation="per_video"):
     return labels, timelines, positives, w, batch
 
 
-def assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation, w, batch):
-    """The kernel's value, gradients and components equal the frozen copy's bit for bit."""
-    value, grads, parts = _total_loss_arrays(*ins, batch)
+def assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation, w, batch,
+                                 sentence_grad=True):
+    """The kernel's value, gradients and components equal the frozen copy's bit for bit.
+
+    Without the sentence gradient, the kernel must return every other output.
+    Returns the kernel's result.
+    """
+    result = value, grads, parts = _total_loss_arrays(*ins, batch, sentence_grad=sentence_grad)
     ref_value, ref_grads, ref_parts = total_loss_kernel_reference(
         *ins,
         np.stack([lab.foreground for lab in labels]),
@@ -646,12 +664,15 @@ def assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation,
         np.stack([tl.timestamps() for tl in timelines]),
         positives, aggregation, w,
     )
+    if not sentence_grad:
+        del ref_grads["sentence_embeddings"]
     assert bitwise(value, ref_value)
     assert set(grads) == set(ref_grads) and set(parts) == set(ref_parts)
     for key in grads:
         assert bitwise(grads[key], ref_grads[key]), key
     for key in parts:
         assert bitwise(parts[key], ref_parts[key]), key
+    return result
 
 
 class TestKernelMatchesFrozenCopy:
@@ -673,6 +694,24 @@ class TestKernelMatchesFrozenCopy:
             for lead in ((), (), (9,)):
                 assert_kernel_matches_frozen(self.point(rng, labels, lead), labels, timelines,
                                              positives, aggregation, w, batch)
+
+    @pytest.mark.parametrize("lead", [(), (9,)], ids=["no_problem_axis", "problem_axis"])
+    @pytest.mark.parametrize("aggregation", ["per_video", "per_clip"])
+    def test_without_the_sentence_gradient(self, aggregation, lead):
+        rng = np.random.default_rng(10)
+        labels, timelines, positives, w, batch = fit_shaped_batch(4, aggregation)
+        ins = self.point(rng, labels, lead)
+        full_value, full_grads, full_parts = _total_loss_arrays(*ins, batch)
+        value, grads, parts = assert_kernel_matches_frozen(
+            ins, labels, timelines, positives, aggregation, w, batch, sentence_grad=False)
+        assert bitwise(value, full_value)
+        assert list(grads) == ["foreground_logits", "offsets", "clip_embeddings"]
+        assert list(full_grads) == list(grads) + ["sentence_embeddings"]
+        for key in grads:
+            assert bitwise(grads[key], full_grads[key]), key
+        assert list(parts) == list(full_parts)
+        for key in parts:
+            assert bitwise(parts[key], full_parts[key]), key
 
     def test_edge_intervals(self):
         labels, timelines, positives, w, batch = fit_shaped_batch(1)
@@ -703,7 +742,12 @@ class TestKernelMatchesFrozenCopy:
         labels, timelines, positives, w, batch = fit_shaped_batch(2, "per_clip")
         rng = np.random.default_rng(9)
         _, offsets, clip_emb, sent_emb = self.point(rng, labels)
-        edges = np.array([0.0, 1e-300, 745.0, 800.0])
+        # 1 + exp(-x) rounds to 1 from about 36.7, exp(x) overflows past 709.78 and
+        # exp(-x) underflows to 0 past 745; beside them the smallest subnormal, each new
+        # edge with its neighbours
+        near = np.array([5e-324, 36.7, 709.78])
+        edges = np.concatenate([[0.0, 1e-300, 745.0, 800.0], near,
+                                np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
         grid = np.concatenate([edges, -edges])
         for shift in range(grid.size):
             logits = np.resize(np.roll(grid, shift), offsets.shape[:-1])
@@ -717,13 +761,13 @@ class TestKernelMatchesFrozenCopy:
         timelines = [r.timeline for r in records]
         calls = []
 
-        def checked(logits, offsets, clip_emb, sent_emb, batch):
-            assert_kernel_matches_frozen([logits, offsets, clip_emb, sent_emb], labels,
-                                         timelines, batch.positives, "per_video",
-                                         batch.weights, batch)
-            calls.append(1)
-            return _total_loss_arrays(logits, offsets, clip_emb, sent_emb, batch)
+        def checked(logits, offsets, clip_emb, sent_emb, batch, **kwargs):
+            calls.append(kwargs)
+            return assert_kernel_matches_frozen([logits, offsets, clip_emb, sent_emb], labels,
+                                                timelines, batch.positives, "per_video",
+                                                batch.weights, batch, **kwargs)
 
         monkeypatch.setattr(fit, "_total_loss_arrays", checked)
         result = fit.overfit(records, steps=300, rng_seed=0)
         assert len(result.trajectory) == 301 and len(calls) >= 301
+        assert all(kwargs == {"sentence_grad": False} for kwargs in calls)

@@ -59,8 +59,8 @@ class TestBacktracking:
         """
         real, values = fit._total_loss_arrays, []
 
-        def wrapped(*args):
-            value, grads, parts = real(*args)
+        def wrapped(*args, **kwargs):
+            value, grads, parts = real(*args, **kwargs)
             if values and trial_value is not None:
                 value = trial_value(values[0])
             values.append(value)

@@ -5,11 +5,17 @@
 
 Run from inside the repository.  ``git archive`` of ``--parent`` and a copy
 of the working tree's tracked files, as they stand on disk, go into a
-temporary directory.  Each pair runs
+temporary directory, as ``a`` and ``b``.  Each pair runs
 ``python3 perfbench/run.py --workload <w> --seconds <s> --trace 0`` once in
 each tree, alternating which side runs first, the parent in the first
-pair.  Every run has ``PYTHONDONTWRITEBYTECODE=1`` and neither
-tree holds a ``__pycache__``, so neither side loads bytecode the other lacks.
+pair.  Every second pair the trees swap directory names, so each side runs
+under both names and in both orders.  (long_videos ``peak_rss_mb`` can
+still differ by about 1.3 MB between two trees: glibc's sliding mmap
+threshold decides whether a large buffer stays on the heap, and that moves
+with a tree's path and code.  ``MALLOC_MMAP_THRESHOLD_=131072`` in the
+environment removes the step.)  Every run has
+``PYTHONDONTWRITEBYTECODE=1`` and neither tree holds a ``__pycache__``, so
+neither side loads bytecode the other lacks.
 
 For each workload and end-to-end metric it prints both sides' medians and
 quartiles, the pairs in which the change was better (ties count for
@@ -30,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TREES = ("a", "b")  # the two directory names, which the sides trade every second pair
 
 
 def git(*args, cwd=None) -> bytes:
@@ -66,7 +73,17 @@ def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         raise SystemExit(f"error: {workload} run in {tree.name} failed "
                          f"(exit {proc.returncode})")
-    return result
+    return {**result, "tree": tree.name}
+
+
+def swap_names(trees: dict) -> None:
+    """Give each side's tree the other's directory name."""
+    parent, change = trees["parent"], trees["change"]
+    held = parent.with_name(parent.name + ".held")
+    parent.rename(held)
+    change.rename(parent)
+    held.rename(change)
+    trees["parent"], trees["change"] = change, parent
 
 
 def quartiles(values):
@@ -84,6 +101,7 @@ def summarise(workload: str, runs: dict, better: dict) -> list:
         med = {side: statistics.median(values[side]) for side in SIDES}
         quart = {side: quartiles(values[side]) for side in SIDES}
         row = {"workload": workload, "metric": name, "unit": unit, "values": values,
+               "trees": {side: [r["tree"] for r in runs[side]] for side in SIDES},
                "median": med, "quartiles": quart}
         text = (f"  {name:<12} {unit:<8} parent {med['parent']:.4g} "
                 f"({quart['parent'][0]:.4g}-{quart['parent'][1]:.4g})  change "
@@ -123,7 +141,7 @@ def main() -> int:
     repo = Path(git("rev-parse", "--show-toplevel").decode("utf-8").strip())
     workloads = [w for w in args.workloads.split(",") if w]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {side: Path(tmp) / side for side in SIDES}
+        trees = {side: Path(tmp) / name for side, name in zip(SIDES, TREES)}
         for tree in trees.values():
             tree.mkdir()
         export_parent(args.parent, repo, trees["parent"])
@@ -135,11 +153,14 @@ def main() -> int:
         for workload in workloads:
             runs = {side: [] for side in SIDES}
             for pair in range(args.pairs):
+                if pair % 2 == 0 and pair > 0:
+                    swap_names(trees)
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
                     runs[side].append(run_once(trees[side], workload, args.seconds, args.seed))
                 print(f"  pair {pair + 1}: " + ", ".join(
-                    f"{side} chain_s {runs[side][-1]['metrics']['chain_s']['value']:.4f}"
+                    f"{side} in {trees[side].name} chain_s "
+                    f"{runs[side][-1]['metrics']['chain_s']['value']:.4f}"
                     for side in order), file=sys.stderr, flush=True)
             rows += summarise(workload, runs, better)
     if args.json:

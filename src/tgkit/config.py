@@ -4,20 +4,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import decode, fit, gradcheck, labels, losses, metrics, teacher
-from .core import _is_real
+from .core import _JSON_TYPES, _check_type, _is_real
 from .formats import parse_json, write_json_report
 from .losses import LossWeights
 
 
-# field annotation -> (accepts the value, what the value must be)
-_TYPES = {
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (_is_real, "a finite number"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    tuple: (lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_is_real, v)),
-            "a non-empty list of finite numbers"),
-}
+# field annotation -> (accepts the value, what the value must be): core's JSON types and a list
+_TYPES = {**_JSON_TYPES,
+          tuple: (lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_is_real, v)),
+                  "a non-empty list of finite numbers")}
 
 
 def _one_of(name: str, value, choices: tuple):
@@ -73,10 +68,7 @@ class RunConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            accepts, kind = _TYPES[f.type]
-            if not accepts(value):
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            _check_type(f.name, getattr(self, f.name), _TYPES[f.type])
         for name in ("recall_iou_thresholds", "map_iou_thresholds"):
             object.__setattr__(self, name, tuple(float(t) for t in getattr(self, name)))
         self.weights()  # validates the loss block

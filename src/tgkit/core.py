@@ -43,6 +43,22 @@ def _is_real(value) -> bool:
             and -sys.float_info.max <= value <= sys.float_info.max)
 
 
+# JSON value type -> (accepts the value, what the value must be); nothing is coerced
+_JSON_TYPES = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_real, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_type(name: str, value, rule: tuple) -> None:
+    """Refuse ``value`` unless ``rule``, an entry of ``_JSON_TYPES`` or the like, accepts it."""
+    accepts, kind = rule
+    if not accepts(value):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _concept_sets(groups) -> list:
     """``frozenset(g)`` for each group of concepts, in order.
 

@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (SOURCE_KINDS, ClipTimeline, Interval, PredictionSet, Query, UnifiedLabel,
-                   _check_clips, _concept_sets, _is_real)
+from .core import (_JSON_TYPES, SOURCE_KINDS, ClipTimeline, Interval, PredictionSet, Query,
+                   UnifiedLabel, _check_clips, _check_type, _concept_sets)
 from .labels import CurveAnnotation, PointAnnotation
 
 SCHEMA_VERSION = 1
@@ -31,35 +31,30 @@ MATRIX_MAGIC = b"TGMX"
 MATRIX_TEXT_HEADER = "# tgkit-matrix v1"
 
 
-# source_kind -> (its annotation key, JSON value -> annotation, annotation -> JSON value)
+# source_kind -> (its annotation key, JSON value -> annotation, annotation -> JSON value,
+#                 whether an annotation is of that kind, what it must be)
 _ANNOTATIONS = {
-    "point": ("points", lambda v: PointAnnotation(tuple(v)), lambda a: list(a.timestamps)),
+    "point": ("points", PointAnnotation, lambda a: list(a.timestamps),
+              lambda a: isinstance(a, PointAnnotation), "a PointAnnotation"),
     "interval": ("intervals", lambda v: [Interval(s, e) for s, e in v],
-                 lambda a: [[iv.start, iv.end] for iv in a]),
-    "curve": ("curve", lambda v: CurveAnnotation(np.asarray(v, dtype=np.float64)),
-              lambda a: a.values.tolist()),
-}
-
-# source_kind -> (whether an annotation is of that kind, what it must be)
-_ANNOTATION_TYPES = {
-    "point": (lambda a: isinstance(a, PointAnnotation), "a PointAnnotation"),
-    "interval": (lambda a: isinstance(a, (list, tuple)) and all(isinstance(i, Interval) for i in a),
+                 lambda a: [[iv.start, iv.end] for iv in a],
+                 lambda a: isinstance(a, (list, tuple)) and all(isinstance(i, Interval) for i in a),
                  "a list of Interval"),
-    "curve": (lambda a: isinstance(a, CurveAnnotation), "a CurveAnnotation"),
+    "curve": ("curve", CurveAnnotation, lambda a: a.values.tolist(),
+              lambda a: isinstance(a, CurveAnnotation), "a CurveAnnotation"),
 }
 
-# the fields every record line starts with, each with how a line's value is read
+# the fields every record line starts with, each with its JSON value type
 _HEAD = {"video_id": str, "query_id": str, "duration": float, "clip_len": float}
 
 # what eval reads from a decoded result, by task: (key, check on each entry, what it must be)
 _RESULT_ENTRIES = {
     "moments": ("moments",
-                lambda m: isinstance(m, dict) and all(_is_real(m.get(k))
+                lambda m: isinstance(m, dict) and all(_JSON_TYPES[float][0](m.get(k))
                                                       for k in ("start", "end", "score")),
                 "an object with numeric start, end and score"),
-    "highlights": ("clip_scores", _is_real, "a finite number"),
-    "summary": ("selected_clips", lambda c: isinstance(c, int) and not isinstance(c, bool),
-                "an integer clip index"),
+    "highlights": ("clip_scores", *_JSON_TYPES[float]),
+    "summary": ("selected_clips", _JSON_TYPES[int][0], "an integer clip index"),
 }
 
 
@@ -116,27 +111,33 @@ def _head_to_obj(record: _Record) -> dict:
 
 
 def _head_from_obj(obj, required: tuple) -> dict:
-    """The common fields of a record line, once the line is checked.
+    """The common fields of a record line as they stand; the record's check checks them.
 
-    The line must be a JSON object of this schema version that holds the
-    common fields and the ``required`` ones.
+    The line must be a JSON object of this schema version, the integer 1,
+    that holds the common fields and the ``required`` ones.
     """
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {obj.get('schema_version')!r}; expected {SCHEMA_VERSION}"
-        )
+    version = obj.get("schema_version")
+    if not (_JSON_TYPES[int][0](version) and version == SCHEMA_VERSION):
+        raise ValueError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
     missing = [key for key in (*_HEAD, *required) if key not in obj]
     if missing:
         raise ValueError(f"record is missing fields {missing}")
-    return {key: parse(obj[key]) for key, parse in _HEAD.items()}
+    return {key: obj[key] for key in _HEAD}
+
+
+def _checked_timeline(record: _Record) -> ClipTimeline:
+    """The record's timeline, once each common field holds a value of its JSON type."""
+    for key, kind in _HEAD.items():
+        _check_type(key, getattr(record, key), _JSON_TYPES[kind])
+    return record.timeline()
 
 
 def _annotation_to_obj(annotation, source_kind: str) -> dict | None:
     if annotation is None:
         return None
-    key, _, dump = _ANNOTATIONS[source_kind]
+    key, _, dump, _, _ = _ANNOTATIONS[source_kind]
     return {key: dump(annotation)}
 
 
@@ -144,7 +145,7 @@ def _annotation_from_obj(obj, source_kind: str):
     """Parse an annotation, which holds exactly one key: the one its kind names."""
     if obj is None:
         return None
-    key, parse, _ = _ANNOTATIONS[source_kind]
+    key, parse, _, _, _ = _ANNOTATIONS[source_kind]
     if not isinstance(obj, dict) or list(obj) != [key]:
         got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
         raise ValueError(
@@ -177,23 +178,18 @@ def dataset_record_to_obj(record: DatasetRecord) -> dict:
 def dataset_record_from_obj(obj: dict) -> DatasetRecord:
     head = _head_from_obj(obj, ("query", "source_kind"))
     query = Query(obj["query"]["text"], obj["query"]["kind"])
-    label = None
-    if obj.get("label") is not None:
-        lab = obj["label"]
-        label = UnifiedLabel(
-            np.asarray(lab["foreground"]),
-            np.asarray(lab["offsets"], dtype=np.float64),
-            np.asarray(lab["saliency"], dtype=np.float64),
-        )
+    lab = obj.get("label")
+    label = None if lab is None else UnifiedLabel(lab["foreground"], lab["offsets"], lab["saliency"])
     record = _check_dataset_record(DatasetRecord(
         **head, query=query, source_kind=obj["source_kind"], label=label,
         clip_concepts=obj.get("clip_concepts")))
     record.annotation = _annotation_from_obj(obj.get("annotation"), record.source_kind)
+    record.duration, record.clip_len = float(record.duration), float(record.clip_len)
     return record
 
 
 def _check_dataset_record(record: DatasetRecord) -> DatasetRecord:
-    """What a dataset record must satisfy beyond its types; readers and writers both check it.
+    """What a dataset record must satisfy; readers and writers both check it.
 
     Returns the record, or, when it has concepts, a copy holding them as
     ``core._concept_sets`` gives them; the input is left as it was.  A reader
@@ -202,11 +198,11 @@ def _check_dataset_record(record: DatasetRecord) -> DatasetRecord:
     if record.source_kind not in SOURCE_KINDS:
         raise ValueError(
             f"unknown source_kind {record.source_kind!r}; expected one of {SOURCE_KINDS}")
-    accepts, kind = _ANNOTATION_TYPES[record.source_kind]
+    *_, accepts, kind = _ANNOTATIONS[record.source_kind]
     if record.annotation is not None and not accepts(record.annotation):
         raise ValueError(f"annotation of source_kind {record.source_kind!r} must be {kind}, "
                          f"got {type(record.annotation).__name__}")
-    timeline = record.timeline()  # a bad duration or clip_len fails here, labelled or not
+    timeline = _checked_timeline(record)  # a bad head fails here, labelled or not
     if record.label is not None:
         _check_clips(timeline, "label", len(record.label))
     if record.clip_concepts is not None:
@@ -324,17 +320,15 @@ def prediction_record_to_obj(record: PredictionRecord) -> dict:
 
 def prediction_record_from_obj(obj: dict) -> PredictionRecord:
     head = _head_from_obj(obj, ("foreground_logits", "offsets", "saliency"))
-    pred = PredictionSet(
-        np.asarray(obj["foreground_logits"], dtype=np.float64),
-        np.asarray(obj["offsets"], dtype=np.float64),
-        np.asarray(obj["saliency"], dtype=np.float64),
-    )
-    return _check_prediction_record(PredictionRecord(**head, prediction=pred))
+    pred = PredictionSet(obj["foreground_logits"], obj["offsets"], obj["saliency"])
+    record = _check_prediction_record(PredictionRecord(**head, prediction=pred))
+    record.duration, record.clip_len = float(record.duration), float(record.clip_len)
+    return record
 
 
 def _check_prediction_record(record: PredictionRecord) -> PredictionRecord:
-    """What a prediction record must satisfy beyond its types; readers and writers both check it."""
-    _check_clips(record.timeline(), "prediction", len(record.prediction))
+    """What a prediction record must satisfy; readers and writers both check it."""
+    _check_clips(_checked_timeline(record), "prediction", len(record.prediction))
     return record
 
 

@@ -271,7 +271,7 @@ def _sampled_points(factory, rng, num_points: int, loss_name: str):
             if kink_distance(inputs) >= _KINK_MARGIN:
                 break
         else:
-            raise RuntimeError(f"could not sample a non-kink point for {loss_name}")
+            raise ValueError(f"could not sample a non-kink point for {loss_name}")
         yield inputs, evaluate
 
 

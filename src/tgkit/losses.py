@@ -123,8 +123,8 @@ class EmbeddingBatch:
             raise ValueError(f"sentence embeddings shape {s.shape} does not match ({b}, {d})")
         if not (np.isfinite(v).all() and np.isfinite(s).all()):
             raise ValueError("embeddings must be finite")
-        if (np.linalg.norm(v, axis=-1) == 0).any() or (np.linalg.norm(s, axis=-1) == 0).any():
-            raise ValueError("zero-norm embeddings have no cosine")
+        _row_norms(v)  # refuses a zero-norm row, as the loss kernel does
+        _row_norms(s)
         _set(self, "clip_embeddings", _frozen(v))
         _set(self, "sentence_embeddings", _frozen(s))
 

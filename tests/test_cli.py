@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from tgkit import gradcheck
 from tgkit.cli import build_parser, main
 from tgkit.config import RunConfig
 from tgkit.core import GroundingWarning, Interval, PredictionSet
@@ -145,6 +146,20 @@ class TestConvert:
         records, _ = read_dataset(out)
         assert len(records) == 1
 
+    def test_null_query_id_refused(self, tmp_path):
+        # it used to be read as the query id 'None'
+        obj = dataset_record_to_obj(toy_corpus(1, 10, seed=0)[0])
+        raw, out = tmp_path / "raw.jsonl", tmp_path / "out.jsonl"
+        raw.write_text(json.dumps({**obj, "query_id": None}) + "\n" + json.dumps(obj) + "\n")
+        proc = run_child(["convert", "--input", str(raw), "--output", str(out)])
+        assert_one_line_error(proc, f"{raw}:1: query_id must be a string, got None")
+        assert not out.exists()
+        proc = run_child(["convert", "--input", str(raw), "--on-error", "skip",
+                          "--output", str(out)])
+        assert proc.returncode == 0
+        assert proc.stderr == "skipped line 1: query_id must be a string, got None\n"
+        assert [r.query_id for r in read_dataset(out)[0]] == ["q0"]
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["convert", "--input", str(tmp_path / "nope.jsonl"),
                      "--output", str(tmp_path / "out.jsonl")]) == 2
@@ -249,6 +264,14 @@ class TestLosscheck:
         assert_one_line_error(proc, "--losses 'smooth_l1, giou_1d,smooth_l1' names smooth_l1 "
                                     "more than once")
         assert proc.stdout == "" and not (tmp_path / "r.json").exists()
+
+    def test_no_point_off_the_kinks(self, tmp_path, capsys, monkeypatch):
+        # it used to escape from main as a RuntimeError traceback
+        monkeypatch.setattr(gradcheck, "_KINK_MARGIN", float("inf"))
+        assert_fails_closed(["losscheck", "--losses", "giou_1d", "--points", "2",
+                             "--output", str(tmp_path / "r.json")],
+                            capsys, "could not sample a non-kink point for giou_1d")
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestFit:

@@ -307,8 +307,32 @@ def _read_one_result(tmp_path, task, key, entries):
                       {("v", "q"): ClipTimeline(4, 1.0)})
 
 
+def _read_line_with(tmp_path, read, key, value):
+    """Read, as ``r.jsonl``, one good record line for ``read`` with ``key`` set to ``value``."""
+    to_obj, record = ((dataset_record_to_obj, interval_record()) if read is read_dataset
+                      else (prediction_record_to_obj, _prediction("v1", 8.0, 4)))
+    (tmp_path / "r.jsonl").write_text(json.dumps({**to_obj(record), key: value}) + "\n")
+    return _read_from(tmp_path, read, "r.jsonl")
+
+
+# a record line's common field of the wrong JSON type, which used to be converted or let through
+BAD_HEADS = {
+    "numeric_video_id": ("video_id", 7, "video_id must be a string, got 7"),
+    "null_query_id": ("query_id", None, "query_id must be a string, got None"),
+    "string_duration": ("duration", "24", "duration must be a finite number, got '24'"),
+    "bool_clip_len": ("clip_len", True, "clip_len must be a finite number, got True"),
+    "bool_schema_version": ("schema_version", True, "unsupported schema_version True; expected 1"),
+    "float_schema_version": ("schema_version", 1.0,
+                             "unsupported schema_version 1.0; expected 1"),
+}
+
 # input checks no other test reaches: the call, its exception type and its message
 INPUT_CHECKS = {
+    **{f"{what}_{case}": (
+        lambda p, read=read, key=key, value=value: _read_line_with(p, read, key, value),
+        ValueError, f"r.jsonl:1: {message}")
+       for what, read in (("dataset", read_dataset), ("prediction", read_predictions))
+       for case, (key, value, message) in BAD_HEADS.items()},
     "report_moment_off_grid": (
         lambda p: _read_one_result(p, "moments", "moments",
                                    [{"start": 1.0, "end": 4.5, "score": 0.5}]), ValueError,
@@ -317,6 +341,14 @@ INPUT_CHECKS = {
     "report_clip_score_count": (
         lambda p: _read_one_result(p, "highlights", "clip_scores", [0.5] * 3), ValueError,
         "r.json: results[0].clip_scores covers 3 clips but the timeline has 4 "
+        "(video_id 'v', query_id 'q')"),
+    "report_bool_clip_score": (
+        lambda p: _read_one_result(p, "highlights", "clip_scores", [0.5, True, 0.5, 0.5]),
+        ValueError, "r.json: results[0].clip_scores[1] must be a finite number "
+        "(video_id 'v', query_id 'q')"),
+    "report_bool_selected_clip": (
+        lambda p: _read_one_result(p, "summary", "selected_clips", [0, True]), ValueError,
+        "r.json: results[0].selected_clips[1] must be an integer clip index "
         "(video_id 'v', query_id 'q')"),
     "report_selected_clip_off_grid": (
         lambda p: _read_one_result(p, "summary", "selected_clips", [0, 4]), ValueError,
@@ -358,6 +390,17 @@ def test_input_check(tmp_path, case):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call(tmp_path)
     assert info.type is error
+
+
+@pytest.mark.parametrize("read, write", [(read_dataset, write_dataset),
+                                         (read_predictions, write_predictions)])
+@pytest.mark.parametrize("key, value", [("duration", 8), ("clip_len", 2)])
+def test_integer_head_number_reads_as_a_float(tmp_path, read, write, key, value):
+    # converted after its type check, so a rewritten line holds 8.0 or 2.0, as convert writes
+    (record,), _ = _read_line_with(tmp_path, read, key, value)
+    assert type(getattr(record, key)) is float and getattr(record, key) == value
+    write([record], tmp_path / "w.jsonl")
+    assert f'"{key}":{float(value)!r}' in (tmp_path / "w.jsonl").read_text()
 
 
 class TestMatrixContainers:
@@ -526,7 +569,14 @@ BAD_WRITES = {
         "label covers 11 clips but the timeline has 10"),
     "nan_duration": (write_dataset, lambda: [
         point_record("v1"), _nan_duration(point_record("v2"))],
-        "duration must be positive and finite"),
+        "duration must be a finite number, got nan"),
+    "numeric_video_id": (write_dataset, lambda: [
+        point_record("v1"), dataclasses.replace(point_record("v2"), video_id=7)],
+        "video_id must be a string, got 7"),
+    # a numpy integer is not a JSON integer; json.dumps used to raise a TypeError on it
+    "numpy_int_duration": (write_predictions, lambda: [
+        _prediction("v1", 8.0, 4), _prediction("v2", np.int64(24), 12)],
+        r"^duration must be a finite number, got (np\.int64\(24\)|24)$"),
     "concepts_too_few": (write_dataset, lambda: [
         point_record("v1"), dataclasses.replace(interval_record("v2", num_clips=12),
                                                 clip_concepts=(frozenset({"door"}),) * 3)],
@@ -586,6 +636,7 @@ class TestWritersFailClosed:
 
     @pytest.mark.parametrize("case,to_obj,read", [
         ("label_too_long", dataset_record_to_obj, read_dataset),
+        ("numeric_video_id", dataset_record_to_obj, read_dataset),
         ("concepts_too_few", dataset_record_to_obj, read_dataset),
         # the annotation dropped, as dataset_record_to_obj has no encoding for an unknown kind
         ("unknown_source_kind",

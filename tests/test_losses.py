@@ -417,8 +417,11 @@ class TestEmbeddings:
                 assert abs(pair[b, k] - expected) < 1e-12
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingBatch(np.zeros((1, 2, 3)), np.ones((1, 3)))
+        # either array's zero row gets the refusal losses._row_norms makes inside the kernel
+        for clips, sentences in ((np.zeros((1, 2, 3)), np.ones((1, 3))),
+                                 (np.ones((1, 2, 3)), np.zeros((1, 3)))):
+            with pytest.raises(ValueError, match="^zero-norm embeddings have no cosine$"):
+                EmbeddingBatch(clips, sentences)
 
     def test_sample_positive_requires_candidates(self):
         label = label_of([0, 0], [[0, 0], [0, 0]], [0, 0])

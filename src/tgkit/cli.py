@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -415,7 +416,13 @@ def _add_common(sub) -> None:
     sub.add_argument("--output", required=True, help="output file path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``parse_args`` fills a fresh namespace on every call, so callers share
+    the parser without sharing state.
+    """
     parser = argparse.ArgumentParser(
         prog="tgkit",
         description="Temporal grounding toolkit: label conversion, losses, decoding, metrics.",

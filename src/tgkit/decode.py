@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +33,23 @@ SEGMENT_AGGREGATES = ("mean", "max")
 DEFAULT_SEGMENT_AGGREGATE = "mean"
 
 
+class _Candidates(Sequence):
+    """Per-clip candidate moments held as arrays; an item is built when it is read.
+
+    ``nms_1d`` reads the arrays directly, so only the moments it keeps
+    become ``ScoredInterval`` objects.
+    """
+
+    def __init__(self, start: np.ndarray, end: np.ndarray, scores: np.ndarray):
+        self.start, self.end, self.scores = start, end, scores
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i) -> ScoredInterval:
+        return ScoredInterval(Interval(self.start[i], self.end[i]), float(self.scores[i]))
+
+
 def nms_1d(
     candidates: Sequence[ScoredInterval],
     iou_threshold: float = DEFAULT_NMS_THRESHOLD,
@@ -48,17 +65,23 @@ def nms_1d(
     it, with ``temporal_iou``'s rules for zero-length intervals.  The loop
     stops once it holds ``top_k`` candidates (None: no limit); candidates
     are kept in rank order, so that is the first ``top_k`` of the full list.
+    The result holds the input's own objects; ``decode_moments``'s lazy
+    candidates build only the kept ones.
     """
     if not 0 < iou_threshold <= 1:
         raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    cands = list(candidates)
-    if any(not isinstance(c, ScoredInterval) for c in cands):
-        raise ValueError("candidates must be ScoredInterval instances")
-    start = np.array([c.interval.start for c in cands])
-    end = np.array([c.interval.end for c in cands])
-    order = np.lexsort((np.arange(len(cands)), start, -np.array([c.score for c in cands])))
+    if isinstance(candidates, _Candidates):
+        cands, start, end, scores = candidates, candidates.start, candidates.end, candidates.scores
+    else:
+        cands = list(candidates)
+        if any(not isinstance(c, ScoredInterval) for c in cands):
+            raise ValueError("candidates must be ScoredInterval instances")
+        start = np.array([c.interval.start for c in cands])
+        end = np.array([c.interval.end for c in cands])
+        scores = np.array([c.score for c in cands])
+    order = np.lexsort((np.arange(len(cands)), start, -scores))
     kept = []
     while order.size:
         i, order = order[0], order[1:]
@@ -90,11 +113,7 @@ def decode_moments(
     lo = np.clip(lo, 0.0, timeline.duration)
     hi = np.clip(hi, 0.0, timeline.duration)
     scores = highlight_scores(pred, "f_plus_s" if use_saliency else "f_only")
-    candidates = [
-        ScoredInterval(Interval(lo[i], hi[i]), float(scores[i]))
-        for i in range(timeline.num_clips)
-    ]
-    return nms_1d(candidates, iou_threshold, top_k)
+    return nms_1d(_Candidates(lo, hi, scores), iou_threshold, top_k)
 
 
 def highlight_scores(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE) -> np.ndarray:
@@ -207,26 +226,33 @@ def _kts_tables(band: np.ndarray, m_hi: int) -> tuple:
     Returns (cost, first_end): cost[m] is the least scatter splitting all
     clips into m segments (``inf`` if no split is feasible) and
     first_end[m, i] the end of the first segment of the least-scatter split
-    of clips [i, n) into m segments.  For each m, row i of one band minimum
-    holds the segments [i, i + l] for l < width, each plus the cost of
-    splitting what follows it into m - 1 segments.  ``argmin`` takes the
-    first minimum, the shortest first segment.  Only the cost row of m - 1
-    is kept, so the tables take 8 bytes per clip and segment count, and
-    the band minima reuse one buffer of the band's size.
+    of clips [i, n) into m segments, defined on the feasible rows.  For each
+    m, row i of one band minimum holds the segments [i, i + l] for l < width,
+    each plus the cost of splitting what follows it into m - 1 segments.
+    ``argmin`` takes the first minimum, the shortest first segment.  Rows
+    before n - m * width cannot be covered by m segments, so the minimum
+    skips them; their cost stays ``inf`` and their first_end 0.  Only the
+    cost row of m - 1 is kept, updated in place under one sliding window,
+    so the tables take 8 bytes per clip and segment count, and the band
+    minima reuse one buffer of the band's size.
     """
     n, width = band.shape
     prev = np.full(n + width, np.inf)  # columns past n stay inf: no such end
     prev[n] = 0.0
+    window = sliding_window_view(prev[1:], width)  # row i: the costs after ends i + 1 ...
     cost = np.full(m_hi + 1, np.inf)
     first_end = np.zeros((m_hi + 1, n + 1), dtype=np.int64)
     starts = np.arange(n)
     totals = np.empty_like(band)
     for m in range(1, m_hi + 1):
-        np.add(band, sliding_window_view(prev[1:], width), out=totals)
-        best = np.argmin(totals, axis=1)
-        prev = np.concatenate((totals[starts, best], np.full(width, np.inf)))
+        lo = max(0, n - m * width)
+        rows = totals[lo:]
+        np.add(band[lo:], window[lo:], out=rows)
+        best = np.argmin(rows, axis=1)
+        prev[lo:n] = rows[starts[:n - lo], best]
+        prev[n] = np.inf  # m >= 1 segments cannot cover zero clips
         cost[m] = prev[0]
-        first_end[m, :n] = starts + best + 1
+        first_end[m, lo:n] = starts[lo:] + best + 1
     return cost, first_end
 
 
@@ -249,8 +275,9 @@ def kts_segment(
     ``features`` use the linear kernel through their prefix sums, so no
     n x n matrix is built: memory is O(n * (max_clips + max_segments + dim)).
     A ``gram`` matrix is used as given.  For each segment count the DP takes
-    one band minimum over all start positions: the scatter band plus the
-    shifted cost of the remaining segments, ``inf`` marking infeasible ends.
+    one band minimum over the start positions that count can cover: the
+    scatter band plus the shifted cost of the remaining segments, ``inf``
+    marking infeasible ends.
     ``argmin`` returns the first minimum, that is the shortest first
     segment, which is what keeps the lexicographic tie-break.
     """

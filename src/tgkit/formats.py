@@ -127,6 +127,19 @@ def _head_from_obj(obj, required: tuple) -> dict:
     return {key: obj[key] for key in _HEAD}
 
 
+def _fields(obj: dict, key: str, names: tuple) -> dict:
+    """The ``names`` fields of ``obj[key]``, which must be a JSON object holding them."""
+    value = obj[key]
+    if not isinstance(value, dict):
+        got = type(value).__name__
+    elif missing := [name for name in names if name not in value]:
+        got = f"one without {', '.join(missing)}"
+    else:
+        return {name: value[name] for name in names}
+    raise ValueError(
+        f"{key} must be an object holding {', '.join(names[:-1])} and {names[-1]}, got {got}")
+
+
 def _checked_timeline(record: _Record) -> ClipTimeline:
     """The record's timeline, once each common field holds a value of its JSON type."""
     for key, kind in _HEAD.items():
@@ -177,9 +190,10 @@ def dataset_record_to_obj(record: DatasetRecord) -> dict:
 
 def dataset_record_from_obj(obj: dict) -> DatasetRecord:
     head = _head_from_obj(obj, ("query", "source_kind"))
-    query = Query(obj["query"]["text"], obj["query"]["kind"])
+    query = Query(**_fields(obj, "query", ("text", "kind")))
     lab = obj.get("label")
-    label = None if lab is None else UnifiedLabel(lab["foreground"], lab["offsets"], lab["saliency"])
+    label = None if lab is None else UnifiedLabel(
+        **_fields(obj, "label", ("foreground", "offsets", "saliency")))
     record = _check_dataset_record(DatasetRecord(
         **head, query=query, source_kind=obj["source_kind"], label=label,
         clip_concepts=obj.get("clip_concepts")))

@@ -226,11 +226,18 @@ def smooth_l1(x, beta: float = 1.0):
 
 
 def _smooth_l1(x, beta: float):
-    """``smooth_l1`` on a float array, without the checks."""
+    """``smooth_l1`` on a float array, without the checks.
+
+    Both ``np.where`` branches are computed for every entry, so the quadratic
+    one squares q = min(|x|, beta) and takes its slope from copysign(q, x):
+    it cannot overflow where it is discarded, and where it is kept it equals
+    0.5 * x * x / beta and x / beta bit for bit.
+    """
     ax = np.abs(x)
     inner = ax < beta
-    value = np.where(inner, 0.5 * x * x / beta, ax - 0.5 * beta)
-    return value, np.where(inner, x / beta, np.sign(x))
+    q = np.minimum(ax, beta)
+    value = np.where(inner, 0.5 * q * q / beta, ax - 0.5 * beta)
+    return value, np.where(inner, np.copysign(q, x) / beta, np.sign(x))
 
 
 def _smooth_l1_kink(x, beta: float) -> float:

@@ -12,7 +12,7 @@ import pytest
 from tgkit import gradcheck
 from tgkit.cli import build_parser, main
 from tgkit.config import RunConfig
-from tgkit.core import GroundingWarning, Interval, PredictionSet
+from tgkit.core import GroundingWarning, Interval, PredictionSet, ScoredInterval
 from tgkit.formats import (
     MATRIX_MAGIC,
     MatrixRecord,
@@ -361,6 +361,31 @@ class TestDecode:
                      "--top-k", "3", "--output", str(out)]) == 0
         assert len(calls) == 2  # one per record
         assert out.read_bytes() == pipeline["highlights"].read_bytes()
+
+    def test_moments_build_objects_for_kept_moments_only(self, pipeline, tmp_path,
+                                                         monkeypatch):
+        import tgkit.decode
+
+        calls, built = [], []
+        real_nms, real_post_init = tgkit.decode.nms_1d, ScoredInterval.__post_init__
+
+        def counting_nms(candidates, *args, **kwargs):
+            calls.append(len(candidates))
+            return real_nms(candidates, *args, **kwargs)
+
+        def counting_post_init(self):
+            built.append(self)
+            real_post_init(self)
+
+        monkeypatch.setattr(tgkit.decode, "nms_1d", counting_nms)
+        monkeypatch.setattr(ScoredInterval, "__post_init__", counting_post_init)
+        out = tmp_path / "m.json"
+        assert main(["decode", "--input", str(pipeline["preds"]), "--task", "moments",
+                     "--output", str(out)]) == 0
+        assert calls == [24, 24]  # one call per record, one candidate per clip
+        kept = sum(len(r["moments"]) for r in json.loads(out.read_text())["results"])
+        assert len(built) == kept
+        assert out.read_bytes() == pipeline["moments"].read_bytes()
 
     def test_summary_report_shape(self, pipeline):
         report = json.loads(pipeline["summary"].read_text())
@@ -826,6 +851,19 @@ class TestConfigFile:
         assert main([*argv, "--no-use-saliency", "--output", str(plain)]) == 0
         assert plain.read_bytes() == pipeline["moments"].read_bytes()
         assert boosted.read_bytes() != plain.read_bytes()
+
+    def test_parser_is_built_once_and_keeps_no_state(self, pipeline, tmp_path):
+        # the second call passes neither flag, so it must see the defaults again
+        argv = ["decode", "--input", str(pipeline["preds"]), "--task", "moments"]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main([*argv, "--iou-threshold", "0.3", "--use-saliency",
+                     "--output", str(first)]) == 0
+        assert main([*argv, "--output", str(second)]) == 0
+        assert first.read_bytes() != second.read_bytes()
+        assert second.read_bytes() == pipeline["moments"].read_bytes()
+        args = build_parser().parse_args([*argv, "--output", "o"])
+        assert args.nms_iou_threshold is None and args.moment_use_saliency is None
+        assert build_parser() is build_parser()
 
     def test_bin_width_checked_on_interval_only_data(self, tmp_path):
         raw = tmp_path / "raw.jsonl"

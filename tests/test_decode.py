@@ -15,7 +15,7 @@ from tgkit.decode import (
     highlight_scores,
     nms_1d,
 )
-from tgkit.decode import SegmentList
+from tgkit.decode import SegmentList, _Candidates
 from tgkit.losses import sigmoid
 
 from oracles import nms_oracle
@@ -109,6 +109,24 @@ class TestNms1d:
                  for a, w, s in zip(starts, lengths, scores)]
         cands += [ScoredInterval(c.interval, c.score) for c in cands[:200]]  # duplicates
         assert_matches_oracle(cands, thr)
+
+    @pytest.mark.parametrize("thr", [0.3, 0.7, 1.0])
+    def test_lazy_candidates_match_the_built_list(self, thr):
+        # decode_moments's array-backed candidates, on test_matches_oracle_at_scale's
+        # duplicates, zero-length intervals and score ties
+        rng = np.random.default_rng(17)
+        starts = rng.integers(0, 400, 1200) / 4.0
+        lengths = rng.choice([0.0, 0.0, 0.5, 2.0, 5.0, 20.0], 1200)
+        scores = rng.choice([0.2, 0.5, 0.9], 1200)
+        starts[:100], lengths[:100] = 10.0, 0.0
+        starts, lengths, scores = (np.concatenate((a, a[:200])) for a in (starts, lengths, scores))
+        lazy = _Candidates(starts, starts + lengths, scores)
+        built = list(lazy)
+        expect = nms_oracle([(c.interval.start, c.interval.end) for c in built],
+                            [c.score for c in built], thr)
+        for k in (None, 1, 2, len(expect), len(expect) + 1):
+            got = nms_1d(lazy, thr, top_k=k)
+            assert got == nms_1d(built, thr, top_k=k) == [built[i] for i in expect[:k]], (thr, k)
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_top_k_below_one_rejected(self, top_k):

@@ -326,6 +326,20 @@ BAD_HEADS = {
                              "unsupported schema_version 1.0; expected 1"),
 }
 
+_QUERY_FIELDS = "query must be an object holding text and kind"
+_LABEL_FIELDS = "label must be an object holding foreground, offsets and saliency"
+# a dataset line's query or label that is not an object holding its fields
+BAD_OBJECTS = {
+    "query_list": ("query", ["a"], f"{_QUERY_FIELDS}, got list"),
+    "query_string": ("query", "a", f"{_QUERY_FIELDS}, got str"),
+    "query_without_kind": ("query", {"text": "x"}, f"{_QUERY_FIELDS}, got one without kind"),
+    "label_list": ("label", [1, 0], f"{_LABEL_FIELDS}, got list"),
+    "label_without_offsets": ("label", {"foreground": [1], "saliency": [1.0]},
+                              f"{_LABEL_FIELDS}, got one without offsets"),
+    "label_empty": ("label", {}, f"{_LABEL_FIELDS}, got one without foreground, offsets, "
+                                 "saliency"),
+}
+
 # input checks no other test reaches: the call, its exception type and its message
 INPUT_CHECKS = {
     **{f"{what}_{case}": (
@@ -333,6 +347,10 @@ INPUT_CHECKS = {
         ValueError, f"r.jsonl:1: {message}")
        for what, read in (("dataset", read_dataset), ("prediction", read_predictions))
        for case, (key, value, message) in BAD_HEADS.items()},
+    **{f"dataset_{case}": (
+        lambda p, key=key, value=value: _read_line_with(p, read_dataset, key, value),
+        ValueError, f"r.jsonl:1: {message}")
+       for case, (key, value, message) in BAD_OBJECTS.items()},
     "report_moment_off_grid": (
         lambda p: _read_one_result(p, "moments", "moments",
                                    [{"start": 1.0, "end": 4.5, "score": 0.5}]), ValueError,

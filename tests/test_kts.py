@@ -250,6 +250,16 @@ class TestBandMinimum:
             feasible = np.isfinite(expect_cost)
             assert np.array_equal(first_end[feasible], expect_end[feasible])
 
+    def test_identical_where_rows_are_skipped(self):
+        # width * m < n for m < 8, so the first levels skip their leading rows
+        f = np.random.default_rng(19).normal(size=(300, 4))
+        band = _feature_band(f, 40)
+        cost, first_end = _kts_tables(band, 20)
+        expect_cost, expect_end = kts_tables_reference(band, 20)
+        assert np.array_equal(cost, expect_cost[:, 0])
+        feasible = np.isfinite(expect_cost)
+        assert np.array_equal(first_end[feasible], expect_end[feasible])
+
 
 class TestValidation:
     def test_exactly_one_input(self):

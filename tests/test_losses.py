@@ -200,6 +200,27 @@ class TestSmoothL1:
         np.testing.assert_allclose(v, [1.5, 0.125])
         np.testing.assert_allclose(g, [-1.0, 0.5])
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_extreme_inputs_stay_finite_and_exact(self, beta):
+        # both np.where branches are computed everywhere; squaring a huge |x| in the
+        # discarded quadratic one used to overflow
+        info = np.finfo(np.float64)
+        x = np.array([1e200, 1e300, info.max, 0.0, info.smallest_subnormal,
+                      3 * info.smallest_subnormal, info.tiny / 2,
+                      np.nextafter(beta, 0.0), beta, np.nextafter(beta, np.inf)])
+        x = np.concatenate((x, -x))
+        # the square of a subnormal underflows to its correct rounding, which is no fault
+        with np.errstate(all="raise", under="ignore"):
+            value, deriv = smooth_l1(x, beta)
+        assert np.isfinite(value).all() and np.isfinite(deriv).all()
+        with np.errstate(all="ignore"):  # the expressions smooth_l1 used before
+            inner = np.abs(x) < beta
+            old_value = np.where(inner, 0.5 * x * x / beta, np.abs(x) - 0.5 * beta)
+            old_deriv = np.where(inner, x / beta, np.sign(x))
+        for new, old in ((value, old_value), (deriv, old_deriv)):
+            finite = np.isfinite(old)
+            assert np.array_equal(new[finite].view(np.uint64), old[finite].view(np.uint64))
+
 
 class TestGiou1d:
     def test_worked_examples(self):

@@ -21,7 +21,8 @@ For each workload and end-to-end metric it prints both sides' medians and
 quartiles, the pairs in which the change was better (ties count for
 neither), and whether a gain could be claimed: a win in at least nine
 tenths of the pairs and a median difference larger than the distance
-between the parent's quartiles.  Which direction is better comes from the
+between the parent's quartiles.  One pair (``--pairs 1``, a smoke run)
+never supports a claim.  Which direction is better comes from the
 change's ``BENCHMARK.json``.  A run that fails or reports an incorrect
 output stops the script with exit code 1.
 """
@@ -87,6 +88,8 @@ def swap_names(trees: dict) -> None:
 
 
 def quartiles(values):
+    if len(values) < 2:  # one pair: its value is both quartiles
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
 
@@ -113,7 +116,8 @@ def summarise(workload: str, runs: dict, better: dict) -> list:
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             gain = sign * (med["change"] - med["parent"])
             spread = quart["parent"][1] - quart["parent"][0]
-            claim = wins >= 0.9 * len(values["parent"]) and gain > spread
+            pairs = len(values["parent"])
+            claim = pairs > 1 and wins >= 0.9 * pairs and gain > spread
             row.update(wins=wins, claim=claim)
             text += f"  change better in {wins} of {len(values['parent'])}"
             text += "  (gain claimable)" if claim else ""

@@ -19,6 +19,7 @@ from .losses import (
     EmbeddingBatch,
     LossWeights,
     _LossBatch,
+    _row_norms,
     _total_loss_arrays,
     sample_positive,
     saliency_cosines,
@@ -87,35 +88,46 @@ def overfit(
     rng = np.random.default_rng(rng_seed)
     positives = np.array([sample_positive(lab, rng) for lab in labels], dtype=np.int64)
 
-    logits = np.zeros((b, n))
-    offsets = np.stack([np.full((n, 2), r.timeline.clip_len) for r in records])
-    clip_emb = rng.normal(0.0, 0.5, (b, n, embed_dim))
+    # logits, offsets and clip embeddings are views of one flat vector, and
+    # their gradients of another, so a step is one axpy and one finiteness test
+    size = b * n * (3 + embed_dim)
+
+    def flat():
+        x = np.empty(size)
+        return x, (x[:b * n].reshape(b, n), x[b * n:3 * b * n].reshape(b, n, 2),
+                   x[3 * b * n:].reshape(b, n, embed_dim))
+
+    params, cand, grad, cand_grad = flat(), flat(), flat(), flat()
+    logits, offsets, clip_emb = params[1]
+    logits[...] = 0.0
+    offsets[...] = np.array([tl.clip_len for tl in timelines], dtype=np.float64)[:, None, None]
+    clip_emb[...] = rng.normal(0.0, 0.5, (b, n, embed_dim))
     sent_emb = rng.normal(size=(b, embed_dim))
     sent_emb /= np.linalg.norm(sent_emb, axis=-1, keepdims=True)
     batch = _LossBatch(labels, timelines, weights, positives, aggregation)
+    sent_norms = _row_norms(sent_emb)  # the sentences are fixed: one norm, one check
 
-    def evaluate(lg, off, emb):
-        return _total_loss_arrays(lg, off, emb, sent_emb, batch, sentence_grad=False)
+    def evaluate(x, g):
+        """The loss at ``x``'s parameters; the gradient goes into ``g``."""
+        return _total_loss_arrays(*x[1], sent_emb, batch, sentence_grad=False,
+                                  sent_norms=sent_norms, out=g[1])[0]
 
-    value, grads, _ = evaluate(logits, offsets, clip_emb)
+    value = evaluate(params, grad)
     if not np.isfinite(value):
         raise ValueError(f"objective is not finite at initialisation: {value}")
     trajectory = [value]
     step_size = learning_rate
     for step in range(steps):
-        g_logits = grads["foreground_logits"]
-        g_offsets = grads["offsets"]
-        g_clip = grads["clip_embeddings"]
-        if not all(np.isfinite(g).all() for g in (g_logits, g_offsets, g_clip)):
+        if not np.isfinite(grad[0]).all():
             raise ValueError(f"gradients diverged at step {step}")
         trial = step_size
         while True:
-            cand = (logits - trial * g_logits, offsets - trial * g_offsets,
-                    clip_emb - trial * g_clip)
-            cand_value, cand_grads, _ = evaluate(*cand)
+            np.subtract(params[0], trial * grad[0], out=cand[0])
+            cand_value = evaluate(cand, cand_grad)
             if np.isfinite(cand_value) and cand_value <= value:
-                logits, offsets, clip_emb = cand
-                value, grads = cand_value, cand_grads
+                params, cand = cand, params
+                grad, cand_grad = cand_grad, grad
+                value = cand_value
                 step_size = min(trial * 2.0, learning_rate)
                 break
             trial *= 0.5
@@ -124,6 +136,7 @@ def overfit(
                 break
         trajectory.append(value)
 
+    logits, offsets, clip_emb = params[1]
     saliency = np.clip(saliency_cosines(EmbeddingBatch(clip_emb, sent_emb)), -1.0, 1.0)
     predictions = tuple(
         PredictionSet(logits[v], offsets[v], saliency[v]) for v in range(b)

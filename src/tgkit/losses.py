@@ -30,7 +30,11 @@ evaluates them in one call; ``fit`` calls without it.
 
 ``fit`` holds the sentence embeddings fixed, so it calls the kernel with
 ``sentence_grad=False``, which skips the einsums and reductions of that
-gradient; ``total_loss`` and the gradient checker take all four.
+gradient; ``total_loss`` and the gradient checker take all four.  ``fit``
+also passes the sentences' norms, computed once, as ``sent_norms=``, and
+three preallocated arrays as ``out=``, into which the kernel writes the
+prediction gradients.  The gIoU partials skip their selects when no pair is
+degenerate, as in every ``fit`` call.  None of these changes a bit.
 """
 from __future__ import annotations
 
@@ -253,6 +257,13 @@ def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
     ``_giou_endpoints(b_lo, b_hi, a_lo, a_hi)``, bit for bit: every step is
     symmetric in the two intervals.  Uses right-hand derivatives at ties;
     callers that need verified gradients must stay off the tie set.
+
+    A pair is regular when its hull and union are both positive; only pairs
+    of zero-length intervals are not.  ``fit``'s targets have positive
+    length, so every pair it scores is regular.  When all pairs are regular
+    the value and partials are computed without the selects that keep the
+    other pairs' divisions finite; the bits, and the warnings raised, are
+    those of the general path.
     """
     inter_raw = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
     live = inter_raw > 0
@@ -262,16 +273,23 @@ def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
 
     degenerate = hull <= 0  # both intervals collapse to the same point
     regular = ~degenerate & (union > 0)  # the rest: two distinct degenerate points
-    u = np.where(regular, union, 1.0)
-    h = np.where(regular, hull, 1.0)
-    value = np.where(regular, inter / u - (h - u) / h, np.where(degenerate, 1.0, -1.0))
 
     # On the regular set an endpoint's partial is di/u + du*(1/h - i/u^2) - dh*u/h^2,
     # from the partials di, du, dh of inter, union and hull, with du = +-1 - di.
     # d min(x, y)/dx = [x < y]; d max(x, y)/dx = [x >= y] (right-hand rules)
-    k_u = np.where(regular, 1.0 / h - inter / u**2, 0.0)
-    k_iu = np.where(regular, 1.0 / u, 0.0) - k_u
-    k_h = np.where(regular, u / h**2, 0.0)
+    if regular.all():
+        u, h = union, hull
+        value = inter / u - (h - u) / h
+        k_u = 1.0 / h - inter / u**2
+        k_iu = 1.0 / u - k_u
+        k_h = u / h**2
+    else:
+        u = np.where(regular, union, 1.0)
+        h = np.where(regular, hull, 1.0)
+        value = np.where(regular, inter / u - (h - u) / h, np.where(degenerate, 1.0, -1.0))
+        k_u = np.where(regular, 1.0 / h - inter / u**2, 0.0)
+        k_iu = np.where(regular, 1.0 / u, 0.0) - k_u
+        k_h = np.where(regular, u / h**2, 0.0)
     d_alo = k_h * (a_lo < b_lo) - k_u - k_iu * (live & (a_lo >= b_lo))
     d_ahi = k_u + k_iu * (live & (a_hi < b_hi)) - k_h * (a_hi >= b_hi)
     return value, d_alo, d_ahi
@@ -418,17 +436,19 @@ def _cosine_with_grads(v, s, nv, ns):
     dcos/dv = s / (|v||s|) - cos * v / |v|^2, the gradient of ``v`` is the
     rows of ``s`` mixed by one factor per cosine minus ``v`` scaled by one
     factor per row, and likewise for ``s``; no per-element partials are
-    formed.
+    formed.  ``backward(g, out=a)`` writes the gradient w.r.t. ``v`` into
+    ``a`` and returns it.
     """
     nvs = nv[..., :, None] * ns[..., None, :]
     c = np.add.reduce(v[..., :, None, :] * s[..., None, :, :], -1) / nvs
 
-    def backward(g, s_grad=True):
+    def backward(g, s_grad=True, out=None):
         a = g / nvs
         k = g * c
         # einsum rather than @: as fast at these sizes, and without a BLAS call,
         # whose buffers added about 1.5 MB to a training run's peak memory
-        gv = np.einsum("...mn,...nd->...md", a, s) - (np.add.reduce(k, -1) / nv**2)[..., None] * v
+        gv = np.subtract(np.einsum("...mn,...nd->...md", a, s),
+                         (np.add.reduce(k, -1) / nv**2)[..., None] * v, out=out)
         if not s_grad:
             return gv, None
         gs = np.einsum("...mn,...md->...nd", a, v) - (np.add.reduce(k, -2) / ns**2)[..., None] * s
@@ -441,22 +461,6 @@ def saliency_cosines(emb: EmbeddingBatch) -> np.ndarray:
     """Cosine of every clip embedding against its own sentence, shape (B, L)."""
     v, s = emb.clip_embeddings, emb.sentence_embeddings[:, None, :]
     return _cosine_with_grads(v, s, _row_norms(v), _row_norms(s))[0][..., 0]
-
-
-def cross_saliency_cosines(emb: EmbeddingBatch, positives) -> np.ndarray:
-    """Pairing matrix: positive clip of each item against every sentence.
-
-    Entry (b, k) is the cosine between item b's positive clip embedding and
-    item k's sentence embedding; the diagonal holds the matched pairs.
-    """
-    positives = np.asarray(positives, dtype=np.int64)
-    b, l = emb.batch_size, emb.num_clips
-    if positives.shape != (b,):
-        raise ValueError(f"positives shape {positives.shape} does not match ({b},)")
-    if (positives < 0).any() or (positives >= l).any():
-        raise ValueError("positive clip indices out of range")
-    pos, s = emb.clip_embeddings[np.arange(b), positives], emb.sentence_embeddings  # (B, D)
-    return _cosine_with_grads(pos, s, _row_norms(pos), _row_norms(s))[0]
 
 
 def _eligible(foreground):
@@ -661,6 +665,9 @@ def _total_loss_arrays(
     sent_emb: np.ndarray,
     batch: _LossBatch,
     sentence_grad: bool = True,
+    *,
+    sent_norms: np.ndarray | None = None,
+    out: tuple = (None, None, None),
 ):
     """Combined objective on raw arrays; returns (value, grads, components).
 
@@ -676,13 +683,23 @@ def _total_loss_arrays(
     is the same, bit for bit.  ``fit`` holds the sentence embeddings fixed,
     so it asks for no sentence gradient; ``total_loss`` and the gradient
     checker take all four.
+
+    ``sent_norms``, if given, must be ``_row_norms(sent_emb)``; a caller that
+    holds the sentences fixed computes it, and makes its zero-norm refusal,
+    once.  The clip norms are computed, and checked, on every call.  ``out``
+    may hold three arrays of the shapes of ``logits``, ``offsets`` and
+    ``clip_emb``: the three prediction gradients are written into them, and
+    the returned gradients are those arrays.  Neither option changes a bit
+    of the result.
     """
     w = batch.weights
     rows, positives = batch.rows, batch.positives
 
     l_fg, g_logits = _foreground_term(logits, batch.targets, batch.background, w)
     l_bd, g_offsets = _boundary_term(offsets, batch.boundary, w)
-    clip_norms, sent_norms = _row_norms(clip_emb), _row_norms(sent_emb)
+    clip_norms = _row_norms(clip_emb)
+    if sent_norms is None:
+        sent_norms = _row_norms(sent_emb)
     cos, cos_backward = _cosine_with_grads(clip_emb, sent_emb[..., None, :], clip_norms,
                                            sent_norms[..., None])
     l_intra, g_cos = _intra_term(cos[..., 0], batch.pool, batch.intra_target, w.tau)
@@ -698,12 +715,12 @@ def _total_loss_arrays(
         "inter": batch.scale_inter * l_inter,
     }
     g_clip, g_sent = cos_backward(batch.scale_intra[:, None, None] * g_cos[..., None],
-                                  sentence_grad)
+                                  sentence_grad, out=out[2])
     g_pos, g_sent_pair = pair_backward(batch.scale_inter * g_pair, sentence_grad)
     g_clip[..., rows, positives, :] += g_pos
     grads = {
-        "foreground_logits": batch.scale_f[:, None] * g_logits,
-        "offsets": batch.scale_b[:, None, None] * g_offsets,
+        "foreground_logits": np.multiply(batch.scale_f[:, None], g_logits, out=out[0]),
+        "offsets": np.multiply(batch.scale_b[:, None, None], g_offsets, out=out[1]),
         "clip_embeddings": g_clip,
     }
     if sentence_grad:

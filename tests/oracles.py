@@ -631,6 +631,46 @@ def total_loss_kernel_reference(logits, offsets, clip_emb, sent_emb, foreground,
     return sum(parts.values()), grads, parts
 
 
+def overfit_loop_reference(logits, offsets, clip_emb, sent_emb, foreground, saliency,
+                           gt_offsets, times, positives, aggregation, w, steps, learning_rate,
+                           min_step=1e-18):
+    """``fit``'s step rule as a plain loop over three separate arrays.
+
+    Gradient descent from the given start with step-halving backtracking:
+    a step is kept when its loss is finite and not above the current one,
+    the next step then starts from twice its size (at most
+    ``learning_rate``); a step that halves below ``min_step`` leaves the
+    parameters where they are.  Every evaluation is
+    ``total_loss_kernel_reference``; the sentences stay fixed.  Returns the
+    accepted loss after every step (the start's first) and the final
+    logits, offsets and clip embeddings.
+    """
+    def evaluate(lg, off, emb):
+        value, grads, _ = total_loss_kernel_reference(lg, off, emb, sent_emb, foreground,
+                                                      saliency, gt_offsets, times, positives,
+                                                      aggregation, w)
+        return value, (grads["foreground_logits"], grads["offsets"], grads["clip_embeddings"])
+
+    params = (logits, offsets, clip_emb)
+    value, grads = evaluate(*params)
+    trajectory = [value]
+    step_size = learning_rate
+    for _ in range(steps):
+        trial = step_size
+        while True:
+            cand = tuple(p - trial * g for p, g in zip(params, grads))
+            cand_value, cand_grads = evaluate(*cand)
+            if np.isfinite(cand_value) and cand_value <= value:
+                params, value, grads = cand, cand_value, cand_grads
+                step_size = min(trial * 2.0, learning_rate)
+                break
+            trial *= 0.5
+            if trial < min_step:
+                break
+        trajectory.append(value)
+    return np.array(trajectory), *params
+
+
 # --- frozen copy of the gradient checker's kink distances -------------------
 # The distances as the samplers computed them before they read the loss's own
 # label values: the boundary term's foreground clips, centres and target spans

@@ -17,10 +17,10 @@ from tgkit.losses import (
     LossWeights,
     _giou_endpoints,
     _LossBatch,
+    _row_norms,
     _softplus_pair,
     _total_loss_arrays,
     boundary_loss,
-    cross_saliency_cosines,
     foreground_loss,
     giou_1d,
     saliency_cosines,
@@ -113,10 +113,6 @@ INPUT_CHECKS = {
     "boundary_finite": (lambda: boundary_loss(np.full((2, 2), np.nan), label_of([1, 0]),
                                               ClipTimeline(2, 1.0)),
                         "predicted offsets must be finite"),
-    "cross_positives_shape": (lambda: cross_saliency_cosines(_embeddings(), [0]),
-                              "positives shape (1,) does not match (2,)"),
-    "cross_positives_range": (lambda: cross_saliency_cosines(_embeddings(), [0, 3]),
-                              "positive clip indices out of range"),
     "intra_shape": (lambda: saliency_intra_loss(np.zeros(3), label_of([1, 0, 0, 1])),
                     "cosines shape (3,) does not match label length 4"),
     "intra_finite": (lambda: saliency_intra_loss([np.nan, 0.0], label_of([1, 0])),
@@ -425,18 +421,6 @@ class TestEmbeddings:
                 expected = v @ s / (np.linalg.norm(v) * np.linalg.norm(s))
                 assert abs(cos[b, i] - expected) < 1e-12
 
-    def test_cross_pairings(self):
-        rng = np.random.default_rng(8)
-        clips = rng.normal(size=(2, 3, 4))
-        sents = rng.normal(size=(2, 4))
-        emb = EmbeddingBatch(clips, sents)
-        pair = cross_saliency_cosines(emb, [1, 0])
-        for b, p in enumerate([1, 0]):
-            for k in range(2):
-                v, s = clips[b, p], sents[k]
-                expected = v @ s / (np.linalg.norm(v) * np.linalg.norm(s))
-                assert abs(pair[b, k] - expected) < 1e-12
-
     def test_zero_norm_rejected(self):
         # either array's zero row gets the refusal losses._row_norms makes inside the kernel
         for clips, sentences in ((np.zeros((1, 2, 3)), np.ones((1, 3))),
@@ -660,6 +644,31 @@ class TestGiouPartials:
             assert bitwise(rep.grad("b"), np.array([d_blo, d_bhi]))
 
 
+    def test_all_regular_path_and_a_degenerate_pair(self):
+        # the fast path where every pair is regular, then one pair of zero-length
+        # intervals (the same point, then two points) sends the batch down the general path
+        rng = np.random.default_rng(12)
+        a_lo, a_hi = np.sort(rng.uniform(-5, 5, (2, 1000)), axis=0)
+        b_lo, b_hi = tied_intervals(rng, 1000)
+        b_hi[b_lo == b_hi] += 0.5
+        b_lo[:3], b_hi[:3] = a_lo[:3], a_hi[:3]  # ties still take the fast path
+        assert (a_hi > a_lo).all() and (b_hi > b_lo).all()  # every pair regular
+        batches = [(a_lo, a_hi, b_lo, b_hi)]
+        for point in (0.25, 1.5):
+            batch = [x.copy() for x in batches[0]]
+            batch[0][7] = batch[1][7] = 0.25
+            batch[2][7] = batch[3][7] = point
+            batches.append(batch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for a_lo, a_hi, b_lo, b_hi in batches:
+                want = giou_endpoints_reference(a_lo, a_hi, b_lo, b_hi)
+                got = _giou_endpoints(a_lo, a_hi, b_lo, b_hi)
+                got += _giou_endpoints(b_lo, b_hi, a_lo, a_hi)[1:]
+                for x, y in zip(got, want, strict=True):
+                    assert bitwise(x, y)
+
+
 def fit_shaped_batch(seed=0, aggregation="per_video"):
     """Labels, positives, weights and a ``_LossBatch`` at fit's shape: 8 videos of 60 clips."""
     records = toy_corpus(8, 60, 2.0, seed)
@@ -672,14 +681,22 @@ def fit_shaped_batch(seed=0, aggregation="per_video"):
     return labels, timelines, positives, w, batch
 
 
+PREDICTION_GRADS = ("foreground_logits", "offsets", "clip_embeddings")
+
+
 def assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation, w, batch,
-                                 sentence_grad=True):
+                                 sentence_grad=True, **options):
     """The kernel's value, gradients and components equal the frozen copy's bit for bit.
 
     Without the sentence gradient, the kernel must return every other output.
-    Returns the kernel's result.
+    ``options`` (``sent_norms=``, ``out=``) go to the kernel as they are; with
+    ``out=`` the returned prediction gradients must be its arrays.  Returns
+    the kernel's result.
     """
-    result = value, grads, parts = _total_loss_arrays(*ins, batch, sentence_grad=sentence_grad)
+    result = value, grads, parts = _total_loss_arrays(*ins, batch, sentence_grad=sentence_grad,
+                                                      **options)
+    if "out" in options:
+        assert all(grads[key] is a for key, a in zip(PREDICTION_GRADS, options["out"]))
     ref_value, ref_grads, ref_parts = total_loss_kernel_reference(
         *ins,
         np.stack([lab.foreground for lab in labels]),
@@ -737,6 +754,17 @@ class TestKernelMatchesFrozenCopy:
         for key in parts:
             assert bitwise(parts[key], full_parts[key]), key
 
+    @pytest.mark.parametrize("lead", [(), (9,)], ids=["no_problem_axis", "problem_axis"])
+    @pytest.mark.parametrize("aggregation", ["per_video", "per_clip"])
+    def test_with_sentence_norms_and_output_arrays(self, aggregation, lead):
+        rng = np.random.default_rng(13)
+        labels, timelines, positives, w, batch = fit_shaped_batch(5, aggregation)
+        ins = self.point(rng, labels, lead)
+        for sentence_grad in (True, False):
+            out = tuple(np.full(x.shape, np.nan) for x in ins[:3])
+            assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation, w, batch,
+                                         sentence_grad, sent_norms=_row_norms(ins[3]), out=out)
+
     def test_edge_intervals(self):
         labels, timelines, positives, w, batch = fit_shaped_batch(1)
         rng = np.random.default_rng(8)
@@ -786,7 +814,7 @@ class TestKernelMatchesFrozenCopy:
         calls = []
 
         def checked(logits, offsets, clip_emb, sent_emb, batch, **kwargs):
-            calls.append(kwargs)
+            calls.append((sent_emb, kwargs))
             return assert_kernel_matches_frozen([logits, offsets, clip_emb, sent_emb], labels,
                                                 timelines, batch.positives, "per_video",
                                                 batch.weights, batch, **kwargs)
@@ -794,4 +822,6 @@ class TestKernelMatchesFrozenCopy:
         monkeypatch.setattr(fit, "_total_loss_arrays", checked)
         result = fit.overfit(records, steps=300, rng_seed=0)
         assert len(result.trajectory) == 301 and len(calls) >= 301
-        assert all(kwargs == {"sentence_grad": False} for kwargs in calls)
+        for sent_emb, kwargs in calls:
+            assert kwargs["sentence_grad"] is False
+            assert bitwise(kwargs["sent_norms"], _row_norms(sent_emb))

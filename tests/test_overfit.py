@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from tgkit import fit
 from tgkit.core import GroundingWarning, GroundTruthRecord, Query, UnifiedLabel
 from tgkit.fit import overfit
-from tgkit.losses import LossWeights
+from tgkit.losses import EmbeddingBatch, LossWeights, sample_positive
 from tgkit.synth import toy_corpus
+
+from oracles import overfit_loop_reference
 
 
 def records(num_videos=2, num_clips=12, seed=0):
@@ -81,6 +84,120 @@ class TestBacktracking:
         assert result.stalled_steps == 3
         assert np.unique(result.trajectory).size == 1
         assert all((p.foreground_logits == 0).all() for p in result.predictions)
+
+
+def wrap_kernel(monkeypatch, change=lambda call, value, grads: value):
+    """Wrap fit's kernel and list the values it returns.
+
+    ``change(call, value, grads)`` gives call number ``call``'s value and may
+    alter its gradients in place.
+    """
+    real, calls = fit._total_loss_arrays, []
+
+    def wrapped(*args, **kwargs):
+        value, grads, parts = real(*args, **kwargs)
+        value = change(len(calls), value, grads)
+        calls.append(value)
+        return value, grads, parts
+
+    monkeypatch.setattr(fit, "_total_loss_arrays", wrapped)
+    return calls
+
+
+class TestRefusals:
+    def test_objective_not_finite_at_initialisation(self, monkeypatch):
+        calls = wrap_kernel(monkeypatch, lambda call, value, grads: np.inf)
+        with pytest.raises(ValueError, match="^objective is not finite at initialisation: inf$"):
+            overfit(records(), steps=5, rng_seed=0)
+        assert len(calls) == 1
+
+    def test_gradients_diverged(self, monkeypatch):
+        def nan_on_call_3(call, value, grads):
+            if call == 3:
+                grads["offsets"][1, 2, 0] = np.nan
+            return value
+
+        calls = wrap_kernel(monkeypatch, nan_on_call_3)
+        with pytest.raises(ValueError, match="^gradients diverged at step 3$"):
+            overfit(records(), steps=10, rng_seed=0)
+        # the start, then one accepted trial for each of steps 0 to 2: the third
+        # carries the NaN into step 3's check
+        assert len(calls) == 4 and calls == sorted(calls, reverse=True)
+
+
+def fit_start(recs, seed, embed_dim=fit.DEFAULT_EMBED_DIM):
+    """``overfit``'s positives and starting parameters for ``recs`` at ``rng_seed=seed``."""
+    rng = np.random.default_rng(seed)
+    positives = np.array([sample_positive(r.label, rng) for r in recs], dtype=np.int64)
+    b, n = len(recs), recs[0].timeline.num_clips
+    logits = np.zeros((b, n))
+    offsets = np.stack([np.full((n, 2), r.timeline.clip_len) for r in recs])
+    clip_emb = rng.normal(0.0, 0.5, (b, n, embed_dim))
+    sent_emb = rng.normal(size=(b, embed_dim))
+    sent_emb /= np.linalg.norm(sent_emb, axis=-1, keepdims=True)
+    return positives, logits, offsets, clip_emb, sent_emb
+
+
+def fit_shaped_records(clip_len=2.0, on_target=False):
+    """8 toy videos of 60 clips; ``on_target`` moves every target to fit's starting offsets."""
+    recs = [GroundTruthRecord(r.video_id, r.timeline(), r.query, r.label, r.source_kind)
+            for r in toy_corpus(8, 60, clip_len, 4)]
+    if on_target:
+        recs = [dataclasses.replace(r, label=dataclasses.replace(r.label, offsets=np.where(
+            r.label.foreground[:, None] == 1, clip_len, np.zeros((60, 2))))) for r in recs]
+    return recs
+
+
+# (records, weights, learning rate, steps)
+PLAIN_LOOP_RUNS = {
+    "descends": (fit_shaped_records(), LossWeights(lambda_l1=0.7, lambda_intra=1.3),
+                 fit.DEFAULT_LEARNING_RATE, 40),
+    # steps too large to keep: halved, then grown back
+    "halves": (fit_shaped_records(), LossWeights(lambda_l1=0.7, lambda_intra=1.3), 5000.0, 40),
+    # gIoU alone, with every prediction on its target: the right-hand partials there
+    # point uphill, so every trial down to the smallest step raises the loss
+    "holds_still": (fit_shaped_records(1e-6, on_target=True),
+                    LossWeights(lambda_f=0, lambda_l1=0, lambda_inter=0, lambda_intra=0),
+                    fit.DEFAULT_LEARNING_RATE, 3),
+}
+
+
+class TestMatchesPlainLoop:
+    """``overfit`` against ``oracles.overfit_loop_reference`` bit for bit, at 8 videos of 60 clips."""
+
+    @pytest.mark.parametrize("aggregation", ["per_video", "per_clip"])
+    @pytest.mark.parametrize("run", PLAIN_LOOP_RUNS)
+    def test_trajectory_and_parameters(self, monkeypatch, run, aggregation):
+        recs, weights, learning_rate, steps = PLAIN_LOOP_RUNS[run]
+        calls = wrap_kernel(monkeypatch)
+        embeddings = []  # overfit's final embeddings, on their way to the saliency cosines
+
+        def capture(clip_emb, sent_emb):
+            embeddings.append(clip_emb.copy())
+            return EmbeddingBatch(clip_emb, sent_emb)
+
+        monkeypatch.setattr(fit, "EmbeddingBatch", capture)
+        positives, *start = fit_start(recs, 2)
+        result = overfit(recs, weights, steps, learning_rate, rng_seed=2, aggregation=aggregation)
+        trajectory, *final = overfit_loop_reference(
+            *start,
+            np.stack([r.label.foreground for r in recs]),
+            np.stack([r.label.saliency for r in recs]),
+            np.stack([r.label.offsets for r in recs]),
+            np.stack([r.timeline.timestamps() for r in recs]),
+            positives, aggregation, weights, steps, learning_rate)
+        np.testing.assert_array_equal(result.positives, positives)
+        assert result.trajectory.tobytes() == trajectory.tobytes()
+        got = [np.stack([p.foreground_logits for p in result.predictions]),
+               np.stack([p.offsets for p in result.predictions]), *embeddings]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in final]
+        if run == "halves":
+            assert len(calls) > steps + 1
+        if run == "holds_still":
+            # each step tried every size from the learning rate down to fit._MIN_STEP
+            tries = math.floor(math.log2(learning_rate / fit._MIN_STEP)) + 1
+            assert len(calls) == 1 + steps * tries
+            assert [a.tobytes() for a in final] == [a.tobytes() for a in start[:3]]
 
 
 class TestDeterminism:

@@ -2,12 +2,12 @@
 """Drive the whole CLI pipeline on the toy corpus and print the reports.
 
 Equivalent to running by hand:
-    tgkit convert -> tgkit fit -> tgkit decode -> tgkit eval
+    scripts/make_toy_corpus.py -> tgkit convert -> tgkit fit -> tgkit decode -> tgkit eval
 for the moments and highlights tasks, plus a gradient audit, pseudo-labels
 from concept similarity matrices (tgkit teacher) and a summary decode over
-those matrices.  Each step runs
-as ``python -m tgkit`` under this interpreter, so an uninstalled checkout
-works with ``PYTHONPATH=src python scripts/run_toy_pipeline.py``.
+those matrices.  Each step runs under this interpreter, tgkit's as
+``python -m tgkit``, so an uninstalled checkout works with
+``PYTHONPATH=src python scripts/run_toy_pipeline.py``.
 """
 import argparse
 import json
@@ -15,16 +15,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tgkit.formats import write_dataset, write_matrices_binary
-from tgkit.synth import toy_corpus, toy_similarity
+MAKE_TOY_CORPUS = Path(__file__).resolve().with_name("make_toy_corpus.py")
+
+
+def run(shown: str, command: list, *args) -> None:
+    """Run ``command`` with ``args``, echoed as ``$ <shown> <args>``; stop if it fails."""
+    args = [str(a) for a in args]
+    print(f"$ {shown} " + " ".join(args), flush=True)
+    result = subprocess.run([sys.executable, *command, *args])
+    if result.returncode != 0:
+        sys.exit(result.returncode)
 
 
 def tgkit(*args) -> None:
-    args = [str(a) for a in args]
-    print("$ tgkit " + " ".join(args), flush=True)
-    result = subprocess.run([sys.executable, "-m", "tgkit", *args])
-    if result.returncode != 0:
-        sys.exit(result.returncode)
+    run("tgkit", ["-m", "tgkit"], *args)
 
 
 def main() -> None:
@@ -37,14 +41,10 @@ def main() -> None:
     work = Path(args.work_dir)
     work.mkdir(parents=True, exist_ok=True)
 
-    records = toy_corpus(seed=args.seed)
-    for record in records:
-        record.label = None
+    run("python scripts/make_toy_corpus.py", [MAKE_TOY_CORPUS],
+        "--out-dir", work, "--seed", args.seed)
     raw = work / "raw.jsonl"
-    write_dataset(records, raw)
     similarity = work / "similarity.tgmx"
-    write_matrices_binary(toy_similarity(num_videos=3, num_clips=40, seed=args.seed), similarity)
-
     labeled = work / "labeled.jsonl"
     preds = work / "preds.jsonl"
     tgkit("convert", "--input", raw, "--output", labeled)

@@ -40,7 +40,7 @@ from .formats import (
 )
 from .gradcheck import REGISTERED_LOSSES, grad_check
 from .fit import overfit
-from .losses import AGGREGATIONS
+from .losses import AGGREGATIONS, _eligible
 from .labels import PointAnnotation, from_curve, from_intervals, from_points, intervals_of
 from .metrics import (
     HighlightEvalItem,
@@ -85,9 +85,8 @@ def _tkeyed(values: dict, field: str) -> dict:
 
 def _cmd_convert(args, config: RunConfig) -> int:
     records, errors = read_dataset(args.input, on_error=args.on_error)
-    if errors:
-        for line_no, message in errors:
-            print(f"skipped line {line_no}: {message}", file=sys.stderr)
+    for line_no, message in errors:
+        print(f"skipped line {line_no}: {message}", file=sys.stderr)
     out = []
     for rec in records:
         timeline = rec.timeline()
@@ -182,6 +181,10 @@ def _cmd_fit(args, config: RunConfig) -> int:
     if unlabeled:
         raise ValueError(f"records without labels (run convert first): {unlabeled}")
     records = sorted(records, key=DatasetRecord.sort_key)
+    no_positive = [f"{r.video_id}/{r.query_id}" for r in records
+                   if not _eligible(r.label.foreground).any()]
+    if no_positive:
+        raise ValueError(f"records without a foreground clip to serve as positive: {no_positive}")
 
     groups: dict[int, list[DatasetRecord]] = {}
     for rec in records:

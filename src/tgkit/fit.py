@@ -109,8 +109,8 @@ def overfit(
 
     def evaluate(x, g):
         """The loss at ``x``'s parameters; the gradient goes into ``g``."""
-        return _total_loss_arrays(*x[1], sent_emb, batch, sentence_grad=False,
-                                  sent_norms=sent_norms, out=g[1])[0]
+        return _total_loss_arrays(*x[1], sent_emb, batch, fixed_sent_norms=sent_norms,
+                                  out=g[1])[0]
 
     value = evaluate(params, grad)
     if not np.isfinite(value):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (_JSON_TYPES, SOURCE_KINDS, ClipTimeline, Interval, PredictionSet, Query,
                    UnifiedLabel, _check_clips, _check_type, _concept_sets)
-from .labels import CurveAnnotation, PointAnnotation
+from .labels import CurveAnnotation, PointAnnotation, _check_inside
 
 SCHEMA_VERSION = 1
 MATRIX_MAGIC = b"TGMX"
@@ -199,6 +199,8 @@ def dataset_record_from_obj(obj: dict) -> DatasetRecord:
         clip_concepts=obj.get("clip_concepts")))
     record.annotation = _annotation_from_obj(obj.get("annotation"), record.source_kind)
     record.duration, record.clip_len = float(record.duration), float(record.clip_len)
+    if record.annotation is not None:
+        _check_inside(record.timeline(), record.annotation, record.duration)
     return record
 
 
@@ -207,7 +209,8 @@ def _check_dataset_record(record: DatasetRecord) -> DatasetRecord:
 
     Returns the record, or, when it has concepts, a copy holding them as
     ``core._concept_sets`` gives them; the input is left as it was.  A reader
-    parses the annotation after this check, by the checked source_kind.
+    parses the annotation after this check, by the checked source_kind, and
+    then checks that it stays inside its video (``labels._check_inside``).
     """
     if record.source_kind not in SOURCE_KINDS:
         raise ValueError(
@@ -217,6 +220,8 @@ def _check_dataset_record(record: DatasetRecord) -> DatasetRecord:
         raise ValueError(f"annotation of source_kind {record.source_kind!r} must be {kind}, "
                          f"got {type(record.annotation).__name__}")
     timeline = _checked_timeline(record)  # a bad head fails here, labelled or not
+    if record.annotation is not None:
+        _check_inside(timeline, record.annotation, record.duration)
     if record.label is not None:
         _check_clips(timeline, "label", len(record.label))
     if record.clip_concepts is not None:

@@ -207,14 +207,7 @@ def _make_total(rng):
     }
 
     def evaluate(ins):
-        value, grads, _ = _total_loss_arrays(
-            ins["foreground_logits"],
-            ins["offsets"],
-            ins["clip_embeddings"],
-            ins["sentence_embeddings"],
-            batch,
-        )
-        return value, grads
+        return _total_loss_arrays(*(ins[key] for key in inputs), batch)[:2]
 
     return inputs, evaluate, lambda ins: _boundary_kink(ins["offsets"], batch.boundary, w)
 

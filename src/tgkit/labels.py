@@ -77,13 +77,26 @@ def _runs(mask: np.ndarray, clip_len: float) -> list[tuple[int, int, Interval]]:
             for a, b in zip(edges[::2], edges[1::2])]
 
 
-def _video_end(timeline: ClipTimeline, duration: float | None) -> float:
-    """The latest time an annotation may name: the declared ``duration`` if given.
+def _check_inside(timeline: ClipTimeline, annotation, duration: float | None = None) -> None:
+    """Refuse intervals, a ``PointAnnotation`` or a ``CurveAnnotation`` that leaves its video.
 
-    The clip grid drops a trailing partial clip, so a declared duration may
-    pass the grid's end (``timeline.duration``) by up to one clip.
+    Times must lie in [0, end], where end is the grid's end or, if later,
+    the declared ``duration``: the grid drops a trailing partial clip, so a
+    declared duration may pass the grid's end by up to one clip.  A curve
+    must hold one value per clip.
     """
-    return timeline.duration if duration is None else max(timeline.duration, float(duration))
+    if isinstance(annotation, CurveAnnotation):
+        _check_clips(timeline, "curve", len(annotation))
+        return
+    end = timeline.duration if duration is None else max(timeline.duration, float(duration))
+    if isinstance(annotation, PointAnnotation):
+        for t in annotation.timestamps:
+            if t > end:
+                raise ValueError(f"timestamp {t} exceeds the video duration {end}")
+        return
+    for iv in annotation:
+        if iv.start < 0 or iv.end > end:
+            raise ValueError(f"interval [{iv.start}, {iv.end}] exceeds the video [0, {end}]")
 
 
 def _to_grid(t: float, timeline: ClipTimeline, what: str) -> float:
@@ -112,11 +125,9 @@ def from_intervals(
     error.  Without it the grid's end is the limit.
     """
     intervals = [iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals]
-    end = _video_end(timeline, duration)
+    _check_inside(timeline, intervals, duration)
     on_grid = []
     for iv in intervals:
-        if iv.start < 0 or iv.end > end:
-            raise ValueError(f"interval [{iv.start}, {iv.end}] exceeds the video [0, {end}]")
         hi = _to_grid(iv.end, timeline, f"interval [{iv.start}, {iv.end}]")
         on_grid.append(Interval(min(iv.start, hi), hi))
     if not on_grid:
@@ -159,7 +170,7 @@ def from_curve(timeline: ClipTimeline, curve, bin_width: float = DEFAULT_BIN_WID
     """
     if not isinstance(curve, CurveAnnotation):
         curve = CurveAnnotation(np.asarray(curve, dtype=np.float64))
-    _check_clips(timeline, "curve", len(curve))
+    _check_inside(timeline, curve)
     values = curve.values
     bins = bin_index(values, bin_width)
     fg = bins == bins.max()
@@ -187,10 +198,7 @@ def from_points(
     """
     if not isinstance(points, PointAnnotation):
         points = PointAnnotation(tuple(points))
-    end = _video_end(timeline, duration)
-    for t in points.timestamps:
-        if t > end:
-            raise ValueError(f"timestamp {t} exceeds the video duration {end}")
+    _check_inside(timeline, points, duration)
     ts = [_to_grid(t, timeline, f"timestamp {t}") for t in points.timestamps]
     if len(ts) >= 2:
         span = float(np.mean(np.diff(ts)))

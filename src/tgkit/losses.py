@@ -28,13 +28,10 @@ gradients equal those of its own call without the axis, bit for bit.  The
 gradient checker stacks all its perturbed copies of one point on P and
 evaluates them in one call; ``fit`` calls without it.
 
-``fit`` holds the sentence embeddings fixed, so it calls the kernel with
-``sentence_grad=False``, which skips the einsums and reductions of that
-gradient; ``total_loss`` and the gradient checker take all four.  ``fit``
-also passes the sentences' norms, computed once, as ``sent_norms=``, and
-three preallocated arrays as ``out=``, into which the kernel writes the
-prediction gradients.  The gIoU partials skip their selects when no pair is
-degenerate, as in every ``fit`` call.  None of these changes a bit.
+``fit`` holds the sentence embeddings fixed, so it passes their norms once
+as ``fixed_sent_norms=`` and the kernel forms no sentence gradient; it also
+passes ``out=``, three arrays the prediction gradients are written into.
+Neither option changes a bit (see ``_total_loss_arrays``).
 """
 from __future__ import annotations
 
@@ -259,37 +256,34 @@ def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
     callers that need verified gradients must stay off the tie set.
 
     A pair is regular when its hull and union are both positive; only pairs
-    of zero-length intervals are not.  ``fit``'s targets have positive
-    length, so every pair it scores is regular.  When all pairs are regular
-    the value and partials are computed without the selects that keep the
-    other pairs' divisions finite; the bits, and the warnings raised, are
-    those of the general path.
+    of zero-length intervals are not.  The formulas are written once: any
+    other pair enters them with union and hull 1, so no division fails, and
+    then takes its fixed value (1 for the same point twice, -1 for two points)
+    and zero partials.  A batch of regular pairs, as in every ``fit`` call,
+    skips both steps.
     """
     inter_raw = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
     live = inter_raw > 0
     inter = np.where(live, inter_raw, 0.0)
-    union = (a_hi - a_lo) + (b_hi - b_lo) - inter
-    hull = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    u = (a_hi - a_lo) + (b_hi - b_lo) - inter  # union
+    h = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)  # hull
 
-    degenerate = hull <= 0  # both intervals collapse to the same point
-    regular = ~degenerate & (union > 0)  # the rest: two distinct degenerate points
+    degenerate = h <= 0  # both intervals collapse to the same point
+    regular = ~degenerate & (u > 0)  # the rest: two distinct degenerate points
+    all_regular = regular.all()
+    if not all_regular:
+        u, h = np.where(regular, u, 1.0), np.where(regular, h, 1.0)
 
     # On the regular set an endpoint's partial is di/u + du*(1/h - i/u^2) - dh*u/h^2,
     # from the partials di, du, dh of inter, union and hull, with du = +-1 - di.
     # d min(x, y)/dx = [x < y]; d max(x, y)/dx = [x >= y] (right-hand rules)
-    if regular.all():
-        u, h = union, hull
-        value = inter / u - (h - u) / h
-        k_u = 1.0 / h - inter / u**2
-        k_iu = 1.0 / u - k_u
-        k_h = u / h**2
-    else:
-        u = np.where(regular, union, 1.0)
-        h = np.where(regular, hull, 1.0)
-        value = np.where(regular, inter / u - (h - u) / h, np.where(degenerate, 1.0, -1.0))
-        k_u = np.where(regular, 1.0 / h - inter / u**2, 0.0)
-        k_iu = np.where(regular, 1.0 / u, 0.0) - k_u
-        k_h = np.where(regular, u / h**2, 0.0)
+    value = inter / u - (h - u) / h
+    k_u = 1.0 / h - inter / u**2
+    k_iu = 1.0 / u - k_u
+    k_h = u / h**2
+    if not all_regular:
+        value = np.where(regular, value, np.where(degenerate, 1.0, -1.0))
+        k_u, k_iu, k_h = (np.where(regular, k, 0.0) for k in (k_u, k_iu, k_h))
     d_alo = k_h * (a_lo < b_lo) - k_u - k_iu * (live & (a_lo >= b_lo))
     d_ahi = k_u + k_iu * (live & (a_hi < b_hi)) - k_h * (a_hi >= b_hi)
     return value, d_alo, d_ahi
@@ -664,9 +658,8 @@ def _total_loss_arrays(
     clip_emb: np.ndarray,
     sent_emb: np.ndarray,
     batch: _LossBatch,
-    sentence_grad: bool = True,
     *,
-    sent_norms: np.ndarray | None = None,
+    fixed_sent_norms: np.ndarray | None = None,
     out: tuple = (None, None, None),
 ):
     """Combined objective on raw arrays; returns (value, grads, components).
@@ -678,19 +671,13 @@ def _total_loss_arrays(
     entries.  Both cosines share the clip and sentence norms: the pair
     cosines read the per-clip norms at the positives.
 
-    With ``sentence_grad=False`` the gradients leave out
-    ``"sentence_embeddings"`` and the work that forms it; every other output
-    is the same, bit for bit.  ``fit`` holds the sentence embeddings fixed,
-    so it asks for no sentence gradient; ``total_loss`` and the gradient
-    checker take all four.
-
-    ``sent_norms``, if given, must be ``_row_norms(sent_emb)``; a caller that
-    holds the sentences fixed computes it, and makes its zero-norm refusal,
-    once.  The clip norms are computed, and checked, on every call.  ``out``
-    may hold three arrays of the shapes of ``logits``, ``offsets`` and
-    ``clip_emb``: the three prediction gradients are written into them, and
-    the returned gradients are those arrays.  Neither option changes a bit
-    of the result.
+    A caller that holds the sentences fixed, as ``fit`` does, passes
+    ``fixed_sent_norms=_row_norms(sent_emb)``, computed and checked once; the
+    gradients then leave out ``"sentence_embeddings"`` and the work that
+    forms it.  The clip norms are computed, and checked, on every call.
+    ``out`` may hold three arrays of the shapes of ``logits``, ``offsets``
+    and ``clip_emb``, which the prediction gradients are written into and
+    returned as.  Neither option changes a bit of any other output.
     """
     w = batch.weights
     rows, positives = batch.rows, batch.positives
@@ -698,8 +685,8 @@ def _total_loss_arrays(
     l_fg, g_logits = _foreground_term(logits, batch.targets, batch.background, w)
     l_bd, g_offsets = _boundary_term(offsets, batch.boundary, w)
     clip_norms = _row_norms(clip_emb)
-    if sent_norms is None:
-        sent_norms = _row_norms(sent_emb)
+    sentence_grad = fixed_sent_norms is None
+    sent_norms = _row_norms(sent_emb) if sentence_grad else fixed_sent_norms
     cos, cos_backward = _cosine_with_grads(clip_emb, sent_emb[..., None, :], clip_norms,
                                            sent_norms[..., None])
     l_intra, g_cos = _intra_term(cos[..., 0], batch.pool, batch.intra_target, w.tau)

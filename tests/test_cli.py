@@ -12,7 +12,7 @@ import pytest
 from tgkit import gradcheck
 from tgkit.cli import build_parser, main
 from tgkit.config import RunConfig
-from tgkit.core import GroundingWarning, Interval, PredictionSet, ScoredInterval
+from tgkit.core import GroundingWarning, Interval, PredictionSet, ScoredInterval, UnifiedLabel
 from tgkit.formats import (
     MATRIX_MAGIC,
     MatrixRecord,
@@ -183,6 +183,25 @@ class TestConvert:
         else:
             assert_fails_closed(argv, capsys, f"raw.jsonl:1: annotation of source_kind {kind!r}")
 
+    def test_annotation_outside_its_video_is_skippable(self, tmp_path, capsys):
+        obj = dataset_record_to_obj(toy_corpus(1, 10, 1.0, seed=0)[0])  # 10 clips, 10 s
+        outside = [("interval", {"intervals": [[-0.5, 4.0]]}), ("point", {"points": [12.5]}),
+                   ("curve", {"curve": [0.1, 0.9, 0.2]})]
+        raw, out = tmp_path / "raw.jsonl", tmp_path / "out.jsonl"
+        raw.write_text("".join(json.dumps(o) + "\n" for o in [obj] + [
+            {**obj, "query_id": f"q{i + 1}", "source_kind": kind, "annotation": annotation,
+             "label": None} for i, (kind, annotation) in enumerate(outside)]))
+        argv = ["convert", "--input", str(raw), "--output", str(out)]
+        assert_fails_closed(argv, capsys,
+                            f"{raw}:2: interval [-0.5, 4.0] exceeds the video [0, 10.0]")
+        assert not out.exists()
+        assert main([*argv, "--on-error", "skip"]) == 0
+        assert capsys.readouterr().err == (
+            "skipped line 2: interval [-0.5, 4.0] exceeds the video [0, 10.0]\n"
+            "skipped line 3: timestamp 12.5 exceeds the video duration 10.0\n"
+            "skipped line 4: curve covers 3 clips but the timeline has 10\n")
+        assert [r.query_id for r in read_dataset(out)[0]] == ["q0"]
+
 
 class TestTeacher:
     def test_expands_top_concepts(self, tmp_path):
@@ -298,6 +317,16 @@ class TestFit:
         write_dataset(strip_labels(toy_corpus(1, 10, seed=0)), raw)
         assert main(["fit", "--input", str(raw),
                      "--output", str(tmp_path / "p.jsonl")]) == 1
+
+    def test_record_without_a_foreground_clip_is_named(self, tmp_path, capsys):
+        records = toy_corpus(3, 12, seed=0)
+        records[1].label = UnifiedLabel(np.zeros(12), np.zeros((12, 2)), np.zeros(12))
+        data = tmp_path / "labeled.jsonl"
+        write_dataset(records, data)
+        assert_fails_closed(["fit", "--input", str(data), "--output", str(tmp_path / "p.jsonl")],
+                            capsys, "error: records without a foreground clip to serve as "
+                                    "positive: ['video01/q0']")
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_stalled_steps_named_on_stdout(self, tmp_path):
         # at clip_len 1e300 no step moves the loss by one ulp, so every step stalls

@@ -307,10 +307,14 @@ def _read_one_result(tmp_path, task, key, entries):
                       {("v", "q"): ClipTimeline(4, 1.0)})
 
 
-def _read_line_with(tmp_path, read, key, value):
-    """Read, as ``r.jsonl``, one good record line for ``read`` with ``key`` set to ``value``."""
-    to_obj, record = ((dataset_record_to_obj, interval_record()) if read is read_dataset
-                      else (prediction_record_to_obj, _prediction("v1", 8.0, 4)))
+def _read_line_with(tmp_path, read, key, value, record=None):
+    """Read, as ``r.jsonl``, one good record line for ``read`` with ``key`` set to ``value``.
+
+    The line is ``record``'s if given, else a default record's.
+    """
+    to_obj, default = ((dataset_record_to_obj, interval_record()) if read is read_dataset
+                       else (prediction_record_to_obj, _prediction("v1", 8.0, 4)))
+    record = default if record is None else record
     (tmp_path / "r.jsonl").write_text(json.dumps({**to_obj(record), key: value}) + "\n")
     return _read_from(tmp_path, read, "r.jsonl")
 
@@ -379,6 +383,23 @@ INPUT_CHECKS = {
         lambda p: write_dataset([dataclasses.replace(
             curve_record(), annotation=[Interval(0.0, 2.0)])], p / "d.jsonl"), ValueError,
         "annotation of source_kind 'curve' must be a CurveAnnotation, got list"),
+    # an annotation outside its video, refused through labels._check_inside
+    "dataset_interval_before_start": (
+        lambda p: _read_line_with(p, read_dataset, "annotation", {"intervals": [[-0.5, 2.0]]}),
+        ValueError, "r.jsonl:1: interval [-0.5, 2.0] exceeds the video [0, 8.0]"),
+    "dataset_point_past_end": (
+        lambda p: _read_line_with(p, read_dataset, "annotation", {"points": [12.5]},
+                                  dataclasses.replace(point_record(), duration=10.0)),
+        ValueError, "r.jsonl:1: timestamp 12.5 exceeds the video duration 10.0"),
+    "dataset_curve_off_grid": (
+        lambda p: _read_line_with(p, read_dataset, "annotation", {"curve": [0.1, 0.9, 0.2]},
+                                  dataclasses.replace(curve_record(), duration=10.0,
+                                                      clip_len=1.0)),
+        ValueError, "r.jsonl:1: curve covers 3 clips but the timeline has 10"),
+    "write_interval_past_end": (
+        lambda p: write_dataset([dataclasses.replace(
+            interval_record(), annotation=[Interval(2.0, 8.5)])], p / "d.jsonl"), ValueError,
+        "interval [2.0, 8.5] exceeds the video [0, 8.0]"),
     "text_no_video_line": (lambda p: _read_text_matrices(p, "columns\ta\n"), ValueError,
                            "m.txt: line 2: expected 'video\\t<id>\\t<clip_len>'"),
     "text_no_columns_line": (lambda p: _read_text_matrices(p, "video\tv\t1.0\n"), ValueError,

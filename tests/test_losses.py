@@ -685,16 +685,15 @@ PREDICTION_GRADS = ("foreground_logits", "offsets", "clip_embeddings")
 
 
 def assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation, w, batch,
-                                 sentence_grad=True, **options):
+                                 **options):
     """The kernel's value, gradients and components equal the frozen copy's bit for bit.
 
-    Without the sentence gradient, the kernel must return every other output.
-    ``options`` (``sent_norms=``, ``out=``) go to the kernel as they are; with
-    ``out=`` the returned prediction gradients must be its arrays.  Returns
-    the kernel's result.
+    ``options`` (``fixed_sent_norms=``, ``out=``) go to the kernel as they
+    are.  With fixed sentences the kernel must return every output but the
+    sentence gradient; with ``out=`` the returned prediction gradients must
+    be its arrays.  Returns the kernel's result.
     """
-    result = value, grads, parts = _total_loss_arrays(*ins, batch, sentence_grad=sentence_grad,
-                                                      **options)
+    result = value, grads, parts = _total_loss_arrays(*ins, batch, **options)
     if "out" in options:
         assert all(grads[key] is a for key, a in zip(PREDICTION_GRADS, options["out"]))
     ref_value, ref_grads, ref_parts = total_loss_kernel_reference(
@@ -705,7 +704,7 @@ def assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation,
         np.stack([tl.timestamps() for tl in timelines]),
         positives, aggregation, w,
     )
-    if not sentence_grad:
+    if options.get("fixed_sent_norms") is not None:
         del ref_grads["sentence_embeddings"]
     assert bitwise(value, ref_value)
     assert set(grads) == set(ref_grads) and set(parts) == set(ref_parts)
@@ -744,7 +743,8 @@ class TestKernelMatchesFrozenCopy:
         ins = self.point(rng, labels, lead)
         full_value, full_grads, full_parts = _total_loss_arrays(*ins, batch)
         value, grads, parts = assert_kernel_matches_frozen(
-            ins, labels, timelines, positives, aggregation, w, batch, sentence_grad=False)
+            ins, labels, timelines, positives, aggregation, w, batch,
+            fixed_sent_norms=_row_norms(ins[3]))
         assert bitwise(value, full_value)
         assert list(grads) == ["foreground_logits", "offsets", "clip_embeddings"]
         assert list(full_grads) == list(grads) + ["sentence_embeddings"]
@@ -760,10 +760,10 @@ class TestKernelMatchesFrozenCopy:
         rng = np.random.default_rng(13)
         labels, timelines, positives, w, batch = fit_shaped_batch(5, aggregation)
         ins = self.point(rng, labels, lead)
-        for sentence_grad in (True, False):
+        for fixed_sent_norms in (None, _row_norms(ins[3])):
             out = tuple(np.full(x.shape, np.nan) for x in ins[:3])
             assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation, w, batch,
-                                         sentence_grad, sent_norms=_row_norms(ins[3]), out=out)
+                                         fixed_sent_norms=fixed_sent_norms, out=out)
 
     def test_edge_intervals(self):
         labels, timelines, positives, w, batch = fit_shaped_batch(1)
@@ -823,5 +823,5 @@ class TestKernelMatchesFrozenCopy:
         result = fit.overfit(records, steps=300, rng_seed=0)
         assert len(result.trajectory) == 301 and len(calls) >= 301
         for sent_emb, kwargs in calls:
-            assert kwargs["sentence_grad"] is False
-            assert bitwise(kwargs["sent_norms"], _row_norms(sent_emb))
+            assert set(kwargs) == {"fixed_sent_norms", "out"}
+            assert bitwise(kwargs["fixed_sent_norms"], _row_norms(sent_emb))

@@ -22,9 +22,14 @@ quartiles, the pairs in which the change was better (ties count for
 neither), and whether a gain could be claimed: a win in at least nine
 tenths of the pairs and a median difference larger than the distance
 between the parent's quartiles.  One pair (``--pairs 1``, a smoke run)
-never supports a claim.  Which direction is better comes from the
-change's ``BENCHMARK.json``.  A run that fails or reports an incorrect
-output stops the script with exit code 1.
+never supports a claim.  It also gives each metric a regression verdict
+against its bound: "worse beyond bound" when the change's median is worse
+than the parent's by more than the bound, "unresolved" when the parent's
+quartile spread is wider than the bound (relative to its median) and not
+every change run beats every parent run, else "within bound".  Which
+direction is better, and each bound, come from the change's
+``BENCHMARK.json``.  The verdicts do not change the exit code: a run that
+fails or reports an incorrect output stops the script with exit code 1.
 """
 import argparse
 import json
@@ -94,8 +99,24 @@ def quartiles(values):
     return q1, q3
 
 
-def summarise(workload: str, runs: dict, better: dict) -> list:
-    """One printed line per metric, and the rows that ``--json`` records."""
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """Whether ``change`` regresses from ``parent`` by more than the relative ``bound``."""
+    sign = -1 if better == "lower" else 1
+    med = statistics.median(parent)
+    q1, q3 = quartiles(parent)
+    if (q3 - q1) / abs(med) > bound and min(sign * c for c in change) <= max(
+            sign * p for p in parent):
+        return "unresolved"
+    if sign * (med - statistics.median(change)) / abs(med) > bound:
+        return "worse beyond bound"
+    return "within bound"
+
+
+def summarise(workload: str, runs: dict, end_to_end: dict) -> list:
+    """One printed line per metric, and the rows that ``--json`` records.
+
+    ``end_to_end`` maps each end-to-end metric to its ``BENCHMARK.json`` entry.
+    """
     rows = []
     print(f"== {workload}: {len(runs['parent'])} pairs")
     for name in sorted(runs["parent"][0]["metrics"]):
@@ -110,17 +131,20 @@ def summarise(workload: str, runs: dict, better: dict) -> list:
                 f"({quart['parent'][0]:.4g}-{quart['parent'][1]:.4g})  change "
                 f"{med['change']:.4g} ({quart['change'][0]:.4g}-{quart['change'][1]:.4g})  "
                 f"{100 * (med['change'] / med['parent'] - 1):+.1f}%")
-        direction = better.get(name)
-        if direction in ("lower", "higher"):
+        spec = end_to_end.get(name)
+        if spec is not None:
+            direction = spec["better"]
             sign = -1 if direction == "lower" else 1
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             gain = sign * (med["change"] - med["parent"])
             spread = quart["parent"][1] - quart["parent"][0]
             pairs = len(values["parent"])
             claim = pairs > 1 and wins >= 0.9 * pairs and gain > spread
-            row.update(wins=wins, claim=claim)
+            row.update(wins=wins, claim=claim, verdict=verdict(
+                values["parent"], values["change"], direction, spec["bound"]))
             text += f"  change better in {wins} of {len(values['parent'])}"
             text += "  (gain claimable)" if claim else ""
+            text += f"  {row['verdict']} ({spec['bound']:.0%})"
         print(text)
         rows.append(row)
     failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
@@ -151,7 +175,7 @@ def main() -> int:
         export_parent(args.parent, repo, trees["parent"])
         export_working_tree(repo, trees["change"])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        end_to_end = {m["name"]: m for m in spec["end_to_end"]}
 
         rows = []
         for workload in workloads:
@@ -166,7 +190,7 @@ def main() -> int:
                     f"{side} in {trees[side].name} chain_s "
                     f"{runs[side][-1]['metrics']['chain_s']['value']:.4f}"
                     for side in order), file=sys.stderr, flush=True)
-            rows += summarise(workload, runs, better)
+            rows += summarise(workload, runs, end_to_end)
     if args.json:
         Path(args.json).write_text(json.dumps(
             {"parent": args.parent, "seconds": args.seconds, "seed": args.seed, "rows": rows},

@@ -280,12 +280,12 @@ def top5_map(items: Sequence[HighlightEvalItem]) -> dict:
 def _match_rows(cost: np.ndarray) -> np.ndarray:
     """A minimum-cost matching that matches every row of ``cost``.
 
-    The Hungarian potentials algorithm, one augmenting-path search per row.
-    ``cost`` is 1-based, of shape (rows + 1, cols + 1) with rows <= cols:
-    its row 0 is never read, and its column 0, all zeros, is the virtual
-    column that starts each search.  Returns ``match_col`` of length
-    cols + 1, where ``match_col[j]`` is the row matched to column j (0 for
-    none); entry 0 is scratch.
+    The Hungarian potentials algorithm, one augmenting-path search per row,
+    for its one caller, ``max_weight_matching``.  ``cost`` is 1-based, of
+    shape (rows + 1, cols + 1) with rows <= cols: its row 0 is never read,
+    and its column 0, all zeros, is the virtual column that starts each
+    search.  Returns ``match_col``, where ``match_col[j]`` is the row
+    matched to column j (0 for none); entry 0 is scratch.
 
     Each step of a search updates every free column's slack as one array
     operation and moves to the free column of least slack, the first one on
@@ -293,8 +293,7 @@ def _match_rows(cost: np.ndarray) -> np.ndarray:
     ``cost``'s: float64, or Python ints in an object array.  On integer
     costs in [-L, 0] every potential stays within rows * L and every slack
     within (2 * rows + 1) * L of zero (a search moves each potential by at
-    most L), so float64 holds them exactly while (2 * rows + 1) * L <= 2**53;
-    past that, pass the costs as Python ints.
+    most L): the bound behind ``max_weight_matching``'s exactness condition.
     """
     rows, cols = cost.shape[0] - 1, cost.shape[1] - 1
     # A used column's slack is never read again, so it is held at inf: each
@@ -352,35 +351,38 @@ def _match_rows(cost: np.ndarray) -> np.ndarray:
 
 
 def max_weight_matching(weights) -> tuple:
-    """Exact maximum-weight bipartite matching for non-negative weights.
+    """Maximum-weight bipartite matching for non-negative weights.
 
-    Returns (pairs, total_weight) where pairs is a list of (row, col) with
-    strictly positive weight.  Implemented as the Hungarian potentials
-    algorithm (``_match_rows``) on a zero-padded square matrix, O(n^3): the
-    padding rows keep their searches, so on tied float weights the pairs,
-    and the float total's last bits, are those of the padded scalar loop.
+    Returns (pairs, total): the matched (row, col) pairs of strictly
+    positive weight, sorted, and their total in the weights' own
+    arithmetic: float64, or Python ints when ``weights`` is an object array
+    of them (any other object array is refused).  ``_match_rows`` runs one
+    search per row of the smaller side, on the transpose when there are
+    more rows than columns, with no padding rows.  The total is exact for
+    integer weights: in float64 while
+    (2 * min(rows, cols) + 1) * max(weights) <= 2**53, as Python ints at
+    any size.  Then every optimal matching has that total, whichever tied
+    pairs come out; on other floats it is optimal up to rounding.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    python_ints = isinstance(weights, np.ndarray) and weights.dtype == object
+    if python_ints and not all(type(x) is int for x in weights.flat):
+        raise ValueError("an object array of weights must hold Python ints")
+    w = weights if python_ints else np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"weights must be 2-D, got shape {w.shape}")
-    if w.size == 0:
-        return [], 0.0
-    if not np.isfinite(w).all() or (w < 0).any():
+    if (not python_ints and not np.isfinite(w).all()) or (w < 0).any():
         raise ValueError("weights must be finite and non-negative")
-    rows, cols = w.shape
-    n = max(rows, cols)
-    cost = np.zeros((n + 1, n + 1), dtype=np.float64)
-    cost[1:rows + 1, 1:cols + 1] = -w  # minimise negated weight == maximise weight
+    flip = w.shape[0] > w.shape[1]  # a matching of the transpose weighs the same
+    cost = np.zeros((min(w.shape) + 1, max(w.shape) + 1), dtype=w.dtype)
+    cost[1:, 1:] = -(w.T if flip else w)  # minimise negated weight == maximise weight
     match_col = _match_rows(cost)
-    pairs = []
-    total = 0.0
-    for j in range(1, n + 1):
-        i = int(match_col[j])
-        if 1 <= i <= rows and 1 <= j <= cols and w[i - 1, j - 1] > 0:
-            pairs.append((i - 1, j - 1))
-            total += w[i - 1, j - 1]
-    pairs.sort()
-    return pairs, total
+    cols = np.flatnonzero(match_col[1:])
+    rows = match_col[cols + 1] - 1
+    if flip:
+        rows, cols = cols, rows
+    matched = w[rows, cols]
+    positive = matched > 0
+    return sorted(zip(rows[positive].tolist(), cols[positive].tolist())), matched[positive].sum()
 
 
 def _exact_matching_weight(row_sets: list, col_sets: list) -> float:
@@ -388,9 +390,9 @@ def _exact_matching_weight(row_sets: list, col_sets: list) -> float:
 
     Each IoU |a & b| / |a | b| is rational.  With L the least common multiple
     of the union sizes of the pairs that share a concept, every weight
-    |a & b| * (L / |a | b|) is an integer, so the search is exact, every
-    optimal matching has the same total, and no padding rows are needed.
-    Needs len(row_sets) <= len(col_sets).
+    |a & b| * (L / |a | b|) is an integer, so ``max_weight_matching``'s total
+    is the exact optimum, the same for every optimal matching.  The weights
+    are float64 while that is exact, Python ints past it.
     """
     kinds = {}  # clips of one scene share a concept set: count each distinct pair once
     row_kind = np.array([kinds.setdefault(s, len(kinds)) for s in row_sets])
@@ -402,15 +404,11 @@ def _exact_matching_weight(row_sets: list, col_sets: list) -> float:
     # a union is 0 only between two empty sets, whose weight is 0 whatever it divides
     union = np.maximum(size[row_kind, None] + size[col_kind] - inter, 1)
     scale = math.lcm(*set(union[inter > 0].tolist()))
-    if (2 * len(row_sets) + 1) * scale <= 2**53:
+    if (2 * min(len(row_sets), len(col_sets)) + 1) * scale <= 2**53:
         weights = (inter * (scale // union)).astype(np.float64)
     else:
         weights = inter.astype(object) * (scale // union.astype(object))
-    cost = np.zeros((len(row_sets) + 1, len(col_sets) + 1), dtype=weights.dtype)
-    cost[1:, 1:] = -weights  # minimise negated weight == maximise weight
-    match_col = _match_rows(cost)
-    matched = np.flatnonzero(match_col[1:])
-    return int(weights[match_col[matched + 1] - 1, matched].sum()) / scale
+    return int(max_weight_matching(weights)[1]) / scale
 
 
 def qfvs_f1(item: SummaryEvalItem) -> QfvsScore:
@@ -427,9 +425,8 @@ def qfvs_f1(item: SummaryEvalItem) -> QfvsScore:
         raise ValueError(f"item {item.query_id!r} has no foreground clips")
     if not pred:
         return QfvsScore(0.0, 0.0, 0.0)
-    short, long = sorted((pred, gt), key=len)  # a matching of the transpose weighs the same
-    total = _exact_matching_weight([item.clip_concepts[c] for c in short],
-                                   [item.clip_concepts[c] for c in long])
+    total = _exact_matching_weight([item.clip_concepts[c] for c in pred],
+                                   [item.clip_concepts[c] for c in gt])
     precision = total / len(pred)
     recall = total / len(gt)
     if precision + recall == 0:

@@ -146,11 +146,11 @@ def matching_oracle(weights):
 
 
 def hungarian_reference(weights):
-    """Frozen copy of the scalar Hungarian loop that max_weight_matching replaced.
+    """Max-weight matching by a plain scalar Hungarian loop on the zero-padded square matrix.
 
-    Same algorithm, same zero-padding and the same strict-< column scan, so
-    on tied weights it picks the same pairs; the array version must agree
-    with it pair for pair and bit for bit in the total.
+    For shapes past the permutation oracle's 7x7.  On integer weights whose
+    potentials stay within 2**53 every step is exact, so its total is the
+    exact optimum; its pairs are one optimal matching among the tied ones.
     """
     w = np.asarray(weights, dtype=np.float64)
     rows, cols = w.shape

@@ -3,11 +3,16 @@
 pytest's settings make a ``RuntimeWarning`` an error here, as everywhere.
 """
 import dataclasses
+import json
 
 import numpy as np
+import pytest
 
 from tgkit.cli import main
-from tgkit.formats import write_dataset, write_matrices_binary
+from tgkit.core import ClipTimeline, Interval, PredictionSet
+from tgkit.formats import (PredictionRecord, write_dataset, write_matrices_binary,
+                           write_predictions)
+from tgkit.labels import from_intervals
 from tgkit.synth import toy_corpus, toy_similarity
 
 NUM_VIDEOS, NUM_CLIPS = 4, 12
@@ -82,3 +87,43 @@ def test_record_order_does_not_change_any_output(tmp_path, monkeypatch, capsys):
     for name in ordered:
         assert shuffled[name] == ordered[name], name
     assert shuffled_stdout == ordered_stdout
+
+
+def separate_moments(seed):
+    """Four 120-clip videos, each with 3-6 moments, no two touching."""
+    rng = np.random.default_rng(seed)
+    timeline = ClipTimeline(120, 2.0)
+    records = toy_corpus(4, 120, 2.0, seed=seed)
+    for record in records:
+        slot = 120 // int(rng.integers(3, 7))
+        record.annotation = [
+            Interval(2.0 * first, 2.0 * (first + int(rng.integers(2, slot // 2))))
+            for first in range(1, 120 - slot + 2, slot)]
+        record.label = from_intervals(timeline, record.annotation)
+    return records
+
+
+@pytest.mark.parametrize("records", [toy_corpus(5, 40, 2.0, seed=3), separate_moments(5)],
+                         ids=["one_moment", "separate_moments"])
+def test_predictions_from_the_truth_score_perfectly(records, tmp_path, monkeypatch, capsys):
+    # each clip predicts its own label: a confident foreground logit and the label's
+    # offsets and saliency; decoding recovers the truth, so every metric below is 1
+    monkeypatch.chdir(tmp_path)
+    write_dataset(records, tmp_path / "truth.jsonl")
+    write_predictions([
+        PredictionRecord(r.video_id, r.query_id, r.duration, r.clip_len, PredictionSet(
+            np.where(r.label.foreground == 1, 20.0, -20.0), r.label.offsets, r.label.saliency))
+        for r in records], tmp_path / "preds.jsonl")
+    reports = {}
+    for task in ("moments", "highlights"):
+        assert main(["decode", "--input", "preds.jsonl", "--task", task,
+                     "--output", f"decoded_{task}.json"]) == 0
+        assert main(["eval", "--task", task, "--predictions", f"decoded_{task}.json",
+                     "--truth", "truth.jsonl", "--output", f"eval_{task}.json"]) == 0
+        assert capsys.readouterr().err == ""
+        reports[task] = json.loads((tmp_path / f"eval_{task}.json").read_text())
+    moments, highlights = reports["moments"], reports["highlights"]
+    assert moments["recall_k"] == 1
+    assert moments["recall"] == {"0.3": 1.0, "0.5": 1.0, "0.7": 1.0}
+    assert moments["miou"] == moments["average_map"] == 1.0
+    assert highlights["hit_at_1"] == highlights["highlight_map"] == 1.0

@@ -239,6 +239,10 @@ class TestFromPoints:
     def test_worked_example(self):
         tl = ClipTimeline(10, 2.0)
         labs = from_points(tl, PointAnnotation((2.0, 10.0)))
+        plain = from_points(tl, [2.0, 10.0])  # a plain list of timestamps reads the same
+        for a, b in zip(plain, labs, strict=True):
+            for field in ("foreground", "offsets", "saliency"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         assert len(labs) == 2
         assert [(iv.start, iv.end) for iv in intervals_of(tl, labs[0])] == [(0.0, 6.0)]
         assert [(iv.start, iv.end) for iv in intervals_of(tl, labs[1])] == [(6.0, 14.0)]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tgkit import metrics
 from tgkit.core import GroundingWarning, Interval, ScoredInterval
 from tgkit.metrics import (
     HighlightEvalItem,
@@ -25,7 +27,6 @@ from tgkit.metrics import (
 )
 
 from oracles import (
-    concept_iou_oracle,
     hit_at_1_oracle,
     hungarian_reference,
     iou_oracle,
@@ -309,11 +310,12 @@ class TestHighlightEvalItem:
 
 
 def concept_iou_matrix(rng, rows, cols):
-    """Concept-set IoUs of ``rows`` predicted against ``cols`` reference clips.
+    """Concept-set IoUs of ``rows`` predicted against ``cols`` reference clips, times L.
 
     The clips come from a video of scenes 3-12 clips long, each scene
     carrying one set of 1-3 concepts out of 12, so whole blocks of the
-    matrix repeat the same few values.
+    matrix repeat the same few values.  L is the least common multiple of
+    the IoUs' denominators, so every weight is an integer.
     """
     vocab = [f"c{c:02d}" for c in range(12)]
     concepts = []
@@ -322,7 +324,18 @@ def concept_iou_matrix(rng, rows, cols):
         concepts += [chosen] * int(rng.integers(3, 13))
     pred = np.sort(rng.choice(len(concepts), rows, replace=False))
     gt = np.sort(rng.choice(len(concepts), cols, replace=False))
-    return np.array([[concept_iou_oracle(concepts[p], concepts[g]) for g in gt] for p in pred])
+    ious = [[Fraction(len(concepts[p] & concepts[g]), len(concepts[p] | concepts[g])) for g in gt]
+            for p in pred]
+    scale = math.lcm(*(iou.denominator for row in ious for iou in row))
+    return np.array([[int(iou * scale) for iou in row] for row in ious], dtype=np.float64)
+
+
+def assert_matching(w, pairs, total):
+    """``pairs``, sorted, use each row and column once, on positive weights summing to ``total``."""
+    assert pairs == sorted(pairs)
+    assert len({r for r, _ in pairs}) == len(pairs) == len({c for _, c in pairs})
+    assert all(w[r, c] > 0 for r, c in pairs)
+    assert sum(w[r, c] for r, c in pairs) == total
 
 
 class TestMaxWeightMatching:
@@ -372,7 +385,8 @@ class TestMaxWeightMatching:
 
     @pytest.mark.parametrize("weights", ["tied", "continuous", "concepts"])
     def test_identical_to_scalar_loop(self, weights):
-        # the array form must pick the very pairs the scalar loop picked, ties included
+        # on integer weights the padded scalar loop's total is the exact optimum, and so is
+        # the unpadded matcher's; ties may be matched by other, equally optimal pairs
         rng = np.random.default_rng(47)
         shapes = [(1, 1), (1, 9), (9, 1)]
         shapes += [tuple(int(x) for x in rng.integers(1, 61, 2)) for _ in range(40)]
@@ -387,16 +401,30 @@ class TestMaxWeightMatching:
                        (24, 56)]
         for shape in shapes:
             if weights == "tied":
-                w = rng.integers(0, 4, shape) / 3.0  # few distinct values, many ties
+                w = rng.integers(0, 4, shape)  # few distinct values, many ties
             elif weights == "concepts":
                 w = concept_iou_matrix(rng, *shape)
             else:
-                w = rng.uniform(0, 1, shape)
-                w[rng.random(shape) < 0.3] = 0.0
-            expect_pairs, expect_total = hungarian_reference(w)
+                w = rng.integers(1, 2**20, shape)
+                w[rng.random(shape) < 0.3] = 0
+            _, expect_total = hungarian_reference(w)
             pairs, total = max_weight_matching(w)
-            assert pairs == expect_pairs, shape
             assert total == expect_total, shape
+            assert_matching(w, pairs, total)
+
+    def test_python_ints_past_float_range(self):
+        # near 2**80, float64 would round these weights; as Python ints the total is exact
+        big = 2**80
+        w = np.array([[big + 1, big + 3, 0], [big + 2, big + 7, 5]], dtype=object)
+        for weights, expect in ((w, [(0, 0), (1, 1)]), (w.T, [(0, 0), (1, 1)])):
+            pairs, total = max_weight_matching(weights)
+            assert pairs == expect
+            assert type(total) is int and total == 2 * big + 8
+            assert_matching(weights, pairs, total)
+
+    def test_object_array_of_floats_refused(self):
+        with pytest.raises(ValueError, match="^an object array of weights must hold Python ints$"):
+            max_weight_matching(np.array([[1, 0.5]], dtype=object))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -515,6 +543,23 @@ class TestQfvsF1:
             assert qfvs_f1(SummaryEvalItem((), (0,), self.concepts())) == (0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="^item 'v/q' has no foreground clips$"):
             qfvs_f1(SummaryEvalItem((0,), (), self.concepts(), "v/q"))
+
+    def test_one_matcher_call_per_scored_item(self, monkeypatch):
+        # qfvs_f1 reaches the matcher through the module's name, where a wrapper can time it
+        shapes = []
+
+        def counted(weights):
+            shapes.append(weights.shape)
+            return max_weight_matching(weights)
+
+        monkeypatch.setattr(metrics, "max_weight_matching", counted)
+        items = [SummaryEvalItem((0, 1, 3), (2,), self.concepts()),
+                 SummaryEvalItem((), (0,), self.concepts()),
+                 SummaryEvalItem((1,), (0, 3), self.concepts())]
+        scores = [qfvs_f1(item) for item in items]
+        assert shapes == [(3, 1), (1, 2)]
+        assert scores[0].precision == pytest.approx(0.5 / 3)
+        assert scores[2].recall == pytest.approx(0.25)
 
     def test_disjoint_concepts_zero_f1(self):
         out = qfvs_f1(SummaryEvalItem((1,), (2,), self.concepts()))

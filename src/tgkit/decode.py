@@ -26,6 +26,7 @@ DEFAULT_MAX_SEGMENT_CLIPS = 200
 DEFAULT_BUDGET_FRACTION = 0.02
 DEFAULT_KTS_PENALTY = 1.0
 DEFAULT_HIGHLIGHT_TOP_K = 1
+_KTS_BLOCK = 256  # rows per band-minimum block of the KTS DP: its buffer stays in cache
 
 HIGHLIGHT_MODES = ("f_plus_s", "f_only")
 DEFAULT_HIGHLIGHT_MODE = "f_plus_s"
@@ -232,27 +233,32 @@ def _kts_tables(band: np.ndarray, m_hi: int) -> tuple:
     ``argmin`` takes the first minimum, the shortest first segment.  Rows
     before n - m * width cannot be covered by m segments, so the minimum
     skips them; their cost stays ``inf`` and their first_end 0.  Only the
-    cost row of m - 1 is kept, updated in place under one sliding window,
-    so the tables take 8 bytes per clip and segment count, and the band
-    minima reuse one buffer of the band's size.
+    cost row of m - 1 is kept, updated in place under one sliding window:
+    the minimum runs over blocks of ``_KTS_BLOCK`` rows in ascending order,
+    each summed into one reused (block, width) buffer, and a block's costs
+    overwrite its own rows, which no later row reads (row i reads only the
+    costs after i).  So beside the band the DP holds 4 bytes per clip and
+    segment count (first_end is int32: a clip index stays below
+    ``core.MAX_CLIPS``) and one small buffer.
     """
     n, width = band.shape
     prev = np.full(n + width, np.inf)  # columns past n stay inf: no such end
     prev[n] = 0.0
     window = sliding_window_view(prev[1:], width)  # row i: the costs after ends i + 1 ...
     cost = np.full(m_hi + 1, np.inf)
-    first_end = np.zeros((m_hi + 1, n + 1), dtype=np.int64)
+    first_end = np.zeros((m_hi + 1, n + 1), dtype=np.int32)
     starts = np.arange(n)
-    totals = np.empty_like(band)
+    totals = np.empty((min(n, _KTS_BLOCK), width))
     for m in range(1, m_hi + 1):
-        lo = max(0, n - m * width)
-        rows = totals[lo:]
-        np.add(band[lo:], window[lo:], out=rows)
-        best = np.argmin(rows, axis=1)
-        prev[lo:n] = rows[starts[:n - lo], best]
+        for a in range(max(0, n - m * width), n, _KTS_BLOCK):
+            b = min(a + _KTS_BLOCK, n)
+            rows = totals[:b - a]
+            np.add(band[a:b], window[a:b], out=rows)
+            best = np.argmin(rows, axis=1)
+            prev[a:b] = rows[starts[:b - a], best]
+            first_end[m, a:b] = starts[a:b] + best + 1
         prev[n] = np.inf  # m >= 1 segments cannot cover zero clips
         cost[m] = prev[0]
-        first_end[m, lo:n] = starts[lo:] + best + 1
     return cost, first_end
 
 
@@ -273,11 +279,13 @@ def kts_segment(
     lexicographically smallest change-point tuple wins.
 
     ``features`` use the linear kernel through their prefix sums, so no
-    n x n matrix is built: memory is O(n * (max_clips + max_segments + dim)).
-    A ``gram`` matrix is used as given.  For each segment count the DP takes
-    one band minimum over the start positions that count can cover: the
-    scatter band plus the shifted cost of the remaining segments, ``inf``
-    marking infeasible ends.
+    n x n matrix is built: memory is O(n * (max_clips + max_segments + dim)),
+    about 8 * max_clips + 4 * max_segments bytes per clip for the band and
+    the DP's first-segment ends.  A ``gram`` matrix is used as given.  For
+    each segment count the DP takes one band minimum over the start
+    positions that count can cover: the scatter band plus the shifted cost
+    of the remaining segments, ``inf`` marking infeasible ends, summed in
+    row blocks into one small buffer.
     ``argmin`` returns the first minimum, that is the shortest first
     segment, which is what keeps the lexicographic tie-break.
     """

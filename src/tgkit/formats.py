@@ -6,9 +6,9 @@ per line with an explicit schema version.  Clip-by-column matrices
 compact binary form; both are specified bit-for-bit in docs/formats.md.
 Writers emit records in canonical (video_id, query_id) order with sorted
 keys so identical inputs always serialise to identical bytes, and every
-writer hands its complete bytes to ``_write_file``.  A file holds each
-(video_id, query_id), or for matrices each video_id, once: readers and
-writers alike refuse a repeat.
+writer hands its complete bytes, as a list of parts, to ``_write_file``.
+A file holds each (video_id, query_id), or for matrices each video_id,
+once: readers and writers alike refuse a repeat.
 """
 from __future__ import annotations
 
@@ -278,32 +278,37 @@ def _read_jsonl(path, parse, on_error: str):
     return records, errors
 
 
-def _write_file(path, data: bytes) -> None:
-    """Make ``data`` the whole content of ``path``, rewriting the file in place.
+def _write_file(path, parts: Sequence[bytes]) -> None:
+    """Make the bytes ``parts``, in order, the whole content of ``path``, rewriting it in place.
 
+    A writer hands its complete bytes as a list of parts (a JSONL writer one
+    encoded line per record), so it never holds them joined a second time.
+    Each part takes at least one ``os.write``, so small pieces go joined.
     The file is opened without truncation (an existing file keeps its inode
-    and mode, a symlink is written through) and cut to ``len(data)`` only
-    when it was longer.  Truncating to zero first would make ext4
-    (``auto_da_alloc``) flush the file to disk on close, tens of
+    and mode, a symlink is written through) and cut to the parts' total
+    length only when it was longer.  Truncating to zero first would make
+    ext4 (``auto_da_alloc``) flush the file to disk on close, tens of
     milliseconds per rewrite whatever its size.  Pipes and devices report
     size 0, so they are never truncated.  If a write fails, a regular file
     is emptied, so old and new bytes are never left mixed.
     """
+    size = sum(map(len, parts))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         st = os.fstat(fd)
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            for part in parts:
+                view = memoryview(part)
+                while view:
+                    view = view[os.write(fd, view):]
         except BaseException as exc:
             if stat.S_ISREG(st.st_mode):
                 os.ftruncate(fd, 0)
             if isinstance(exc, OSError) and exc.filename is None:
                 exc.filename = os.fspath(path)  # os.write's errors name no file
             raise
-        if st.st_size > len(data):
-            os.ftruncate(fd, len(data))
+        if st.st_size > size:
+            os.ftruncate(fd, size)
     finally:
         os.close(fd)
 
@@ -312,10 +317,10 @@ def _write_jsonl(path, records: Sequence[_Record], to_obj) -> None:
     """One compact, sorted-key line per record, in canonical (video_id, query_id) order."""
     ordered = sorted(records, key=_Record.sort_key)
     _unique((r.sort_key() for r in ordered), "(video_id, query_id)")
-    _write_file(path, "".join(
-        json.dumps(to_obj(record), sort_keys=True, separators=(",", ":")) + "\n"
+    _write_file(path, [
+        (json.dumps(to_obj(record), sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
         for record in ordered
-    ).encode("utf-8"))
+    ])
 
 
 def read_dataset(path, on_error: str = "raise"):
@@ -407,7 +412,7 @@ def write_matrices_text(records: Sequence[MatrixRecord], path) -> None:
                                              for name in record.column_names)]))
         lines += ("\t".join(repr(float(v)) for v in row) for row in record.values)
         lines.append("")
-    _write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def _line_floats(fields, line: int) -> list[float]:
@@ -453,22 +458,21 @@ def _parse_text_matrices(text: str) -> list[MatrixRecord]:
 
 def write_matrices_binary(records: Sequence[MatrixRecord], path) -> None:
     ordered = _checked_matrices(records)
-    parts = [MATRIX_MAGIC, struct.pack("<II", 1, len(ordered))]
+    parts = [MATRIX_MAGIC + struct.pack("<II", 1, len(ordered))]
     for record in ordered:
         vid = record.video_id.encode("utf-8")
         rows, cols = record.values.shape
-        parts += [struct.pack("<I", len(vid)), vid,
-                  struct.pack("<dII", record.clip_len, rows, cols)]
+        head = [struct.pack("<I", len(vid)), vid, struct.pack("<dII", record.clip_len, rows, cols)]
         for name in record.column_names:
             raw = name.encode("utf-8")
-            parts += [struct.pack("<I", len(raw)), raw]
+            head += [struct.pack("<I", len(raw)), raw]
         with np.errstate(over="ignore"):
             values = record.values.astype("<f4")
         if not np.isfinite(values).all():
             raise ValueError(
                 f"matrix for video {record.video_id!r} holds a value float32 cannot hold")
-        parts.append(values.tobytes(order="C"))
-    _write_file(path, b"".join(parts))
+        parts += [b"".join(head), values.tobytes(order="C")]
+    _write_file(path, parts)
 
 
 def _parse_binary_matrices(raw: bytes) -> list[MatrixRecord]:
@@ -528,7 +532,7 @@ def read_matrices(path) -> list[MatrixRecord]:
 
 
 def write_json_report(obj: dict, path) -> None:
-    _write_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    _write_file(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def _misfit(task: str, entries: list, timeline: ClipTimeline) -> str | None:

@@ -599,10 +599,11 @@ class _LossBatch:
     targets and their background weights; the foreground clips' index,
     centres, target offsets and target spans, and the foreground counts; the
     contrastive pool masks and the one-hot targets of both InfoNCE terms;
-    ``arange(B)``; and the per-video aggregation scales.  A video whose
-    positive has no negative raises its ``GroundingWarning`` here, once, not
-    on every evaluation.  Every positive is a foreground clip, so no video's
-    boundary term is vacuous.
+    ``arange(B)`` and the positives' indices on the flat B * L grid; and the
+    per-video aggregation scales.  A video whose positive has no negative
+    raises its ``GroundingWarning`` here, once, not on every evaluation.
+    Every positive is a foreground clip, so no video's boundary term is
+    vacuous.
     """
 
     def __init__(
@@ -640,6 +641,7 @@ class _LossBatch:
         self.weights = weights
         self.rows = rows
         self.positives = positives
+        self.flat_positives = rows * l + positives  # the positives on the flat B * L grid
         self.targets = fg.astype(np.float64)
         self.background = _background_weights(self.targets, weights)
         self.boundary = boundary
@@ -690,9 +692,13 @@ def _total_loss_arrays(
     cos, cos_backward = _cosine_with_grads(clip_emb, sent_emb[..., None, :], clip_norms,
                                            sent_norms[..., None])
     l_intra, g_cos = _intra_term(cos[..., 0], batch.pool, batch.intra_target, w.tau)
-    pos_emb = clip_emb[..., rows, positives, :]  # (..., B, D)
-    pair, pair_backward = _cosine_with_grads(pos_emb, sent_emb,
-                                             clip_norms[..., rows, positives], sent_norms)
+    # taken from the flat (..., B * L) grid: ``[..., rows, positives]`` would lay a
+    # problem axis out (B, P) in memory, and the sums over B would round otherwise
+    lead = clip_emb.shape[:-3]
+    pos_emb = np.take(clip_emb.reshape(lead + (-1, clip_emb.shape[-1])), batch.flat_positives,
+                      axis=-2)  # (..., B, D)
+    pos_norms = np.take(clip_norms.reshape(lead + (-1,)), batch.flat_positives, axis=-1)
+    pair, pair_backward = _cosine_with_grads(pos_emb, sent_emb, pos_norms, sent_norms)
     l_inter, g_pair = _inter_term(pair, batch.inter_target, w.tau)
 
     parts = {

@@ -6,6 +6,7 @@ import re
 import stat
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -791,6 +792,20 @@ class TestRewriteInPlace:
         short(link)
         assert link.is_symlink()
         assert target.read_bytes() == expected
+
+
+def test_jsonl_writer_holds_about_one_copy_of_its_file(tmp_path):
+    # one encoded line per record goes to _write_file; the lines joined into one
+    # str and then encoded held the file about twice (2.03 times its size here)
+    records = toy_corpus(200, 250, 1.0, 0)
+    path = tmp_path / "out.jsonl"
+    tracemalloc.start()
+    try:
+        write_dataset(records, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
 
 
 class TestJsonReport:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tgkit import decode
 from tgkit.decode import SegmentList, _feature_band, _kts_tables, _scatter_band, kts_segment
 
 from oracles import (kts_fixed_m_oracle, kts_penalty_oracle, kts_tables_reference,
@@ -187,6 +188,8 @@ class TestFeatureBand:
 
     def test_long_video_in_bounded_memory(self):
         # A 10 000-clip Gram alone would take 800 MB; the features path never builds it.
+        # The band takes 16 MB and the DP 2 MB of int32 first-segment ends beside it; a
+        # band-sized work array in the DP would add 16 MB more.
         rng = np.random.default_rng(4)
         f = np.repeat(rng.normal(size=(50, 16)), 200, axis=0)
         f += 0.01 * rng.normal(size=f.shape)
@@ -196,12 +199,13 @@ class TestFeatureBand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
+        assert peak < 25e6
         assert got.change_points == tuple(range(200, 10_000, 200))  # the only feasible split
 
     def test_many_segments_in_bounded_memory(self):
-        # The DP keeps one int64 first-segment end per clip and segment count and
-        # a single cost row; a full float cost table beside it would double that.
+        # The DP keeps one int32 first-segment end per clip and segment count and
+        # a single cost row; int64 ends, or a full float cost table beside them,
+        # would double that.
         n, m = 4000, 1000
         f = np.repeat(np.random.default_rng(5).normal(size=(n // 8, 4)), 8, axis=0)
         tracemalloc.start()
@@ -210,7 +214,7 @@ class TestFeatureBand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * (m + 1) * (n + 1)
+        assert peak < 5 * (m + 1) * (n + 1)
         assert got.change_points == tuple(range(8, n, 8))  # constant 8-clip blocks
 
 
@@ -259,6 +263,37 @@ class TestBandMinimum:
         assert np.array_equal(cost, expect_cost[:, 0])
         feasible = np.isfinite(expect_cost)
         assert np.array_equal(first_end[feasible], expect_end[feasible])
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_identical_across_row_blocks(self, monkeypatch, tied):
+        # n spans several row blocks and is no multiple of one; at small m the DP
+        # skips the rows before n - m * width, which is no multiple of one either
+        rng = np.random.default_rng(29 + tied)
+        for n, width, m_hi in ((600, 90, 12), (901, 120, 12), (777, 777, 4)):
+            if tied:
+                f = rng.integers(0, 2, size=(n, 2)).astype(float)
+            else:
+                f = rng.normal(size=(n, 4))
+            band = _feature_band(f, width)
+            expect_cost, expect_end = kts_tables_reference(band, m_hi)
+            feasible = np.isfinite(expect_cost)
+            for block in (decode._KTS_BLOCK, 1, 7, 64):
+                monkeypatch.setattr(decode, "_KTS_BLOCK", block)
+                cost, first_end = _kts_tables(band, m_hi)
+                assert np.array_equal(cost, expect_cost[:, 0]), (n, block)
+                assert np.array_equal(first_end[feasible], expect_end[feasible]), (n, block)
+
+    def test_no_band_sized_work_array(self):
+        # the band minimum runs over row blocks in one small buffer
+        band = _feature_band(np.random.default_rng(31).normal(size=(2000, 4)), 200)
+        assert band.shape[0] > 4 * decode._KTS_BLOCK
+        tracemalloc.start()
+        try:
+            _kts_tables(band, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < band.nbytes / 2
 
 
 class TestValidation:

@@ -691,27 +691,29 @@ def assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation,
     ``options`` (``fixed_sent_norms=``, ``out=``) go to the kernel as they
     are.  With fixed sentences the kernel must return every output but the
     sentence gradient; with ``out=`` the returned prediction gradients must
-    be its arrays.  Returns the kernel's result.
+    be its arrays.  Each problem of a leading problem axis is compared with
+    the frozen copy's call on that problem alone: the copy's own stacked
+    call gathers the positives (B, P)-ordered, so its sums over B may round
+    otherwise.  Returns the kernel's result.
     """
     result = value, grads, parts = _total_loss_arrays(*ins, batch, **options)
     if "out" in options:
         assert all(grads[key] is a for key, a in zip(PREDICTION_GRADS, options["out"]))
-    ref_value, ref_grads, ref_parts = total_loss_kernel_reference(
-        *ins,
-        np.stack([lab.foreground for lab in labels]),
-        np.stack([lab.saliency for lab in labels]),
-        np.stack([lab.offsets for lab in labels]),
-        np.stack([tl.timestamps() for tl in timelines]),
-        positives, aggregation, w,
-    )
-    if options.get("fixed_sent_norms") is not None:
-        del ref_grads["sentence_embeddings"]
-    assert bitwise(value, ref_value)
-    assert set(grads) == set(ref_grads) and set(parts) == set(ref_parts)
-    for key in grads:
-        assert bitwise(grads[key], ref_grads[key]), key
-    for key in parts:
-        assert bitwise(parts[key], ref_parts[key]), key
+    label_arrays = (np.stack([lab.foreground for lab in labels]),
+                    np.stack([lab.saliency for lab in labels]),
+                    np.stack([lab.offsets for lab in labels]),
+                    np.stack([tl.timestamps() for tl in timelines]))
+    for p in np.ndindex(np.shape(value)):
+        ref_value, ref_grads, ref_parts = total_loss_kernel_reference(
+            *(x[p] for x in ins), *label_arrays, positives, aggregation, w)
+        if options.get("fixed_sent_norms") is not None:
+            del ref_grads["sentence_embeddings"]
+        assert bitwise(value[p], ref_value)
+        assert set(grads) == set(ref_grads) and set(parts) == set(ref_parts)
+        for key in grads:
+            assert bitwise(grads[key][p], ref_grads[key]), key
+        for key in parts:
+            assert bitwise(parts[key][p], ref_parts[key]), key
     return result
 
 
@@ -764,6 +766,20 @@ class TestKernelMatchesFrozenCopy:
             out = tuple(np.full(x.shape, np.nan) for x in ins[:3])
             assert_kernel_matches_frozen(ins, labels, timelines, positives, aggregation, w, batch,
                                          fixed_sent_norms=fixed_sent_norms, out=out)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_stacked_problem_equals_its_own_call(self, seed):
+        # at fit's shape (B = 8) a problem axis must not change how the sums over B round
+        labels, timelines, positives, w, batch = fit_shaped_batch(seed)
+        ins = self.point(np.random.default_rng(seed), labels, (9,))
+        value, grads, parts = _total_loss_arrays(*ins, batch)
+        for p in range(9):
+            one_value, one_grads, one_parts = _total_loss_arrays(*(x[p] for x in ins), batch)
+            assert bitwise(value[p], one_value)
+            for key in one_grads:
+                assert bitwise(grads[key][p], one_grads[key]), key
+            for key in one_parts:
+                assert bitwise(parts[key][p], one_parts[key]), key
 
     def test_edge_intervals(self):
         labels, timelines, positives, w, batch = fit_shaped_batch(1)

@@ -59,6 +59,36 @@ def _check_type(name: str, value, rule: tuple) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def _checked_array(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a new float64 array of ``shape`` with finite entries, or a ``ValueError``.
+
+    ``shape`` holds sizes; ``None`` is any size of at least 1 (``n``, ``m``
+    and ``k`` in the message).  Booleans read as 0/1, and integers and floats
+    as numpy converts them; a string entry, a complex number, ragged rows or
+    any other entry numpy cannot read as a real number is refused.  Every
+    refusal starts with ``name`` and prints at most the array's shape.
+    """
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):  # casting a float32 signalling NaN warns
+            arr = np.array(value)
+            kind = arr.dtype.kind
+            if kind in "USc" or (kind == "O" and any(isinstance(v, (str, bytes))
+                                                     for v in arr.flat)):
+                raise TypeError
+            arr = arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float64
+        raise ValueError(f"{name} must be an array of numbers") from None
+    if len(arr.shape) != len(shape) or not all(
+            size >= 1 if want is None else size == want for size, want in zip(arr.shape, shape)):
+        letters = iter("nmk")
+        sizes = ", ".join(next(letters) if want is None else str(want) for want in shape)
+        raise ValueError(f"{name} must have shape ({sizes}{',' * (len(shape) == 1)}), "
+                         f"got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def _concept_sets(groups) -> list:
     """``frozenset(g)`` for each group of concepts, in order.
 
@@ -194,17 +224,6 @@ class ScoredInterval:
             raise ValueError(f"score must be finite, got {self.score!r}")
 
 
-def _check_layout(name: str, first: np.ndarray, offsets: np.ndarray, saliency: np.ndarray):
-    """The per-clip layout of labels and predictions: (L,), (L, 2) and (L,) arrays."""
-    if first.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {first.shape}")
-    n = first.shape[0]
-    if offsets.shape != (n, 2):
-        raise ValueError(f"offsets shape {offsets.shape} does not match ({n}, 2)")
-    if saliency.shape != (n,):
-        raise ValueError(f"saliency shape {saliency.shape} does not match ({n},)")
-
-
 @dataclass(frozen=True, eq=False)
 class UnifiedLabel:
     """Per-clip grounding target.
@@ -222,15 +241,12 @@ class UnifiedLabel:
     saliency: np.ndarray
 
     def __post_init__(self):
-        f = np.array(self.foreground)
-        d = np.array(self.offsets, dtype=np.float64)
-        s = np.array(self.saliency, dtype=np.float64)
-        _check_layout("foreground", f, d, s)
+        f = _checked_array("foreground", self.foreground, (None,))
+        d = _checked_array("offsets", self.offsets, (len(f), 2))
+        s = _checked_array("saliency", self.saliency, (len(f),))
         if not np.isin(f, (0, 1)).all():
             raise ValueError("foreground entries must be 0 or 1")
         f = f.astype(np.int8)
-        if not (np.isfinite(d).all() and np.isfinite(s).all()):
-            raise ValueError("offsets and saliency must be finite")
         if (d < 0).any():
             raise ValueError("offsets must be non-negative")
         if (s < 0).any() or (s > 1).any():
@@ -307,12 +323,9 @@ class PredictionSet:
     saliency: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.foreground_logits, dtype=np.float64)
-        d = np.array(self.offsets, dtype=np.float64)
-        s = np.array(self.saliency, dtype=np.float64)
-        _check_layout("foreground_logits", x, d, s)
-        if not (np.isfinite(x).all() and np.isfinite(d).all() and np.isfinite(s).all()):
-            raise ValueError("predictions must be finite")
+        x = _checked_array("foreground_logits", self.foreground_logits, (None,))
+        d = _checked_array("offsets", self.offsets, (len(x), 2))
+        s = _checked_array("saliency", self.saliency, (len(x),))
         if (s < -1).any() or (s > 1).any():
             raise ValueError("saliency predictions must lie in [-1, 1]")
         _set(self, "foreground_logits", _frozen(x))

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (ClipTimeline, GroundingWarning, Interval, PredictionSet, ScoredInterval,
-                   _check_clips, _rank_order, _set, _spans)
+                   _check_clips, _checked_array, _rank_order, _set, _spans)
 from .losses import sigmoid
 from .metrics import _iou_array
 
@@ -291,12 +291,8 @@ def kts_segment(
     """
     if (features is None) == (gram is None):
         raise ValueError("provide exactly one of features or gram")
-    what = "features" if gram is None else "gram matrix"
-    k = np.asarray(features if gram is None else gram, dtype=np.float64)  # one row per clip
-    if k.ndim != 2 or k.shape[0] < 1:
-        raise ValueError(f"{what} must be a 2-D matrix with at least one row, got shape {k.shape}")
-    if not np.isfinite(k).all():
-        raise ValueError(f"{what} must be finite")
+    name, value = ("features", features) if gram is None else ("gram", gram)
+    k = _checked_array(name, value, (None, None))  # one row per clip
     if gram is not None and (k.shape[0] != k.shape[1] or not np.allclose(k, k.T, atol=1e-8)):
         raise ValueError(f"gram matrix must be square and symmetric, got shape {k.shape}")
     if max_segments < 1 or max_clips < 1:
@@ -319,7 +315,13 @@ def kts_segment(
         m_hi = num_segments
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         band = _feature_band(k, width) if features is not None else _scatter_band(k, width)
-    if np.count_nonzero(np.isfinite(band)) != width * n - width * (width - 1) // 2:
+    del k  # the DP needs only the band, so the checked copy of the input goes first
+    finite = 0
+    mask = np.empty((min(n, _KTS_BLOCK), width), dtype=bool)  # one row block, not the band
+    for a in range(0, n, _KTS_BLOCK):
+        rows = band[a:a + _KTS_BLOCK]
+        finite += np.count_nonzero(np.isfinite(rows, out=mask[:len(rows)]))
+    if finite != width * n - width * (width - 1) // 2:
         raise ValueError("segment scatter overflows float64; scale the features down")
 
     cost, first_end = _kts_tables(band, m_hi)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (_JSON_TYPES, SOURCE_KINDS, ClipTimeline, Interval, PredictionSet, Query,
-                   UnifiedLabel, _check_clips, _check_type, _concept_sets)
+                   UnifiedLabel, _check_clips, _check_type, _checked_array, _concept_sets)
 from .labels import CurveAnnotation, PointAnnotation, _check_inside
 
 SCHEMA_VERSION = 1
@@ -36,7 +36,8 @@ MATRIX_TEXT_HEADER = "# tgkit-matrix v1"
 _ANNOTATIONS = {
     "point": ("points", PointAnnotation, lambda a: list(a.timestamps),
               lambda a: isinstance(a, PointAnnotation), "a PointAnnotation"),
-    "interval": ("intervals", lambda v: [Interval(s, e) for s, e in v],
+    "interval": ("intervals", lambda v: [Interval(*_checked_array("interval", iv, (2,)))
+                                         for iv in v],
                  lambda a: [[iv.start, iv.end] for iv in a],
                  lambda a: isinstance(a, (list, tuple)) and all(isinstance(i, Interval) for i in a),
                  "a list of Interval"),
@@ -372,16 +373,11 @@ def _checked_matrix(record: MatrixRecord) -> MatrixRecord:
     The readers and both writers check every record with it; ``record`` itself
     is left as it was.
     """
-    with np.errstate(invalid="ignore", over="ignore"):  # a float32 signalling NaN warns when cast
-        values = np.asarray(record.values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-        raise ValueError(f"matrix must be 2-D and non-empty, got shape {values.shape}")
+    values = _checked_array(f"matrix for video {record.video_id!r}", record.values, (None, None))
     names = tuple(str(c) for c in record.column_names)
     if len(names) != values.shape[1]:
         raise ValueError(f"{len(names)} column names for {values.shape[1]} columns")
     timeline = ClipTimeline(values.shape[0], record.clip_len)  # owns clip_len and the row bound
-    if not np.isfinite(values).all():
-        raise ValueError(f"matrix for video {record.video_id!r} holds a non-finite value")
     return MatrixRecord(str(record.video_id), timeline.clip_len, names, values)
 
 

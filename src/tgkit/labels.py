@@ -7,15 +7,14 @@ goes the other way by reading maximal foreground runs back as intervals.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import (ClipTimeline, GroundingWarning, Interval, UnifiedLabel, _check_clips, _frozen,
-                   _set)
+from .core import (ClipTimeline, GroundingWarning, Interval, UnifiedLabel, _check_clips,
+                   _checked_array, _frozen, _set)
 
 DEFAULT_BIN_WIDTH = 0.05
 
@@ -35,12 +34,10 @@ class PointAnnotation:
     timestamps: tuple
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.timestamps)
-        if not ts:
-            raise ValueError("point annotation must contain at least one timestamp")
-        if not all(math.isfinite(t) and t >= 0 for t in ts):
-            raise ValueError("timestamps must be finite and non-negative")
-        _set(self, "timestamps", tuple(sorted(set(ts))))
+        ts = _checked_array("timestamps", self.timestamps, (None,))
+        if (ts < 0).any():
+            raise ValueError("timestamps must be non-negative")
+        _set(self, "timestamps", tuple(sorted(set(ts.tolist()))))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -53,11 +50,7 @@ class CurveAnnotation:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] < 1:
-            raise ValueError(f"curve must be a non-empty 1-D sequence, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("curve values must be finite")
+        v = _checked_array("curve", self.values, (None,))
         if (v < 0).any() or (v > 1).any():
             raise ValueError("curve values must lie in [0, 1]")
         _set(self, "values", _frozen(v))
@@ -169,7 +162,7 @@ def from_curve(timeline: ClipTimeline, curve, bin_width: float = DEFAULT_BIN_WID
     Saliency keeps the raw curve with background zeroed.
     """
     if not isinstance(curve, CurveAnnotation):
-        curve = CurveAnnotation(np.asarray(curve, dtype=np.float64))
+        curve = CurveAnnotation(curve)
     _check_inside(timeline, curve)
     values = curve.values
     bins = bin_index(values, bin_width)

@@ -49,6 +49,7 @@ from .core import (
     PredictionSet,
     UnifiedLabel,
     _check_clips,
+    _checked_array,
     _frozen,
     _set,
     _spans,
@@ -115,15 +116,9 @@ class EmbeddingBatch:
     sentence_embeddings: np.ndarray  # (B, D)
 
     def __post_init__(self):
-        v = np.array(self.clip_embeddings, dtype=np.float64)
-        s = np.array(self.sentence_embeddings, dtype=np.float64)
-        if v.ndim != 3:
-            raise ValueError(f"clip embeddings must be (B, L, D), got shape {v.shape}")
-        b, l, d = v.shape
-        if s.shape != (b, d):
-            raise ValueError(f"sentence embeddings shape {s.shape} does not match ({b}, {d})")
-        if not (np.isfinite(v).all() and np.isfinite(s).all()):
-            raise ValueError("embeddings must be finite")
+        v = _checked_array("clip_embeddings", self.clip_embeddings, (None, None, None))
+        s = _checked_array("sentence_embeddings", self.sentence_embeddings,
+                           (v.shape[0], v.shape[2]))
         _row_norms(v)  # refuses a zero-norm row, as the loss kernel does
         _row_norms(s)
         _set(self, "clip_embeddings", _frozen(v))
@@ -197,16 +192,10 @@ def foreground_loss(logits, targets, weights: LossWeights = LossWeights()) -> Lo
     scarce foreground class is not drowned out; the whole term is scaled by
     ``weights.lambda_f``.
     """
-    x = np.asarray(logits, dtype=np.float64)
-    f = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ValueError(f"logits must be non-empty 1-D, got shape {x.shape}")
-    if f.shape != x.shape:
-        raise ValueError(f"target shape {f.shape} does not match logits {x.shape}")
+    x = _checked_array("logits", logits, (None,))
+    f = _checked_array("targets", targets, x.shape)
     if not np.isin(f, (0.0, 1.0)).all():
         raise ValueError("targets must be 0 or 1")
-    if not np.isfinite(x).all():
-        raise ValueError("logits must be finite")
     f = f[None]
     value, grad = _foreground_term(x[None], f, _background_weights(f, weights), weights)
     return LossReport(float(value[0]), {"logits": grad[0]})
@@ -394,13 +383,8 @@ def boundary_loss(
     Predicted intervals that come out inverted are re-ordered before the
     gIoU term so the loss stays defined for any real offsets.
     """
-    d_hat = np.asarray(pred_offsets, dtype=np.float64)
-    n = timeline.num_clips
-    if d_hat.shape != (n, 2):
-        raise ValueError(f"predicted offsets shape {d_hat.shape} does not match ({n}, 2)")
+    d_hat = _checked_array("pred_offsets", pred_offsets, (timeline.num_clips, 2))
     _check_clips(timeline, "label", len(label))
-    if not np.isfinite(d_hat).all():
-        raise ValueError("predicted offsets must be finite")
     fg = label.foreground == 1
     count = int(fg.sum())
     if count == 0:
@@ -556,11 +540,7 @@ def saliency_intra_loss(
     cross-entropy of the positive over {positive} + negatives at
     temperature ``weights.tau``.  With no negatives the term is 0.
     """
-    c = np.asarray(cosines, dtype=np.float64)
-    if c.ndim != 1 or c.shape[0] != len(label):
-        raise ValueError(f"cosines shape {c.shape} does not match label length {len(label)}")
-    if not np.isfinite(c).all():
-        raise ValueError("cosines must be finite")
+    c = _checked_array("cosines", cosines, (len(label),))
     if positive is None:
         positive = sample_positive(label, np.random.default_rng(rng_seed))
     pool = _contrastive_pools(label.foreground[None], label.saliency[None], np.array([positive]))
@@ -579,12 +559,10 @@ def saliency_inter_loss(pair_cosines, weights: LossWeights = LossWeights()) -> L
     (diagonal) against all sentences in the batch; the result is the mean
     over rows.  A single-item batch has nothing to contrast and scores 0.
     """
-    m = np.asarray(pair_cosines, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"pairing matrix must be square and non-empty, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("pairing cosines must be finite")
+    m = _checked_array("pair_cosines", pair_cosines, (None, None))
     b = m.shape[0]
+    if m.shape[1] != b:
+        raise ValueError(f"pair_cosines must be square, got shape {m.shape}")
     value, grad = _inter_term(m, _infonce_targets(np.arange(b), b, weights.tau), weights.tau)
     return LossReport(value, {"pair_cosines": grad})
 
@@ -741,8 +719,6 @@ def total_loss(
     b = len(preds)
     if not (b == len(labels) == len(timelines) == emb.batch_size):
         raise ValueError("preds, labels, timelines, and embeddings must agree on batch size")
-    if b == 0:
-        raise ValueError("empty batch")
     l = emb.num_clips
     for p, lab, tl in zip(preds, labels, timelines):
         if not (len(p) == len(lab) == tl.num_clips == l):

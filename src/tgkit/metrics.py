@@ -13,7 +13,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Interval, ScoredInterval, _concept_sets, _rank_order, _set
+from .core import Interval, ScoredInterval, _checked_array, _concept_sets, _rank_order, _set
 
 DEFAULT_MAP_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 DEFAULT_RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
@@ -78,17 +78,9 @@ class HighlightEvalItem:
     gt_positive: np.ndarray
 
     def __post_init__(self):
-        scores = np.array(self.clip_scores, dtype=np.float64)
-        positive = np.array(self.gt_positive)
-        if scores.ndim != 1 or scores.shape[0] < 1:
-            raise ValueError(f"clip_scores must be non-empty 1-D, got shape {scores.shape}")
-        if positive.shape != scores.shape:
-            raise ValueError(
-                f"gt_positive shape {positive.shape} does not match scores {scores.shape}"
-            )
-        if not np.isfinite(scores).all():
-            raise ValueError("clip scores must be finite")
-        if not np.isin(positive, (0, 1, False, True)).all():
+        scores = _checked_array("clip_scores", self.clip_scores, (None,))
+        positive = _checked_array("gt_positive", self.gt_positive, scores.shape)
+        if not np.isin(positive, (0, 1)).all():
             raise ValueError("gt_positive entries must be binary")
         scores.setflags(write=False)
         positive = positive.astype(bool)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClipTimeline, Query, UnifiedLabel, _check_clips, _frozen, _rank_order, _set
+from .core import (ClipTimeline, Query, UnifiedLabel, _check_clips, _checked_array, _frozen,
+                   _rank_order, _set)
 from .labels import DEFAULT_BIN_WIDTH, CurveAnnotation, from_curve
 
 DEFAULT_TOP_K = 5
@@ -25,11 +26,7 @@ class SimilarityMatrix:
     concept_names: tuple
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"similarity matrix must be 2-D and non-empty, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("similarity values must be finite")
+        v = _checked_array("similarity values", self.values, (None, None))
         if (v < -1).any() or (v > 1).any():
             raise ValueError("similarity values must lie in [-1, 1]")
         names = tuple(str(c) for c in self.concept_names)

@@ -931,6 +931,53 @@ class TestClipLimit:
         assert "1000000000000 clips exceed the limit of 10000000" in proc.stderr
 
 
+class TestArrayEntries:
+    """A per-clip array entry that is no finite number is one error line naming the field."""
+
+    CASES = {
+        "ragged_offsets": ("offsets", [0.0], "offsets must be an array of numbers"),
+        "dict_entry": ("saliency", {"a": 1}, "saliency must be an array of numbers"),
+        "null_entry": ("saliency", None, "saliency must be finite"),
+        "string_entry": ("saliency", "0.5", "saliency must be an array of numbers"),
+    }
+
+    @staticmethod
+    def with_entry(source, path, key, value):
+        """``source`` with entry 0 of its first line's ``key`` array (its label's, if any) set."""
+        lines = source.read_text().splitlines()
+        obj = json.loads(lines[0])
+        (obj["label"] if "label" in obj else obj)[key][0] = value
+        path.write_text("\n".join([json.dumps(obj), *lines[1:]]) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("command", ["convert", "fit", "decode", "eval"])
+    def test_one_error_line(self, pipeline, tmp_path, capsys, command, case):
+        key, value, message = self.CASES[case]
+        source = pipeline["preds" if command == "decode" else "labeled"]
+        bad = self.with_entry(source, tmp_path / source.name, key, value)
+        out = str(tmp_path / "out")
+        argv = {
+            "convert": ["convert", "--input", bad, "--output", out],
+            "fit": ["fit", "--input", bad, "--steps", "1", "--output", out],
+            "decode": ["decode", "--input", bad, "--task", "moments", "--output", out],
+            "eval": ["eval", "--predictions", str(pipeline["moments"]), "--truth", bad,
+                     "--task", "moments", "--output", out],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}:1: {message}"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_convert_skips_the_line(self, pipeline, tmp_path, capsys, case):
+        key, value, message = self.CASES[case]
+        bad = self.with_entry(pipeline["labeled"], tmp_path / "labeled.jsonl", key, value)
+        out = tmp_path / "out.jsonl"
+        assert main(["convert", "--input", bad, "--on-error", "skip", "--output", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [f"skipped line 1: {message}"]
+        kept, _ = read_dataset(out)
+        assert len(kept) == len(read_dataset(pipeline["labeled"])[0]) - 1
+
+
 class TestFractionalDuration:
     """A declared duration that passes the clip grid by a partial clip (Charades-STA style)."""
 

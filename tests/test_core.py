@@ -15,6 +15,7 @@ from tgkit.core import (
     Query,
     ScoredInterval,
     UnifiedLabel,
+    _checked_array,
     boundary_of,
 )
 
@@ -197,6 +198,51 @@ class TestPredictionSet:
         PredictionSet(np.zeros(2), np.array([[-3.0, 2.0], [0.0, 0.0]]), np.zeros(2))
 
 
+class TestCheckedArray:
+    # each value as float64 was read before the helper: np.array(value, dtype=np.float64)
+    @pytest.mark.parametrize("value", [
+        [True, False], [0, 1], [0.5, 2**70], [2**63, 1], np.array([0.1, 3.0], dtype=np.float32),
+        np.arange(3, dtype=np.int8), [np.float32(0.1), 0.2], (1.5, -0.0),
+    ], ids=["bool", "int", "big_int", "uint64", "float32", "int8", "numpy_scalar", "tuple"])
+    def test_numbers_convert_as_before(self, value):
+        got = _checked_array("x", value, (None,))
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(value, dtype=np.float64).tobytes()
+
+    def test_result_is_a_new_array(self):
+        value = np.array([[1.0, 2.0]])
+        got = _checked_array("x", value, (1, 2))
+        assert got is not value and not np.shares_memory(got, value)
+
+    @pytest.mark.parametrize("value", [
+        ["0.5"], [0.5, "1"], [None, "0.5"], [b"1"], [[1.0, 2.0], [3.0]], [{"a": 1}], [1j],
+        [10**400],
+    ], ids=["string", "mixed_string", "object_string", "bytes", "ragged", "dict", "complex",
+            "int_past_float"])
+    def test_non_numbers_refused(self, value):
+        with pytest.raises(ValueError, match=r"^x must be an array of numbers$"):
+            _checked_array("x", value, (None,))
+
+    @pytest.mark.parametrize("shape, value, message", [
+        ((None, 2), np.zeros((3, 3)), "x must have shape (n, 2), got (3, 3)"),
+        ((None, None), np.zeros((0, 4)), "x must have shape (n, m), got (0, 4)"),
+        ((None, None, None), np.zeros(3), "x must have shape (n, m, k), got (3,)"),
+        ((4,), np.zeros(4)[:, None], "x must have shape (4,), got (4, 1)"),
+    ], ids=["free_and_fixed", "empty_axis", "ndim", "column"])
+    def test_shape_message(self, shape, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _checked_array("x", value, shape)
+
+    def test_stored_label_and_prediction_are_unchanged(self):
+        lab = UnifiedLabel([True, False], [[1, 2], [0, 0]], np.array([0.5, 0.0], np.float32))
+        assert lab.foreground.dtype == np.int8 and lab.foreground.tolist() == [1, 0]
+        assert lab.offsets.tolist() == [[1.0, 2.0], [0.0, 0.0]]
+        assert lab.saliency.tobytes() == np.array([np.float32(0.5), 0.0]).tobytes()
+        pred = PredictionSet([2**70], [[0, -1]], [True])
+        assert pred.foreground_logits.tolist() == [float(2**70)]
+        assert pred.saliency.tolist() == [1.0]
+
+
 class TestRecords:
     def test_query_kind_checked(self):
         Query("a storm hits", "sentence")
@@ -225,14 +271,26 @@ INPUT_CHECKS = {
     "interval_finite": (lambda: Interval(0.0, math.inf), ValueError,
                         "interval endpoints must be finite, got (0.0, inf)"),
     "label_ndim": (lambda: make_label(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2)),
-                   ValueError, "foreground must be 1-D, got shape (2, 2)"),
+                   ValueError, "foreground must have shape (n,), got (2, 2)"),
     "label_finite": (lambda: make_label([1], [[math.nan, 1.0]], [1.0]), ValueError,
-                     "offsets and saliency must be finite"),
+                     "offsets must be finite"),
+    "label_empty": (lambda: UnifiedLabel([], np.zeros((0, 2)), []), ValueError,
+                    "foreground must have shape (n,), got (0,)"),
+    "label_ragged_offsets": (lambda: UnifiedLabel([1, 0], [[1.0, 1.0], [0.0]], [1.0, 0.0]),
+                             ValueError, "offsets must be an array of numbers"),
     "boundary_index": (lambda: boundary_of(ClipTimeline(2, 1.0), _label(), 2), IndexError,
                        "clip index 2 out of range [0, 2)"),
     "query_text": (lambda: Query(""), ValueError, "query text must be a non-empty string"),
     "prediction_finite": (lambda: PredictionSet([math.inf], [[0.0, 0.0]], [0.0]), ValueError,
-                          "predictions must be finite"),
+                          "foreground_logits must be finite"),
+    "prediction_null": (lambda: PredictionSet([0.0], [[0.0, 0.0]], [None]), ValueError,
+                        "saliency must be finite"),
+    "prediction_string_entry": (lambda: PredictionSet([0.0], [[0.0, 0.0]], ["0.5"]), ValueError,
+                                "saliency must be an array of numbers"),
+    "prediction_dict_entry": (lambda: PredictionSet([0.0], [[0.0, 0.0]], [{"a": 1}]),
+                              ValueError, "saliency must be an array of numbers"),
+    "prediction_offsets_shape": (lambda: PredictionSet(np.zeros(12), 0.0, np.zeros(12)),
+                                 ValueError, "offsets must have shape (12, 2), got ()"),
     "record_video_id": (lambda: GroundTruthRecord("", ClipTimeline(2, 1.0), Query("q"), _label(),
                                                   "interval"),
                         ValueError, "video_id must be a non-empty string"),

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tgkit import formats
 from tgkit.config import RunConfig
 from tgkit.core import MAX_CLIPS, ClipTimeline, Interval, PredictionSet, Query
 from tgkit.formats import (
@@ -345,8 +347,33 @@ BAD_OBJECTS = {
                                  "saliency"),
 }
 
+# a prediction line's per-clip array (4 clips) with an entry that is no finite number
+_NOT_NUMBERS = "saliency must be an array of numbers"
+BAD_ENTRIES = {
+    "ragged_offsets": ("offsets", [[1.0, 1.0], [1.0], [1.0, 1.0], [1.0, 1.0]],
+                       "offsets must be an array of numbers"),
+    "dict_saliency": ("saliency", [{"a": 1}, 0.0, 0.0, 0.0], _NOT_NUMBERS),
+    "null_saliency": ("saliency", [None, 0.0, 0.0, 0.0], "saliency must be finite"),
+    "string_saliency": ("saliency", ["0.5", 0.0, 0.0, 0.0], _NOT_NUMBERS),
+}
+
 # input checks no other test reaches: the call, its exception type and its message
 INPUT_CHECKS = {
+    **{f"prediction_{case}": (
+        lambda p, key=key, value=value: _read_line_with(p, read_predictions, key, value),
+        ValueError, f"r.jsonl:1: {message}")
+       for case, (key, value, message) in BAD_ENTRIES.items()},
+    "dataset_string_curve": (
+        lambda p: _read_line_with(p, read_dataset, "annotation", {"curve": ["0.1", 0.9, 0.8, 0.2]},
+                                  curve_record()),
+        ValueError, "r.jsonl:1: curve must be an array of numbers"),
+    "dataset_string_interval": (
+        lambda p: _read_line_with(p, read_dataset, "annotation", {"intervals": [["2", 6.0]]}),
+        ValueError, "r.jsonl:1: interval must be an array of numbers"),
+    "dataset_string_point": (
+        lambda p: _read_line_with(p, read_dataset, "annotation", {"points": ["3"]},
+                                  point_record()),
+        ValueError, "r.jsonl:1: timestamps must be an array of numbers"),
     **{f"{what}_{case}": (
         lambda p, read=read, key=key, value=value: _read_line_with(p, read, key, value),
         ValueError, f"r.jsonl:1: {message}")
@@ -417,10 +444,10 @@ INPUT_CHECKS = {
         lambda p: _read_text_matrices(p, "video\tv\tlong\ncolumns\ta\n1\n"),
         ValueError, "m.txt: line 2: could not convert string to float: 'long'"),
     "text_non_finite": (lambda p: _read_text_matrices(p, "video\tv\t1.0\ncolumns\ta\ninf\n"),
-                        ValueError, "m.txt: matrix for video 'v' holds a non-finite value"),
+                        ValueError, "m.txt: matrix for video 'v' must be finite"),
     # float32 signalling NaN: numpy warns when it casts one to float64
     "binary_signalling_nan": (lambda p: _read_binary_matrix(p, struct.pack("<I", 0x7FA00000)),
-                              ValueError, "m.tgmx: matrix for video 'v' holds a non-finite value"),
+                              ValueError, "m.tgmx: matrix for video 'v' must be finite"),
 }
 
 
@@ -523,7 +550,7 @@ class TestMatrixContainers:
 
     def test_validation(self, tmp_path):
         path = tmp_path / "m.txt"
-        with pytest.raises(ValueError, match="2-D"):
+        with pytest.raises(ValueError, match=re.escape("'v' must have shape (n, m), got (0, 0)")):
             write_matrices_text([MatrixRecord("v", 2.0, (), np.zeros((0, 0)))], path)
         with pytest.raises(ValueError, match="column names"):
             write_matrices_text([MatrixRecord("v", 2.0, ("a",), np.zeros((2, 2)))], path)
@@ -636,11 +663,11 @@ BAD_WRITES = {
     "non_finite_binary_matrix": (write_matrices_binary, lambda: [
         MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
         MatrixRecord("vb", 2.0, ("c0",), np.array([[0.5], [np.nan]]))],
-        "matrix for video 'vb' holds a non-finite value"),
+        "matrix for video 'vb' must be finite"),
     "non_finite_text_matrix": (write_matrices_text, lambda: [
         MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
         MatrixRecord("vb", 2.0, ("c0",), np.array([[0.5], [-np.inf]]))],
-        "matrix for video 'vb' holds a non-finite value"),
+        "matrix for video 'vb' must be finite"),
     "binary_matrix_past_float32": (write_matrices_binary, lambda: [
         MatrixRecord("va", 2.0, ("c0",), np.zeros((2, 1))),
         MatrixRecord("vb", 2.0, ("c0",), np.array([[0.5], [1e39]]))],
@@ -792,6 +819,28 @@ class TestRewriteInPlace:
         short(link)
         assert link.is_symlink()
         assert target.read_bytes() == expected
+
+
+def test_failed_write_empties_the_file_and_names_it(tmp_path, monkeypatch):
+    # os.write fails after the first part: the file holds neither its old bytes nor a mix
+    path = tmp_path / "out"
+    path.write_bytes(b"old bytes\n" * 100)
+    real_write = os.write
+    written = []
+
+    def write_once(fd, data):
+        if written:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        written.append(bytes(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(formats.os, "write", write_once)
+    with pytest.raises(OSError) as info:
+        formats._write_file(path, [b"first part\n", b"second part\n"])
+    monkeypatch.undo()
+    assert written == [b"first part\n"]
+    assert info.value.errno == errno.ENOSPC and info.value.filename == str(path)
+    assert path.stat().st_size == 0
 
 
 def test_jsonl_writer_holds_about_one_copy_of_its_file(tmp_path):

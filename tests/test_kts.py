@@ -322,6 +322,14 @@ class TestValidation:
     def test_overflowing_scatter(self):
         with pytest.raises(ValueError, match="overflows"):
             kts_segment(features=np.full((4, 2), 1e200))
+        # finite entries whose prefix sums pass float64's range
+        with pytest.raises(ValueError, match="overflows"):
+            kts_segment(gram=np.full((4, 4), 1e308))
+        # an overflow only in the last of three row blocks of the check
+        f = np.ones((600, 2))
+        f[-5:] = 1e200
+        with pytest.raises(ValueError, match="overflows"):
+            kts_segment(features=f, max_segments=60, max_clips=10)
 
     def test_bad_limits(self):
         f = np.ones((4, 2))

@@ -307,8 +307,17 @@ class TestRoundTrip:
 
 # input checks no other test reaches: the call, its exception type and its message
 INPUT_CHECKS = {
-    "curve_finite": (lambda: CurveAnnotation([0.5, np.nan]), ValueError,
-                     "curve values must be finite"),
+    "curve_finite": (lambda: CurveAnnotation([0.5, np.nan]), ValueError, "curve must be finite"),
+    "curve_string_entry": (lambda: CurveAnnotation(["0.5"]), ValueError,
+                           "curve must be an array of numbers"),
+    "curve_shape": (lambda: CurveAnnotation([[0.1, 0.2]]), ValueError,
+                    "curve must have shape (n,), got (1, 2)"),
+    "points_empty": (lambda: PointAnnotation(()), ValueError,
+                     "timestamps must have shape (n,), got (0,)"),
+    "points_string": (lambda: PointAnnotation(("3",)), ValueError,
+                      "timestamps must be an array of numbers"),
+    "points_negative": (lambda: PointAnnotation((-1.0,)), ValueError,
+                        "timestamps must be non-negative"),
     "bin_width_zero": (lambda: bin_index([0.5], 0.0), ValueError,
                        "bin width must lie in (0, 1], got 0.0"),
     "bin_width_above_one": (lambda: bin_index([0.5], 1.5), ValueError,

@@ -94,37 +94,40 @@ INPUT_CHECKS = {
     "weights_beta": (lambda: LossWeights(smooth_l1_beta=0),
                      "smooth_l1_beta must be positive, got 0.0"),
     "embeddings_ndim": (lambda: EmbeddingBatch(np.ones((2, 3)), np.ones((2, 3))),
-                        "clip embeddings must be (B, L, D), got shape (2, 3)"),
+                        "clip_embeddings must have shape (n, m, k), got (2, 3)"),
     "embeddings_sentence_shape": (lambda: EmbeddingBatch(np.ones((2, 3, 4)), np.ones((2, 3))),
-                                  "sentence embeddings shape (2, 3) does not match (2, 4)"),
+                                  "sentence_embeddings must have shape (2, 4), got (2, 3)"),
     "embeddings_finite": (lambda: EmbeddingBatch(np.full((1, 2, 2), np.nan), np.ones((1, 2))),
-                          "embeddings must be finite"),
+                          "clip_embeddings must be finite"),
     "foreground_ndim": (lambda: foreground_loss(np.zeros(0), np.zeros(0)),
-                        "logits must be non-empty 1-D, got shape (0,)"),
+                        "logits must have shape (n,), got (0,)"),
     "foreground_target_shape": (lambda: foreground_loss(np.zeros(3), [0, 1]),
-                                "target shape (2,) does not match logits (3,)"),
+                                "targets must have shape (3,), got (2,)"),
     "foreground_binary": (lambda: foreground_loss(np.zeros(2), [0, 2]), "targets must be 0 or 1"),
     "foreground_finite": (lambda: foreground_loss([0.0, np.inf], [0, 1]),
                           "logits must be finite"),
     "smooth_l1_beta": (lambda: smooth_l1(1.0, beta=0), "beta must be positive, got 0"),
     "boundary_shape": (lambda: boundary_loss(np.zeros((3, 2)), label_of([1, 0, 0, 1]),
                                              ClipTimeline(4, 1.0)),
-                       "predicted offsets shape (3, 2) does not match (4, 2)"),
+                       "pred_offsets must have shape (4, 2), got (3, 2)"),
     "boundary_finite": (lambda: boundary_loss(np.full((2, 2), np.nan), label_of([1, 0]),
                                               ClipTimeline(2, 1.0)),
-                        "predicted offsets must be finite"),
+                        "pred_offsets must be finite"),
     "intra_shape": (lambda: saliency_intra_loss(np.zeros(3), label_of([1, 0, 0, 1])),
-                    "cosines shape (3,) does not match label length 4"),
+                    "cosines must have shape (4,), got (3,)"),
     "intra_finite": (lambda: saliency_intra_loss([np.nan, 0.0], label_of([1, 0])),
                      "cosines must be finite"),
     "inter_shape": (lambda: saliency_inter_loss(np.zeros((2, 3))),
-                    "pairing matrix must be square and non-empty, got shape (2, 3)"),
+                    "pair_cosines must be square, got shape (2, 3)"),
+    "inter_string_entry": (lambda: saliency_inter_loss([["0.5"]]),
+                           "pair_cosines must be an array of numbers"),
     "inter_finite": (lambda: saliency_inter_loss([[0.0, np.nan], [0.0, 0.0]]),
-                     "pairing cosines must be finite"),
+                     "pair_cosines must be finite"),
     "total_batch_size": (lambda: _total(timelines=[ClipTimeline(2, 1.0)]),
                          "preds, labels, timelines, and embeddings must agree on batch size"),
-    "total_empty": (lambda: _total(b=0, emb=EmbeddingBatch(np.ones((0, 2, 2)), np.ones((0, 2)))),
-                    "empty batch"),
+    # an empty batch has no embeddings to build, so total_loss never sees one
+    "total_empty": (lambda: EmbeddingBatch(np.ones((0, 2, 2)), np.ones((0, 2))),
+                    "clip_embeddings must have shape (n, m, k), got (0, 2, 2)"),
     "total_clip_count": (lambda: _total(timelines=[ClipTimeline(2, 1.0), ClipTimeline(3, 1.0)]),
                          "all records must share the embedding clip count"),
     "cosine_zero_norm": (_zero_clip_embedding_row, "zero-norm embeddings have no cosine"),

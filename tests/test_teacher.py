@@ -113,7 +113,7 @@ class TestPseudoLabels:
 # input checks no other test reaches: the call, its exception type and its message
 INPUT_CHECKS = {
     "shape": (lambda: SimilarityMatrix(np.zeros(3), ("a",)), ValueError,
-              "similarity matrix must be 2-D and non-empty, got shape (3,)"),
+              "similarity values must have shape (n, m), got (3,)"),
     "finite": (lambda: SimilarityMatrix([[0.5, np.nan]], ("a", "b")), ValueError,
                "similarity values must be finite"),
     "name_count": (lambda: SimilarityMatrix(np.zeros((3, 2)), ("a",)), ValueError,

@@ -362,7 +362,7 @@ def _eval_summary(pairs) -> dict:
         concepts = {i: cs for i, cs in enumerate(rec.clip_concepts)}
         item = SummaryEvalItem(
             tuple(result["selected_clips"]),
-            tuple(int(i) for i in rec.label.foreground_indices),
+            tuple(rec.label.foreground_indices),
             concepts,
             f"{rec.video_id}/{rec.query_id}",
         )

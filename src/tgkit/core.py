@@ -59,6 +59,17 @@ def _check_type(name: str, value, rule: tuple) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def _checked_number(name: str, value, kind=float):
+    """``value`` as a Python ``kind`` (float or int) once ``_JSON_TYPES[kind]`` accepts it.
+
+    A numpy scalar is read as its Python value, so ``np.int64`` and ``np.float32``
+    pass and ``np.bool_`` does not; a refusal is ``_check_type``'s ``ValueError``.
+    """
+    value = value.item() if isinstance(value, np.generic) else value
+    _check_type(name, value, _JSON_TYPES[kind])
+    return kind(value)
+
+
 def _checked_array(name: str, value, shape: tuple) -> np.ndarray:
     """``value`` as a new float64 array of ``shape`` with finite entries, or a ``ValueError``.
 
@@ -135,13 +146,13 @@ class ClipTimeline:
     clip_len: float
 
     def __post_init__(self):
-        if not isinstance(self.num_clips, (int, np.integer)) or self.num_clips < 1:
+        _set(self, "num_clips", _checked_number("num_clips", self.num_clips, int))
+        if self.num_clips < 1:
             raise ValueError(f"num_clips must be a positive integer, got {self.num_clips!r}")
         if self.num_clips > MAX_CLIPS:
             raise ValueError(f"{self.num_clips} clips exceed the limit of {MAX_CLIPS} (MAX_CLIPS)")
-        _set(self, "num_clips", int(self.num_clips))
-        _set(self, "clip_len", float(self.clip_len))
-        if not math.isfinite(self.clip_len) or self.clip_len <= 0:
+        _set(self, "clip_len", _checked_number("clip_len", self.clip_len))
+        if self.clip_len <= 0:
             raise ValueError(f"clip_len must be positive and finite, got {self.clip_len!r}")
 
     @classmethod
@@ -152,8 +163,8 @@ class ClipTimeline:
         ``duration`` computes it, does not pass ``duration``; so a grid's own
         duration gives back its clip count.
         """
-        duration = float(duration)
-        if not math.isfinite(duration) or duration <= 0:
+        duration = _checked_number("duration", duration)
+        if duration <= 0:
             raise ValueError(f"duration must be positive and finite, got {duration!r}")
         clip_len = cls(1, clip_len).clip_len
         ratio = duration / clip_len  # may be one clip off that count
@@ -195,10 +206,8 @@ class Interval:
     end: float
 
     def __post_init__(self):
-        _set(self, "start", float(self.start))
-        _set(self, "end", float(self.end))
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ValueError(f"interval endpoints must be finite, got ({self.start}, {self.end})")
+        _set(self, "start", _checked_number("start", self.start))
+        _set(self, "end", _checked_number("end", self.end))
         if self.start > self.end:
             raise ValueError(f"interval start {self.start} exceeds end {self.end}")
 
@@ -219,9 +228,9 @@ class ScoredInterval:
     score: float
 
     def __post_init__(self):
-        _set(self, "score", float(self.score))
-        if not math.isfinite(self.score):
-            raise ValueError(f"score must be finite, got {self.score!r}")
+        if not isinstance(self.interval, Interval):
+            raise ValueError(f"interval must be an Interval, got {self.interval!r}")
+        _set(self, "score", _checked_number("score", self.score))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (ClipTimeline, GroundingWarning, Interval, PredictionSet, ScoredInterval,
-                   _check_clips, _checked_array, _rank_order, _set, _spans)
+                   _check_clips, _checked_array, _checked_number, _rank_order, _set, _spans)
 from .losses import sigmoid
 from .metrics import _iou_array
 
@@ -48,7 +48,7 @@ class _Candidates(Sequence):
         return len(self.scores)
 
     def __getitem__(self, i) -> ScoredInterval:
-        return ScoredInterval(Interval(self.start[i], self.end[i]), float(self.scores[i]))
+        return ScoredInterval(Interval(self.start[i], self.end[i]), self.scores[i])
 
 
 def nms_1d(
@@ -71,7 +71,7 @@ def nms_1d(
     """
     if not 0 < iou_threshold <= 1:
         raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
-    if top_k is not None and top_k < 1:
+    if top_k is not None and _checked_number("top_k", top_k, int) < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if isinstance(candidates, _Candidates):
         cands, start, end, scores = candidates, candidates.start, candidates.end, candidates.scores
@@ -161,15 +161,15 @@ class SegmentList:
     change_points: tuple
 
     def __post_init__(self):
+        _set(self, "num_clips", _checked_number("num_clips", self.num_clips, int))
         if self.num_clips < 1:
             raise ValueError(f"num_clips must be >= 1, got {self.num_clips}")
-        cps = tuple(int(c) for c in self.change_points)
+        cps = tuple(_checked_number("change_points", c, int) for c in self.change_points)
         if any(not 0 < c < self.num_clips for c in cps):
             raise ValueError(f"change points must lie strictly inside (0, {self.num_clips})")
         if any(a >= b for a, b in zip(cps, cps[1:])):
             raise ValueError("change points must be strictly ascending")
         _set(self, "change_points", cps)
-        _set(self, "num_clips", int(self.num_clips))
 
     @property
     def num_segments(self) -> int:
@@ -201,18 +201,22 @@ def _scatter_band(gram: np.ndarray, width: int) -> np.ndarray:
     return band
 
 
-def _feature_band(features: np.ndarray, width: int) -> np.ndarray:
-    """``_scatter_band`` of the linear kernel F F^T, without building it.
+def _prefix_sums(features: np.ndarray) -> tuple:
+    """Prefix sums of the feature rows and of their squared norms, each from a 0 row."""
+    sums = np.zeros((features.shape[0] + 1, features.shape[1]))
+    np.cumsum(features, axis=0, out=sums[1:])
+    return sums, np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->i", features, features))))
+
+
+def _feature_band(sums: np.ndarray, norm_csum: np.ndarray, width: int) -> np.ndarray:
+    """``_scatter_band`` of the linear kernel F F^T, from F's ``_prefix_sums``.
 
     For a linear kernel the block sum over a segment is the squared norm of
     the segment's feature sum, and the trace is the sum of squared row
     norms, so prefix sums of the features give every entry in
     O(n * (width + dim)) memory.
     """
-    n = features.shape[0]
-    sums = np.zeros((n + 1, features.shape[1]))
-    np.cumsum(features, axis=0, out=sums[1:])
-    norm_csum = np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->i", features, features))))
+    n = sums.shape[0] - 1
     band = np.full((n, width), np.inf)
     for w in range(width):
         seg = sums[w + 1:] - sums[:n - w]
@@ -314,17 +318,18 @@ def kts_segment(
             )
         m_hi = num_segments
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        band = _feature_band(k, width) if features is not None else _scatter_band(k, width)
-    del k  # the DP needs only the band, so the checked copy of the input goes first
-    finite = 0
-    mask = np.empty((min(n, _KTS_BLOCK), width), dtype=bool)  # one row block, not the band
-    for a in range(0, n, _KTS_BLOCK):
-        rows = band[a:a + _KTS_BLOCK]
-        finite += np.count_nonzero(np.isfinite(rows, out=mask[:len(rows)]))
-    if finite != width * n - width * (width - 1) // 2:
-        raise ValueError("segment scatter overflows float64; scale the features down")
-
-    cost, first_end = _kts_tables(band, m_hi)
+        if gram is None:
+            k = _prefix_sums(k)  # the band needs only these, so the checked features go first
+        band = _feature_band(*k, width) if gram is None else _scatter_band(k, width)
+        del k  # the DP needs only the band
+        finite = 0
+        mask = np.empty((min(n, _KTS_BLOCK), width), dtype=bool)  # one row block, not the band
+        for a in range(0, n, _KTS_BLOCK):
+            rows = band[a:a + _KTS_BLOCK]
+            finite += np.count_nonzero(np.isfinite(rows, out=mask[:len(rows)]))
+        if finite != width * n - width * (width - 1) // 2:
+            raise ValueError("segment scatter overflows float64; scale the features down")
+        cost, first_end = _kts_tables(band, m_hi)  # a cost sum that overflows is infeasible
     if num_segments is not None:
         chosen = num_segments
     else:
@@ -354,8 +359,9 @@ class SummarySelection:
     segment_scores: tuple
 
     def __post_init__(self):
-        _set(self, "clips", tuple(int(c) for c in self.clips))
-        _set(self, "segment_scores", tuple(float(s) for s in self.segment_scores))
+        _set(self, "clips", tuple(_checked_number("clips", c, int) for c in self.clips))
+        _set(self, "segment_scores",
+             tuple(_checked_number("segment_scores", s) for s in self.segment_scores))
 
 
 def decode_summary(
@@ -383,5 +389,4 @@ def decode_summary(
     budget = max(1, int(math.floor(budget_fraction * n)))
     ranked = _rank_order(scores)[:budget]
     reduce = np.mean if segment_aggregate == "mean" else np.max
-    seg_scores = tuple(float(reduce(scores[a:b])) for a, b in segments.segments())
-    return SummarySelection(tuple(int(i) for i in ranked), seg_scores)
+    return SummarySelection(ranked, [reduce(scores[a:b]) for a, b in segments.segments()])

@@ -90,7 +90,7 @@ def _random_label(rng: np.random.Generator, n: int) -> UnifiedLabel:
 def _make_foreground(rng):
     n = 6
     targets = (rng.random(n) < 0.5).astype(float)
-    w = LossWeights(lambda_f=float(rng.uniform(0.5, 2.0)))
+    w = LossWeights(lambda_f=rng.uniform(0.5, 2.0))
     inputs = {"logits": rng.uniform(-4.0, 4.0, n)}
     background = _background_weights(targets, w)
 
@@ -104,12 +104,12 @@ def _make_foreground(rng):
 def _make_boundary(l1: bool):
     def make(rng):
         n = 6
-        timeline = ClipTimeline(n, float(rng.uniform(0.5, 2.0)))
+        timeline = ClipTimeline(n, rng.uniform(0.5, 2.0))
         label = _random_label(rng, n)
         if l1:
-            w = LossWeights(lambda_l1=float(rng.uniform(0.5, 2.0)), lambda_iou=0.0)
+            w = LossWeights(lambda_l1=rng.uniform(0.5, 2.0), lambda_iou=0.0)
         else:
-            w = LossWeights(lambda_l1=0.0, lambda_iou=float(rng.uniform(0.5, 2.0)))
+            w = LossWeights(lambda_l1=0.0, lambda_iou=rng.uniform(0.5, 2.0))
         offsets = label.offsets + rng.uniform(-2.0, 2.0, (n, 2))
         inputs = {"offsets": offsets}
         labels = _boundary_labels(timeline.timestamps(), label.offsets, label.foreground == 1)
@@ -126,7 +126,7 @@ def _make_boundary(l1: bool):
 def _make_intra(rng):
     n = 8
     label = _random_label(rng, n)
-    w = LossWeights(tau=float(rng.uniform(0.05, 0.2)))
+    w = LossWeights(tau=rng.uniform(0.05, 0.2))
     positive = sample_positive(label, rng)
     inputs = {"cosines": rng.uniform(-1.0, 1.0, n)}
     pool = _contrastive_pools(label.foreground[None], label.saliency[None], np.array([positive]))[0]
@@ -141,7 +141,7 @@ def _make_intra(rng):
 
 def _make_inter(rng):
     b = 4
-    w = LossWeights(tau=float(rng.uniform(0.05, 0.2)))
+    w = LossWeights(tau=rng.uniform(0.05, 0.2))
     inputs = {"pair_cosines": rng.uniform(-1.0, 1.0, (b, b))}
     target = _infonce_targets(np.arange(b), b, w.tau)
 
@@ -183,14 +183,7 @@ def _make_total(rng):
     timelines = [ClipTimeline(n, 1.0) for _ in range(b)]
     labels = [_random_label(rng, n) for _ in range(b)]
     positives = np.array([sample_positive(lab, rng) for lab in labels])
-    w = LossWeights(
-        lambda_f=float(rng.uniform(0.5, 1.5)),
-        lambda_l1=float(rng.uniform(0.5, 1.5)),
-        lambda_iou=float(rng.uniform(0.5, 1.5)),
-        lambda_inter=float(rng.uniform(0.5, 1.5)),
-        lambda_intra=float(rng.uniform(0.5, 1.5)),
-        tau=float(rng.uniform(0.07, 0.2)),
-    )
+    w = LossWeights(*rng.uniform(0.5, 1.5, 5), tau=rng.uniform(0.07, 0.2))  # the five lambdas
     aggregation = "per_video" if rng.random() < 0.5 else "per_clip"
     batch = _LossBatch(labels, timelines, w, positives, aggregation)
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (ClipTimeline, GroundingWarning, Interval, UnifiedLabel, _check_clips,
-                   _checked_array, _frozen, _set)
+                   _checked_array, _checked_number, _frozen, _set)
 
 DEFAULT_BIN_WIDTH = 0.05
 
@@ -81,7 +81,8 @@ def _check_inside(timeline: ClipTimeline, annotation, duration: float | None = N
     if isinstance(annotation, CurveAnnotation):
         _check_clips(timeline, "curve", len(annotation))
         return
-    end = timeline.duration if duration is None else max(timeline.duration, float(duration))
+    end = (timeline.duration if duration is None
+           else max(timeline.duration, _checked_number("duration", duration)))
     if isinstance(annotation, PointAnnotation):
         for t in annotation.timestamps:
             if t > end:
@@ -150,7 +151,7 @@ def bin_index(values, bin_width: float = DEFAULT_BIN_WIDTH) -> np.ndarray:
     """Quantised bin of each curve value."""
     if not 0 < bin_width <= 1:
         raise ValueError(f"bin width must lie in (0, 1], got {bin_width}")
-    v = np.asarray(values, dtype=np.float64)
+    v = _checked_array("values", values, (None,))
     return np.floor(v / bin_width + _BIN_EPS).astype(np.int64)
 
 

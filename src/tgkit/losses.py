@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,6 +50,7 @@ from .core import (
     UnifiedLabel,
     _check_clips,
     _checked_array,
+    _checked_number,
     _frozen,
     _set,
     _spans,
@@ -75,14 +76,11 @@ class LossWeights:
     smooth_l1_beta: float = 1.0
 
     def __post_init__(self):
-        for name in ("lambda_f", "lambda_l1", "lambda_iou", "lambda_inter", "lambda_intra"):
-            v = float(getattr(self, name))
-            _set(self, name, v)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {v}")
-        _set(self, "tau", float(self.tau))
-        _set(self, "neg_weight", float(self.neg_weight))
-        _set(self, "smooth_l1_beta", float(self.smooth_l1_beta))
+        for f in fields(self):
+            v = _checked_number(f.name, getattr(self, f.name))
+            _set(self, f.name, v)
+            if f.name.startswith("lambda_") and v < 0:
+                raise ValueError(f"{f.name} must be finite and non-negative, got {v}")
         if not 0 < self.tau:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0 <= self.neg_weight <= 1:

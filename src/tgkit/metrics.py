@@ -13,7 +13,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Interval, ScoredInterval, _checked_array, _concept_sets, _rank_order, _set
+from .core import (Interval, ScoredInterval, _checked_array, _checked_number, _concept_sets,
+                   _rank_order, _set)
 
 DEFAULT_MAP_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 DEFAULT_RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
@@ -106,12 +107,13 @@ class SummaryEvalItem:
     query_id: str = ""
 
     def __post_init__(self):
-        pred = tuple(sorted(int(i) for i in set(self.predicted_clips)))
-        gt = tuple(sorted(int(i) for i in set(self.gt_clips)))
+        pred = tuple(sorted({_checked_number("predicted_clips", i, int)
+                             for i in self.predicted_clips}))
+        gt = tuple(sorted({_checked_number("gt_clips", i, int) for i in self.gt_clips}))
         if any(i < 0 for i in pred + gt):
             raise ValueError("clip indices must be non-negative")
-        concepts = dict(zip(map(int, self.clip_concepts),
-                            _concept_sets(self.clip_concepts.values())))
+        concepts = {_checked_number("clip_concepts key", i, int): c for i, c in
+                    zip(self.clip_concepts, _concept_sets(self.clip_concepts.values()))}
         missing = [i for i in pred + gt if i not in concepts]
         if missing:
             raise ValueError(f"concept map missing clips {sorted(set(missing))}")
@@ -136,7 +138,7 @@ def _checked_thresholds(items: Sequence[MomentEvalItem], thresholds, what: str) 
 
     Zero items, or an item without a ground truth, is refused too.
     """
-    thresholds = tuple(float(t) for t in thresholds)
+    thresholds = tuple(_checked_number("thresholds", t) for t in thresholds)
     if any(not 0 < t <= 1 for t in thresholds):
         raise ValueError(f"thresholds must lie in (0, 1], got {thresholds}")
     if len(set(thresholds)) < len(thresholds):

@@ -16,6 +16,7 @@ from tgkit.core import (
     ScoredInterval,
     UnifiedLabel,
     _checked_array,
+    _checked_number,
     boundary_of,
 )
 
@@ -243,6 +244,45 @@ class TestCheckedArray:
         assert pred.saliency.tolist() == [1.0]
 
 
+class TestCheckedNumber:
+    @pytest.mark.parametrize("value, kind, expected", [
+        (3, float, 3.0), (0.25, float, 0.25), (np.float32(0.5), float, 0.5),
+        (np.float64(-1.5), float, -1.5), (np.int64(4), float, 4.0), (7, int, 7),
+        (np.int64(4), int, 4), (np.uint8(200), int, 200), (2**70, int, 2**70),
+    ], ids=["int_as_float", "float", "float32", "float64", "int64_as_float", "int", "int64",
+            "uint8", "big_int"])
+    def test_python_value(self, value, kind, expected):
+        got = _checked_number("x", value, kind)
+        assert type(got) is kind and got == expected
+
+    @pytest.mark.parametrize("value, kind, message", [
+        ("0", float, "x must be a finite number, got '0'"),
+        (True, float, "x must be a finite number, got True"),
+        (np.bool_(False), float, "x must be a finite number, got False"),
+        (math.inf, float, "x must be a finite number, got inf"),
+        (np.float32("nan"), float, "x must be a finite number, got nan"),
+        (10**400, float, f"x must be a finite number, got {10**400!r}"),
+        (None, float, "x must be a finite number, got None"),
+        (3.7, int, "x must be an integer, got 3.7"),
+        (4.0, int, "x must be an integer, got 4.0"),
+        (np.bool_(True), int, "x must be an integer, got True"),
+        ("3", int, "x must be an integer, got '3'"),
+    ], ids=["string", "bool", "numpy_bool", "inf", "numpy_nan", "int_past_float", "none",
+            "fraction_as_int", "float_as_int", "numpy_bool_as_int", "string_as_int"])
+    def test_refusal(self, value, kind, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _checked_number("x", value, kind)
+
+    def test_numpy_scalars_construct(self):
+        tl = ClipTimeline(np.int64(4), 1)
+        assert (tl.num_clips, tl.clip_len) == (4, 1.0)
+        assert type(tl.num_clips) is int and type(tl.clip_len) is float
+        iv = Interval(np.float32(0.5), 1)
+        assert (iv.start, iv.end) == (0.5, 1.0) and type(iv.start) is float
+        si = ScoredInterval(iv, np.float64(0.25))
+        assert type(si.score) is float and si.score == 0.25
+
+
 class TestRecords:
     def test_query_kind_checked(self):
         Query("a storm hits", "sentence")
@@ -269,7 +309,32 @@ def _label(n=2):
 # input checks no other test reaches: the call, its exception type and its message
 INPUT_CHECKS = {
     "interval_finite": (lambda: Interval(0.0, math.inf), ValueError,
-                        "interval endpoints must be finite, got (0.0, inf)"),
+                        "end must be a finite number, got inf"),
+    "interval_string": (lambda: Interval("0", "2"), ValueError,
+                        "start must be a finite number, got '0'"),
+    "interval_order": (lambda: Interval(2, 1), ValueError, "interval start 2.0 exceeds end 1.0"),
+    "scored_interval_tuple": (lambda: ScoredInterval((0, 1), 0.5), ValueError,
+                              "interval must be an Interval, got (0, 1)"),
+    "scored_interval_string": (lambda: ScoredInterval(Interval(0, 1), "0.5"), ValueError,
+                               "score must be a finite number, got '0.5'"),
+    "scored_interval_nan": (lambda: ScoredInterval(Interval(0, 1), math.nan), ValueError,
+                            "score must be a finite number, got nan"),
+    "timeline_bool_clips": (lambda: ClipTimeline(True, 1.0), ValueError,
+                            "num_clips must be an integer, got True"),
+    "timeline_float_clips": (lambda: ClipTimeline(4.0, 1.0), ValueError,
+                             "num_clips must be an integer, got 4.0"),
+    "timeline_no_clips": (lambda: ClipTimeline(0, 1.0), ValueError,
+                          "num_clips must be a positive integer, got 0"),
+    "timeline_string_clip_len": (lambda: ClipTimeline(4, "1"), ValueError,
+                                 "clip_len must be a finite number, got '1'"),
+    "timeline_infinite_clip_len": (lambda: ClipTimeline(4, math.inf), ValueError,
+                                   "clip_len must be a finite number, got inf"),
+    "timeline_zero_clip_len": (lambda: ClipTimeline(4, 0), ValueError,
+                               "clip_len must be positive and finite, got 0.0"),
+    "duration_string": (lambda: ClipTimeline.from_duration("8", 2.0), ValueError,
+                        "duration must be a finite number, got '8'"),
+    "duration_negative": (lambda: ClipTimeline.from_duration(-1, 2.0), ValueError,
+                          "duration must be positive and finite, got -1.0"),
     "label_ndim": (lambda: make_label(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2)),
                    ValueError, "foreground must have shape (n,), got (2, 2)"),
     "label_finite": (lambda: make_label([1], [[math.nan, 1.0]], [1.0]), ValueError,

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from tgkit.decode import (
     highlight_scores,
     nms_1d,
 )
-from tgkit.decode import SegmentList, _Candidates
+from tgkit.decode import SegmentList, _Candidates, kts_segment
 from tgkit.losses import sigmoid
 
 from oracles import nms_oracle
@@ -326,3 +327,99 @@ class TestDecodeSummary:
         assert isinstance(out, SummarySelection)
         assert all(isinstance(c, int) for c in out.clips)
         assert all(isinstance(s, float) for s in out.segment_scores)
+
+
+def _pred(n):
+    return PredictionSet(np.zeros(n), np.zeros((n, 2)), np.zeros(n))
+
+
+def _five_candidates():
+    return scored([(0, 1, 0.9), (2, 3, 0.8), (4, 5, 0.7), (6, 7, 0.6), (8, 9, 0.5)])
+
+
+def _costs_overflow_gram():
+    """A non-PSD 4 x 4 Gram whose scatter band is finite but whose two-segment costs overflow.
+
+    Its prefix sums stay finite, so the band check passes: with ``max_clips``
+    2, segments [0, 1] and [2, 3] each have scatter d + a, about 1.29e308,
+    and their sum, the only split into two segments, overflows to inf.
+    """
+    a, d = 0.85e308, 0.44e308
+    return np.array([[d, -a, a, 0], [-a, d, 0, a], [a, 0, d, -a], [0, a, -a, d]])
+
+
+# every refusal of tgkit.decode: the call and the message of the ValueError it raises
+INPUT_CHECKS = {
+    "nms_threshold": (lambda: nms_1d([], 0), "iou_threshold must lie in (0, 1], got 0"),
+    "nms_top_k_zero": (lambda: nms_1d([], 0.7, top_k=0), "top_k must be >= 1, got 0"),
+    "nms_top_k_float": (lambda: nms_1d(_five_candidates(), 0.7, top_k=2.5),
+                        "top_k must be an integer, got 2.5"),
+    "nms_top_k_bool": (lambda: nms_1d(_five_candidates(), 0.7, top_k=True),
+                       "top_k must be an integer, got True"),
+    "nms_candidate_type": (lambda: nms_1d([(0, 1, 0.5)]),
+                           "candidates must be ScoredInterval instances"),
+    "moments_top_k_float": (lambda: decode_moments(_pred(6), ClipTimeline(6, 1.0), top_k=2.5),
+                            "top_k must be an integer, got 2.5"),
+    "moments_clip_count": (lambda: decode_moments(_pred(3), ClipTimeline(4, 1.0)),
+                           "prediction covers 3 clips but the timeline has 4"),
+    "highlight_mode": (lambda: highlight_scores(_pred(2), "s_only"),
+                       "unknown highlight mode 's_only'; expected one of ('f_plus_s', 'f_only')"),
+    "highlights_k": (lambda: decode_highlights(_pred(2), k=0), "k must be >= 1, got 0"),
+    "segments_no_clips": (lambda: SegmentList(0, ()), "num_clips must be >= 1, got 0"),
+    "segments_float_clips": (lambda: SegmentList(10.0, ()),
+                             "num_clips must be an integer, got 10.0"),
+    "segments_float_change_point": (lambda: SegmentList(10, (3.7,)),
+                                    "change_points must be an integer, got 3.7"),
+    "segments_string_change_point": (lambda: SegmentList(10, ("3",)),
+                                     "change_points must be an integer, got '3'"),
+    "segments_outside": (lambda: SegmentList(10, (10,)),
+                         "change points must lie strictly inside (0, 10)"),
+    "segments_unordered": (lambda: SegmentList(10, (5, 3)),
+                           "change points must be strictly ascending"),
+    "kts_two_inputs": (lambda: kts_segment(), "provide exactly one of features or gram"),
+    "kts_features_shape": (lambda: kts_segment(features=np.zeros(4)),
+                           "features must have shape (n, m), got (4,)"),
+    "kts_gram_square": (lambda: kts_segment(gram=np.zeros((2, 3))),
+                        "gram matrix must be square and symmetric, got shape (2, 3)"),
+    "kts_segment_limits": (lambda: kts_segment(features=np.zeros((4, 2)), max_clips=0),
+                           "max_segments and max_clips must be >= 1"),
+    "kts_penalty": (lambda: kts_segment(features=np.zeros((4, 2)), penalty=-1.0),
+                    "penalty must be non-negative, got -1.0"),
+    "kts_too_many_clips": (lambda: kts_segment(features=np.zeros((7, 2)), max_segments=3,
+                                               max_clips=2),
+                           "7 clips cannot be covered by 3 segments of at most 2 clips"),
+    "kts_num_segments": (lambda: kts_segment(features=np.zeros((4, 2)), num_segments=5),
+                         "num_segments=5 infeasible; must lie in [1, 4]"),
+    "kts_band_overflow": (lambda: kts_segment(features=np.full((3, 2), 1e300)),
+                          "segment scatter overflows float64; scale the features down"),
+    "kts_costs_overflow": (lambda: kts_segment(gram=_costs_overflow_gram(), max_segments=2,
+                                               max_clips=2),
+                           "no feasible segmentation into 2 segments"),
+    "kts_costs_overflow_pinned": (lambda: kts_segment(gram=_costs_overflow_gram(), max_clips=2,
+                                                      num_segments=2),
+                                  "no feasible segmentation into 2 segments"),
+    "selection_float_clip": (lambda: SummarySelection((1.5,), ()),
+                             "clips must be an integer, got 1.5"),
+    "selection_string_score": (lambda: SummarySelection((1,), ("0.5",)),
+                               "segment_scores must be a finite number, got '0.5'"),
+    "summary_budget": (lambda: decode_summary(_pred(2), SegmentList(2, ()), budget_fraction=0.0),
+                       "budget_fraction must lie in (0, 1], got 0.0"),
+    "summary_aggregate": (lambda: decode_summary(_pred(2), SegmentList(2, ()),
+                                                 segment_aggregate="median"),
+                          "unknown segment aggregate 'median'; expected one of ('mean', 'max')"),
+    "summary_clip_count": (lambda: decode_summary(_pred(2), SegmentList(3, ())),
+                           "segments cover 3 clips but prediction has 2"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError
+
+
+def test_integer_top_k_still_limits():
+    assert len(nms_1d(_five_candidates(), 0.7, top_k=2)) == 2
+    assert len(decode_moments(_pred(6), ClipTimeline(6, 1.0), top_k=np.int64(3))) == 3

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgkit import decode
-from tgkit.decode import SegmentList, _feature_band, _kts_tables, _scatter_band, kts_segment
+from tgkit.decode import (SegmentList, _feature_band, _kts_tables, _prefix_sums, _scatter_band,
+                          kts_segment)
 
 from oracles import (kts_fixed_m_oracle, kts_penalty_oracle, kts_tables_reference,
                      segment_cost_oracle)
@@ -179,7 +180,7 @@ class TestFeatureBand:
             for scale in (1e-3, 1.0, 1e3):
                 f = scale * (rng.normal(size=(n, 16)) + 3 * rng.normal(size=16))
                 width = min(n, int(rng.integers(1, 201)))
-                free = _feature_band(f, width)
+                free = _feature_band(*_prefix_sums(f), width)
                 gram = _scatter_band(f @ f.T, width)
                 finite = np.isfinite(gram)
                 assert np.array_equal(np.isfinite(free), finite)
@@ -230,7 +231,7 @@ class TestBandMinimum:
                 f = rng.integers(0, 2, size=(n, 2)).astype(float)
             else:
                 f = rng.normal(size=(n, 4))
-            band = _feature_band(f, width)
+            band = _feature_band(*_prefix_sums(f), width)
             cost, first_end = _kts_tables(band, m_hi)
             expect_cost, expect_end = kts_tables_reference(band, m_hi)
             assert np.array_equal(cost, expect_cost[:, 0])
@@ -257,7 +258,7 @@ class TestBandMinimum:
     def test_identical_where_rows_are_skipped(self):
         # width * m < n for m < 8, so the first levels skip their leading rows
         f = np.random.default_rng(19).normal(size=(300, 4))
-        band = _feature_band(f, 40)
+        band = _feature_band(*_prefix_sums(f), 40)
         cost, first_end = _kts_tables(band, 20)
         expect_cost, expect_end = kts_tables_reference(band, 20)
         assert np.array_equal(cost, expect_cost[:, 0])
@@ -274,7 +275,7 @@ class TestBandMinimum:
                 f = rng.integers(0, 2, size=(n, 2)).astype(float)
             else:
                 f = rng.normal(size=(n, 4))
-            band = _feature_band(f, width)
+            band = _feature_band(*_prefix_sums(f), width)
             expect_cost, expect_end = kts_tables_reference(band, m_hi)
             feasible = np.isfinite(expect_cost)
             for block in (decode._KTS_BLOCK, 1, 7, 64):
@@ -285,7 +286,7 @@ class TestBandMinimum:
 
     def test_no_band_sized_work_array(self):
         # the band minimum runs over row blocks in one small buffer
-        band = _feature_band(np.random.default_rng(31).normal(size=(2000, 4)), 200)
+        band = _feature_band(*_prefix_sums(np.random.default_rng(31).normal(size=(2000, 4))), 200)
         assert band.shape[0] > 4 * decode._KTS_BLOCK
         tracemalloc.start()
         try:

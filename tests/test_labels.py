@@ -247,6 +247,13 @@ class TestFromPoints:
         assert [(iv.start, iv.end) for iv in intervals_of(tl, labs[0])] == [(0.0, 6.0)]
         assert [(iv.start, iv.end) for iv in intervals_of(tl, labs[1])] == [(6.0, 14.0)]
 
+    @pytest.mark.parametrize("points", [(2.0, 10.0), np.array([10.0, 2.0]), iter([2.0, 10.0, 2.0])],
+                             ids=["tuple", "array", "iterator"])
+    def test_plain_sequence_reads_as_an_annotation(self, points):
+        tl = ClipTimeline(10, 2.0)
+        want = [lab.foreground.tolist() for lab in from_points(tl, PointAnnotation((2.0, 10.0)))]
+        assert [lab.foreground.tolist() for lab in from_points(tl, points)] == want
+
     def test_single_point_uses_double_clip_span(self):
         tl = ClipTimeline(10, 2.0)
         (lab,) = from_points(tl, PointAnnotation((9.0,)))
@@ -322,6 +329,16 @@ INPUT_CHECKS = {
                        "bin width must lie in (0, 1], got 0.0"),
     "bin_width_above_one": (lambda: bin_index([0.5], 1.5), ValueError,
                             "bin width must lie in (0, 1], got 1.5"),
+    "bin_string_value": (lambda: bin_index(["0.5"]), ValueError,
+                         "values must be an array of numbers"),
+    "bin_nan_value": (lambda: bin_index([0.5, np.nan]), ValueError, "values must be finite"),
+    "bin_shape": (lambda: bin_index(0.5), ValueError, "values must have shape (n,), got ()"),
+    "interval_string_pair": (lambda: from_intervals(ClipTimeline(4, 1.0), [("0", "2")]),
+                             ValueError, "start must be a finite number, got '0'"),
+    "duration_string": (lambda: from_intervals(ClipTimeline(4, 1.0), [(0, 2)], duration="5"),
+                        ValueError, "duration must be a finite number, got '5'"),
+    "duration_nan": (lambda: from_points(ClipTimeline(4, 1.0), [1.0], duration=np.nan),
+                     ValueError, "duration must be a finite number, got nan"),
 }
 
 

@@ -93,6 +93,21 @@ def _zero_clip_embedding_row():
 INPUT_CHECKS = {
     "weights_beta": (lambda: LossWeights(smooth_l1_beta=0),
                      "smooth_l1_beta must be positive, got 0.0"),
+    "weights_string_tau": (lambda: LossWeights(tau="0.1"),
+                           "tau must be a finite number, got '0.1'"),
+    "weights_bool_lambda": (lambda: LossWeights(lambda_iou=True),
+                            "lambda_iou must be a finite number, got True"),
+    "weights_nan_lambda": (lambda: LossWeights(lambda_f=np.nan),
+                           "lambda_f must be a finite number, got nan"),
+    "weights_negative_lambda": (lambda: LossWeights(lambda_intra=-1),
+                                "lambda_intra must be finite and non-negative, got -1.0"),
+    "weights_infinite_neg_weight": (lambda: LossWeights(neg_weight=np.inf),
+                                    "neg_weight must be a finite number, got inf"),
+    "weights_neg_weight_range": (lambda: LossWeights(neg_weight=1.5),
+                                 "neg_weight must lie in [0, 1], got 1.5"),
+    "weights_numpy_bool_beta": (lambda: LossWeights(smooth_l1_beta=np.bool_(True)),
+                                "smooth_l1_beta must be a finite number, got True"),
+    "weights_tau_range": (lambda: LossWeights(tau=0), "tau must be positive, got 0.0"),
     "embeddings_ndim": (lambda: EmbeddingBatch(np.ones((2, 3)), np.ones((2, 3))),
                         "clip_embeddings must have shape (n, m, k), got (2, 3)"),
     "embeddings_sentence_shape": (lambda: EmbeddingBatch(np.ones((2, 3, 4)), np.ones((2, 3))),

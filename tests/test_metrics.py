@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -609,3 +610,65 @@ class TestSummaryEvalItem:
             SummaryEvalItem((-1,), (0,), {0: set()})
         with pytest.raises(ValueError):
             SummaryEvalItem((0,), (1,), {0: set()})
+
+
+def _one_moment():
+    return [moment_item([(0, 1, 0.5)], [(0, 1)])]
+
+
+# every refusal of tgkit.metrics: the call and the message of the ValueError it raises
+INPUT_CHECKS = {
+    "moment_prediction_type": (lambda: MomentEvalItem("q", ((0, 1, 0.5),), ()),
+                               "predictions must be ScoredInterval instances"),
+    "moment_truth_type": (lambda: MomentEvalItem("q", (), ((0, 1),)),
+                          "ground truths must be Interval instances"),
+    "highlight_shape": (lambda: HighlightEvalItem("q", [[0.5]], [1]),
+                        "clip_scores must have shape (n,), got (1, 1)"),
+    "highlight_string_score": (lambda: HighlightEvalItem("q", ["0.5"], [1]),
+                               "clip_scores must be an array of numbers"),
+    "highlight_binary": (lambda: HighlightEvalItem("q", [0.5], [2]),
+                         "gt_positive entries must be binary"),
+    "summary_float_clip": (lambda: SummaryEvalItem((1.9,), (1,), {1: ["a"]}),
+                           "predicted_clips must be an integer, got 1.9"),
+    "summary_bool_reference": (lambda: SummaryEvalItem((1,), (True,), {1: ["a"]}),
+                               "gt_clips must be an integer, got True"),
+    "summary_string_key": (lambda: SummaryEvalItem((1,), (1,), {"1": ["a"]}),
+                           "clip_concepts key must be an integer, got '1'"),
+    "summary_negative_clip": (lambda: SummaryEvalItem((-1,), (0,), {0: ["a"]}),
+                              "clip indices must be non-negative"),
+    "summary_missing_clip": (lambda: SummaryEvalItem((0,), (1, 2), {0: ["a"]}),
+                             "concept map missing clips [1, 2]"),
+    "summary_string_concepts": (lambda: SummaryEvalItem((0,), (0,), {0: "dog"}),
+                                "a clip's concepts must be a list of strings, got 'dog'"),
+    "summary_no_reference": (lambda: qfvs_f1(SummaryEvalItem((0,), (), {0: ["a"]}, "v/q")),
+                             "item 'v/q' has no foreground clips"),
+    "thresholds_bool": (lambda: moment_map(_one_moment(), thresholds=(True,)),
+                        "thresholds must be a finite number, got True"),
+    "thresholds_string": (lambda: recall_at_k(_one_moment(), thresholds=("0.5",)),
+                          "thresholds must be a finite number, got '0.5'"),
+    "thresholds_range": (lambda: moment_map(_one_moment(), thresholds=(0,)),
+                         "thresholds must lie in (0, 1], got (0.0,)"),
+    "thresholds_repeat": (lambda: recall_at_k(_one_moment(), thresholds=(0.5, 0.5)),
+                          "thresholds must not repeat, got (0.5, 0.5)"),
+    "recall_zero_items": (lambda: recall_at_k([]), "recall over zero items is undefined"),
+    "map_no_truth": (lambda: moment_map([moment_item([], [])]), "item 'q' has no ground truths"),
+    "recall_k": (lambda: recall_at_k(_one_moment(), k=0), "k must be >= 1, got 0"),
+    "highlight_zero_items": (lambda: highlight_map([]),
+                             "highlight mAP over zero items is undefined"),
+    "highlight_no_positive": (lambda: hit_at_1([HighlightEvalItem("v/q", [0.5], [0])]),
+                              "item 'v/q' has no positive clips"),
+    "weights_object": (lambda: max_weight_matching(np.array([[1.5]], dtype=object)),
+                       "an object array of weights must hold Python ints"),
+    "weights_ndim": (lambda: max_weight_matching(np.zeros(3)),
+                     "weights must be 2-D, got shape (3,)"),
+    "weights_negative": (lambda: max_weight_matching([[-1.0]]),
+                         "weights must be finite and non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError

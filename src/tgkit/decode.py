@@ -139,6 +139,7 @@ def decode_highlights(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE,
     A caller that already holds ``highlight_scores(pred, mode)`` passes it as
     ``scores`` so the clip scores are computed once.
     """
+    k = _checked_number("k", k, int)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if scores is None:
@@ -299,6 +300,11 @@ def kts_segment(
     k = _checked_array(name, value, (None, None))  # one row per clip
     if gram is not None and (k.shape[0] != k.shape[1] or not np.allclose(k, k.T, atol=1e-8)):
         raise ValueError(f"gram matrix must be square and symmetric, got shape {k.shape}")
+    max_segments = _checked_number("max_segments", max_segments, int)
+    max_clips = _checked_number("max_clips", max_clips, int)
+    penalty = _checked_number("penalty", penalty)
+    if num_segments is not None:
+        num_segments = _checked_number("num_segments", num_segments, int)
     if max_segments < 1 or max_clips < 1:
         raise ValueError("max_segments and max_clips must be >= 1")
     if penalty < 0:
@@ -329,7 +335,8 @@ def kts_segment(
             finite += np.count_nonzero(np.isfinite(rows, out=mask[:len(rows)]))
         if finite != width * n - width * (width - 1) // 2:
             raise ValueError("segment scatter overflows float64; scale the features down")
-        cost, first_end = _kts_tables(band, m_hi)  # a cost sum that overflows is infeasible
+        # every count in [m_lo, m_hi] has a split, so an infinite cost is an overflow
+        cost, first_end = _kts_tables(band, m_hi)
     if num_segments is not None:
         chosen = num_segments
     else:
@@ -341,7 +348,8 @@ def kts_segment(
                 best_crit = crit
                 chosen = m
     if not np.isfinite(cost[chosen]):
-        raise ValueError(f"no feasible segmentation into {chosen} segments")
+        raise ValueError(f"segment costs overflow float64 for {chosen} segments; "
+                         "scale the features down")
 
     change_points = []
     i = 0

@@ -31,7 +31,7 @@ import numpy as np
 from .core import ClipTimeline, UnifiedLabel
 from .losses import (
     LossWeights,
-    _background_weights,
+    _bce_labels,
     _boundary_kink,
     _boundary_labels,
     _boundary_term,
@@ -43,6 +43,7 @@ from .losses import (
     _inter_term,
     _intra_term,
     _LossBatch,
+    _pool_offsets,
     _smooth_l1_kink,
     _total_loss_arrays,
     sample_positive,
@@ -92,10 +93,10 @@ def _make_foreground(rng):
     targets = (rng.random(n) < 0.5).astype(float)
     w = LossWeights(lambda_f=rng.uniform(0.5, 2.0))
     inputs = {"logits": rng.uniform(-4.0, 4.0, n)}
-    background = _background_weights(targets, w)
+    labels = _bce_labels(targets, w)
 
     def evaluate(ins):
-        value, grad = _foreground_term(ins["logits"], targets, background, w)
+        value, grad = _foreground_term(ins["logits"], labels, w)
         return value, {"logits": grad}
 
     return inputs, evaluate, lambda ins: math.inf
@@ -129,11 +130,12 @@ def _make_intra(rng):
     w = LossWeights(tau=rng.uniform(0.05, 0.2))
     positive = sample_positive(label, rng)
     inputs = {"cosines": rng.uniform(-1.0, 1.0, n)}
-    pool = _contrastive_pools(label.foreground[None], label.saliency[None], np.array([positive]))[0]
+    pool = _contrastive_pools(label.foreground[None], label.saliency[None], np.array([positive]))
+    pool_offsets = _pool_offsets(pool[0])
     target = _infonce_targets(positive, n, w.tau)
 
     def evaluate(ins):
-        value, grad = _intra_term(ins["cosines"], pool, target, w.tau)
+        value, grad = _intra_term(ins["cosines"], pool_offsets, target, w.tau)
         return value, {"cosines": grad}
 
     return inputs, evaluate, lambda ins: math.inf

@@ -9,14 +9,16 @@ finite-difference checker validates them at random non-kink points.
 Each term has one implementation, a helper over a (B, L) batch of B videos
 of L clips.  The weighted total evaluates all four in one masked pass
 (``_total_loss_arrays``): the boundary terms are computed for the foreground
-clips alone, a per-row pool mask selects each positive's contrastive negatives, and the
-cross-video term is a row-wise log-sum-exp.  Everything that depends on the
-labels alone is validated and built once per batch in a ``_LossBatch``:
-targets and background weights, the foreground clips' centres, target
-offsets and spans, foreground counts, contrastive pools, the one-hot targets of both
+clips alone, a per-row pool offset (0 or -inf) leaves everything but each
+positive's contrastive negatives out of its softmax, and the cross-video term
+is a row-wise log-sum-exp.  Everything that depends on the labels alone is
+validated and built once per batch in a ``_LossBatch``: the BCE's logit signs
+and weights, the foreground clips' index, centres, target offsets, spans and
+span lengths, foreground counts, contrastive pool offsets, the targets of both
 InfoNCE terms with their 1/tau gradient shares, and the aggregation scales.
-An evaluation then computes only what depends on the predictions.  The batch
-also warns once per degenerate video when it is built.  The public
+An evaluation then computes only what depends on the predictions, in as few
+numpy calls as keep every bit of the frozen copy in ``tests/oracles.py``.
+The batch also warns once per degenerate video when it is built.  The public
 ``foreground_loss``, ``boundary_loss``, ``saliency_intra_loss`` and
 ``saliency_inter_loss`` are B=1 calls into the same helpers and build their
 label-side values the same way.
@@ -135,51 +137,67 @@ class EmbeddingBatch:
         return self.clip_embeddings.shape[2]
 
 
-def _sigmoid_pair(x, e):
-    """sigma(x) and sigma(-x) from ``e = exp(-|x|)``, which cannot overflow.
+def _sigmoid(x, e):
+    """sigma(x) from ``e = exp(-|x|)``, which cannot overflow.
 
-    Each side is 1 / (1 + e) where its own argument is non-negative and
-    e / (1 + e) elsewhere; at x = 0 both forms give 1/2.
+    It is 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere; the numerator
+    max(e, [x >= 0]) is 1 on the first side, since e <= 1, and e on the
+    other.  At x = 0 both forms give 1/2.
     """
-    d = 1.0 + e
-    large, small = 1.0 / d, e / d
-    pos = x >= 0
-    return np.where(pos, large, small), np.where(pos, small, large)
+    numerator = np.maximum(e, x >= 0.0)
+    numerator /= 1.0 + e
+    return numerator
 
 
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    return _sigmoid_pair(x, np.exp(-np.abs(x)))[0]
+    return _sigmoid(x, np.exp(-np.abs(x)))
 
 
-def _softplus_pair(x, nax):
-    """log(1 + e^x) and log(1 + e^-x) from one ``np.logaddexp(0, nax)``, ``nax = -|x|``.
+def _softplus(s, nax):
+    """log(1 + e^s) from ``np.logaddexp(0, nax)``, ``nax = -|s|``.
 
-    Each side is max(+-x, 0) plus that term and equals ``np.logaddexp(0, +-x)``
-    bit for bit: logaddexp adds log1p(exp(.)) of the same value to the same
-    argument either way.  (log1p(exp(-|x|)) through the vectorised ufuncs
-    differs near 0.)
+    It is max(s, 0) plus that term and equals ``np.logaddexp(0, s)`` bit for
+    bit: logaddexp adds log1p(exp(.)) of the same value to the same argument.
+    (log1p(exp(-|s|)) through the vectorised ufuncs differs near 0.)  So one
+    term serves s = x and s = -x alike.
     """
-    t = np.logaddexp(0.0, nax)
-    return np.maximum(x, 0.0) + t, t - np.minimum(x, 0.0)
+    out = np.maximum(s, 0.0)
+    out += np.logaddexp(0.0, nax)
+    return out
 
 
-def _background_weights(f, w: LossWeights):
-    """Per-clip weight of the background side of the BCE: ``neg_weight`` where f = 0."""
-    return w.neg_weight * (1.0 - f)
+class _BCELabels(NamedTuple):
+    """What the foreground term reads of its 0/1 targets ``f``; ``_bce_labels`` builds it.
 
-
-def _foreground_term(x, f, background, w: LossWeights):
-    """Row means of the weighted BCE, shape (B,), and its gradient w.r.t. ``x``.
-
-    ``f`` holds the targets and ``background`` their ``_background_weights``.
+    A clip's weighted BCE is ``weight * softplus(sign * x)``: -log sigma(x)
+    where f = 1, ``neg_weight`` times -log sigma(-x) where f = 0.
     """
+
+    sign: np.ndarray  # 1 - 2f
+    weight: np.ndarray  # 1 where f = 1, neg_weight where f = 0
+    grad_weight: np.ndarray  # -1 where f = 1, neg_weight where f = 0
+
+
+def _bce_labels(f, w: LossWeights) -> _BCELabels:
+    positive = f == 1
+    return _BCELabels(1.0 - 2.0 * f, np.where(positive, 1.0, w.neg_weight),
+                      np.where(positive, -1.0, w.neg_weight))
+
+
+def _foreground_term(x, labels: _BCELabels, w: LossWeights):
+    """Row means of the weighted BCE, shape (B,), and its gradient w.r.t. ``x``."""
     n = x.shape[-1]
-    nax = -np.abs(x)
-    up, down = _softplus_pair(x, nax)
-    per_clip = w.lambda_f * (f * down + background * up)
-    p, q = _sigmoid_pair(x, np.exp(nax))
-    grad = w.lambda_f * (background * p - f * q) / n
+    s = labels.sign * x
+    nax = np.abs(x)
+    np.negative(nax, out=nax)
+    per_clip = _softplus(s, nax)
+    per_clip *= labels.weight
+    per_clip *= w.lambda_f
+    grad = labels.grad_weight * _sigmoid(s, np.exp(nax))
+    grad += 0.0  # -sigma that underflowed to -0 reads +0, as 0 - sigma does
+    grad *= w.lambda_f
+    grad /= n
     return np.add.reduce(per_clip, -1) / n, grad
 
 
@@ -194,8 +212,7 @@ def foreground_loss(logits, targets, weights: LossWeights = LossWeights()) -> Lo
     f = _checked_array("targets", targets, x.shape)
     if not np.isin(f, (0.0, 1.0)).all():
         raise ValueError("targets must be 0 or 1")
-    f = f[None]
-    value, grad = _foreground_term(x[None], f, _background_weights(f, weights), weights)
+    value, grad = _foreground_term(x[None], _bce_labels(f[None], weights), weights)
     return LossReport(float(value[0]), {"logits": grad[0]})
 
 
@@ -217,15 +234,14 @@ def _smooth_l1(x, beta: float):
     """``smooth_l1`` on a float array, without the checks.
 
     Both ``np.where`` branches are computed for every entry, so the quadratic
-    one squares q = min(|x|, beta) and takes its slope from copysign(q, x):
-    it cannot overflow where it is discarded, and where it is kept it equals
-    0.5 * x * x / beta and x / beta bit for bit.
+    one squares x clipped to [-beta, beta]: it cannot overflow where it is
+    discarded, and where it is kept it equals 0.5 * x * x / beta bit for bit.
+    The clipped x over beta is the derivative on both sides: x / beta inside,
+    and exactly sign(x) outside.
     """
     ax = np.abs(x)
-    inner = ax < beta
-    q = np.minimum(ax, beta)
-    value = np.where(inner, 0.5 * q * q / beta, ax - 0.5 * beta)
-    return value, np.where(inner, np.copysign(q, x) / beta, np.sign(x))
+    q = np.minimum(np.maximum(x, -beta), beta)
+    return np.where(ax < beta, 0.5 * q * q / beta, ax - 0.5 * beta), q / beta
 
 
 def _smooth_l1_kink(x, beta: float) -> float:
@@ -233,7 +249,7 @@ def _smooth_l1_kink(x, beta: float) -> float:
     return float(np.min(np.abs(np.abs(x) - beta)))
 
 
-def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
+def _giou_endpoints(a_lo, a_hi, b_lo, b_hi, b_length=None):
     """Generalised IoU of ordered 1-D intervals and its partials w.r.t. ``a``, vectorised.
 
     Takes float arrays and returns (value, d/da_lo, d/da_hi).  The partials
@@ -243,22 +259,27 @@ def _giou_endpoints(a_lo, a_hi, b_lo, b_hi):
     callers that need verified gradients must stay off the tie set.
 
     A pair is regular when its hull and union are both positive; only pairs
-    of zero-length intervals are not.  The formulas are written once: any
+    of zero-length intervals are not: the union of two ordered intervals is
+    positive unless both lengths are 0.  The formulas are written once: any
     other pair enters them with union and hull 1, so no division fails, and
-    then takes its fixed value (1 for the same point twice, -1 for two points)
-    and zero partials.  A batch of regular pairs, as in every ``fit`` call,
-    skips both steps.
+    then takes its fixed value (1 for the same point twice, -1 for two
+    points) and zero partials.  A batch of regular pairs, as in every ``fit``
+    call, skips both steps.  A caller whose ``b`` stays fixed and has positive
+    lengths ``b_hi - b_lo`` may pass them as ``b_length``: every pair is then
+    regular without a check.
     """
     inter_raw = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
-    live = inter_raw > 0
+    live = inter_raw > 0.0
     inter = np.where(live, inter_raw, 0.0)
-    u = (a_hi - a_lo) + (b_hi - b_lo) - inter  # union
+    u = a_hi - a_lo  # union
+    u += b_hi - b_lo if b_length is None else b_length
+    u -= inter
     h = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)  # hull
 
-    degenerate = h <= 0  # both intervals collapse to the same point
-    regular = ~degenerate & (u > 0)  # the rest: two distinct degenerate points
-    all_regular = regular.all()
+    all_regular = b_length is not None or u.size == 0 or u.min() > 0
     if not all_regular:
+        degenerate = h <= 0  # both intervals collapse to the same point
+        regular = ~degenerate & (u > 0)  # the rest: two distinct degenerate points
         u, h = np.where(regular, u, 1.0), np.where(regular, h, 1.0)
 
     # On the regular set an endpoint's partial is di/u + du*(1/h - i/u^2) - dh*u/h^2,
@@ -304,26 +325,39 @@ class _BoundaryLabels(NamedTuple):
     """What the boundary term reads of its labels; ``_boundary_labels`` builds it.
 
     Only foreground clips are scored, so the per-clip arrays hold those
-    clips alone, in C order of the (B, L) foreground mask.
+    clips alone, in C order of the foreground mask, whose shape is ``grid``:
+    (L,) for one video or (B, L) for a batch.  The (F, 2) arrays match the
+    clips' offsets in shape, so no evaluation broadcasts them.
     """
 
-    clips: tuple  # (..., rows, cols): picks the foreground clips from (..., B, L)
-    pairs: tuple  # the same, from (..., B, L, 2)
-    times: np.ndarray  # (F,) clip centres
+    grid: tuple
+    index: np.ndarray  # (F,) the foreground clips on the flat grid
+    times: np.ndarray  # (F, 2) clip centres, twice
+    sides: np.ndarray  # (F, 2) -1 and 1: an interval is times + sides * offsets
     gt: np.ndarray  # (F, 2) target offsets
     gt_start: np.ndarray  # (F,) target spans
     gt_end: np.ndarray
+    gt_length: np.ndarray | None  # (F,) their lengths, if every one is positive
     count: np.ndarray  # (B,) foreground counts floored at 1
-    clip_count: np.ndarray  # (F, 1), each clip's row count
+    clip_count: np.ndarray  # (F, 2), each clip's row count
 
 
 def _boundary_labels(times, gt, fg) -> _BoundaryLabels:
-    index = np.nonzero(fg)
+    index = np.flatnonzero(fg)
     count = np.maximum(fg.sum(axis=-1), 1.0)
-    times, gt = times[index], gt[index]
+    times, gt = times.reshape(-1)[index], gt.reshape(-1, 2)[index]
     gt_start, gt_end, _, _ = _spans(times, gt)
-    return _BoundaryLabels((Ellipsis, *index), (Ellipsis, *index, slice(None)), times, gt,
-                           gt_start, gt_end, count, count[index[:-1]][..., None])
+    length = gt_end - gt_start
+    pair = np.ones_like(gt)
+    return _BoundaryLabels(fg.shape, index, times[:, None] * pair, pair * (-1.0, 1.0), gt,
+                           gt_start, gt_end, length if (length > 0).all() else None, count,
+                           count[np.nonzero(fg)[:-1]][..., None] * pair)
+
+
+def _foreground_offsets(d_hat, labels: _BoundaryLabels):
+    """The foreground clips' rows of (..., *grid, 2) offsets, shape (..., F, 2)."""
+    lead = d_hat.shape[:d_hat.ndim - len(labels.grid) - 1]
+    return d_hat.reshape(lead + (-1, 2)).take(labels.index, axis=-2)
 
 
 def _boundary_term(d_hat, labels: _BoundaryLabels, w: LossWeights):
@@ -333,23 +367,34 @@ def _boundary_term(d_hat, labels: _BoundaryLabels, w: LossWeights):
     each row is averaged over its own foreground count, and every other
     clip gets zero gradient.
     """
-    d = d_hat[labels.pairs]
+    d = _foreground_offsets(d_hat, labels)
     l1_val, l1_der = _smooth_l1(d - labels.gt, w.smooth_l1_beta)
 
-    pr_s, pr_e, lo, hi = _spans(labels.times, d)
-    g_val, dg_lo, dg_hi = _giou_endpoints(lo, hi, labels.gt_start, labels.gt_end)
+    span = labels.sides * d
+    span += labels.times  # start t - d0 and end t + d1
+    start, end = span[..., 0], span[..., 1]
+    g_val, dg_lo, dg_hi = _giou_endpoints(np.minimum(start, end), np.maximum(start, end),
+                                          labels.gt_start, labels.gt_end, labels.gt_length)
+    # chain through the ordering: start takes lo's partial where start < end, and
+    # end takes it where end < start; every other endpoint takes hi's
+    dg = np.where(span < span[..., ::-1], dg_lo[..., None], dg_hi[..., None])
+    dg *= labels.sides
 
-    # chain through the ordering: lo/hi pick one of (pr_s, pr_e) each
-    dg = np.empty(d.shape)
-    dg[..., 0] = np.where(pr_s < pr_e, dg_lo, dg_hi)
-    np.negative(dg[..., 0], out=dg[..., 0])  # pr_s = t - d0
-    dg[..., 1] = np.where(pr_e < pr_s, dg_lo, dg_hi)  # pr_e = t + d1
+    # the sum of a row's two entries, as np.add.reduce forms it for entries >= 0
+    fg_clip = l1_val[..., 0] + l1_val[..., 1]
+    fg_clip *= w.lambda_l1
+    fg_clip += w.lambda_iou * (1.0 - g_val)
+    fg_grad = w.lambda_l1 * l1_der
+    fg_grad -= w.lambda_iou * dg
+    fg_grad /= labels.clip_count
 
-    per_clip = np.zeros(d_hat.shape[:-1])
-    per_clip[labels.clips] = w.lambda_l1 * np.add.reduce(l1_val, -1) + w.lambda_iou * (1.0 - g_val)
-    grad = np.zeros(d_hat.shape)
-    grad[labels.pairs] = (w.lambda_l1 * l1_der - w.lambda_iou * dg) / labels.clip_count
-    return np.add.reduce(per_clip, -1) / labels.count, grad
+    lead = d.shape[:-2]
+    per_clip = np.zeros(lead + (math.prod(labels.grid),))
+    per_clip[..., labels.index] = fg_clip
+    grad = np.zeros(lead + (per_clip.shape[-1], 2))
+    grad[..., labels.index, :] = fg_grad
+    return (np.add.reduce(per_clip.reshape(lead + labels.grid), -1) / labels.count,
+            grad.reshape(d_hat.shape))
 
 
 def _boundary_kink(d_hat, labels: _BoundaryLabels, w: LossWeights) -> float:
@@ -358,10 +403,10 @@ def _boundary_kink(d_hat, labels: _BoundaryLabels, w: LossWeights) -> float:
     These are the smooth-L1 seams and, for gIoU, where a predicted interval
     flips its ordering or meets a ``_giou_kink`` tie with its target.
     """
-    d = d_hat[labels.pairs]
+    d = _foreground_offsets(d_hat, labels)
     dist = _smooth_l1_kink(d - labels.gt, w.smooth_l1_beta) if w.lambda_l1 > 0 else math.inf
     if w.lambda_iou > 0:
-        pr_s, pr_e, lo, hi = _spans(labels.times, d)
+        pr_s, pr_e, lo, hi = _spans(labels.times[:, 0], d)
         dist = min(dist, float(np.min(np.abs(pr_s - pr_e))),
                    _giou_kink(lo, hi, labels.gt_start, labels.gt_end))
     return dist
@@ -433,10 +478,36 @@ def _cosine_with_grads(v, s, nv, ns):
     return c, backward
 
 
+def _row_cosines_with_grads(v, s, nv, ns):
+    """Cosine of each row of ``v`` (..., M, D) against the one row ``s`` (..., D), and its backward.
+
+    ``_cosine_with_grads`` for one row of ``s``, without that row's axis:
+    the cosines are (..., M), and so is ``backward``'s upstream gradient.
+    Every output has the same bits, although the gradient w.r.t. ``v``
+    skips the sum of each cosine's factor over that one row: the sum only
+    turns -0 into +0, and what the factor scales is subtracted from einsum's
+    sum, which starts from +0 and so is never -0.
+    """
+    nvs = nv * ns[..., None]
+    c = np.add.reduce(v * s[..., None, :], -1) / nvs
+
+    def backward(g, s_grad=True, out=None):
+        a = g / nvs
+        k = g * c
+        gv = np.subtract(np.einsum("...mn,...nd->...md", a[..., None], s[..., None, :]),
+                         (k / nv**2)[..., None] * v, out=out)
+        if not s_grad:
+            return gv, None
+        gs = np.einsum("...m,...md->...d", a, v) - (np.add.reduce(k, -1) / ns**2)[..., None] * s
+        return gv, gs
+
+    return c, backward
+
+
 def saliency_cosines(emb: EmbeddingBatch) -> np.ndarray:
     """Cosine of every clip embedding against its own sentence, shape (B, L)."""
-    v, s = emb.clip_embeddings, emb.sentence_embeddings[:, None, :]
-    return _cosine_with_grads(v, s, _row_norms(v), _row_norms(s))[0][..., 0]
+    v, s = emb.clip_embeddings, emb.sentence_embeddings
+    return _row_cosines_with_grads(v, s, _row_norms(v), _row_norms(s))[0]
 
 
 def _eligible(foreground):
@@ -476,42 +547,59 @@ def _contrastive_pools(foreground, saliency, positives):
     return pool
 
 
-class _InfoNCETargets(NamedTuple):
-    """One-hot target columns of InfoNCE rows; ``_infonce_targets`` builds them."""
+def _pool_offsets(pool):
+    """0 on a (..., L) contrastive pool and -inf off it, to be added to the pool's scores."""
+    return np.where(pool, 0.0, -np.inf)
 
-    mask: np.ndarray  # (..., K), one True per row
-    grad: np.ndarray  # the mask as 1/tau and 0, the target's share of the gradient
+
+class _InfoNCETargets(NamedTuple):
+    """Target columns of InfoNCE rows; ``_infonce_targets`` builds them."""
+
+    index: np.ndarray  # each row's target on the flat grid of the rows' (..., K) scores
+    grad: np.ndarray  # 1/tau at the targets and 0 elsewhere, the targets' share of the gradient
 
 
 def _infonce_targets(targets, k: int, tau: float) -> _InfoNCETargets:
-    mask = np.asarray(targets)[..., None] == np.arange(k)
-    return _InfoNCETargets(mask, np.where(mask, 1.0 / tau, 0.0))
+    targets = np.asarray(targets)
+    mask = targets[..., None] == np.arange(k)
+    return _InfoNCETargets(np.flatnonzero(mask).reshape(targets.shape),
+                           np.where(mask, 1.0 / tau, 0.0))
 
 
 def _infonce_rows(scores, target: _InfoNCETargets, tau: float):
     """Softmax cross-entropy of each row's ``target`` column of ``scores``.
 
-    ``scores`` is (..., K) at temperature ``tau`` and ``target`` broadcasts
-    against it; an entry of -inf is left out of its row's softmax.  Returns
-    the per-row losses (...,) and their gradient.  A row whose only finite
-    entry is its target scores exactly 0 with zero gradient.
+    ``scores`` is (..., K) at temperature ``tau``, with the rows of
+    ``target`` on its trailing axes; an entry of -inf is left out of its
+    row's softmax.  Returns the per-row losses (...,) and their gradient.  A
+    row whose only finite entry is its target scores exactly 0 with zero
+    gradient.
     """
     z = scores / tau
     peak = np.maximum.reduce(z, -1, keepdims=True)
-    lse = peak + np.log(np.add.reduce(np.exp(z - peak), -1, keepdims=True))
-    grad = np.exp(z - lse) / tau - target.grad
-    # one True per row; summing it out of zeros picks the target's z exactly
-    return lse[..., 0] - np.add.reduce(np.where(target.mask, z, 0.0), -1), grad
+    lse = np.log(np.add.reduce(np.exp(z - peak), -1, keepdims=True))
+    lse += peak
+    grad = np.subtract(z, lse)
+    np.exp(grad, out=grad)
+    grad /= tau
+    grad -= target.grad
+    # the target's z itself; summed out of zeros it would differ only as -0 against +0,
+    # and lse (never -0) minus either zero is lse
+    rows = z.reshape(z.shape[:z.ndim - target.index.ndim - 1] + (-1,))
+    return lse[..., 0] - rows.take(target.index, axis=-1), grad
 
 
-def _intra_term(cosines, pool, target: _InfoNCETargets, tau: float):
+def _intra_term(cosines, pool_offsets, target: _InfoNCETargets, tau: float):
     """Within-video InfoNCE per row, shape (..., B), and its gradient.
 
     Row b scores its positive clip, the ``target`` column, against the clips
-    of ``pool[b]``: the positive itself and every clip of strictly lower
-    saliency.
+    of its pool: the positive itself and every clip of strictly lower
+    saliency, where ``pool_offsets`` (``_pool_offsets``) is 0.  Adding them
+    reads a cosine of -0 as +0, which changes no output: a zero score only
+    ever meets a peak, a log-sum-exp or an exp that gives the same bits for
+    either sign.
     """
-    return _infonce_rows(np.where(pool, cosines, -np.inf), target, tau)
+    return _infonce_rows(cosines + pool_offsets, target, tau)
 
 
 def _inter_term(pair_cosines, target: _InfoNCETargets, tau: float):
@@ -521,7 +609,8 @@ def _inter_term(pair_cosines, target: _InfoNCETargets, tau: float):
     """
     b = pair_cosines.shape[-1]
     losses, grad = _infonce_rows(pair_cosines, target, tau)
-    return np.add.reduce(losses, -1) / b, grad / b
+    grad /= b
+    return np.add.reduce(losses, -1) / b, grad
 
 
 def saliency_intra_loss(
@@ -543,7 +632,7 @@ def saliency_intra_loss(
         positive = sample_positive(label, np.random.default_rng(rng_seed))
     pool = _contrastive_pools(label.foreground[None], label.saliency[None], np.array([positive]))
     target = _infonce_targets([positive], c.shape[0], weights.tau)
-    value, grad = _intra_term(c[None], pool, target, weights.tau)
+    value, grad = _intra_term(c[None], _pool_offsets(pool), target, weights.tau)
     return LossReport(
         float(value[0]), {"cosines": grad[0]},
         {"positive": positive, "num_negatives": int(pool.sum()) - 1},
@@ -572,14 +661,16 @@ class _LossBatch:
     caller has already matched up: checks that every contrastive positive is
     eligible and builds every value that depends on the labels alone, so an
     evaluation computes only what depends on the predictions.  These are the
-    targets and their background weights; the foreground clips' index,
-    centres, target offsets and target spans, and the foreground counts; the
-    contrastive pool masks and the one-hot targets of both InfoNCE terms;
-    ``arange(B)`` and the positives' indices on the flat B * L grid; and the
-    per-video aggregation scales.  A video whose positive has no negative
-    raises its ``GroundingWarning`` here, once, not on every evaluation.
-    Every positive is a foreground clip, so no video's boundary term is
-    vacuous.
+    BCE's logit signs, value weights and gradient weights (``_BCELabels``);
+    the foreground clips' flat index, centres, target offsets, target spans
+    and their lengths, and the foreground counts (``_BoundaryLabels``); the
+    contrastive pool offsets and the targets of both InfoNCE terms, as flat
+    indices and 1/tau gradient shares; ``arange(B)`` and the positives, also
+    on the flat B * L grid; and the per-video aggregation scales, as vectors
+    and as columns of the per-clip arrays.  A video whose positive has no
+    negative raises its ``GroundingWarning`` here, once, not on every
+    evaluation.  Every positive is a foreground clip, so no video's boundary
+    term is vacuous.
     """
 
     def __init__(
@@ -592,7 +683,6 @@ class _LossBatch:
     ):
         b, l = len(labels), len(labels[0])
         positives = np.asarray(positives, dtype=np.int64)
-        rows = np.arange(b)
         fg = np.stack([lab.foreground for lab in labels]) == 1
         pool = _contrastive_pools(fg, np.stack([lab.saliency for lab in labels]), positives)
         boundary = _boundary_labels(
@@ -615,19 +705,22 @@ class _LossBatch:
             scale_inter = weights.lambda_inter * b / (b * l)
 
         self.weights = weights
-        self.rows = rows
+        self.rows = np.arange(b)
         self.positives = positives
-        self.flat_positives = rows * l + positives  # the positives on the flat B * L grid
-        self.targets = fg.astype(np.float64)
-        self.background = _background_weights(self.targets, weights)
+        self.flat_positives = np.arange(b) * l + positives  # the positives on the flat B * L grid
+        self.bce = _bce_labels(fg.astype(np.float64), weights)
         self.boundary = boundary
-        self.pool = pool
+        self.pool_offsets = _pool_offsets(pool)
         self.intra_target = _infonce_targets(positives, l, weights.tau)
-        self.inter_target = _infonce_targets(rows, b, weights.tau)
+        self.inter_target = _infonce_targets(np.arange(b), b, weights.tau)
         self.scale_f = scale_f
         self.scale_b = scale_b
         self.scale_intra = weights.lambda_intra * scale_c
         self.scale_inter = scale_inter
+        # the scales as columns of the (B, L) and (B, L, 2) per-clip arrays
+        self.scale_f_clips = scale_f[:, None]
+        self.scale_b_clips = scale_b[:, None, None]
+        self.scale_intra_clips = self.scale_intra[:, None]
 
 
 def _total_loss_arrays(
@@ -658,22 +751,20 @@ def _total_loss_arrays(
     returned as.  Neither option changes a bit of any other output.
     """
     w = batch.weights
-    rows, positives = batch.rows, batch.positives
 
-    l_fg, g_logits = _foreground_term(logits, batch.targets, batch.background, w)
+    l_fg, g_logits = _foreground_term(logits, batch.bce, w)
     l_bd, g_offsets = _boundary_term(offsets, batch.boundary, w)
     clip_norms = _row_norms(clip_emb)
     sentence_grad = fixed_sent_norms is None
     sent_norms = _row_norms(sent_emb) if sentence_grad else fixed_sent_norms
-    cos, cos_backward = _cosine_with_grads(clip_emb, sent_emb[..., None, :], clip_norms,
-                                           sent_norms[..., None])
-    l_intra, g_cos = _intra_term(cos[..., 0], batch.pool, batch.intra_target, w.tau)
+    cos, cos_backward = _row_cosines_with_grads(clip_emb, sent_emb, clip_norms, sent_norms)
+    l_intra, g_cos = _intra_term(cos, batch.pool_offsets, batch.intra_target, w.tau)
     # taken from the flat (..., B * L) grid: ``[..., rows, positives]`` would lay a
     # problem axis out (B, P) in memory, and the sums over B would round otherwise
     lead = clip_emb.shape[:-3]
-    pos_emb = np.take(clip_emb.reshape(lead + (-1, clip_emb.shape[-1])), batch.flat_positives,
-                      axis=-2)  # (..., B, D)
-    pos_norms = np.take(clip_norms.reshape(lead + (-1,)), batch.flat_positives, axis=-1)
+    pos_emb = clip_emb.reshape(lead + (-1, clip_emb.shape[-1])).take(batch.flat_positives,
+                                                                     axis=-2)  # (..., B, D)
+    pos_norms = clip_norms.reshape(lead + (-1,)).take(batch.flat_positives, axis=-1)
     pair, pair_backward = _cosine_with_grads(pos_emb, sent_emb, pos_norms, sent_norms)
     l_inter, g_pair = _inter_term(pair, batch.inter_target, w.tau)
 
@@ -683,17 +774,18 @@ def _total_loss_arrays(
         "intra": np.add.reduce(batch.scale_intra * l_intra, -1),
         "inter": batch.scale_inter * l_inter,
     }
-    g_clip, g_sent = cos_backward(batch.scale_intra[:, None, None] * g_cos[..., None],
-                                  sentence_grad, out=out[2])
-    g_pos, g_sent_pair = pair_backward(batch.scale_inter * g_pair, sentence_grad)
-    g_clip[..., rows, positives, :] += g_pos
+    g_cos *= batch.scale_intra_clips
+    g_clip, g_sent = cos_backward(g_cos, sentence_grad, out=out[2])
+    g_pair *= batch.scale_inter
+    g_pos, g_sent_pair = pair_backward(g_pair, sentence_grad)
+    np.add.at(g_clip, (Ellipsis, batch.rows, batch.positives, slice(None)), g_pos)
     grads = {
-        "foreground_logits": np.multiply(batch.scale_f[:, None], g_logits, out=out[0]),
-        "offsets": np.multiply(batch.scale_b[:, None, None], g_offsets, out=out[1]),
+        "foreground_logits": np.multiply(batch.scale_f_clips, g_logits, out=out[0]),
+        "offsets": np.multiply(batch.scale_b_clips, g_offsets, out=out[1]),
         "clip_embeddings": g_clip,
     }
     if sentence_grad:
-        grads["sentence_embeddings"] = g_sent[..., 0, :] + g_sent_pair
+        grads["sentence_embeddings"] = g_sent + g_sent_pair
     return sum(parts.values()), grads, parts
 
 

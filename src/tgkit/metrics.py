@@ -112,8 +112,10 @@ class SummaryEvalItem:
         gt = tuple(sorted({_checked_number("gt_clips", i, int) for i in self.gt_clips}))
         if any(i < 0 for i in pred + gt):
             raise ValueError("clip indices must be non-negative")
-        concepts = {_checked_number("clip_concepts key", i, int): c for i, c in
-                    zip(self.clip_concepts, _concept_sets(self.clip_concepts.values()))}
+        keys = list(self.clip_concepts)
+        if set(map(type, keys)) - {int}:  # plain ints, as the CLI's maps hold, pass as they are
+            keys = [_checked_number("clip_concepts key", i, int) for i in keys]
+        concepts = dict(zip(keys, _concept_sets(self.clip_concepts.values())))
         missing = [i for i in pred + gt if i not in concepts]
         if missing:
             raise ValueError(f"concept map missing clips {sorted(set(missing))}")
@@ -163,6 +165,7 @@ def recall_at_k(
     each item's best IoU between the single top prediction and its ground
     truths; items without predictions contribute 0.
     """
+    k = _checked_number("k", k, int)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     thresholds = _checked_thresholds(items, thresholds, "recall")

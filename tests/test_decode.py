@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -365,6 +366,10 @@ INPUT_CHECKS = {
     "highlight_mode": (lambda: highlight_scores(_pred(2), "s_only"),
                        "unknown highlight mode 's_only'; expected one of ('f_plus_s', 'f_only')"),
     "highlights_k": (lambda: decode_highlights(_pred(2), k=0), "k must be >= 1, got 0"),
+    "highlights_k_float": (lambda: decode_highlights(_pred(3), k=2.5),
+                           "k must be an integer, got 2.5"),
+    "highlights_k_bool": (lambda: decode_highlights(_pred(3), k=True),
+                          "k must be an integer, got True"),
     "segments_no_clips": (lambda: SegmentList(0, ()), "num_clips must be >= 1, got 0"),
     "segments_float_clips": (lambda: SegmentList(10.0, ()),
                              "num_clips must be an integer, got 10.0"),
@@ -385,6 +390,18 @@ INPUT_CHECKS = {
                            "max_segments and max_clips must be >= 1"),
     "kts_penalty": (lambda: kts_segment(features=np.zeros((4, 2)), penalty=-1.0),
                     "penalty must be non-negative, got -1.0"),
+    "kts_float_max_segments": (lambda: kts_segment(features=np.zeros((4, 2)), max_segments=2.0),
+                               "max_segments must be an integer, got 2.0"),
+    "kts_float_max_clips": (lambda: kts_segment(features=np.zeros((4, 2)), max_clips=2.5),
+                            "max_clips must be an integer, got 2.5"),
+    "kts_bool_max_clips": (lambda: kts_segment(features=np.zeros((4, 2)), max_clips=True),
+                           "max_clips must be an integer, got True"),
+    "kts_string_penalty": (lambda: kts_segment(features=np.zeros((4, 2)), penalty="1"),
+                           "penalty must be a finite number, got '1'"),
+    "kts_nan_penalty": (lambda: kts_segment(features=np.zeros((4, 2)), penalty=math.nan),
+                        "penalty must be a finite number, got nan"),
+    "kts_float_num_segments": (lambda: kts_segment(features=np.zeros((4, 2)), num_segments=2.5),
+                               "num_segments must be an integer, got 2.5"),
     "kts_too_many_clips": (lambda: kts_segment(features=np.zeros((7, 2)), max_segments=3,
                                                max_clips=2),
                            "7 clips cannot be covered by 3 segments of at most 2 clips"),
@@ -394,10 +411,12 @@ INPUT_CHECKS = {
                           "segment scatter overflows float64; scale the features down"),
     "kts_costs_overflow": (lambda: kts_segment(gram=_costs_overflow_gram(), max_segments=2,
                                                max_clips=2),
-                           "no feasible segmentation into 2 segments"),
+                           "segment costs overflow float64 for 2 segments; "
+                           "scale the features down"),
     "kts_costs_overflow_pinned": (lambda: kts_segment(gram=_costs_overflow_gram(), max_clips=2,
                                                       num_segments=2),
-                                  "no feasible segmentation into 2 segments"),
+                                  "segment costs overflow float64 for 2 segments; "
+                           "scale the features down"),
     "selection_float_clip": (lambda: SummarySelection((1.5,), ()),
                              "clips must be an integer, got 1.5"),
     "selection_string_score": (lambda: SummarySelection((1,), ("0.5",)),
@@ -423,3 +442,12 @@ def test_input_check(case):
 def test_integer_top_k_still_limits():
     assert len(nms_1d(_five_candidates(), 0.7, top_k=2)) == 2
     assert len(decode_moments(_pred(6), ClipTimeline(6, 1.0), top_k=np.int64(3))) == 3
+
+
+def test_numpy_integer_counts_still_work():
+    assert len(decode_highlights(_pred(4), k=np.int64(2))) == 2
+    features = np.repeat(np.eye(2), 3, axis=0)  # two blocks of three equal clips
+    plain = kts_segment(features=features, max_segments=4, max_clips=3, penalty=0.5)
+    assert kts_segment(features=features, max_segments=np.int64(4), max_clips=np.int32(3),
+                       penalty=np.float32(0.5)) == plain
+    assert kts_segment(features=features, num_segments=np.int64(2)).change_points == (3,)

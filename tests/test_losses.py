@@ -18,7 +18,7 @@ from tgkit.losses import (
     _giou_endpoints,
     _LossBatch,
     _row_norms,
-    _softplus_pair,
+    _softplus,
     _total_loss_arrays,
     boundary_loss,
     foreground_loss,
@@ -618,9 +618,9 @@ class TestSoftplusPair:
         edges = np.concatenate([[0.0], near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
         grid = np.concatenate([edges, -edges, rng.uniform(-50, 50, 100_000),
                                rng.normal(0, 1e-3, 100_000), rng.normal(0, 1e3, 10_000)])
-        up, down = _softplus_pair(grid, -np.abs(grid))
-        assert bitwise(up, np.logaddexp(0.0, grid))
-        assert bitwise(down, np.logaddexp(0.0, -grid))
+        # one logaddexp term serves both signs: the foreground term's s is x or -x
+        for s in (grid, -grid):
+            assert bitwise(_softplus(s, -np.abs(grid)), np.logaddexp(0.0, s))
 
 
 def bitwise(a, b):
@@ -839,6 +839,41 @@ class TestKernelMatchesFrozenCopy:
             logits = np.resize(np.roll(grid, shift), offsets.shape[:-1])
             assert_kernel_matches_frozen([logits, offsets, clip_emb, sent_emb], labels,
                                          timelines, positives, "per_clip", w, batch)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["no_problem_axis", "problem_axis"])
+    def test_edge_points(self, lead):
+        # where a rewrite could flip a signed zero or a tie: logits of 0 and of magnitude
+        # >= 750, where sigma underflows; clips outside every pool, whose cosine gradient
+        # is exactly 0; foreground predictions of zero length and equal to their targets
+        labels, timelines, positives, w, batch = fit_shaped_batch(3, "per_clip")
+        saliency = np.stack([lab.saliency for lab in labels])
+        rows = np.arange(len(labels))
+        outside = saliency >= saliency[rows, positives][:, None]
+        outside[rows, positives] = False
+        assert outside.sum() >= 5
+        fg = np.stack([lab.foreground for lab in labels]) == 1
+        gt = np.stack([lab.offsets for lab in labels])
+        rng = np.random.default_rng(12)
+        logits, offsets, clip_emb, sent_emb = self.point(rng, labels, lead)
+        edges = np.array([0.0, -0.0, 750.0, -750.0, 800.0, -800.0, 1e4, -1e4])
+        logits[...] = np.resize(edges, logits.shape)
+        kind = np.arange(fg.size).reshape(fg.shape) % 3
+        d0 = rng.uniform(-2, 2, fg.shape)
+        zero_length = fg & (kind == 0)
+        offsets[..., 0] = np.where(zero_length, d0, offsets[..., 0])
+        offsets[..., 1] = np.where(zero_length, -d0, offsets[..., 1])
+        offsets[...] = np.where((fg & (kind == 1))[..., None], gt, offsets)
+        times = np.stack([tl.timestamps() for tl in timelines])
+        assert ((times - offsets[..., 0] == times + offsets[..., 1]) & zero_length).any()
+        ins = [logits, offsets, clip_emb, sent_emb]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for fixed_sent_norms in (None, _row_norms(sent_emb)):
+                _, grads, _ = assert_kernel_matches_frozen(
+                    ins, labels, timelines, positives, "per_clip", w, batch,
+                    fixed_sent_norms=fixed_sent_norms)
+                # the cosine gradient of a clip outside every pool is +0, not -0
+                assert not np.signbit(grads["clip_embeddings"][..., outside, :]).any()
 
     def test_every_step_of_an_overfit_run(self, monkeypatch):
         records = [GroundTruthRecord(r.video_id, r.timeline(), r.query, r.label, r.source_kind)

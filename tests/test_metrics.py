@@ -601,6 +601,11 @@ class TestSummaryEvalItem:
         with pytest.raises(ValueError, match="concepts must be a list of strings"):
             SummaryEvalItem((0,), (1,), {0: ["dog"], 1: concepts})
 
+    def test_numpy_integer_keys_read_as_ints(self):
+        item = SummaryEvalItem((0,), (1,), {np.int64(0): ["a"], 1: ["b"]})
+        assert item.clip_concepts == {0: {"a"}, 1: {"b"}}
+        assert all(type(i) is int for i in item.clip_concepts)
+
     def test_dedup_and_sort(self):
         item = SummaryEvalItem((3, 1, 3), (2,), {1: set(), 2: set(), 3: set()})
         assert item.predicted_clips == (1, 3)
@@ -634,6 +639,10 @@ INPUT_CHECKS = {
                                "gt_clips must be an integer, got True"),
     "summary_string_key": (lambda: SummaryEvalItem((1,), (1,), {"1": ["a"]}),
                            "clip_concepts key must be an integer, got '1'"),
+    "summary_bool_key_among_ints": (lambda: SummaryEvalItem((0,), (0,), {0: ["a"], True: ["b"]}),
+                                    "clip_concepts key must be an integer, got True"),
+    "summary_float_key_among_ints": (lambda: SummaryEvalItem((0,), (0,), {0: ["a"], 1.0: ["b"]}),
+                                     "clip_concepts key must be an integer, got 1.0"),
     "summary_negative_clip": (lambda: SummaryEvalItem((-1,), (0,), {0: ["a"]}),
                               "clip indices must be non-negative"),
     "summary_missing_clip": (lambda: SummaryEvalItem((0,), (1, 2), {0: ["a"]}),
@@ -653,6 +662,8 @@ INPUT_CHECKS = {
     "recall_zero_items": (lambda: recall_at_k([]), "recall over zero items is undefined"),
     "map_no_truth": (lambda: moment_map([moment_item([], [])]), "item 'q' has no ground truths"),
     "recall_k": (lambda: recall_at_k(_one_moment(), k=0), "k must be >= 1, got 0"),
+    "recall_k_float": (lambda: recall_at_k(_one_moment(), k=1.5), "k must be an integer, got 1.5"),
+    "recall_k_bool": (lambda: recall_at_k(_one_moment(), k=True), "k must be an integer, got True"),
     "highlight_zero_items": (lambda: highlight_map([]),
                              "highlight mAP over zero items is undefined"),
     "highlight_no_positive": (lambda: hit_at_1([HighlightEvalItem("v/q", [0.5], [0])]),

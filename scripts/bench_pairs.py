@@ -17,12 +17,20 @@ environment removes the step.)  Every run has
 ``PYTHONDONTWRITEBYTECODE=1`` and neither tree holds a ``__pycache__``, so
 neither side loads bytecode the other lacks.
 
-For each workload and end-to-end metric it prints both sides' medians and
-quartiles, the pairs in which the change was better (ties count for
-neither), and whether a gain could be claimed: a win in at least nine
-tenths of the pairs and a median difference larger than the distance
-between the parent's quartiles.  One pair (``--pairs 1``, a smoke run)
-never supports a claim.  It also gives each metric a regression verdict
+Each run also records ``run_cpu_s``: the user plus system CPU seconds of
+the run's process tree, from ``getrusage(RUSAGE_CHILDREN)`` before and
+after it.  A run repeats the chain for ``--seconds`` after its setup, so
+on an idle host it uses about that much CPU whatever its code; a run that
+used clearly less than its side's usual share was kept waiting by a busy
+host, and its wall times say more about the host than about the code.
+
+For each workload and metric, ``run_cpu_s`` among them, it prints both
+sides' medians and quartiles.  For an end-to-end metric it adds the pairs
+in which the change was better (ties count for neither), and whether a
+gain could be claimed: a win in at least nine tenths of the pairs and a
+median difference larger than the distance between the parent's
+quartiles.  One pair (``--pairs 1``, a smoke run) never supports a claim.
+It also gives each end-to-end metric a regression verdict
 against its bound: "worse beyond bound" when the change's median is worse
 than the parent's by more than the bound, "unresolved" when the parent's
 quartile spread is wider than the bound (relative to its median) and not
@@ -34,6 +42,7 @@ fails or reports an incorrect output stops the script with exit code 1.
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -62,14 +71,22 @@ def export_working_tree(repo: Path, dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
+def child_cpu_s() -> float:
+    """User plus system CPU seconds of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     for cache in tree.rglob("__pycache__"):
         shutil.rmtree(cache)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    cpu_before = child_cpu_s()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds),
          "--seed", str(seed), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True)
+    cpu = child_cpu_s() - cpu_before
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -79,6 +96,7 @@ def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         raise SystemExit(f"error: {workload} run in {tree.name} failed "
                          f"(exit {proc.returncode})")
+    result["metrics"]["run_cpu_s"] = {"unit": "s", "value": cpu}
     return {**result, "tree": tree.name}
 
 
@@ -188,7 +206,8 @@ def main() -> int:
                     runs[side].append(run_once(trees[side], workload, args.seconds, args.seed))
                 print(f"  pair {pair + 1}: " + ", ".join(
                     f"{side} in {trees[side].name} chain_s "
-                    f"{runs[side][-1]['metrics']['chain_s']['value']:.4f}"
+                    f"{runs[side][-1]['metrics']['chain_s']['value']:.4f} run_cpu_s "
+                    f"{runs[side][-1]['metrics']['run_cpu_s']['value']:.2f}"
                     for side in order), file=sys.stderr, flush=True)
             rows += summarise(workload, runs, end_to_end)
     if args.json:

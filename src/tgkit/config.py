@@ -4,7 +4,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import decode, fit, gradcheck, labels, losses, metrics, teacher
-from .core import _JSON_TYPES, _check_type, _is_real
+from .core import (_AT_LEAST_1, _JSON_TYPES, _NON_NEGATIVE, _POSITIVE, _UNIT, _check_type,
+                   _checked_number, _is_real)
 from .formats import parse_json, write_json_report
 from .losses import LossWeights
 
@@ -14,9 +15,19 @@ _TYPES = {**_JSON_TYPES,
           tuple: (lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_is_real, v)),
                   "a non-empty list of finite numbers")}
 
-
-def _one_of(name: str, value, choices: tuple):
-    return value in choices, f"{name} must be {' or '.join(choices)}, got {value!r}"
+# field -> the range rule of the library parameter it feeds; LossWeights checks the loss block
+_RULES = {
+    **dict.fromkeys(("curve_bin_width", "nms_iou_threshold", "summary_budget_fraction",
+                     "recall_iou_thresholds", "map_iou_thresholds"), _UNIT),
+    **dict.fromkeys(("teacher_top_k", "gradcheck_points", "moment_top_k", "highlight_top_k",
+                     "kts_max_segments", "kts_max_clips", "recall_k"), _AT_LEAST_1),
+    **dict.fromkeys(("fit_learning_rate", "gradcheck_epsilon", "gradcheck_tolerance"), _POSITIVE),
+    **dict.fromkeys(("fit_steps", "kts_penalty"), _NON_NEGATIVE),
+    "fit_embed_dim": fit._EMBED_DIM,
+    "loss_aggregation": losses._AGGREGATION,
+    "highlight_mode": decode._HIGHLIGHT_MODE,
+    "summary_segment_aggregate": decode._SEGMENT_AGGREGATE,
+}
 
 
 @dataclass(frozen=True)
@@ -24,7 +35,8 @@ class RunConfig:
     """Every tunable in one flat, JSON-serialisable record.
 
     Each field is checked against its annotated type, without coercion, and
-    then against its allowed range.
+    then against the range rule of the library parameter it feeds (each
+    threshold against its list's rule); a value is kept as given.
     """
 
     # loss weights and scales
@@ -72,36 +84,12 @@ class RunConfig:
         for name in ("recall_iou_thresholds", "map_iou_thresholds"):
             object.__setattr__(self, name, tuple(float(t) for t in getattr(self, name)))
         self.weights()  # validates the loss block
-        checks = [
-            _one_of("loss_aggregation", self.loss_aggregation, losses.AGGREGATIONS),
-            (0 < self.curve_bin_width <= 1, "curve_bin_width must lie in (0, 1]"),
-            (self.teacher_top_k >= 1, "teacher_top_k must be >= 1"),
-            (self.fit_steps >= 0, "fit_steps must be >= 0"),
-            (self.fit_learning_rate > 0, "fit_learning_rate must be positive"),
-            (self.fit_embed_dim >= 2, "fit_embed_dim must be >= 2"),
-            (self.gradcheck_epsilon > 0, "gradcheck_epsilon must be positive"),
-            (self.gradcheck_tolerance > 0, "gradcheck_tolerance must be positive"),
-            (self.gradcheck_points >= 1, "gradcheck_points must be >= 1"),
-            (0 < self.nms_iou_threshold <= 1, "nms_iou_threshold must lie in (0, 1]"),
-            (self.moment_top_k >= 1, "moment_top_k must be >= 1"),
-            _one_of("highlight_mode", self.highlight_mode, decode.HIGHLIGHT_MODES),
-            (self.highlight_top_k >= 1, "highlight_top_k must be >= 1"),
-            (self.kts_max_segments >= 1, "kts_max_segments must be >= 1"),
-            (self.kts_max_clips >= 1, "kts_max_clips must be >= 1"),
-            (self.kts_penalty >= 0, "kts_penalty must be non-negative"),
-            (0 < self.summary_budget_fraction <= 1,
-             "summary_budget_fraction must lie in (0, 1]"),
-            _one_of("summary_segment_aggregate", self.summary_segment_aggregate,
-                    decode.SEGMENT_AGGREGATES),
-            (self.recall_k >= 1, "recall_k must be >= 1"),
-            (all(0 < t <= 1 for t in self.recall_iou_thresholds),
-             "recall_iou_thresholds must lie in (0, 1]"),
-            (all(0 < t <= 1 for t in self.map_iou_thresholds),
-             "map_iou_thresholds must lie in (0, 1]"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ValueError(message)
+        for f in dataclasses.fields(self):
+            if f.name in _RULES:
+                value = getattr(self, f.name)
+                for v in value if f.type is tuple else (value,):
+                    _checked_number(f.name, v, float if f.type is tuple else f.type,
+                                    _RULES[f.name])
 
     def weights(self) -> LossWeights:
         return LossWeights(**{f.name: getattr(self, f.name)

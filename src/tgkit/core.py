@@ -59,15 +59,40 @@ def _check_type(name: str, value, rule: tuple) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-def _checked_number(name: str, value, kind=float):
-    """``value`` as a Python ``kind`` (float or int) once ``_JSON_TYPES[kind]`` accepts it.
+# Range rules, (accepts the value, what the value must do), for _checked_number: one
+# rule, so one comparison and one message, serves every scalar with that range.
+def _at_least(low: int) -> tuple:
+    return (lambda v: v >= low), f"be >= {low}"
 
-    A numpy scalar is read as its Python value, so ``np.int64`` and ``np.float32``
-    pass and ``np.bool_`` does not; a refusal is ``_check_type``'s ``ValueError``.
+
+def _one_of(choices: tuple) -> tuple:
+    return (lambda v: v in choices), f"be {' or '.join(map(str, choices))}"
+
+
+_POSITIVE = (lambda v: v > 0, "be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
+_AT_LEAST_1 = _at_least(1)
+_UNIT = (lambda v: 0 < v <= 1, "lie in (0, 1]")
+_NON_EMPTY = (bool, "be non-empty")
+_QUERY_KIND = _one_of(QUERY_KINDS)
+_SOURCE_KIND = _one_of(SOURCE_KINDS)
+
+
+def _checked_number(name: str, value, kind=float, rule: tuple | None = None):
+    """``value`` as a Python ``kind`` once ``_JSON_TYPES[kind]``, then ``rule``, accepts it.
+
+    ``kind`` is float, int or str.  A numpy scalar is read as its Python
+    value, so ``np.int64`` and ``np.float32`` pass and ``np.bool_`` does not;
+    a wrong type is ``_check_type``'s ``ValueError``.  ``rule`` is a range
+    rule such as ``_POSITIVE`` or ``_one_of(choices)``, applied to the
+    converted value; one it refuses raises ``<name> must <what>, got <value>``.
     """
     value = value.item() if isinstance(value, np.generic) else value
     _check_type(name, value, _JSON_TYPES[kind])
-    return kind(value)
+    value = kind(value)
+    if rule is not None and not rule[0](value):
+        raise ValueError(f"{name} must {rule[1]}, got {value!r}")
+    return value
 
 
 def _checked_array(name: str, value, shape: tuple) -> np.ndarray:
@@ -146,14 +171,10 @@ class ClipTimeline:
     clip_len: float
 
     def __post_init__(self):
-        _set(self, "num_clips", _checked_number("num_clips", self.num_clips, int))
-        if self.num_clips < 1:
-            raise ValueError(f"num_clips must be a positive integer, got {self.num_clips!r}")
+        _set(self, "num_clips", _checked_number("num_clips", self.num_clips, int, _AT_LEAST_1))
         if self.num_clips > MAX_CLIPS:
             raise ValueError(f"{self.num_clips} clips exceed the limit of {MAX_CLIPS} (MAX_CLIPS)")
-        _set(self, "clip_len", _checked_number("clip_len", self.clip_len))
-        if self.clip_len <= 0:
-            raise ValueError(f"clip_len must be positive and finite, got {self.clip_len!r}")
+        _set(self, "clip_len", _checked_number("clip_len", self.clip_len, float, _POSITIVE))
 
     @classmethod
     def from_duration(cls, duration: float, clip_len: float) -> "ClipTimeline":
@@ -163,9 +184,7 @@ class ClipTimeline:
         ``duration`` computes it, does not pass ``duration``; so a grid's own
         duration gives back its clip count.
         """
-        duration = _checked_number("duration", duration)
-        if duration <= 0:
-            raise ValueError(f"duration must be positive and finite, got {duration!r}")
+        duration = _checked_number("duration", duration, float, _POSITIVE)
         clip_len = cls(1, clip_len).clip_len
         ratio = duration / clip_len  # may be one clip off that count
         if not math.isfinite(ratio):
@@ -312,10 +331,8 @@ class Query:
     kind: str = "sentence"
 
     def __post_init__(self):
-        if not isinstance(self.text, str) or not self.text:
-            raise ValueError("query text must be a non-empty string")
-        if self.kind not in QUERY_KINDS:
-            raise ValueError(f"unknown query kind {self.kind!r}; expected one of {QUERY_KINDS}")
+        _checked_number("query text", self.text, str, _NON_EMPTY)
+        _checked_number("query kind", self.kind, str, _QUERY_KIND)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,10 +373,6 @@ class GroundTruthRecord:
     source_kind: str
 
     def __post_init__(self):
-        if not isinstance(self.video_id, str) or not self.video_id:
-            raise ValueError("video_id must be a non-empty string")
-        if self.source_kind not in SOURCE_KINDS:
-            raise ValueError(
-                f"unknown source kind {self.source_kind!r}; expected one of {SOURCE_KINDS}"
-            )
+        _checked_number("video_id", self.video_id, str, _NON_EMPTY)
+        _checked_number("source_kind", self.source_kind, str, _SOURCE_KIND)
         _check_clips(self.timeline, "label", len(self.label))

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (ClipTimeline, GroundingWarning, Interval, PredictionSet, ScoredInterval,
-                   _check_clips, _checked_array, _checked_number, _rank_order, _set, _spans)
+from .core import (_AT_LEAST_1, _NON_NEGATIVE, _UNIT, ClipTimeline, GroundingWarning, Interval,
+                   PredictionSet, ScoredInterval, _check_clips, _checked_array, _checked_number,
+                   _one_of, _rank_order, _set, _spans)
 from .losses import sigmoid
 from .metrics import _iou_array
 
@@ -30,8 +31,10 @@ _KTS_BLOCK = 256  # rows per band-minimum block of the KTS DP: its buffer stays 
 
 HIGHLIGHT_MODES = ("f_plus_s", "f_only")
 DEFAULT_HIGHLIGHT_MODE = "f_plus_s"
+_HIGHLIGHT_MODE = _one_of(HIGHLIGHT_MODES)
 SEGMENT_AGGREGATES = ("mean", "max")
 DEFAULT_SEGMENT_AGGREGATE = "mean"
+_SEGMENT_AGGREGATE = _one_of(SEGMENT_AGGREGATES)
 
 
 class _Candidates(Sequence):
@@ -69,10 +72,9 @@ def nms_1d(
     The result holds the input's own objects; ``decode_moments``'s lazy
     candidates build only the kept ones.
     """
-    if not 0 < iou_threshold <= 1:
-        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
-    if top_k is not None and _checked_number("top_k", top_k, int) < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    iou_threshold = _checked_number("iou_threshold", iou_threshold, float, _UNIT)
+    if top_k is not None:
+        top_k = _checked_number("top_k", top_k, int, _AT_LEAST_1)
     if isinstance(candidates, _Candidates):
         cands, start, end, scores = candidates, candidates.start, candidates.end, candidates.scores
     else:
@@ -123,8 +125,7 @@ def highlight_scores(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE) ->
     The one place clip scores are computed; moment and summary decoding call
     it too.
     """
-    if mode not in HIGHLIGHT_MODES:
-        raise ValueError(f"unknown highlight mode {mode!r}; expected one of {HIGHLIGHT_MODES}")
+    mode = _checked_number("mode", mode, str, _HIGHLIGHT_MODE)
     scores = sigmoid(pred.foreground_logits)
     if mode == "f_plus_s":
         scores = scores + pred.saliency
@@ -139,9 +140,7 @@ def decode_highlights(pred: PredictionSet, mode: str = DEFAULT_HIGHLIGHT_MODE,
     A caller that already holds ``highlight_scores(pred, mode)`` passes it as
     ``scores`` so the clip scores are computed once.
     """
-    k = _checked_number("k", k, int)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _checked_number("k", k, int, _AT_LEAST_1)
     if scores is None:
         scores = highlight_scores(pred, mode)
     n = scores.shape[0]
@@ -162,9 +161,7 @@ class SegmentList:
     change_points: tuple
 
     def __post_init__(self):
-        _set(self, "num_clips", _checked_number("num_clips", self.num_clips, int))
-        if self.num_clips < 1:
-            raise ValueError(f"num_clips must be >= 1, got {self.num_clips}")
+        _set(self, "num_clips", _checked_number("num_clips", self.num_clips, int, _AT_LEAST_1))
         cps = tuple(_checked_number("change_points", c, int) for c in self.change_points)
         if any(not 0 < c < self.num_clips for c in cps):
             raise ValueError(f"change points must lie strictly inside (0, {self.num_clips})")
@@ -300,15 +297,11 @@ def kts_segment(
     k = _checked_array(name, value, (None, None))  # one row per clip
     if gram is not None and (k.shape[0] != k.shape[1] or not np.allclose(k, k.T, atol=1e-8)):
         raise ValueError(f"gram matrix must be square and symmetric, got shape {k.shape}")
-    max_segments = _checked_number("max_segments", max_segments, int)
-    max_clips = _checked_number("max_clips", max_clips, int)
-    penalty = _checked_number("penalty", penalty)
+    max_segments = _checked_number("max_segments", max_segments, int, _AT_LEAST_1)
+    max_clips = _checked_number("max_clips", max_clips, int, _AT_LEAST_1)
+    penalty = _checked_number("penalty", penalty, float, _NON_NEGATIVE)
     if num_segments is not None:
         num_segments = _checked_number("num_segments", num_segments, int)
-    if max_segments < 1 or max_clips < 1:
-        raise ValueError("max_segments and max_clips must be >= 1")
-    if penalty < 0:
-        raise ValueError(f"penalty must be non-negative, got {penalty}")
     n = k.shape[0]
     if n > max_segments * max_clips:
         raise ValueError(
@@ -384,12 +377,9 @@ def decode_summary(
     returned in rank order.  Segment scores aggregate the per-clip
     foreground probabilities within each segment.
     """
-    if not 0 < budget_fraction <= 1:
-        raise ValueError(f"budget_fraction must lie in (0, 1], got {budget_fraction}")
-    if segment_aggregate not in SEGMENT_AGGREGATES:
-        raise ValueError(
-            f"unknown segment aggregate {segment_aggregate!r}; expected one of {SEGMENT_AGGREGATES}"
-        )
+    budget_fraction = _checked_number("budget_fraction", budget_fraction, float, _UNIT)
+    segment_aggregate = _checked_number("segment_aggregate", segment_aggregate, str,
+                                        _SEGMENT_AGGREGATE)
     n = len(pred)
     if segments.num_clips != n:
         raise ValueError(f"segments cover {segments.num_clips} clips but prediction has {n}")

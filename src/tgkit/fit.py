@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GroundTruthRecord, PredictionSet, _frozen, _set
+from .core import (_NON_NEGATIVE, _POSITIVE, GroundTruthRecord, PredictionSet, _at_least,
+                   _checked_number, _frozen, _set)
 from .losses import (
     DEFAULT_AGGREGATION,
     EmbeddingBatch,
@@ -28,6 +29,7 @@ from .losses import (
 _MIN_STEP = 1e-18
 DEFAULT_LEARNING_RATE = 0.5
 DEFAULT_EMBED_DIM = 8
+_EMBED_DIM = _at_least(2)  # a cosine of one-dimensional embeddings is only ever +-1
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,12 +74,9 @@ def overfit(
     records = list(records)
     if not records:
         raise ValueError("no records to fit")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if not learning_rate > 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    if embed_dim < 2:
-        raise ValueError(f"embed_dim must be >= 2, got {embed_dim}")
+    steps = _checked_number("steps", steps, int, _NON_NEGATIVE)
+    learning_rate = _checked_number("learning_rate", learning_rate, float, _POSITIVE)
+    embed_dim = _checked_number("embed_dim", embed_dim, int, _EMBED_DIM)
     n = records[0].timeline.num_clips
     if any(r.timeline.num_clips != n for r in records):
         raise ValueError("all records must share the same clip count")

@@ -22,11 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (_JSON_TYPES, SOURCE_KINDS, ClipTimeline, Interval, PredictionSet, Query,
-                   UnifiedLabel, _check_clips, _check_type, _checked_array, _concept_sets)
+from .core import (_JSON_TYPES, _SOURCE_KIND, ClipTimeline, Interval, PredictionSet, Query,
+                   UnifiedLabel, _check_clips, _check_type, _checked_array, _checked_number,
+                   _concept_sets, _one_of)
 from .labels import CurveAnnotation, PointAnnotation, _check_inside
 
 SCHEMA_VERSION = 1
+_SCHEMA_VERSION = _one_of((SCHEMA_VERSION,))
+_ON_ERROR = _one_of(("raise", "skip"))
 MATRIX_MAGIC = b"TGMX"
 MATRIX_TEXT_HEADER = "# tgkit-matrix v1"
 
@@ -119,9 +122,7 @@ def _head_from_obj(obj, required: tuple) -> dict:
     """
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
-    version = obj.get("schema_version")
-    if not (_JSON_TYPES[int][0](version) and version == SCHEMA_VERSION):
-        raise ValueError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
+    _checked_number("schema_version", obj.get("schema_version"), int, _SCHEMA_VERSION)
     missing = [key for key in (*_HEAD, *required) if key not in obj]
     if missing:
         raise ValueError(f"record is missing fields {missing}")
@@ -213,9 +214,7 @@ def _check_dataset_record(record: DatasetRecord) -> DatasetRecord:
     parses the annotation after this check, by the checked source_kind, and
     then checks that it stays inside its video (``labels._check_inside``).
     """
-    if record.source_kind not in SOURCE_KINDS:
-        raise ValueError(
-            f"unknown source_kind {record.source_kind!r}; expected one of {SOURCE_KINDS}")
+    _checked_number("source_kind", record.source_kind, str, _SOURCE_KIND)
     *_, accepts, kind = _ANNOTATIONS[record.source_kind]
     if record.annotation is not None and not accepts(record.annotation):
         raise ValueError(f"annotation of source_kind {record.source_kind!r} must be {kind}, "
@@ -256,8 +255,7 @@ def _unique(keys, what: str) -> None:
 
 def _read_jsonl(path, parse, on_error: str):
     """The records of a JSONL file and its skipped lines; a repeated key is a line's error."""
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
+    _checked_number("on_error", on_error, str, _ON_ERROR)
     records = []
     errors = []
     first_line = {}  # (video_id, query_id) -> the line that holds it

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ClipTimeline, UnifiedLabel
+from .core import _AT_LEAST_1, _POSITIVE, ClipTimeline, UnifiedLabel, _checked_number, _one_of
 from .losses import (
     LossWeights,
     _bce_labels,
@@ -222,6 +222,7 @@ _REGISTRY: dict[str, Callable] = {
 }
 
 REGISTERED_LOSSES = tuple(_REGISTRY)
+_LOSS_NAME = _one_of(REGISTERED_LOSSES)
 
 # Elementwise losses: an explicit input of any shape is a point.  Every other
 # loss takes explicit inputs of its sampler's shapes.
@@ -285,12 +286,12 @@ def grad_check(
     point whose loss value, analytic gradient or slope is not finite raises
     ``ValueError``.
     """
-    if loss_name not in _REGISTRY:
-        raise ValueError(f"unknown loss {loss_name!r}; registered: {REGISTERED_LOSSES}")
-    if epsilon <= 0 or tolerance <= 0:
-        raise ValueError("epsilon and tolerance must be positive")
-    if inputs is None and num_points < 1:
-        raise ValueError(f"num_points must be >= 1, got {num_points}")
+    _checked_number("loss_name", loss_name, str, _LOSS_NAME)
+    # checked, not converted: the result reports both as the caller gave them
+    _checked_number("epsilon", epsilon, float, _POSITIVE)
+    _checked_number("tolerance", tolerance, float, _POSITIVE)
+    if inputs is None:
+        num_points = _checked_number("num_points", num_points, int, _AT_LEAST_1)
     rng = np.random.default_rng(seed)
     factory = _REGISTRY[loss_name]
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ClipTimeline, GroundingWarning, Interval, UnifiedLabel, _check_clips,
+from .core import (_UNIT, ClipTimeline, GroundingWarning, Interval, UnifiedLabel, _check_clips,
                    _checked_array, _checked_number, _frozen, _set)
 
 DEFAULT_BIN_WIDTH = 0.05
@@ -149,8 +149,7 @@ def from_intervals(
 
 def bin_index(values, bin_width: float = DEFAULT_BIN_WIDTH) -> np.ndarray:
     """Quantised bin of each curve value."""
-    if not 0 < bin_width <= 1:
-        raise ValueError(f"bin width must lie in (0, 1], got {bin_width}")
+    bin_width = _checked_number("bin_width", bin_width, float, _UNIT)
     v = _checked_array("values", values, (None,))
     return np.floor(v / bin_width + _BIN_EPS).astype(np.int64)
 

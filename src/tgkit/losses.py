@@ -45,6 +45,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    _NON_NEGATIVE,
+    _POSITIVE,
     ClipTimeline,
     GroundingWarning,
     Interval,
@@ -54,6 +56,7 @@ from .core import (
     _checked_array,
     _checked_number,
     _frozen,
+    _one_of,
     _set,
     _spans,
 )
@@ -62,6 +65,15 @@ DEFAULT_TAU = 0.07
 DEFAULT_NEG_WEIGHT = 0.1
 AGGREGATIONS = ("per_video", "per_clip")
 DEFAULT_AGGREGATION = "per_video"
+_AGGREGATION = _one_of(AGGREGATIONS)
+# LossWeights field -> its range rule
+_WEIGHT_RULES = {
+    **dict.fromkeys(("lambda_f", "lambda_l1", "lambda_iou", "lambda_inter", "lambda_intra"),
+                    _NON_NEGATIVE),
+    "tau": _POSITIVE,
+    "neg_weight": (lambda v: 0 <= v <= 1, "lie in [0, 1]"),
+    "smooth_l1_beta": _POSITIVE,
+}
 
 
 @dataclass(frozen=True)
@@ -79,16 +91,8 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            v = _checked_number(f.name, getattr(self, f.name))
-            _set(self, f.name, v)
-            if f.name.startswith("lambda_") and v < 0:
-                raise ValueError(f"{f.name} must be finite and non-negative, got {v}")
-        if not 0 < self.tau:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not 0 <= self.neg_weight <= 1:
-            raise ValueError(f"neg_weight must lie in [0, 1], got {self.neg_weight}")
-        if not 0 < self.smooth_l1_beta:
-            raise ValueError(f"smooth_l1_beta must be positive, got {self.smooth_l1_beta}")
+            _set(self, f.name,
+                 _checked_number(f.name, getattr(self, f.name), float, _WEIGHT_RULES[f.name]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +226,7 @@ def smooth_l1(x, beta: float = 1.0):
     Quadratic inside |x| < beta, linear outside; the two branches meet with
     matching slope so only the curvature jumps at the seam.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    beta = _checked_number("beta", beta, float, _POSITIVE)
     value, deriv = _smooth_l1(np.asarray(x, dtype=np.float64), beta)
     if value.ndim == 0:
         return float(value), float(deriv)
@@ -691,8 +694,7 @@ class _LossBatch:
             fg,
         )
 
-        if aggregation not in AGGREGATIONS:
-            raise ValueError(f"unknown aggregation {aggregation!r}; expected one of {AGGREGATIONS}")
+        aggregation = _checked_number("aggregation", aggregation, str, _AGGREGATION)
         if aggregation == "per_video":
             scale_f = scale_b = scale_c = np.full(b, 1.0 / b)
             scale_inter = weights.lambda_inter

@@ -13,8 +13,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (Interval, ScoredInterval, _checked_array, _checked_number, _concept_sets,
-                   _rank_order, _set)
+from .core import (_AT_LEAST_1, _NON_NEGATIVE, _UNIT, Interval, ScoredInterval, _checked_array,
+                   _checked_number, _concept_sets, _rank_order, _set)
 
 DEFAULT_MAP_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 DEFAULT_RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
@@ -107,11 +107,10 @@ class SummaryEvalItem:
     query_id: str = ""
 
     def __post_init__(self):
-        pred = tuple(sorted({_checked_number("predicted_clips", i, int)
+        pred = tuple(sorted({_checked_number("predicted_clips", i, int, _NON_NEGATIVE)
                              for i in self.predicted_clips}))
-        gt = tuple(sorted({_checked_number("gt_clips", i, int) for i in self.gt_clips}))
-        if any(i < 0 for i in pred + gt):
-            raise ValueError("clip indices must be non-negative")
+        gt = tuple(sorted({_checked_number("gt_clips", i, int, _NON_NEGATIVE)
+                           for i in self.gt_clips}))
         keys = list(self.clip_concepts)
         if set(map(type, keys)) - {int}:  # plain ints, as the CLI's maps hold, pass as they are
             keys = [_checked_number("clip_concepts key", i, int) for i in keys]
@@ -140,9 +139,7 @@ def _checked_thresholds(items: Sequence[MomentEvalItem], thresholds, what: str) 
 
     Zero items, or an item without a ground truth, is refused too.
     """
-    thresholds = tuple(_checked_number("thresholds", t) for t in thresholds)
-    if any(not 0 < t <= 1 for t in thresholds):
-        raise ValueError(f"thresholds must lie in (0, 1], got {thresholds}")
+    thresholds = tuple(_checked_number("thresholds", t, float, _UNIT) for t in thresholds)
     if len(set(thresholds)) < len(thresholds):
         raise ValueError(f"thresholds must not repeat, got {thresholds}")
     if not items:
@@ -165,9 +162,7 @@ def recall_at_k(
     each item's best IoU between the single top prediction and its ground
     truths; items without predictions contribute 0.
     """
-    k = _checked_number("k", k, int)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _checked_number("k", k, int, _AT_LEAST_1)
     thresholds = _checked_thresholds(items, thresholds, "recall")
     hits = {t: 0 for t in thresholds}
     iou_sum = 0.0

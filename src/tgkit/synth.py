@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ClipTimeline, Interval, Query
+from .core import _AT_LEAST_1, ClipTimeline, Interval, Query, _at_least, _checked_number
 from .formats import DatasetRecord, MatrixRecord
 from .labels import from_intervals
 
@@ -24,10 +24,8 @@ def toy_corpus(
     Moments span 3..6 clips and never touch the first or last clip, so the
     ground-truth interval set survives a label round trip unchanged.
     """
-    if num_videos < 1:
-        raise ValueError(f"num_videos must be >= 1, got {num_videos}")
-    if num_clips < 10:
-        raise ValueError(f"num_clips must be >= 10, got {num_clips}")
+    num_videos = _checked_number("num_videos", num_videos, int, _AT_LEAST_1)
+    num_clips = _checked_number("num_clips", num_clips, int, _at_least(10))
     rng = np.random.default_rng(seed)
     timeline = ClipTimeline(num_clips, clip_len)
     records = []
@@ -58,9 +56,10 @@ def toy_similarity(
     clip_len: float = 2.0,
     seed: int = 0,
 ) -> list[MatrixRecord]:
-    """Clip-by-concept similarity matrices with planted high-scoring runs."""
-    if num_concepts < 1:
-        raise ValueError(f"num_concepts must be >= 1, got {num_concepts}")
+    """Clip-by-concept similarity matrices with planted high-scoring runs of 2..5 clips."""
+    num_videos = _checked_number("num_videos", num_videos, int, _AT_LEAST_1)
+    num_clips = _checked_number("num_clips", num_clips, int, _at_least(5))
+    num_concepts = _checked_number("num_concepts", num_concepts, int, _AT_LEAST_1)
     rng = np.random.default_rng(seed)
     names = tuple(f"concept_{c:02d}" for c in range(num_concepts))
     records = []

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ClipTimeline, Query, UnifiedLabel, _check_clips, _checked_array, _frozen,
-                   _rank_order, _set)
+from .core import (_AT_LEAST_1, ClipTimeline, Query, UnifiedLabel, _check_clips, _checked_array,
+                   _checked_number, _frozen, _rank_order, _set)
 from .labels import DEFAULT_BIN_WIDTH, CurveAnnotation, from_curve
 
 DEFAULT_TOP_K = 5
@@ -55,8 +55,9 @@ def top_concepts(matrix: SimilarityMatrix, k: int = DEFAULT_TOP_K) -> np.ndarray
 
     Ordered by descending mean; ties broken by ascending column index.
     """
+    k = _checked_number("k", k, int, _AT_LEAST_1)
     c = matrix.num_concepts
-    if not 1 <= k <= c:
+    if k > c:
         raise ValueError(f"k must lie in [1, {c}], got {k}")
     return _rank_order(matrix.values.mean(axis=0))[:k]
 

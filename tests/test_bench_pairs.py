@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py's summary of synthetic runs; no benchmark runs and no subprocess."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,20 @@ def test_verdict_per_metric(parent, change, expect, capsys):
 def test_one_pair_is_never_unresolved(capsys):
     rows = bench_pairs.summarise("w", {"parent": runs([1.0]), "change": runs([0.5])}, END_TO_END)
     assert [(r["verdict"], r["claim"]) for r in rows] == [("within bound", False)] * 2
+
+
+def test_run_records_the_child_cpu_time(tmp_path, monkeypatch, capsys):
+    line = '{"correct": true, "failed": 0, "attempted": 3, "metrics": {}}'
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: subprocess.CompletedProcess(
+        a[0], 0, stdout=line + "\n", stderr=""))
+    readings = iter([10.0, 12.5, 12.5, 13.0])  # CPU seconds before and after each run
+    monkeypatch.setattr(bench_pairs, "child_cpu_s", lambda: next(readings))
+    parent = bench_pairs.run_once(tmp_path, "w", 1.0, 0)
+    change = bench_pairs.run_once(tmp_path, "w", 1.0, 0)
+    assert parent["metrics"]["run_cpu_s"] == {"unit": "s", "value": 2.5}
+    assert change["metrics"]["run_cpu_s"]["value"] == 0.5
+    # printed beside the wall-time rows, with no verdict: it is no end-to-end metric
+    (row,) = bench_pairs.summarise("w", {"parent": [parent], "change": [change]}, END_TO_END)
+    assert row["median"] == {"parent": 2.5, "change": 0.5} and "verdict" not in row
+    assert "run_cpu_s    s        parent 2.5 (2.5-2.5)  change 0.5 (0.5-0.5)  -80.0%" in (
+        capsys.readouterr().out)

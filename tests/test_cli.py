@@ -708,7 +708,7 @@ class TestErrorPaths:
         raw = tmp_path / "raw.jsonl"
         raw.write_text(json.dumps(obj) + "\n")
         assert_fails_closed(["convert", "--input", str(raw), "--output", str(tmp_path / "o")],
-                            capsys, "raw.jsonl:1: clip_len must be positive and finite, got 0.0")
+                            capsys, "raw.jsonl:1: clip_len must be positive, got 0.0")
 
 
 def tgmx_with_repeat(path, values_a, values_b):

@@ -324,17 +324,17 @@ INPUT_CHECKS = {
     "timeline_float_clips": (lambda: ClipTimeline(4.0, 1.0), ValueError,
                              "num_clips must be an integer, got 4.0"),
     "timeline_no_clips": (lambda: ClipTimeline(0, 1.0), ValueError,
-                          "num_clips must be a positive integer, got 0"),
+                          "num_clips must be >= 1, got 0"),
     "timeline_string_clip_len": (lambda: ClipTimeline(4, "1"), ValueError,
                                  "clip_len must be a finite number, got '1'"),
     "timeline_infinite_clip_len": (lambda: ClipTimeline(4, math.inf), ValueError,
                                    "clip_len must be a finite number, got inf"),
     "timeline_zero_clip_len": (lambda: ClipTimeline(4, 0), ValueError,
-                               "clip_len must be positive and finite, got 0.0"),
+                               "clip_len must be positive, got 0.0"),
     "duration_string": (lambda: ClipTimeline.from_duration("8", 2.0), ValueError,
                         "duration must be a finite number, got '8'"),
     "duration_negative": (lambda: ClipTimeline.from_duration(-1, 2.0), ValueError,
-                          "duration must be positive and finite, got -1.0"),
+                          "duration must be positive, got -1.0"),
     "label_ndim": (lambda: make_label(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2)),
                    ValueError, "foreground must have shape (n,), got (2, 2)"),
     "label_finite": (lambda: make_label([1], [[math.nan, 1.0]], [1.0]), ValueError,
@@ -345,7 +345,7 @@ INPUT_CHECKS = {
                              ValueError, "offsets must be an array of numbers"),
     "boundary_index": (lambda: boundary_of(ClipTimeline(2, 1.0), _label(), 2), IndexError,
                        "clip index 2 out of range [0, 2)"),
-    "query_text": (lambda: Query(""), ValueError, "query text must be a non-empty string"),
+    "query_text": (lambda: Query(""), ValueError, "query text must be non-empty, got ''"),
     "prediction_finite": (lambda: PredictionSet([math.inf], [[0.0, 0.0]], [0.0]), ValueError,
                           "foreground_logits must be finite"),
     "prediction_null": (lambda: PredictionSet([0.0], [[0.0, 0.0]], [None]), ValueError,
@@ -358,7 +358,7 @@ INPUT_CHECKS = {
                                  ValueError, "offsets must have shape (12, 2), got ()"),
     "record_video_id": (lambda: GroundTruthRecord("", ClipTimeline(2, 1.0), Query("q"), _label(),
                                                   "interval"),
-                        ValueError, "video_id must be a non-empty string"),
+                        ValueError, "video_id must be non-empty, got ''"),
 }
 
 

@@ -351,7 +351,11 @@ def _costs_overflow_gram():
 
 # every refusal of tgkit.decode: the call and the message of the ValueError it raises
 INPUT_CHECKS = {
-    "nms_threshold": (lambda: nms_1d([], 0), "iou_threshold must lie in (0, 1], got 0"),
+    "nms_threshold": (lambda: nms_1d([], 0), "iou_threshold must lie in (0, 1], got 0.0"),
+    "nms_string_threshold": (lambda: nms_1d([], "0.5"),
+                             "iou_threshold must be a finite number, got '0.5'"),
+    "nms_bool_threshold": (lambda: nms_1d(_five_candidates(), True),
+                           "iou_threshold must be a finite number, got True"),
     "nms_top_k_zero": (lambda: nms_1d([], 0.7, top_k=0), "top_k must be >= 1, got 0"),
     "nms_top_k_float": (lambda: nms_1d(_five_candidates(), 0.7, top_k=2.5),
                         "top_k must be an integer, got 2.5"),
@@ -361,10 +365,12 @@ INPUT_CHECKS = {
                            "candidates must be ScoredInterval instances"),
     "moments_top_k_float": (lambda: decode_moments(_pred(6), ClipTimeline(6, 1.0), top_k=2.5),
                             "top_k must be an integer, got 2.5"),
+    "moments_string_threshold": (lambda: decode_moments(_pred(6), ClipTimeline(6, 1.0), "0.5"),
+                                 "iou_threshold must be a finite number, got '0.5'"),
     "moments_clip_count": (lambda: decode_moments(_pred(3), ClipTimeline(4, 1.0)),
                            "prediction covers 3 clips but the timeline has 4"),
     "highlight_mode": (lambda: highlight_scores(_pred(2), "s_only"),
-                       "unknown highlight mode 's_only'; expected one of ('f_plus_s', 'f_only')"),
+                       "mode must be f_plus_s or f_only, got 's_only'"),
     "highlights_k": (lambda: decode_highlights(_pred(2), k=0), "k must be >= 1, got 0"),
     "highlights_k_float": (lambda: decode_highlights(_pred(3), k=2.5),
                            "k must be an integer, got 2.5"),
@@ -387,7 +393,9 @@ INPUT_CHECKS = {
     "kts_gram_square": (lambda: kts_segment(gram=np.zeros((2, 3))),
                         "gram matrix must be square and symmetric, got shape (2, 3)"),
     "kts_segment_limits": (lambda: kts_segment(features=np.zeros((4, 2)), max_clips=0),
-                           "max_segments and max_clips must be >= 1"),
+                           "max_clips must be >= 1, got 0"),
+    "kts_max_segments": (lambda: kts_segment(features=np.zeros((4, 2)), max_segments=0),
+                         "max_segments must be >= 1, got 0"),
     "kts_penalty": (lambda: kts_segment(features=np.zeros((4, 2)), penalty=-1.0),
                     "penalty must be non-negative, got -1.0"),
     "kts_float_max_segments": (lambda: kts_segment(features=np.zeros((4, 2)), max_segments=2.0),
@@ -423,9 +431,15 @@ INPUT_CHECKS = {
                                "segment_scores must be a finite number, got '0.5'"),
     "summary_budget": (lambda: decode_summary(_pred(2), SegmentList(2, ()), budget_fraction=0.0),
                        "budget_fraction must lie in (0, 1], got 0.0"),
+    "summary_string_budget": (lambda: decode_summary(_pred(2), SegmentList(2, ()),
+                                                     budget_fraction="0.5"),
+                              "budget_fraction must be a finite number, got '0.5'"),
+    "summary_bool_budget": (lambda: decode_summary(_pred(2), SegmentList(2, ()),
+                                                   budget_fraction=True),
+                            "budget_fraction must be a finite number, got True"),
     "summary_aggregate": (lambda: decode_summary(_pred(2), SegmentList(2, ()),
                                                  segment_aggregate="median"),
-                          "unknown segment aggregate 'median'; expected one of ('mean', 'max')"),
+                          "segment_aggregate must be mean or max, got 'median'"),
     "summary_clip_count": (lambda: decode_summary(_pred(2), SegmentList(3, ())),
                            "segments cover 3 clips but prediction has 2"),
 }

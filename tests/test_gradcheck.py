@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,27 @@ class TestParameters:
         # checking nothing must not report a pass
         with pytest.raises(ValueError, match="num_points"):
             grad_check("foreground", num_points=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epsilon": "x"}, "epsilon must be a finite number, got 'x'"),
+        ({"epsilon": 0}, "epsilon must be positive, got 0.0"),
+        ({"tolerance": float("inf")}, "tolerance must be a finite number, got inf"),
+        ({"tolerance": -1.0}, "tolerance must be positive, got -1.0"),
+        ({"num_points": 1.5}, "num_points must be an integer, got 1.5"),
+        ({"num_points": True}, "num_points must be an integer, got True"),
+        ({"num_points": 0}, "num_points must be >= 1, got 0"),
+    ])
+    def test_parameter_refusals(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grad_check("foreground", **kwargs)
+
+    def test_unknown_loss_rejected(self):
+        with pytest.raises(ValueError, match="^loss_name must be foreground or "):
+            grad_check("hinge")
+
+    def test_integer_epsilon_kept_as_given(self):
+        result = grad_check("smooth_l1", epsilon=1, tolerance=1, num_points=1)
+        assert type(result.epsilon) is int and type(result.tolerance) is int
 
     def test_report_round_trips(self):
         result = grad_check("foreground", num_points=2, seed=1)

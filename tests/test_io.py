@@ -328,9 +328,9 @@ BAD_HEADS = {
     "null_query_id": ("query_id", None, "query_id must be a string, got None"),
     "string_duration": ("duration", "24", "duration must be a finite number, got '24'"),
     "bool_clip_len": ("clip_len", True, "clip_len must be a finite number, got True"),
-    "bool_schema_version": ("schema_version", True, "unsupported schema_version True; expected 1"),
-    "float_schema_version": ("schema_version", 1.0,
-                             "unsupported schema_version 1.0; expected 1"),
+    "bool_schema_version": ("schema_version", True, "schema_version must be an integer, got True"),
+    "float_schema_version": ("schema_version", 1.0, "schema_version must be an integer, got 1.0"),
+    "other_schema_version": ("schema_version", 2, "schema_version must be 1, got 2"),
 }
 
 _QUERY_FIELDS = "query must be an object holding text and kind"
@@ -650,7 +650,7 @@ BAD_WRITES = {
         "clip_concepts covers 3 clips but the timeline has 12"),
     "unknown_source_kind": (write_dataset, lambda: [
         point_record("v1"), dataclasses.replace(interval_record("v2"), source_kind="video")],
-        r"unknown source_kind 'video'; expected one of \('point', 'interval', 'curve'\)"),
+        "source_kind must be point or interval or curve, got 'video'"),
     "prediction_too_short": (write_predictions, lambda: [
         _prediction("v1", 8.0, 4), _prediction("v2", 20.0, 3)],
         "prediction covers 3 clips but the timeline has 10"),

@@ -326,9 +326,11 @@ INPUT_CHECKS = {
     "points_negative": (lambda: PointAnnotation((-1.0,)), ValueError,
                         "timestamps must be non-negative"),
     "bin_width_zero": (lambda: bin_index([0.5], 0.0), ValueError,
-                       "bin width must lie in (0, 1], got 0.0"),
+                       "bin_width must lie in (0, 1], got 0.0"),
     "bin_width_above_one": (lambda: bin_index([0.5], 1.5), ValueError,
-                            "bin width must lie in (0, 1], got 1.5"),
+                            "bin_width must lie in (0, 1], got 1.5"),
+    "bin_width_string": (lambda: bin_index([0.5], "0.1"), ValueError,
+                         "bin_width must be a finite number, got '0.1'"),
     "bin_string_value": (lambda: bin_index(["0.5"]), ValueError,
                          "values must be an array of numbers"),
     "bin_nan_value": (lambda: bin_index([0.5, np.nan]), ValueError, "values must be finite"),

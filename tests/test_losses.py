@@ -100,7 +100,7 @@ INPUT_CHECKS = {
     "weights_nan_lambda": (lambda: LossWeights(lambda_f=np.nan),
                            "lambda_f must be a finite number, got nan"),
     "weights_negative_lambda": (lambda: LossWeights(lambda_intra=-1),
-                                "lambda_intra must be finite and non-negative, got -1.0"),
+                                "lambda_intra must be non-negative, got -1.0"),
     "weights_infinite_neg_weight": (lambda: LossWeights(neg_weight=np.inf),
                                     "neg_weight must be a finite number, got inf"),
     "weights_neg_weight_range": (lambda: LossWeights(neg_weight=1.5),
@@ -121,7 +121,7 @@ INPUT_CHECKS = {
     "foreground_binary": (lambda: foreground_loss(np.zeros(2), [0, 2]), "targets must be 0 or 1"),
     "foreground_finite": (lambda: foreground_loss([0.0, np.inf], [0, 1]),
                           "logits must be finite"),
-    "smooth_l1_beta": (lambda: smooth_l1(1.0, beta=0), "beta must be positive, got 0"),
+    "smooth_l1_beta": (lambda: smooth_l1(1.0, beta=0), "beta must be positive, got 0.0"),
     "boundary_shape": (lambda: boundary_loss(np.zeros((3, 2)), label_of([1, 0, 0, 1]),
                                              ClipTimeline(4, 1.0)),
                        "pred_offsets must have shape (4, 2), got (3, 2)"),

@@ -644,7 +644,7 @@ INPUT_CHECKS = {
     "summary_float_key_among_ints": (lambda: SummaryEvalItem((0,), (0,), {0: ["a"], 1.0: ["b"]}),
                                      "clip_concepts key must be an integer, got 1.0"),
     "summary_negative_clip": (lambda: SummaryEvalItem((-1,), (0,), {0: ["a"]}),
-                              "clip indices must be non-negative"),
+                              "predicted_clips must be non-negative, got -1"),
     "summary_missing_clip": (lambda: SummaryEvalItem((0,), (1, 2), {0: ["a"]}),
                              "concept map missing clips [1, 2]"),
     "summary_string_concepts": (lambda: SummaryEvalItem((0,), (0,), {0: "dog"}),
@@ -656,7 +656,7 @@ INPUT_CHECKS = {
     "thresholds_string": (lambda: recall_at_k(_one_moment(), thresholds=("0.5",)),
                           "thresholds must be a finite number, got '0.5'"),
     "thresholds_range": (lambda: moment_map(_one_moment(), thresholds=(0,)),
-                         "thresholds must lie in (0, 1], got (0.0,)"),
+                         "thresholds must lie in (0, 1], got 0.0"),
     "thresholds_repeat": (lambda: recall_at_k(_one_moment(), thresholds=(0.5, 0.5)),
                           "thresholds must not repeat, got (0.5, 0.5)"),
     "recall_zero_items": (lambda: recall_at_k([]), "recall over zero items is undefined"),

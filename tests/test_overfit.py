@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -259,6 +260,21 @@ class TestValidation:
     def test_small_embed_dim_rejected(self):
         with pytest.raises(ValueError):
             overfit(records(), embed_dim=1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"steps": 2.5}, "steps must be an integer, got 2.5"),
+        ({"steps": True}, "steps must be an integer, got True"),
+        ({"steps": -1}, "steps must be non-negative, got -1"),
+        ({"embed_dim": 2.5}, "embed_dim must be an integer, got 2.5"),
+        ({"embed_dim": 1}, "embed_dim must be >= 2, got 1"),
+        # an infinite step stays infinite under halving, so it never reached the minimum
+        ({"learning_rate": math.inf}, "learning_rate must be a finite number, got inf"),
+        ({"learning_rate": 0}, "learning_rate must be positive, got 0.0"),
+        ({"aggregation": "per_frame"}, "aggregation must be per_video or per_clip, got 'per_frame'"),
+    ])
+    def test_parameter_refusals(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            overfit(records(), **kwargs)
 
 
 class TestWeights:

@@ -118,6 +118,17 @@ INPUT_CHECKS = {
                "similarity values must be finite"),
     "name_count": (lambda: SimilarityMatrix(np.zeros((3, 2)), ("a",)), ValueError,
                    "1 concept names for 2 columns"),
+    "top_k_float": (lambda: top_concepts(matrix(np.zeros((2, 3))), 2.5), ValueError,
+                    "k must be an integer, got 2.5"),
+    "top_k_bool": (lambda: top_concepts(matrix(np.zeros((2, 3))), True), ValueError,
+                   "k must be an integer, got True"),
+    "top_k_zero": (lambda: top_concepts(matrix(np.zeros((2, 3))), 0), ValueError,
+                   "k must be >= 1, got 0"),
+    "top_k_above_columns": (lambda: top_concepts(matrix(np.zeros((2, 3))), 4), ValueError,
+                            "k must lie in [1, 3], got 4"),
+    "pseudo_labels_float_k": (lambda: pseudo_labels(ClipTimeline(2, 1.0),
+                                                    matrix(np.zeros((2, 3))), 2.5),
+                              ValueError, "k must be an integer, got 2.5"),
 }
 
 

@@ -2,9 +2,11 @@
 
 Every command is deterministic for a fixed seed: identical inputs produce
 byte-identical outputs (reports carry no timestamps and all ranking ties
-break by position).  Exit codes: 0 on success, 1 for data or validation
-errors, 2 for I/O and usage errors.  Set TGKIT_THREADS to pin the BLAS
-thread count before numpy is loaded.
+break by position).  Each tunable flag passes its text to one ``RunConfig``
+field, which refuses a bad value as it refuses one from --config.  Exit codes:
+0 on success, 1 for data errors and bad flag or config values, 2 for I/O and
+usage errors (argparse's: an unknown command or flag, a missing flag, a bad
+--task).  Set TGKIT_THREADS to pin the BLAS thread count before numpy is loaded.
 """
 from __future__ import annotations
 
@@ -17,16 +19,8 @@ import numpy as np
 
 from . import _thread_count
 from .config import RunConfig
-from .core import GroundTruthRecord, Interval, ScoredInterval
-from .decode import (
-    HIGHLIGHT_MODES,
-    SEGMENT_AGGREGATES,
-    decode_highlights,
-    decode_moments,
-    decode_summary,
-    highlight_scores,
-    kts_segment,
-)
+from .core import GroundTruthRecord, Interval, ScoredInterval, _checked_number
+from .decode import decode_highlights, decode_moments, decode_summary, highlight_scores, kts_segment
 from .formats import (
     DatasetRecord,
     PredictionRecord,
@@ -38,9 +32,9 @@ from .formats import (
     write_json_report,
     write_predictions,
 )
-from .gradcheck import REGISTERED_LOSSES, grad_check
+from .gradcheck import _LOSS_NAME, REGISTERED_LOSSES, grad_check
 from .fit import overfit
-from .losses import AGGREGATIONS, _eligible
+from .losses import _eligible
 from .labels import PointAnnotation, from_curve, from_intervals, from_points, intervals_of
 from .metrics import (
     HighlightEvalItem,
@@ -56,22 +50,36 @@ from .metrics import (
 from .teacher import SimilarityMatrix, pseudo_labels
 
 TASKS = ("moments", "highlights", "summary")
-_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _TOP_K_FIELDS = {"moments": "moment_top_k", "highlights": "highlight_top_k"}
+# field annotation -> the readers tried in turn on a flag's text; text none takes stays text,
+# and an int field reads '2.5' as 2.5, so RunConfig refuses either as it would from --config
+_READERS = {int: (int, float), float: (float,)}
+
+
+def _read_flag(kind, text):
+    for read in _READERS.get(kind, ()):
+        try:
+            return read(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _load_config(args) -> RunConfig:
     """The --config file (or the defaults) with each given flag's field replaced.
 
-    A tunable flag's ``dest`` is its field; ``decode --top-k`` picks its field
-    by ``--task``, and summary decoding ignores it.
+    A tunable flag's ``dest`` is its field, and its text is read by the field's
+    type (``_READERS``); ``decode --top-k`` picks its field by ``--task``.
     """
     config = RunConfig.load(args.config) if args.config else RunConfig()
-    flags = dict(vars(args))
+    flags = {k: v for k, v in vars(args).items() if v is not None}
     if "top_k" in flags:
-        flags[_TOP_K_FIELDS.get(args.task)] = flags.pop("top_k")
+        if args.task not in _TOP_K_FIELDS:
+            raise ValueError(f"--top-k does not apply to --task {args.task}")
+        flags[_TOP_K_FIELDS[args.task]] = flags.pop("top_k")
     return dataclasses.replace(
-        config, **{k: v for k, v in flags.items() if k in _FIELDS and v is not None}
+        config, **{k: _read_flag(_FIELDS[k], v) for k, v in flags.items() if k in _FIELDS}
     )
 
 
@@ -144,9 +152,8 @@ def _cmd_losscheck(args, config: RunConfig) -> int:
         names = [n.strip() for n in args.losses.split(",") if n.strip()]
         if not names:
             raise ValueError(f"--losses {args.losses!r} names no loss")
-        unknown = [n for n in names if n not in REGISTERED_LOSSES]
-        if unknown:
-            raise ValueError(f"unknown losses {unknown}; registered: {list(REGISTERED_LOSSES)}")
+        for name in names:
+            _checked_number("loss_name", name, str, _LOSS_NAME)
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise ValueError(f"--losses {args.losses!r} names {', '.join(repeated)} more than once")
@@ -435,63 +442,55 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("convert", help="attach unified labels to raw annotations")
     _add_common(p)
     p.add_argument("--input", required=True, help="dataset JSONL with raw annotations")
-    p.add_argument("--bin-width", dest="curve_bin_width", type=float,
-                   help="curve quantisation bin")
-    p.add_argument(
-        "--on-error", choices=("raise", "skip"), default="raise",
-        help="skip malformed lines instead of failing",
-    )
+    p.add_argument("--bin-width", dest="curve_bin_width", help="curve quantisation bin")
+    p.add_argument("--on-error", default="raise",
+                   help="skip: skip malformed lines instead of failing (default: raise)")
     p.set_defaults(func=_cmd_convert)
 
     p = commands.add_parser("teacher", help="pseudo-labels from concept similarity matrices")
     _add_common(p)
     p.add_argument("--input", required=True, help="matrix container (text or binary)")
-    p.add_argument("--top-k", dest="teacher_top_k", type=int, help="concepts per video")
-    p.add_argument("--bin-width", dest="curve_bin_width", type=float,
-                   help="curve quantisation bin")
+    p.add_argument("--top-k", dest="teacher_top_k", help="concepts per video")
+    p.add_argument("--bin-width", dest="curve_bin_width", help="curve quantisation bin")
     p.set_defaults(func=_cmd_teacher)
 
     p = commands.add_parser("losscheck", help="finite-difference audit of loss gradients")
     _add_common(p)
     p.add_argument("--losses", default=None, help="comma-separated loss names (default: all)")
-    p.add_argument("--epsilon", dest="gradcheck_epsilon", type=float)
-    p.add_argument("--tolerance", dest="gradcheck_tolerance", type=float)
-    p.add_argument("--points", dest="gradcheck_points", type=int, help="random points per loss")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--epsilon", dest="gradcheck_epsilon")
+    p.add_argument("--tolerance", dest="gradcheck_tolerance")
+    p.add_argument("--points", dest="gradcheck_points", help="random points per loss")
+    p.add_argument("--seed")
     p.set_defaults(func=_cmd_losscheck)
 
     p = commands.add_parser("fit", help="overfit free parameters to labeled records")
     _add_common(p)
     p.add_argument("--input", required=True, help="labeled dataset JSONL")
     p.add_argument("--trajectory", default=None, help="also write the loss trajectory here")
-    p.add_argument("--steps", dest="fit_steps", type=int)
-    p.add_argument("--learning-rate", dest="fit_learning_rate", type=float)
-    p.add_argument("--embed-dim", dest="fit_embed_dim", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--aggregation", dest="loss_aggregation", choices=AGGREGATIONS)
+    p.add_argument("--steps", dest="fit_steps")
+    p.add_argument("--learning-rate", dest="fit_learning_rate")
+    p.add_argument("--embed-dim", dest="fit_embed_dim")
+    p.add_argument("--seed")
+    p.add_argument("--aggregation", dest="loss_aggregation")
     p.set_defaults(func=_cmd_fit)
 
     p = commands.add_parser("decode", help="turn predictions into task outputs")
     _add_common(p)
     p.add_argument("--input", required=True, help="predictions JSONL")
     p.add_argument("--task", required=True, choices=TASKS)
-    p.add_argument("--iou-threshold", dest="nms_iou_threshold", type=float,
-                   help="NMS threshold (moments)")
-    p.add_argument("--top-k", type=int,
-                   help="ranked outputs to keep (moment_top_k or highlight_top_k)")
+    p.add_argument("--iou-threshold", dest="nms_iou_threshold", help="NMS threshold (moments)")
+    p.add_argument("--top-k", help="ranked outputs to keep (moment_top_k or highlight_top_k)")
     p.add_argument(
         "--use-saliency", dest="moment_use_saliency", action=argparse.BooleanOptionalAction,
         help="add saliency to moment scores",
     )
-    p.add_argument("--mode", dest="highlight_mode", choices=HIGHLIGHT_MODES,
-                   help="highlight score mode")
+    p.add_argument("--mode", dest="highlight_mode", help="highlight score mode")
     p.add_argument("--kts-input", help="per-clip feature matrices (summary)")
-    p.add_argument("--kts-penalty", type=float)
-    p.add_argument("--max-segments", dest="kts_max_segments", type=int)
-    p.add_argument("--max-clips", dest="kts_max_clips", type=int)
-    p.add_argument("--budget-fraction", dest="summary_budget_fraction", type=float)
-    p.add_argument("--segment-aggregate", dest="summary_segment_aggregate",
-                   choices=SEGMENT_AGGREGATES)
+    p.add_argument("--kts-penalty")
+    p.add_argument("--max-segments", dest="kts_max_segments")
+    p.add_argument("--max-clips", dest="kts_max_clips")
+    p.add_argument("--budget-fraction", dest="summary_budget_fraction")
+    p.add_argument("--segment-aggregate", dest="summary_segment_aggregate")
     p.set_defaults(func=_cmd_decode)
 
     p = commands.add_parser("eval", help="score decoded outputs against labeled truth")
@@ -499,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True, help="decode output JSON")
     p.add_argument("--truth", required=True, help="labeled dataset JSONL")
     p.add_argument("--task", required=True, choices=TASKS)
-    p.add_argument("--recall-k", type=int, help="k for Recall@k (moments)")
+    p.add_argument("--recall-k", help="k for Recall@k (moments)")
     p.set_defaults(func=_cmd_eval)
 
     return parser

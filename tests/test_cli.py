@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import errno
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from tgkit import gradcheck
-from tgkit.cli import build_parser, main
+from tgkit.cli import _TOP_K_FIELDS, build_parser, main
 from tgkit.config import RunConfig
 from tgkit.core import GroundingWarning, Interval, PredictionSet, ScoredInterval, UnifiedLabel
 from tgkit.formats import (
@@ -27,6 +28,7 @@ from tgkit.formats import (
 )
 from tgkit.labels import PointAnnotation, from_intervals
 from tgkit.synth import toy_corpus, toy_similarity
+from test_config import _FEEDS
 
 
 def strip_labels(records):
@@ -37,6 +39,13 @@ def run_child(args, **env):
     """Run ``python -m tgkit <args>`` in a child process with extra env vars."""
     return subprocess.run([sys.executable, "-m", "tgkit", *args], capture_output=True,
                           text=True, env={**os.environ, **env})
+
+
+def run_main(args, capsys):
+    """``main(args)`` in process, reported as ``run_child`` reports a child."""
+    capsys.readouterr()
+    code = main(args)
+    return subprocess.CompletedProcess(args, code, *capsys.readouterr())
 
 
 def assert_one_line_error(proc, start):
@@ -266,20 +275,29 @@ class TestLosscheck:
         assert report["all_passed"] is False
         assert "FAIL" in capsys.readouterr().out
 
-    def test_unknown_loss(self, tmp_path):
-        assert main(["losscheck", "--losses", "nope",
-                     "--output", str(tmp_path / "r.json")]) == 1
+    def test_unknown_loss(self, tmp_path, capsys, monkeypatch):
+        # refused with grad_check's own rule and text, before any loss runs
+        with pytest.raises(ValueError) as refusal:
+            gradcheck.grad_check("nope")
+        ran = []
+        monkeypatch.setattr("tgkit.cli.grad_check", lambda name, **settings: ran.append(name))
+        proc = run_main(["losscheck", "--losses", "smooth_l1,nope",
+                         "--output", str(tmp_path / "r.json")], capsys)
+        assert_one_line_error(proc, "loss_name must be foreground or ")
+        assert proc.stderr == f"error: {refusal.value}\n" and ran == []
+        assert not (tmp_path / "r.json").exists()
 
-    def test_empty_list_refused(self, tmp_path):
+    def test_empty_list_refused(self, tmp_path, capsys):
         # it used to check nothing and report all_passed
-        proc = run_child(["losscheck", "--losses", ",", "--output", str(tmp_path / "r.json")])
+        proc = run_main(["losscheck", "--losses", ",", "--output", str(tmp_path / "r.json")],
+                        capsys)
         assert_one_line_error(proc, "--losses ',' names no loss")
         assert not (tmp_path / "r.json").exists()
 
-    def test_repeated_name_refused(self, tmp_path):
+    def test_repeated_name_refused(self, tmp_path, capsys):
         # it used to check smooth_l1 twice and print two lines for one report entry
-        proc = run_child(["losscheck", "--losses", "smooth_l1, giou_1d,smooth_l1", "--points", "2",
-                          "--output", str(tmp_path / "r.json")])
+        proc = run_main(["losscheck", "--losses", "smooth_l1, giou_1d,smooth_l1", "--points", "2",
+                         "--output", str(tmp_path / "r.json")], capsys)
         assert_one_line_error(proc, "--losses 'smooth_l1, giou_1d,smooth_l1' names smooth_l1 "
                                     "more than once")
         assert proc.stdout == "" and not (tmp_path / "r.json").exists()
@@ -659,13 +677,13 @@ class TestEval:
         assert not out.exists()
 
     @pytest.mark.parametrize("task", ["moments", "highlights", "summary"])
-    def test_zero_items_refused(self, tmp_path, task):
+    def test_zero_items_refused(self, tmp_path, capsys, task):
+        # pytest's filterwarnings turns a RuntimeWarning into an error here too
         truth, report, out = tmp_path / "truth.jsonl", tmp_path / "r.json", tmp_path / "e.json"
         truth.write_text("")
         report.write_text(json.dumps({"task": task, "results": []}))
-        proc = run_child(["eval", "--predictions", str(report), "--truth", str(truth),
-                          "--task", task, "--output", str(out)],
-                         PYTHONWARNINGS="error::RuntimeWarning")
+        proc = run_main(["eval", "--predictions", str(report), "--truth", str(truth),
+                         "--task", task, "--output", str(out)], capsys)
         assert_one_line_error(proc, "")
         assert "over zero items" in proc.stderr
         assert not out.exists()
@@ -775,6 +793,39 @@ class TestRecordIdentity:
         assert out.read_bytes() == pipeline["labeled"].read_bytes()
 
 
+# each command with its required flags but --output
+MINIMAL_ARGV = {
+    "convert": ["convert", "--input", "x"],
+    "teacher": ["teacher", "--input", "x"],
+    "losscheck": ["losscheck"],
+    "fit": ["fit", "--input", "x"],
+    "decode": ["decode", "--input", "x", "--task", "moments"],
+    "eval": ["eval", "--predictions", "x", "--truth", "y", "--task", "moments"],
+}
+
+
+def flag_argv() -> dict:
+    """dest -> (a command's MINIMAL_ARGV, the flag that sets it), and decode --top-k per task."""
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    out = {field: ([*MINIMAL_ARGV["decode"][:-1], task], "--top-k")
+           for task, field in _TOP_K_FIELDS.items()}
+    for command, argv in MINIMAL_ARGV.items():
+        for flag, action in commands.choices[command]._option_string_actions.items():
+            out.setdefault(action.dest, (argv, flag))
+    return out
+
+
+FLAGS = flag_argv()
+# (field, its just-outside value, that value as flag text): each field of test_config's table
+# that a flag sets (--mode s_only among them), then text no table value spells
+FLAG_VALUES = [(field, value, str(value)) for field, (value, _) in _FEEDS.items()
+               if field in FLAGS] + [
+    ("fit_steps", 2.5, "2.5"), ("fit_steps", "x", "x"), ("seed", "x", "x"),
+    ("on_error", "bad", "bad"),
+]
+
+
 class TestConfigFile:
     """How a --config file and the flags combine: the flag wins where both are given."""
 
@@ -801,6 +852,15 @@ class TestConfigFile:
         for result in json.loads(out.read_text())["results"]:
             assert len(result[key]) == expected
 
+    def test_decode_top_k_refused_for_summary(self, pipeline, tmp_path, capsys):
+        # summary decoding ignored it, so a bad value went unchecked
+        out = tmp_path / "s.json"
+        assert_fails_closed(["decode", "--input", str(pipeline["preds"]), "--task", "summary",
+                             "--kts-input", str(pipeline["features"]), "--top-k", "3",
+                             "--output", str(out)], capsys,
+                            "--top-k does not apply to --task summary")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, expected", [([], 2), (["--recall-k", "1"], 1)])
     def test_eval_recall_k(self, pipeline, config, tmp_path, flags, expected):
         out = tmp_path / "eval.json"
@@ -825,14 +885,7 @@ class TestConfigFile:
         report = json.loads(traj.read_text())
         assert (report["steps"], report["seed"]) == (3, 1)
 
-    @pytest.mark.parametrize("argv", [
-        ["convert", "--input", "x"],
-        ["teacher", "--input", "x"],
-        ["losscheck"],
-        ["fit", "--input", "x"],
-        ["decode", "--input", "x", "--task", "moments"],
-        ["eval", "--predictions", "x", "--truth", "y", "--task", "moments"],
-    ])
+    @pytest.mark.parametrize("argv", list(MINIMAL_ARGV.values()))
     def test_every_tunable_flag_is_a_field(self, argv):
         # a flag whose dest is neither plumbing nor a field would be dropped silently
         plumbing = {"command", "func", "config", "output", "input", "on_error", "losses",
@@ -846,16 +899,34 @@ class TestConfigFile:
         ("map_iou_thresholds", [0.5, 0.50000001],
          "map_iou_thresholds [0.5, 0.50000001] share report keys ['0.5', '0.5']"),
     ], ids=["repeated", "same_report_key"])
-    def test_eval_refuses_thresholds_that_repeat(self, pipeline, tmp_path, field, thresholds,
-                                                 message):
+    def test_eval_refuses_thresholds_that_repeat(self, pipeline, tmp_path, capsys, field,
+                                                 thresholds, message):
         # recall counted a repeated threshold twice; map_per_threshold kept one of the two
         config, out = tmp_path / "config.json", tmp_path / "eval.json"
         config.write_text(json.dumps({field: thresholds}))
-        proc = run_child(["eval", "--predictions", str(pipeline["moments"]),
-                          "--truth", str(pipeline["labeled"]), "--task", "moments",
-                          "--config", str(config), "--output", str(out)])
+        proc = run_main(["eval", "--predictions", str(pipeline["moments"]),
+                         "--truth", str(pipeline["labeled"]), "--task", "moments",
+                         "--config", str(config), "--output", str(out)], capsys)
         assert_one_line_error(proc, message)
         assert proc.stderr == f"error: {message}\n" and not out.exists()
+
+    @pytest.mark.parametrize("field, value, text", FLAG_VALUES,
+                             ids=[f"{f}={t}" for f, _, t in FLAG_VALUES])
+    def test_flag_refused_as_config_refuses_it(self, tmp_path, capsys, field, value, text):
+        # argparse used to refuse a wrong type or choice itself, with its usage and exit 2
+        argv, flag = FLAGS[field]
+        out = str(tmp_path / "out")
+        proc = run_main([*argv, flag, text, "--output", out], capsys)
+        if field == "on_error":  # no RunConfig field: read_dataset owns the rule
+            with pytest.raises(ValueError) as refusal:
+                read_dataset(tmp_path / "x", on_error=value)
+            expected = f"error: {refusal.value}\n"
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({field: value}))
+            expected = run_main([*argv, "--config", str(config), "--output", out], capsys).stderr
+        assert_one_line_error(proc, f"{field} must ")
+        assert proc.stderr == expected
 
     def test_malformed_config_is_one_line_error(self, pipeline, tmp_path):
         bad = tmp_path / "bad.json"
@@ -1071,14 +1142,17 @@ class TestThreadEnv:
 
 
 class TestUsageErrors:
-    def test_unknown_command(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+    """argparse's refusals: its usage and exit 2."""
 
-    def test_missing_required_flag(self):
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"],
+        ["convert", "--output", "x.jsonl"],
+        ["fit", "--input", "x", "--output", "o", "--stepz", "3"],
+        ["decode", "--input", "x", "--output", "o", "--task", "bad"],
+    ], ids=["unknown_command", "missing_required_flag", "unknown_flag", "task_not_in_tasks"])
+    def test_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["convert", "--output", "x.jsonl"])
+            main(argv)
         assert exc.value.code == 2
 
 

@@ -22,7 +22,7 @@ _RULES = {
     **dict.fromkeys(("teacher_top_k", "gradcheck_points", "moment_top_k", "highlight_top_k",
                      "kts_max_segments", "kts_max_clips", "recall_k"), _AT_LEAST_1),
     **dict.fromkeys(("fit_learning_rate", "gradcheck_epsilon", "gradcheck_tolerance"), _POSITIVE),
-    **dict.fromkeys(("fit_steps", "kts_penalty"), _NON_NEGATIVE),
+    **dict.fromkeys(("fit_steps", "kts_penalty", "seed"), _NON_NEGATIVE),
     "fit_embed_dim": fit._EMBED_DIM,
     "loss_aggregation": losses._AGGREGATION,
     "highlight_mode": decode._HIGHLIGHT_MODE,

@@ -84,7 +84,7 @@ def overfit(
     timelines = [r.timeline for r in records]
     b = len(records)
 
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_checked_number("rng_seed", rng_seed, int, _NON_NEGATIVE))
     positives = np.array([sample_positive(lab, rng) for lab in labels], dtype=np.int64)
 
     # logits, offsets and clip embeddings are views of one flat vector, and

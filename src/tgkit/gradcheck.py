@@ -8,12 +8,12 @@ input by +-epsilon and compares the secant slope against the analytic
 gradient.
 
 A loss is evaluated through the helper its public function is a view of,
-with a leading problem axis P (see ``tgkit.losses``).  The analytic
-gradient comes from one call of its own (P = 1).  Every +-epsilon copy of
-the point, for every scalar of every input, is then stacked on P and
-evaluated in one call; a point with more than ``_BLOCK_ROWS / 2`` scalars
-takes one call per block of rows.  Each problem's value equals that of its
-own call bit for bit, so the slopes are those of a per-scalar loop.
+with a leading problem axis P (see ``tgkit.losses``).  The point and its
++-epsilon copies, for every scalar of every input, are stacked on P and
+evaluated in one call, whose row 0 gives the value and analytic gradient; a
+point of more than ``(_BLOCK_ROWS - 1) // 2`` scalars takes one call per
+block of rows.  Each problem's value and gradient equal those of its own
+call bit for bit, so the check is that of a P = 1 call and a per-scalar loop.
 
 The relative-error denominator is floored at max(1, |loss|) * 2 * epsilon:
 a central difference carries roundoff of order |loss| * ulp / epsilon, so
@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _AT_LEAST_1, _POSITIVE, ClipTimeline, UnifiedLabel, _checked_number, _one_of
+from .core import (_AT_LEAST_1, _NON_NEGATIVE, _POSITIVE, ClipTimeline, UnifiedLabel,
+                   _checked_number, _one_of)
 from .losses import (
     LossWeights,
     _bce_labels,
@@ -52,8 +53,8 @@ from .losses import (
 
 _KINK_MARGIN = 1e-3
 _MAX_RESAMPLES = 200
-# Rows of perturbed copies per stacked call: a point of N scalars holds at
-# most this many copies of itself at once.  Every sampler's point fits one.
+# Rows per stacked call: a point of N scalars takes 2N + 1 rows, the point
+# and its perturbed copies.  Every sampler's point fits one block.
 _BLOCK_ROWS = 512
 DEFAULT_EPSILON = 1e-5
 DEFAULT_TOLERANCE = 1e-5
@@ -229,27 +230,30 @@ _LOSS_NAME = _one_of(REGISTERED_LOSSES)
 _ANY_SHAPE = ("smooth_l1",)
 
 
-def _central_difference(evaluate, inputs, epsilon):
-    """Central-difference slopes of ``evaluate`` at ``inputs``, one stacked call per block.
+def _stacked_check(evaluate, inputs, epsilon):
+    """Value, analytic gradients and central-difference slopes at ``inputs``, one call per block.
 
-    The point's scalars are numbered key by key in C order.  Row 2j of the
-    stack moves scalar j up by ``epsilon`` and row 2j + 1 moves it down;
-    every other entry of a row is the point itself.
+    The point's scalars are numbered key by key in C order.  Row 0 of the
+    stack is the point, whose value and gradients are returned; row 2j + 1
+    moves scalar j up by ``epsilon`` and row 2j + 2 moves it down.
     """
     keys = list(inputs)
     point = np.concatenate([inputs[k].ravel() for k in keys])
     splits = np.cumsum([inputs[k].size for k in keys])[:-1]
-    values = np.empty(2 * point.size)
+    values = np.empty(2 * point.size + 1)
     for lo in range(0, values.size, _BLOCK_ROWS):
-        scalar, down = np.divmod(np.arange(lo, min(lo + _BLOCK_ROWS, values.size)), 2)
-        block = np.tile(point, (scalar.size, 1))
-        moved = point[scalar]
-        block[np.arange(scalar.size), scalar] = np.where(down, moved - epsilon, moved + epsilon)
-        stack = {k: part.reshape((scalar.size,) + inputs[k].shape)
+        rows = np.arange(lo, min(lo + _BLOCK_ROWS, values.size))
+        block = np.tile(point, (rows.size, 1))
+        moved = np.flatnonzero(rows)
+        scalar, down = np.divmod(rows[moved] - 1, 2)
+        block[moved, scalar] = np.where(down, point[scalar] - epsilon, point[scalar] + epsilon)
+        stack = {k: part.reshape((rows.size,) + inputs[k].shape)
                  for k, part in zip(keys, np.split(block, splits, axis=1))}
-        values[lo:lo + scalar.size] = evaluate(stack)[0]
-    slopes = (values[0::2] - values[1::2]) / (2.0 * epsilon)
-    return {k: part.reshape(inputs[k].shape) for k, part in zip(keys, np.split(slopes, splits))}
+        values[rows], grads = evaluate(stack)
+        if lo == 0:
+            analytic = {k: g[0] for k, g in grads.items()}
+    slopes = np.split((values[1::2] - values[2::2]) / (2.0 * epsilon), splits)
+    return values[0], analytic, {k: s.reshape(inputs[k].shape) for k, s in zip(keys, slopes)}
 
 
 def _sampled_points(factory, rng, num_points: int, loss_name: str):
@@ -262,11 +266,6 @@ def _sampled_points(factory, rng, num_points: int, loss_name: str):
         else:
             raise ValueError(f"could not sample a non-kink point for {loss_name}")
         yield inputs, evaluate
-
-
-def _relative_error(analytic, numeric, noise_floor):
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), noise_floor)
-    return np.abs(analytic - numeric) / denom
 
 
 def grad_check(
@@ -292,7 +291,7 @@ def grad_check(
     _checked_number("tolerance", tolerance, float, _POSITIVE)
     if inputs is None:
         num_points = _checked_number("num_points", num_points, int, _AT_LEAST_1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_number("seed", seed, int, _NON_NEGATIVE))
     factory = _REGISTRY[loss_name]
 
     if inputs is not None:
@@ -319,22 +318,20 @@ def grad_check(
         points = _sampled_points(factory, rng, num_points, loss_name)
         skipped = 0
 
-    max_rel = 0.0
     per_input: dict[str, float] = {}
     checked = 0
-    for point, evaluate in points:
-        value, analytic = evaluate({k: v[None] for k, v in point.items()})
-        numeric = _central_difference(evaluate, point, epsilon)
+    for checked, (point, evaluate) in enumerate(points, 1):
+        value, analytic, numeric = _stacked_check(evaluate, point, epsilon)
         # max() would drop a NaN error, so a NaN point would pass unjudged
         if not all(np.isfinite(a).all() for a in (value, *analytic.values(), *numeric.values())):
             raise ValueError(f"loss value, gradient or slope of {loss_name} is not finite "
                              "at this point")
-        noise_floor = max(1.0, abs(float(value[0]))) * 2.0 * epsilon
+        noise_floor = max(1.0, abs(float(value))) * 2.0 * epsilon
         for key in point:
-            err = float(np.max(_relative_error(analytic[key][0], numeric[key], noise_floor)))
-            per_input[key] = max(per_input.get(key, 0.0), err)
-            max_rel = max(max_rel, err)
-        checked += 1
+            a, n = analytic[key], numeric[key]
+            rel = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), noise_floor)
+            per_input[key] = max(per_input.get(key, 0.0), float(np.max(rel)))
+    max_rel = max(per_input.values(), default=0.0)
 
     return GradCheckResult(
         loss_name=loss_name,

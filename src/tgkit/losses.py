@@ -631,6 +631,7 @@ def saliency_intra_loss(
     temperature ``weights.tau``.  With no negatives the term is 0.
     """
     c = _checked_array("cosines", cosines, (len(label),))
+    rng_seed = _checked_number("rng_seed", rng_seed, int, _NON_NEGATIVE)
     if positive is None:
         positive = sample_positive(label, np.random.default_rng(rng_seed))
     pool = _contrastive_pools(label.foreground[None], label.saliency[None], np.array([positive]))
@@ -815,7 +816,7 @@ def total_loss(
     for p, lab, tl in zip(preds, labels, timelines):
         if not (len(p) == len(lab) == tl.num_clips == l):
             raise ValueError("all records must share the embedding clip count")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_checked_number("rng_seed", rng_seed, int, _NON_NEGATIVE))
     positives = np.array([sample_positive(lab, rng) for lab in labels], dtype=np.int64)
     batch = _LossBatch(labels, timelines, weights, positives, aggregation)
     value, grads, parts = _total_loss_arrays(

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _AT_LEAST_1, ClipTimeline, Interval, Query, _at_least, _checked_number
+from .core import (_AT_LEAST_1, _NON_NEGATIVE, ClipTimeline, Interval, Query, _at_least,
+                   _checked_number)
 from .formats import DatasetRecord, MatrixRecord
 from .labels import from_intervals
 
@@ -26,7 +27,7 @@ def toy_corpus(
     """
     num_videos = _checked_number("num_videos", num_videos, int, _AT_LEAST_1)
     num_clips = _checked_number("num_clips", num_clips, int, _at_least(10))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_number("seed", seed, int, _NON_NEGATIVE))
     timeline = ClipTimeline(num_clips, clip_len)
     records = []
     for v in range(num_videos):
@@ -60,7 +61,7 @@ def toy_similarity(
     num_videos = _checked_number("num_videos", num_videos, int, _AT_LEAST_1)
     num_clips = _checked_number("num_clips", num_clips, int, _at_least(5))
     num_concepts = _checked_number("num_concepts", num_concepts, int, _AT_LEAST_1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_number("seed", seed, int, _NON_NEGATIVE))
     names = tuple(f"concept_{c:02d}" for c in range(num_concepts))
     records = []
     for v in range(num_videos):

@@ -53,11 +53,12 @@ _FEEDS = {
     "recall_k": (0, lambda v: recall_at_k(_items(), k=v)),
     "recall_iou_thresholds": ([0.5, 0], lambda v: recall_at_k(_items(), thresholds=v)),
     "map_iou_thresholds": ([0.5, 0], lambda v: moment_map(_items(), thresholds=v)),
+    "seed": (-1, lambda v: grad_check("foreground", seed=v)),
 }
 
 
 def test_every_range_rule_is_covered():
-    assert set(_FEEDS) == set(_RULES) and len(_RULES) == 21
+    assert set(_FEEDS) == set(_RULES) and len(_RULES) == 22
 
 
 @pytest.mark.parametrize("field", _FEEDS)

@@ -5,8 +5,8 @@ import pytest
 
 from tgkit import gradcheck
 from tgkit.core import ClipTimeline, Interval
-from tgkit.gradcheck import (_BLOCK_ROWS, _REGISTRY, REGISTERED_LOSSES, _central_difference,
-                             _random_label, grad_check)
+from tgkit.gradcheck import (_BLOCK_ROWS, _REGISTRY, REGISTERED_LOSSES, _random_label,
+                             _stacked_check, grad_check)
 from tgkit.losses import (LossReport, LossWeights, _cosine_with_grads, _LossBatch, _row_norms,
                           _total_loss_arrays, boundary_loss, foreground_loss, giou_1d,
                           saliency_inter_loss, saliency_intra_loss, sample_positive, smooth_l1)
@@ -102,6 +102,9 @@ class TestParameters:
         ({"num_points": 1.5}, "num_points must be an integer, got 1.5"),
         ({"num_points": True}, "num_points must be an integer, got True"),
         ({"num_points": 0}, "num_points must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
     ])
     def test_parameter_refusals(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -236,19 +239,41 @@ class TestProblemAxis:
     def test_slopes_equal_per_scalar_loop(self, name):
         for seed in range(5):
             inputs, evaluate, _ = _REGISTRY[name](np.random.default_rng(seed))
-            stacked = _central_difference(evaluate, inputs, 1e-5)
+            stacked = _stacked_check(evaluate, inputs, 1e-5)[2]
             looped = fd_gradient(lambda ins: one(evaluate, ins)[0], inputs, epsilon=1e-5)
             for key in inputs:
                 assert np.array_equal(stacked[key], looped[key]), key
 
+    @pytest.mark.parametrize("name", REGISTERED_LOSSES)
+    def test_row_zero_equals_one_problem_call(self, name):
+        for seed in range(5):
+            inputs, evaluate, _ = _REGISTRY[name](np.random.default_rng(seed))
+            value, analytic, _ = _stacked_check(evaluate, inputs, 1e-5)
+            assert_same((value, analytic), one(evaluate, inputs))
+
     def test_slopes_across_blocks_equal_per_scalar_loop(self):
-        # 2 * 300 rows: more than one block
+        # 2 * 300 + 1 rows: more than one block, with the point in the first only
         inputs = {"x": np.random.default_rng(0).uniform(-3.0, 3.0, (3, 100))}
-        assert 2 * inputs["x"].size > _BLOCK_ROWS
+        assert 2 * inputs["x"].size + 1 > _BLOCK_ROWS
         _, evaluate, _ = _REGISTRY["smooth_l1"](np.random.default_rng(0))
-        stacked = _central_difference(evaluate, inputs, 1e-5)
+        value, analytic, stacked = _stacked_check(evaluate, inputs, 1e-5)
+        assert_same((value, analytic), one(evaluate, inputs))
         looped = fd_gradient(lambda ins: one(evaluate, ins)[0], inputs, epsilon=1e-5)
         assert np.array_equal(stacked["x"], looped["x"])
+
+    @pytest.mark.parametrize("name", REGISTERED_LOSSES)
+    def test_one_loss_call_per_point(self, name, monkeypatch):
+        factory, calls = _REGISTRY[name], []
+
+        def counted(rng):
+            inputs, evaluate, kink_distance = factory(rng)
+
+            def counting(ins):
+                calls.append(name)
+                return evaluate(ins)
+            return inputs, counting, kink_distance
+        monkeypatch.setitem(_REGISTRY, name, counted)
+        assert grad_check(name, num_points=3, seed=0).points_checked == len(calls) == 3
 
     def test_total_at_1000_points(self):
         result = grad_check("total", num_points=1000, seed=0, epsilon=1e-5, tolerance=1e-5)
@@ -281,7 +306,7 @@ class TestExplicitShapes:
     def test_wrong_shape_rejected_before_any_stacked_call(self, name, monkeypatch):
         def no_call(*args):
             raise AssertionError("stacked call made")
-        monkeypatch.setattr(gradcheck, "_central_difference", no_call)
+        monkeypatch.setattr(gradcheck, "_stacked_check", no_call)
         inputs, _, _ = _REGISTRY[name](np.random.default_rng(0))
         for key in inputs:
             bad = dict(inputs, **{key: np.append(inputs[key], 0.5)})

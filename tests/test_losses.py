@@ -70,14 +70,15 @@ def _embeddings(b=2, l=3, d=2):
     return EmbeddingBatch(np.ones((b, l, d)), np.ones((b, d)))
 
 
-def _total(b=2, preds=None, labels=None, timelines=None, emb=None):
+def _total(b=2, preds=None, labels=None, timelines=None, emb=None, rng_seed=0):
     """``total_loss`` over ``b`` two-clip records, with any argument swapped out."""
     pred = PredictionSet(np.zeros(2), np.ones((2, 2)), np.zeros(2))
     label = label_of([1, 0])
     return total_loss(preds if preds is not None else [pred] * b,
                       emb if emb is not None else _embeddings(b, 2),
                       labels if labels is not None else [label] * b,
-                      timelines if timelines is not None else [ClipTimeline(2, 1.0)] * b)
+                      timelines if timelines is not None else [ClipTimeline(2, 1.0)] * b,
+                      rng_seed=rng_seed)
 
 
 def _zero_clip_embedding_row():
@@ -132,6 +133,10 @@ INPUT_CHECKS = {
                     "cosines must have shape (4,), got (3,)"),
     "intra_finite": (lambda: saliency_intra_loss([np.nan, 0.0], label_of([1, 0])),
                      "cosines must be finite"),
+    "intra_rng_seed": (lambda: saliency_intra_loss([0.5, 0.0], label_of([1, 0]), rng_seed=-1),
+                       "rng_seed must be non-negative, got -1"),
+    "intra_rng_seed_bool": (lambda: saliency_intra_loss([0.5, 0.0], label_of([1, 0]), True),
+                            "rng_seed must be an integer, got True"),
     "inter_shape": (lambda: saliency_inter_loss(np.zeros((2, 3))),
                     "pair_cosines must be square, got shape (2, 3)"),
     "inter_string_entry": (lambda: saliency_inter_loss([["0.5"]]),
@@ -145,6 +150,8 @@ INPUT_CHECKS = {
                     "clip_embeddings must have shape (n, m, k), got (0, 2, 2)"),
     "total_clip_count": (lambda: _total(timelines=[ClipTimeline(2, 1.0), ClipTimeline(3, 1.0)]),
                          "all records must share the embedding clip count"),
+    "total_rng_seed": (lambda: _total(rng_seed=-1), "rng_seed must be non-negative, got -1"),
+    "total_rng_seed_float": (lambda: _total(rng_seed=1.5), "rng_seed must be an integer, got 1.5"),
     "cosine_zero_norm": (_zero_clip_embedding_row, "zero-norm embeddings have no cosine"),
 }
 

@@ -271,6 +271,9 @@ class TestValidation:
         ({"learning_rate": math.inf}, "learning_rate must be a finite number, got inf"),
         ({"learning_rate": 0}, "learning_rate must be positive, got 0.0"),
         ({"aggregation": "per_frame"}, "aggregation must be per_video or per_clip, got 'per_frame'"),
+        ({"rng_seed": -1}, "rng_seed must be non-negative, got -1"),
+        ({"rng_seed": 1.5}, "rng_seed must be an integer, got 1.5"),
+        ({"rng_seed": True}, "rng_seed must be an integer, got True"),
     ])
     def test_parameter_refusals(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

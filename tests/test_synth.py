@@ -18,6 +18,12 @@ INPUT_CHECKS = {
                              "num_clips must be >= 5, got 4"),
     "num_concepts": (lambda: toy_similarity(num_concepts=0), ValueError,
                      "num_concepts must be >= 1, got 0"),
+    "seed": (lambda: toy_corpus(2, 12, 1.0, -1), ValueError, "seed must be non-negative, got -1"),
+    "seed_float": (lambda: toy_corpus(seed=1.5), ValueError, "seed must be an integer, got 1.5"),
+    "similarity_seed": (lambda: toy_similarity(seed=-1), ValueError,
+                        "seed must be non-negative, got -1"),
+    "similarity_seed_bool": (lambda: toy_similarity(seed=True), ValueError,
+                             "seed must be an integer, got True"),
 }
 
 

@@ -187,7 +187,6 @@ def _cmd_fit(args, config: RunConfig) -> int:
     unlabeled = [f"{r.video_id}/{r.query_id}" for r in records if r.label is None]
     if unlabeled:
         raise ValueError(f"records without labels (run convert first): {unlabeled}")
-    records = sorted(records, key=DatasetRecord.sort_key)
     no_positive = [f"{r.video_id}/{r.query_id}" for r in records
                    if not _eligible(r.label.foreground).any()]
     if no_positive:
@@ -266,7 +265,6 @@ def _cmd_decode(args, config: RunConfig) -> int:
     records, _ = read_predictions(args.input)
     if not records:
         raise ValueError(f"no prediction records in {args.input}")
-    records = sorted(records, key=PredictionRecord.sort_key)
 
     features = None
     if args.task == "summary":
@@ -395,11 +393,10 @@ def _eval_summary(pairs) -> dict:
 
 
 def _cmd_eval(args, config: RunConfig) -> int:
-    truth_records, _ = read_dataset(args.truth)
-    unlabeled = [f"{r.video_id}/{r.query_id}" for r in truth_records if r.label is None]
+    truth, _ = read_dataset(args.truth)
+    unlabeled = [f"{r.video_id}/{r.query_id}" for r in truth if r.label is None]
     if unlabeled:
         raise ValueError(f"truth records without labels: {unlabeled}")
-    truth = sorted(truth_records, key=DatasetRecord.sort_key)
     results = read_decode_report(args.predictions, args.task,
                                  {r.sort_key(): r.timeline() for r in truth})
     pairs = list(zip(results, truth))

@@ -1,12 +1,11 @@
 """Run configuration; each default is the constant of the module that uses it."""
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import decode, fit, gradcheck, labels, losses, metrics, teacher
 from .core import (_AT_LEAST_1, _JSON_TYPES, _NON_NEGATIVE, _POSITIVE, _UNIT, _check_type,
                    _checked_number, _is_real)
-from .formats import parse_json, write_json_report
+from .formats import read_json, write_json_report
 from .losses import LossWeights
 
 
@@ -116,4 +115,4 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.from_dict(parse_json(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path))

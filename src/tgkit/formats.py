@@ -4,11 +4,12 @@ Datasets and predictions are line-delimited JSON, one self-contained record
 per line with an explicit schema version.  Clip-by-column matrices
 (concept similarities, summarisation features) have a plain-text form and a
 compact binary form; both are specified bit-for-bit in docs/formats.md.
-Writers emit records in canonical (video_id, query_id) order with sorted
-keys so identical inputs always serialise to identical bytes, and every
-writer hands its complete bytes, as a list of parts, to ``_write_file``.
+Records are read and written in canonical (video_id, query_id) order
+(``_Record.sort_key``), matrices in video_id order, so no caller sorts them.
+Writers emit sorted keys, so identical inputs serialise to identical bytes,
+and hand their complete bytes, as a list of parts, to ``_write_file``.
 A file holds each (video_id, query_id), or for matrices each video_id,
-once: readers and writers alike refuse a repeat.
+once: readers and writers alike refuse a repeat.  A read error names the file.
 """
 from __future__ import annotations
 
@@ -244,6 +245,14 @@ def parse_json(text):
         raise ValueError("JSON is nested too deeply") from None
 
 
+def read_json(path):
+    """The one JSON document in ``path``; an error decoding or parsing it names the file."""
+    try:
+        return parse_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _unique(keys, what: str) -> None:
     """Refuse the first key that repeats an earlier one; ``what`` names the keys."""
     seen = set()
@@ -254,16 +263,19 @@ def _unique(keys, what: str) -> None:
 
 
 def _read_jsonl(path, parse, on_error: str):
-    """The records of a JSONL file and its skipped lines; a repeated key is a line's error."""
+    """The records of a JSONL file, in key order, and its skipped lines; a line's error names it."""
     _checked_number("on_error", on_error, str, _ON_ERROR)
     records = []
     errors = []
     first_line = {}  # (video_id, query_id) -> the line that holds it
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
+                # a byte that is not UTF-8 reads as a surrogate; decoding the line again names it
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 record = parse(parse_json(line))
                 key = record.sort_key()
                 if first_line.setdefault(key, line_no) != line_no:
@@ -274,7 +286,7 @@ def _read_jsonl(path, parse, on_error: str):
                 if on_error == "raise":
                     raise ValueError(f"{path}:{line_no}: {exc}") from exc
                 errors.append((line_no, str(exc)))
-    return records, errors
+    return sorted(records, key=_Record.sort_key), errors
 
 
 def _write_file(path, parts: Sequence[bytes]) -> None:
@@ -323,7 +335,7 @@ def _write_jsonl(path, records: Sequence[_Record], to_obj) -> None:
 
 
 def read_dataset(path, on_error: str = "raise"):
-    """Parse a dataset file; returns (records, [(line, message), ...])."""
+    """Parse a dataset file; returns (records in key order, [(line, message), ...])."""
     return _read_jsonl(path, dataset_record_from_obj, on_error)
 
 
@@ -356,7 +368,7 @@ def _check_prediction_record(record: PredictionRecord) -> PredictionRecord:
 
 
 def read_predictions(path, on_error: str = "raise"):
-    """Parse a predictions file; returns (records, [(line, message), ...])."""
+    """Parse a predictions file; returns (records in key order, [(line, message), ...])."""
     return _read_jsonl(path, prediction_record_from_obj, on_error)
 
 
@@ -511,7 +523,7 @@ def _parse_binary_matrices(raw: bytes) -> list[MatrixRecord]:
 def read_matrices(path) -> list[MatrixRecord]:
     """Parse a matrix container, sniffing text vs binary by the magic bytes; each id once.
 
-    Every error names ``path``.
+    Returns the matrices in video_id order.  Every error names ``path``.
     """
     raw = Path(path).read_bytes()
     try:
@@ -522,7 +534,7 @@ def read_matrices(path) -> list[MatrixRecord]:
         _unique((r.video_id for r in records), "video id")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return records
+    return sorted(records, key=lambda r: r.video_id)
 
 
 def write_json_report(obj: dict, path) -> None:
@@ -556,8 +568,7 @@ def read_decode_report(path, task: str, timelines: dict) -> list:
     Each key needs one result of the shape eval reads that fits its grid; an
     error names ``path`` and, where there is one, the result and its ids.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        report = parse_json(handle.read())
+    report = read_json(path)
     if not isinstance(report, dict) or not isinstance(report.get("results"), list):
         raise ValueError(f"{path}: a decode report is an object holding a 'results' list")
     if report.get("task") != task:

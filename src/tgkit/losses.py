@@ -460,19 +460,17 @@ def _cosine_with_grads(v, s, nv, ns):
     dcos/dv = s / (|v||s|) - cos * v / |v|^2, the gradient of ``v`` is the
     rows of ``s`` mixed by one factor per cosine minus ``v`` scaled by one
     factor per row, and likewise for ``s``; no per-element partials are
-    formed.  ``backward(g, out=a)`` writes the gradient w.r.t. ``v`` into
-    ``a`` and returns it.
+    formed.
     """
     nvs = nv[..., :, None] * ns[..., None, :]
     c = np.add.reduce(v[..., :, None, :] * s[..., None, :, :], -1) / nvs
 
-    def backward(g, s_grad=True, out=None):
+    def backward(g, s_grad=True):
         a = g / nvs
         k = g * c
         # einsum rather than @: as fast at these sizes, and without a BLAS call,
         # whose buffers added about 1.5 MB to a training run's peak memory
-        gv = np.subtract(np.einsum("...mn,...nd->...md", a, s),
-                         (np.add.reduce(k, -1) / nv**2)[..., None] * v, out=out)
+        gv = np.einsum("...mn,...nd->...md", a, s) - (np.add.reduce(k, -1) / nv**2)[..., None] * v
         if not s_grad:
             return gv, None
         gs = np.einsum("...mn,...md->...nd", a, v) - (np.add.reduce(k, -2) / ns**2)[..., None] * s

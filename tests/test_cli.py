@@ -793,6 +793,45 @@ class TestRecordIdentity:
         assert out.read_bytes() == pipeline["labeled"].read_bytes()
 
 
+class TestUnreadableFiles:
+    """A file that is not UTF-8 or not JSON is one ``error:`` line that names it, in any reader."""
+
+    UNDECODABLE = b'{"video_id": "\xff"}'  # byte 14 of its line is not UTF-8
+
+    @pytest.mark.parametrize("reader", ["dataset", "predictions", "report", "config"])
+    def test_child_names_the_file(self, pipeline, tmp_path, reader):
+        bad = tmp_path / "bad"
+        undecodable = "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"
+        content, start, argv = {
+            "dataset": (pipeline["raw"].read_bytes() + self.UNDECODABLE, f"{bad}:3: {undecodable}",
+                        ["convert", "--input", str(bad)]),
+            "predictions": (pipeline["preds"].read_bytes() + self.UNDECODABLE,
+                            f"{bad}:3: {undecodable}",
+                            ["decode", "--input", str(bad), "--task", "moments"]),
+            "report": (b"", f"{bad}: Expecting value: line 1 column 1 (char 0)",
+                       ["eval", "--predictions", str(bad), "--truth", str(pipeline["labeled"]),
+                        "--task", "moments"]),
+            "config": (self.UNDECODABLE, f"{bad}: {undecodable}",
+                       ["decode", "--input", str(pipeline["preds"]), "--task", "moments",
+                        "--config", str(bad)]),
+        }[reader]
+        bad.write_bytes(content)
+        proc = run_child([*argv, "--output", str(tmp_path / "out")])
+        assert_one_line_error(proc, start)
+
+    def test_convert_skip_skips_an_undecodable_line(self, pipeline, tmp_path, capsys):
+        lines = pipeline["raw"].read_bytes().splitlines(keepends=True)
+        data = tmp_path / "in.jsonl"
+        data.write_bytes(lines[0] + self.UNDECODABLE + b"\n" + b"".join(lines[1:]))
+        out = tmp_path / "labeled.jsonl"
+        proc = run_main(["convert", "--input", str(data), "--on-error", "skip",
+                         "--output", str(out)], capsys)
+        assert proc.returncode == 0
+        assert proc.stderr == ("skipped line 2: 'utf-8' codec can't decode byte 0xff in "
+                               "position 14: invalid start byte\n")
+        assert out.read_bytes() == pipeline["labeled"].read_bytes()
+
+
 # each command with its required flags but --output
 MINIMAL_ARGV = {
     "convert": ["convert", "--input", "x"],

@@ -322,6 +322,39 @@ def _read_line_with(tmp_path, read, key, value, record=None):
     return _read_from(tmp_path, read, "r.jsonl")
 
 
+# a line whose byte 14 is not UTF-8, and what the JSONL readers say of it
+_NOT_UTF8 = b'{"video_id": "\xff"}'
+_UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"
+
+
+def _good_line(tmp_path, read, video_id="v0") -> bytes:
+    """A good record line for ``read`` of video ``video_id``, without its line end."""
+    _read_line_with(tmp_path, read, "video_id", video_id)
+    return (tmp_path / "r.jsonl").read_bytes().rstrip(b"\n")
+
+
+def _read_after_good_line(tmp_path, read, raw: bytes, ending=b"\n"):
+    """Read, as ``r.jsonl``, a good record line for ``read``, then ``ending`` and ``raw``."""
+    (tmp_path / "r.jsonl").write_bytes(_good_line(tmp_path, read) + ending + raw + b"\n")
+    return _read_from(tmp_path, read, "r.jsonl")
+
+
+def _read_bytes_as(tmp_path, name, raw: bytes, read, *args):
+    """``read(name, *args)`` of a file ``name`` holding ``raw``, so errors name it bare."""
+    (tmp_path / name).write_bytes(raw)
+    return _read_from(tmp_path, read, name, *args)
+
+
+# the content of a decode report or run config that is no UTF-8 JSON document, and the error
+BAD_JSON_FILES = {
+    "empty": (b"", "Expecting value: line 1 column 1 (char 0)"),
+    "not_json": (b"{\n", "Expecting property name enclosed in double quotes: line 2 column 1 "
+                          "(char 2)"),
+    "nested_too_deeply": (b"[" * 100_000, "JSON is nested too deeply"),
+    "not_utf8": (b'{"task": "\xff"}',
+                 "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+}
+
 # a record line's common field of the wrong JSON type, which used to be converted or let through
 BAD_HEADS = {
     "numeric_video_id": ("video_id", 7, "video_id must be a string, got 7"),
@@ -428,6 +461,17 @@ INPUT_CHECKS = {
         lambda p: write_dataset([dataclasses.replace(
             interval_record(), annotation=[Interval(2.0, 8.5)])], p / "d.jsonl"), ValueError,
         "interval [2.0, 8.5] exceeds the video [0, 8.0]"),
+    # every file-read error names the file, and a JSONL reader the line
+    **{f"{what}_not_utf8": (
+        lambda p, read=read: _read_after_good_line(p, read, _NOT_UTF8), ValueError,
+        f"r.jsonl:2: {_UNDECODABLE}")
+       for what, read in (("dataset", read_dataset), ("prediction", read_predictions))},
+    **{f"{what}_{case}": (
+        lambda p, read=read, args=args, raw=raw: _read_bytes_as(p, "r.json", raw, read, *args),
+        ValueError, f"r.json: {message}")
+       for what, read, args in (("report", read_decode_report, ("moments", {})),
+                                ("config", RunConfig.load, ()))
+       for case, (raw, message) in BAD_JSON_FILES.items()},
     "text_no_video_line": (lambda p: _read_text_matrices(p, "columns\ta\n"), ValueError,
                            "m.txt: line 2: expected 'video\\t<id>\\t<clip_len>'"),
     "text_no_columns_line": (lambda p: _read_text_matrices(p, "video\tv\t1.0\n"), ValueError,
@@ -718,19 +762,24 @@ class TestWritersFailClosed:
             read(path)
 
 
+def _joined_container(path, binary: bool, records) -> Path:
+    """A container holding ``records`` in the order given, which no writer writes."""
+    bodies = []
+    for i, record in enumerate(records):
+        one = path.with_name(f"one_{i}")
+        (write_matrices_binary if binary else write_matrices_text)([record], one)
+        # after the magic, version and count, or after the text header line
+        bodies.append(one.read_bytes()[12:] if binary else one.read_bytes().split(b"\n", 1)[1])
+    head = (MATRIX_MAGIC + struct.pack("<II", 1, len(records)) if binary
+            else (MATRIX_TEXT_HEADER + "\n").encode())
+    path.write_bytes(head + b"".join(bodies))
+    return path
+
+
 def matrices_with_repeat(path, binary: bool) -> Path:
     """A container holding video 'va' twice (2 and 3 rows), which no writer writes."""
-    parts = []
-    for rows in (2, 3):
-        one = path.with_name(f"one_{rows}")
-        record = MatrixRecord("va", 2.0, ("c0",), np.full((rows, 1), 0.5))
-        (write_matrices_binary if binary else write_matrices_text)([record], one)
-        parts.append(one.read_bytes())
-    if binary:  # magic, version and count, then both bodies
-        path.write_bytes(MATRIX_MAGIC + struct.pack("<II", 1, 2) + parts[0][12:] + parts[1][12:])
-    else:  # the second file without its header line
-        path.write_bytes(parts[0] + parts[1].split(b"\n", 1)[1])
-    return path
+    return _joined_container(path, binary, [
+        MatrixRecord("va", 2.0, ("c0",), np.full((rows, 1), 0.5)) for rows in (2, 3)])
 
 
 class TestRecordIdentity:
@@ -751,13 +800,43 @@ class TestRecordIdentity:
             read(path)
         records, errors = read(path, on_error="skip")
         assert errors == [(3, "(video_id, query_id) ('v1', 'q1') repeats line 1")]
-        assert to_obj(records[0]) == to_obj(first) and len(records) == 2
+        kept = {record.sort_key(): record for record in records}
+        assert to_obj(kept[("v1", "q1")]) == to_obj(first) and len(records) == 2
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
     def test_matrix_reader_names_the_repeated_id(self, tmp_path, binary):
         path = matrices_with_repeat(tmp_path / "m", binary)
         with pytest.raises(ValueError, match="video id 'va' appears more than once"):
             read_matrices(path)
+
+
+class TestReadOrder:
+    """Every reader returns its records in the order the writers write them."""
+
+    @pytest.mark.parametrize("to_obj,records,read", [
+        (dataset_record_to_obj, [curve_record("v3"), interval_record("v1", "q2"),
+                                 point_record("v2"), interval_record("v1", "q1")], read_dataset),
+        (prediction_record_to_obj, [_prediction("v2", 8.0, 4), _prediction("v10", 20.0, 10),
+                                    dataclasses.replace(_prediction("v2", 8.0, 4), query_id="q0")],
+         read_predictions),
+    ], ids=["dataset", "predictions"])
+    def test_jsonl_reader_returns_key_order(self, tmp_path, to_obj, records, read):
+        path = tmp_path / "in.jsonl"
+        path.write_text("".join(json.dumps(to_obj(r)) + "\n" for r in records), encoding="utf-8")
+        got, errors = read(path)
+        assert errors == []
+        assert [r.sort_key() for r in got] == sorted(r.sort_key() for r in records)
+        written = tmp_path / "out.jsonl"
+        (write_dataset if read is read_dataset else write_predictions)(records, written)
+        assert [to_obj(r) for r in got] == [to_obj(r) for r in read(written)[0]]
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
+    def test_matrix_reader_returns_id_order(self, tmp_path, binary):
+        records = matrix_records()  # vb, then va
+        path = _joined_container(tmp_path / "m", binary, records)
+        got = read_matrices(path)
+        assert [m.video_id for m in got] == ["va", "vb"]
+        assert [m.values.shape for m in got] == [(3, 3), (5, 2)]
 
 
 # writer -> a long content, then a shorter one, each as a callable of the path
@@ -977,6 +1056,33 @@ def read_all(raw: bytes) -> None:
                 continue
             records = got[0] if isinstance(got, tuple) else got
             assert all(r.timeline().num_clips <= MAX_CLIPS for r in records)
+
+
+class TestUndecodableLines:
+    """A JSONL line that is not UTF-8 is that line's error, like any other bad line."""
+
+    @pytest.mark.parametrize("read", [read_dataset, read_predictions])
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_skip_keeps_the_other_lines(self, tmp_path, read, ending):
+        good, other = _good_line(tmp_path, read), _good_line(tmp_path, read, "v9")
+        # lines 1 and 2, a blank line 3, the undecodable line 4 and line 1 again
+        (tmp_path / "r.jsonl").write_bytes(ending.join([good, other, b"", _NOT_UTF8, good]))
+        records, errors = read(tmp_path / "r.jsonl", on_error="skip")
+        assert [r.video_id for r in records] == ["v0", "v9"]
+        assert errors == [(4, _UNDECODABLE),
+                          (5, "(video_id, query_id) ('v0', 'q1') repeats line 1")]
+
+    def test_utf8_text_reads_as_written(self, tmp_path):
+        obj = {**dataset_record_to_obj(interval_record()),
+               "query": {"text": "café 門", "kind": "sentence"}}
+        (tmp_path / "r.jsonl").write_bytes(json.dumps(obj, ensure_ascii=False).encode() + b"\n")
+        (record,), errors = read_dataset(tmp_path / "r.jsonl")
+        assert record.query.text == "café 門" and errors == []
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_numbers_count_every_line_ending(self, tmp_path, ending):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'r.jsonl:2: {_UNDECODABLE}')}$"):
+            _read_after_good_line(tmp_path, read_dataset, _NOT_UTF8, ending)
 
 
 class TestReaderFuzz:
